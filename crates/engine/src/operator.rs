@@ -217,8 +217,8 @@ pub fn operator_join(
     // produces; reuse them so the encode pass is the only hashing pass.
     let (r_hashes, s_hashes): (Vec<u64>, Vec<u64>) = match &enc {
         Some(p) => (
-            (0..r_all.len() as u32).map(|i| p.outer.hash(i)).collect(),
-            (0..s_all.len() as u32).map(|i| p.inner.hash(i)).collect(),
+            (0..r_all.len() as u32).map(|i| p.outer().hash(i)).collect(),
+            (0..s_all.len() as u32).map(|i| p.inner().hash(i)).collect(),
         ),
         None => (
             r_all.iter().map(|t| spec.outer_key_hash(t)).collect(),
@@ -276,7 +276,7 @@ pub fn operator_join(
                             rc.input(),
                             sc.input(),
                             window,
-                            |xi, yi| p.outer.key_id(rc.ids[xi]) == p.inner.key_id(sc.ids[yi]),
+                            |xi, yi| p.outer().key_id(rc.ids[xi]) == p.inner().key_id(sc.ids[yi]),
                             &mut scratch,
                             &mut log,
                         ),

@@ -48,9 +48,10 @@
 //!
 //! **Columnar batch execution.** By default ([`Layout::Columnar`]) the
 //! executor encodes both relations struct-of-arrays once at scatter time
-//! ([`vtjoin_join::columnar::ColumnarSide`]: flat start/end chronon
+//! ([`vtjoin_join::columnar::EncodedPair`]: flat start/end chronon
 //! columns, a pre-hashed key column, and a dictionary-compressed key-id
-//! column shared across sides) and scatters **row ids** into grid cells
+//! column shared across sides — or takes the encoding `JoinService`
+//! keeps for a resident pair) and scatters **row ids** into grid cells
 //! instead of cloning tuple references per cell. Workers run the columnar
 //! kernel mirrors ([`vtjoin_join::kernel::columnar`]) over gathered
 //! column slices — the sweep's endpoint sort is a stable LSD radix sort
@@ -75,7 +76,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 use vtjoin_core::{Interval, JoinPredicate, Relation, Tuple};
-use vtjoin_join::columnar::{encode_pair, ColumnarCounters, ColumnarSide, IdBatch, Layout};
+use vtjoin_join::columnar::{ColumnarCounters, ColumnarSide, EncodedPair, IdBatch, Layout};
 use vtjoin_join::common::JoinSpec;
 use vtjoin_join::kernel::{
     choose_kernel, choose_kernel_ids, columnar_hash_join, columnar_hash_join_pred,
@@ -141,6 +142,7 @@ pub fn parallel_partition_join_layout(
         layout,
         &JoinPredicate::intersects(),
         None,
+        None,
     )
     .map(|(rel, _)| rel)
 }
@@ -168,6 +170,7 @@ pub fn parallel_partition_join_pred(
         KernelChoice::Auto,
         Layout::default(),
         pred,
+        None,
         None,
     )
     .map(|(rel, _)| rel)
@@ -197,6 +200,7 @@ pub fn parallel_partition_join_reported(
         KernelChoice::Auto,
         Layout::default(),
         &JoinPredicate::intersects(),
+        None,
         None,
     )?;
     Ok((rel, detail.workers))
@@ -235,6 +239,7 @@ pub fn grid_partition_join_with(
         Layout::default(),
         &JoinPredicate::intersects(),
         None,
+        None,
     )
     .map(|(rel, _)| rel)
 }
@@ -259,13 +264,14 @@ pub fn grid_partition_join_pred(
         Layout::default(),
         pred,
         None,
+        None,
     )
     .map(|(rel, _)| rel)
 }
 
 /// Everything [`execute`] measured beyond the result itself; consumed by
 /// [`parallel_execution_report`] and the worker-section wrapper.
-struct ExecDetail {
+pub(crate) struct ExecDetail {
     workers: Vec<WorkerSection>,
     /// Per-cell estimated costs `|r_c|·|s_c|`, time-major.
     est_costs: Vec<u64>,
@@ -351,8 +357,24 @@ fn scatter_rows(side: &ColumnarSide<'_>, intervals: &[Interval], k: usize) -> Ve
     cells
 }
 
+/// Views `pair` over `r` and `s`, refusing an encoding of relations of
+/// other lengths with a typed error.
+fn view<'a>(
+    pair: &'a EncodedPair,
+    r: &'a Relation,
+    s: &'a Relation,
+) -> Result<(ColumnarSide<'a>, ColumnarSide<'a>), vtjoin_join::JoinError> {
+    pair.view(r, s).ok_or(vtjoin_join::JoinError::Precondition(
+        "columnar encoding does not match the relations it is joined over",
+    ))
+}
+
+/// The grid executor behind every public `*_join` / `*_report` entry
+/// point. `enc`, when given, is a columnar encoding of exactly `r` and `s`
+/// (the service keeps one per resident table pair); the columnar path
+/// then skips its encode pass. Other paths ignore it.
 #[allow(clippy::too_many_arguments)]
-fn execute(
+pub(crate) fn execute(
     r: &Relation,
     s: &Relation,
     intervals: &[Interval],
@@ -362,6 +384,7 @@ fn execute(
     layout: Layout,
     pred: &JoinPredicate,
     shard_pool: Option<(&PagePool, u64)>,
+    enc: Option<&EncodedPair>,
 ) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
     // A typed error, not an assert: the intervals may arrive from a plan
     // cache or an external request, and a malformed set must fail the one
@@ -398,6 +421,7 @@ fn execute(
             choice,
             pred,
             shard_pool,
+            enc,
         ),
     }
 }
@@ -651,6 +675,7 @@ fn execute_columnar(
     choice: KernelChoice,
     pred: &JoinPredicate,
     shard_pool: Option<(&PagePool, u64)>,
+    enc: Option<&EncodedPair>,
 ) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
     let spec = JoinSpec::natural(r.schema(), s.schema())?;
     let k = key_buckets.max(1).next_power_of_two() as usize;
@@ -658,9 +683,17 @@ fn execute_columnar(
     let natural = pred.is_natural();
 
     let replicate_started = Instant::now();
-    let enc = encode_pair(&spec, r.iter(), s.iter());
-    let r_cells = scatter_rows(&enc.outer, intervals, k);
-    let s_cells = scatter_rows(&enc.inner, intervals, k);
+    let fresh;
+    let (pair, encode_micros) = match enc {
+        Some(e) => (e, 0),
+        None => {
+            fresh = EncodedPair::encode(&spec, r.iter(), s.iter());
+            (&fresh, fresh.encode_micros)
+        }
+    };
+    let (outer, inner) = view(pair, r, s)?;
+    let r_cells = scatter_rows(&outer, intervals, k);
+    let s_cells = scatter_rows(&inner, intervals, k);
     let replicate_micros = replicate_started.elapsed().as_micros() as u64;
 
     let est_costs: Vec<u64> = (0..n_cells)
@@ -685,7 +718,6 @@ fn execute_columnar(
         let mut handles = Vec::with_capacity(num_workers);
         for w in 0..num_workers {
             let spec = &spec;
-            let enc = &enc;
             let r_cells = &r_cells;
             let s_cells = &s_cells;
             let order = &order;
@@ -733,19 +765,13 @@ fn execute_columnar(
                             r_cells[c].len().max(s_cells[c].len())
                         };
                         batch.begin(est);
-                        match choose_kernel_ids(
-                            choice,
-                            &enc.outer,
-                            &r_cells[c],
-                            &enc.inner,
-                            &s_cells[c],
-                        ) {
+                        match choose_kernel_ids(choice, &outer, &r_cells[c], &inner, &s_cells[c]) {
                             KernelKind::Hash => {
                                 let hs = if natural {
                                     columnar_hash_join(
-                                        &enc.outer,
+                                        &outer,
                                         &r_cells[c],
-                                        &enc.inner,
+                                        &inner,
                                         &s_cells[c],
                                         p_c,
                                         &mut scratch,
@@ -754,9 +780,9 @@ fn execute_columnar(
                                 } else {
                                     columnar_hash_join_pred(
                                         pred,
-                                        &enc.outer,
+                                        &outer,
                                         &r_cells[c],
-                                        &enc.inner,
+                                        &inner,
                                         &s_cells[c],
                                         p_c,
                                         &mut scratch,
@@ -772,9 +798,9 @@ fn execute_columnar(
                             KernelKind::Sweep => {
                                 let (ss, radix_passes) = if natural {
                                     columnar_sweep_join(
-                                        &enc.outer,
+                                        &outer,
                                         &r_cells[c],
-                                        &enc.inner,
+                                        &inner,
                                         &s_cells[c],
                                         p_c,
                                         &mut scratch,
@@ -783,9 +809,9 @@ fn execute_columnar(
                                 } else {
                                     columnar_sweep_join_pred(
                                         pred,
-                                        &enc.outer,
+                                        &outer,
                                         &r_cells[c],
-                                        &enc.inner,
+                                        &inner,
                                         &s_cells[c],
                                         p_c,
                                         &mut scratch,
@@ -806,9 +832,7 @@ fn execute_columnar(
                         // exact-sized per-cell vector.
                         out_cell.reserve_exact(batch.len());
                         columnar.materialized_rows +=
-                            batch.materialize_each(spec, &enc.outer, &enc.inner, |t| {
-                                out_cell.push(t)
-                            });
+                            batch.materialize_each(spec, &outer, &inner, |t| out_cell.push(t));
                     }
                     busy += claimed.elapsed();
                     cells += 1;
@@ -862,9 +886,10 @@ fn execute_columnar(
     })?;
     let join_micros = join_started.elapsed().as_micros() as u64;
 
-    // Encode-time figures live on the pair, not the workers.
-    columnar.encode_micros = enc.encode_micros;
-    columnar.dict_size = enc.dict_size;
+    // Encode-time figures live on the pair, not the workers; a reused
+    // encoding cost this run nothing.
+    columnar.encode_micros = encode_micros;
+    columnar.dict_size = pair.dict_size;
 
     let tuples: Vec<Tuple> = outputs.into_iter().flatten().collect();
     let rel = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples);
@@ -1044,6 +1069,7 @@ pub fn parallel_execution_report_with(
         Layout::default(),
         &pred,
         None,
+        None,
     )?;
     Ok(build_report(rel, detail, intervals, threads, &pred))
 }
@@ -1068,6 +1094,7 @@ pub fn parallel_execution_report_pred(
         KernelChoice::Auto,
         Layout::default(),
         pred,
+        None,
         None,
     )?;
     Ok(build_report(rel, detail, intervals, threads, pred))
@@ -1115,6 +1142,7 @@ pub fn grid_execution_report_layout(
         choice,
         layout,
         pred,
+        None,
         None,
     )?;
     Ok(build_report(rel, detail, &plan.intervals, threads, pred))
@@ -1166,6 +1194,7 @@ pub fn grid_execution_report_sharded(
         layout,
         pred,
         Some((pool, pages_per_worker)),
+        None,
     )?;
     Ok(build_report(rel, detail, &plan.intervals, threads, pred))
 }
@@ -1212,6 +1241,34 @@ pub fn grid_join_streamed(
     pages_per_worker: u64,
     sink: &mut dyn FnMut(Vec<Tuple>),
 ) -> Result<StreamSummary, vtjoin_join::JoinError> {
+    stream(
+        r,
+        s,
+        plan,
+        threads,
+        choice,
+        layout,
+        pred,
+        (pool, pages_per_worker),
+        sink,
+        None,
+    )
+}
+
+/// [`grid_join_streamed`], with `enc` as in [`execute`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stream(
+    r: &Relation,
+    s: &Relation,
+    plan: &GridPlan,
+    threads: usize,
+    choice: KernelChoice,
+    layout: Layout,
+    pred: &JoinPredicate,
+    (pool, pages_per_worker): (&PagePool, u64),
+    sink: &mut dyn FnMut(Vec<Tuple>),
+    enc: Option<&EncodedPair>,
+) -> Result<StreamSummary, vtjoin_join::JoinError> {
     if !pred.partitioning_eligible() {
         return merge_join_streamed(r, s, threads, pred, sink);
     }
@@ -1249,6 +1306,7 @@ pub fn grid_join_streamed(
             pool,
             pages_per_worker,
             sink,
+            enc,
         ),
     }
 }
@@ -1404,7 +1462,8 @@ fn stream_cells_row(
     Ok(summary)
 }
 
-/// The columnar streaming worker loop: one encode pass up front, row-id
+/// The columnar streaming worker loop: one encode pass up front (none
+/// when the caller hands in the pair's encoding), row-id
 /// scatter, and per-cell late materialization *on the worker* — the wire
 /// unit stays a fully materialized per-cell `Vec<Tuple>`, byte-identical
 /// to the row path's batches.
@@ -1421,13 +1480,22 @@ fn stream_cells_columnar(
     pool: &PagePool,
     pages_per_worker: u64,
     sink: &mut dyn FnMut(Vec<Tuple>),
+    enc: Option<&EncodedPair>,
 ) -> Result<StreamSummary, vtjoin_join::JoinError> {
     let n_cells = intervals.len() * k;
     let natural = pred.is_natural();
 
-    let enc = encode_pair(spec, r.iter(), s.iter());
-    let r_cells = scatter_rows(&enc.outer, intervals, k);
-    let s_cells = scatter_rows(&enc.inner, intervals, k);
+    let fresh;
+    let pair = match enc {
+        Some(e) => e,
+        None => {
+            fresh = EncodedPair::encode(spec, r.iter(), s.iter());
+            &fresh
+        }
+    };
+    let (outer, inner) = view(pair, r, s)?;
+    let r_cells = scatter_rows(&outer, intervals, k);
+    let s_cells = scatter_rows(&inner, intervals, k);
 
     let est_costs: Vec<u64> = (0..n_cells)
         .map(|c| r_cells[c].len() as u64 * s_cells[c].len() as u64)
@@ -1442,7 +1510,6 @@ fn stream_cells_columnar(
         let (tx, rx) = mpsc::channel::<(usize, Vec<Tuple>)>();
         let mut handles = Vec::with_capacity(num_workers);
         for _ in 0..num_workers {
-            let enc = &enc;
             let r_cells = &r_cells;
             let s_cells = &s_cells;
             let order = &order;
@@ -1462,19 +1529,13 @@ fn stream_cells_columnar(
                     let mut out: Vec<Tuple> = Vec::new();
                     if !r_cells[c].is_empty() && !s_cells[c].is_empty() {
                         batch.begin(r_cells[c].len().max(s_cells[c].len()).max(16));
-                        match choose_kernel_ids(
-                            choice,
-                            &enc.outer,
-                            &r_cells[c],
-                            &enc.inner,
-                            &s_cells[c],
-                        ) {
+                        match choose_kernel_ids(choice, &outer, &r_cells[c], &inner, &s_cells[c]) {
                             KernelKind::Hash => {
                                 if natural {
                                     columnar_hash_join(
-                                        &enc.outer,
+                                        &outer,
                                         &r_cells[c],
-                                        &enc.inner,
+                                        &inner,
                                         &s_cells[c],
                                         p_c,
                                         &mut scratch,
@@ -1483,9 +1544,9 @@ fn stream_cells_columnar(
                                 } else {
                                     columnar_hash_join_pred(
                                         pred,
-                                        &enc.outer,
+                                        &outer,
                                         &r_cells[c],
-                                        &enc.inner,
+                                        &inner,
                                         &s_cells[c],
                                         p_c,
                                         &mut scratch,
@@ -1496,9 +1557,9 @@ fn stream_cells_columnar(
                             KernelKind::Sweep => {
                                 if natural {
                                     columnar_sweep_join(
-                                        &enc.outer,
+                                        &outer,
                                         &r_cells[c],
-                                        &enc.inner,
+                                        &inner,
                                         &s_cells[c],
                                         p_c,
                                         &mut scratch,
@@ -1507,9 +1568,9 @@ fn stream_cells_columnar(
                                 } else {
                                     columnar_sweep_join_pred(
                                         pred,
-                                        &enc.outer,
+                                        &outer,
                                         &r_cells[c],
-                                        &enc.inner,
+                                        &inner,
                                         &s_cells[c],
                                         p_c,
                                         &mut scratch,
@@ -1519,7 +1580,7 @@ fn stream_cells_columnar(
                             }
                         }
                         out.reserve_exact(batch.len());
-                        batch.materialize_each(spec, &enc.outer, &enc.inner, |t| out.push(t));
+                        batch.materialize_each(spec, &outer, &inner, |t| out.push(t));
                     }
                     // Empty cells still send their (empty) marker so the
                     // reorder window can advance past them.

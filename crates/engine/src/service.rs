@@ -38,7 +38,12 @@
 //!   queue-wait and execution-cost EWMAs;
 //! * **LRU table residency**: hot relations stay decoded in memory across
 //!   requests under a dedicated page budget, so a plan-cache hit on a hot
-//!   pair performs *zero* heap I/O end to end;
+//!   pair performs *zero* heap I/O end to end. Beside them, under the
+//!   same budget, the service keeps the columnar encoding of each
+//!   resident pair an inner join ran over, keyed by both tables' catalog
+//!   versions: later `submit`/`submit_streamed` calls on the pair skip
+//!   the encode pass until either version moves, and the encoding goes
+//!   when residency drops or evicts either table;
 //! * **streaming execution** ([`JoinService::submit_streamed`]): results
 //!   are delivered incrementally as [`vtjoin_join::kernel::OutputBatch`]
 //!   wire units in deterministic order — the concatenation of the batches
@@ -51,13 +56,13 @@
 
 use crate::database::{Database, DbError, TableStats};
 use crate::operator::{operator_join, OperatorCounters};
-use crate::parallel::{grid_execution_report_sharded, grid_join_streamed, StreamSummary};
+use crate::parallel::{execute, stream, StreamSummary};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 use vtjoin_core::{Interval, JoinPredicate, Operator, Relation, Tuple};
-use vtjoin_join::columnar::Layout;
+use vtjoin_join::columnar::{EncodedPair, Layout};
 use vtjoin_join::common::JoinSpec;
 use vtjoin_join::kernel::KernelChoice;
 use vtjoin_join::partition::planner::{determine_part_intervals, plan_error_size};
@@ -474,6 +479,12 @@ struct Counters {
     wait_hist: [u64; WAIT_HIST_BUCKETS],
     wait_ewma_micros: u64,
     exec_ewma_micros: u64,
+    /// Execution wall time summed over admitted requests (the report's
+    /// `serve` phase).
+    exec_micros_total: u64,
+    /// Inner joins that reused a kept pair encoding / encoded afresh.
+    encoding_hits: u64,
+    encoding_misses: u64,
 }
 
 /// One resident (decoded, in-memory) relation, keyed by table name and
@@ -485,14 +496,36 @@ struct ResidentEntry {
     last_used: u64,
 }
 
+/// Key of a kept pair encoding: outer table and catalog version, inner
+/// table and catalog version.
+type PairKey = (String, u64, String, u64);
+
+/// The columnar encoding of one resident table pair, kept so a request on
+/// the pair skips the encode pass.
+#[derive(Debug)]
+struct EncodingEntry {
+    enc: Arc<EncodedPair>,
+    pages: u64,
+    last_used: u64,
+}
+
 /// LRU residency cache: hot relations stay decoded across requests under
 /// a dedicated page budget, so a plan-cache hit on a hot pair performs no
-/// heap I/O at all.
+/// heap I/O at all. Beside them it keeps the columnar encoding of each
+/// resident pair that was joined, under the same budget: an encoding
+/// lives only as long as both its relations stay resident.
 #[derive(Debug, Default)]
 struct Residency {
     tick: u64,
     total_pages: u64,
     entries: HashMap<(String, u64), ResidentEntry>,
+    encodings: HashMap<PairKey, EncodingEntry>,
+}
+
+/// An entry the LRU sweep may evict.
+enum Victim {
+    Table((String, u64)),
+    Encoding(PairKey),
 }
 
 impl Residency {
@@ -506,7 +539,7 @@ impl Residency {
 
     /// Inserts a freshly-read relation, drops stale versions of the same
     /// table, and evicts least-recently-used entries past the budget.
-    /// Returns how many entries were evicted (stale versions included —
+    /// Returns how many tables were evicted (stale versions included —
     /// they can never be requested again, the catalog version only grows).
     fn insert(
         &mut self,
@@ -524,8 +557,7 @@ impl Residency {
             .cloned()
             .collect();
         for k in stale {
-            if let Some(e) = self.entries.remove(&k) {
-                self.total_pages -= e.pages;
+            if self.remove_table(&k) {
                 evicted += 1;
             }
         }
@@ -538,25 +570,125 @@ impl Residency {
             pages,
             last_used: self.tick,
         };
-        if let Some(old) = self.entries.insert((table.to_owned(), version), entry) {
-            self.total_pages -= old.pages;
-        }
+        let key = (table.to_owned(), version);
+        // A replaced copy of the same version takes its encodings along:
+        // they point at the old relation object.
+        self.remove_table(&key);
+        self.entries.insert(key, entry);
         self.total_pages += pages;
+        evicted + self.evict_past(budget, &[])
+    }
+
+    /// Removes one resident table and every encoding that involves it;
+    /// returns whether the table was resident.
+    fn remove_table(&mut self, key: &(String, u64)) -> bool {
+        let Some(e) = self.entries.remove(key) else {
+            return false;
+        };
+        self.total_pages -= e.pages;
+        let total = &mut self.total_pages;
+        self.encodings.retain(|(o, ov, i, iv), e| {
+            let involved = (o == &key.0 && *ov == key.1) || (i == &key.0 && *iv == key.1);
+            if involved {
+                *total -= e.pages;
+            }
+            !involved
+        });
+        true
+    }
+
+    /// Evicts least-recently-used tables and encodings, except the tables
+    /// in `keep`, until the budget holds; returns how many tables were
+    /// evicted.
+    fn evict_past(&mut self, budget: u64, keep: &[(String, u64)]) -> u64 {
+        let mut evicted = 0;
         while self.total_pages > budget {
-            let Some(lru) = self
+            let tables = self
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
+                .filter(|(k, _)| !keep.contains(k))
+                .map(|(k, e)| (e.last_used, Victim::Table(k.clone())));
+            let encodings = self
+                .encodings
+                .iter()
+                .map(|(k, e)| (e.last_used, Victim::Encoding(k.clone())));
+            let Some((_, victim)) = tables.chain(encodings).min_by_key(|(t, _)| *t) else {
                 break;
             };
-            if let Some(e) = self.entries.remove(&lru) {
-                self.total_pages -= e.pages;
-                evicted += 1;
+            match victim {
+                Victim::Table(k) => {
+                    self.remove_table(&k);
+                    evicted += 1;
+                }
+                Victim::Encoding(k) => {
+                    if let Some(e) = self.encodings.remove(&k) {
+                        self.total_pages -= e.pages;
+                    }
+                }
             }
         }
         evicted
+    }
+
+    /// Whether `rel` is the resident copy of `key`.
+    fn holds(&self, key: &(String, u64), rel: &Arc<Relation>) -> bool {
+        self.entries
+            .get(key)
+            .is_some_and(|e| Arc::ptr_eq(&e.rel, rel))
+    }
+
+    /// The kept encoding of `key`, if `r` and `s` are the resident copies
+    /// it encodes (a request may hold a copy read before an eviction).
+    fn get_encoding(
+        &mut self,
+        key: &PairKey,
+        r: &Arc<Relation>,
+        s: &Arc<Relation>,
+    ) -> Option<Arc<EncodedPair>> {
+        let (outer, inner) = ((key.0.clone(), key.1), (key.2.clone(), key.3));
+        if !(self.holds(&outer, r) && self.holds(&inner, s)) {
+            return None;
+        }
+        self.tick += 1;
+        let tick = self.tick;
+        let e = self.encodings.get_mut(key)?;
+        e.last_used = tick;
+        Some(Arc::clone(&e.enc))
+    }
+
+    /// Keeps `enc` as the encoding of `key` if `r` and `s` are the
+    /// resident copies and all three fit the budget together, evicting
+    /// other entries as needed. Returns how many tables were evicted.
+    fn insert_encoding(
+        &mut self,
+        key: PairKey,
+        enc: Arc<EncodedPair>,
+        (r, s): (&Arc<Relation>, &Arc<Relation>),
+        pages: u64,
+        budget: u64,
+    ) -> u64 {
+        let sides = [(key.0.clone(), key.1), (key.2.clone(), key.3)];
+        if !(self.holds(&sides[0], r) && self.holds(&sides[1], s)) {
+            return 0;
+        }
+        let mut pair_pages = pages + self.entries[&sides[0]].pages;
+        if sides[1] != sides[0] {
+            pair_pages += self.entries[&sides[1]].pages;
+        }
+        if pair_pages > budget {
+            return 0;
+        }
+        self.tick += 1;
+        let entry = EncodingEntry {
+            enc,
+            pages,
+            last_used: self.tick,
+        };
+        if let Some(old) = self.encodings.insert(key, entry) {
+            self.total_pages -= old.pages;
+        }
+        self.total_pages += pages;
+        self.evict_past(budget, &sides)
     }
 }
 
@@ -587,8 +719,9 @@ pub struct ServiceConfig {
     /// Whether the plan cache is consulted at all (disable for ablations;
     /// every request then replans).
     pub plan_cache: bool,
-    /// Page budget of the LRU table-residency cache (0 disables it; the
-    /// default is half the pool).
+    /// Page budget of the LRU table-residency cache, which holds the
+    /// decoded relations and the columnar encodings of resident pairs (0
+    /// disables both; the default is half the pool).
     pub residency_pages: u64,
 }
 
@@ -638,12 +771,15 @@ pub struct JoinService {
     residency: Mutex<Residency>,
     counters: Mutex<Counters>,
     io_base: IoStats,
+    /// Database page size, to charge kept encodings in residency pages.
+    page_bytes: u64,
 }
 
 impl JoinService {
     /// Wraps a database in a service under the given configuration.
     pub fn new(db: Database, cfg: ServiceConfig) -> JoinService {
         let io_base = db.io_stats();
+        let page_bytes = db.disk().page_size().max(1) as u64;
         let pool = PagePool::new(cfg.pool_pages);
         JoinService {
             db: RwLock::new(db),
@@ -655,6 +791,7 @@ impl JoinService {
             residency: Mutex::new(Residency::default()),
             counters: Mutex::new(Counters::default()),
             io_base,
+            page_bytes,
         }
     }
 
@@ -765,10 +902,11 @@ impl JoinService {
             outer, inner, pred, &opts.op, grid, &r_heap, &s_heap, &r_stats, &s_stats, pages,
         );
         drop(admit.reservation);
+        let exec_micros = exec_started.elapsed().as_micros() as u64;
+        let mut c = self.lock_counters();
+        c.exec_micros_total += exec_micros;
         match outcome {
             Ok((result, plan, partitions, key_buckets, operator)) => {
-                let exec_micros = exec_started.elapsed().as_micros() as u64;
-                let mut c = self.lock_counters();
                 c.completed += 1;
                 c.result_tuples += result.len() as u64;
                 c.exec_ewma_micros = (c.exec_ewma_micros * 7 + exec_micros) / 8;
@@ -785,7 +923,7 @@ impl JoinService {
                 })
             }
             Err(e) => {
-                self.lock_counters().failed += 1;
+                c.failed += 1;
                 Err(e)
             }
         }
@@ -827,10 +965,11 @@ impl JoinService {
             outer, inner, pred, grid, &r_heap, &s_heap, &r_stats, &s_stats, pages, sink,
         );
         drop(admit.reservation);
+        let exec_micros = exec_started.elapsed().as_micros() as u64;
+        let mut c = self.lock_counters();
+        c.exec_micros_total += exec_micros;
         match outcome {
             Ok((summary, plan, partitions, key_buckets)) => {
-                let exec_micros = exec_started.elapsed().as_micros() as u64;
-                let mut c = self.lock_counters();
                 c.completed += 1;
                 c.result_tuples += summary.tuples;
                 c.streamed_batches += summary.batches;
@@ -849,7 +988,7 @@ impl JoinService {
                 })
             }
             Err(e) => {
-                self.lock_counters().failed += 1;
+                c.failed += 1;
                 Err(e)
             }
         }
@@ -1027,6 +1166,59 @@ impl JoinService {
         Ok(rel)
     }
 
+    /// The columnar encoding of a resident table pair for an inner join:
+    /// the kept one when it encodes exactly `r` and `s`, else a fresh
+    /// encode, kept beside the resident relations under the residency
+    /// budget. `None` — the executor encodes for itself — when residency
+    /// is off or the layout is row.
+    fn pair_encoding(
+        &self,
+        outer: &str,
+        r_stats: &TableStats,
+        inner: &str,
+        s_stats: &TableStats,
+        r: &Arc<Relation>,
+        s: &Arc<Relation>,
+    ) -> Result<Option<Arc<EncodedPair>>, ServiceError> {
+        if self.cfg.residency_pages == 0 || self.cfg.layout != Layout::Columnar {
+            return Ok(None);
+        }
+        let key = (
+            outer.to_owned(),
+            r_stats.version,
+            inner.to_owned(),
+            s_stats.version,
+        );
+        let kept = self
+            .residency
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get_encoding(&key, r, s);
+        if let Some(enc) = kept {
+            self.lock_counters().encoding_hits += 1;
+            return Ok(Some(enc));
+        }
+        // Encode outside the residency lock, like a relation read.
+        let spec = JoinSpec::natural(r.schema(), s.schema()).map_err(ServiceError::Join)?;
+        let enc = Arc::new(EncodedPair::encode(&spec, r.iter(), s.iter()));
+        let pages = enc.heap_bytes().div_ceil(self.page_bytes);
+        let evicted = self
+            .residency
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert_encoding(
+                key,
+                Arc::clone(&enc),
+                (r, s),
+                pages,
+                self.cfg.residency_pages,
+            );
+        let mut c = self.lock_counters();
+        c.encoding_misses += 1;
+        c.residency_evictions += evicted;
+        Ok(Some(enc))
+    }
+
     /// Phases 3 & 4 — plan (through the cache) and execute, materialized.
     #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
@@ -1102,24 +1294,25 @@ impl JoinService {
         let threads = self.cfg.threads_per_query.max(1);
         let shard_pool = PagePool::new(reserved_pages);
         let share = reserved_pages.div_ceil(threads as u64).max(1);
-        let result = grid_execution_report_sharded(
+        let enc = self.pair_encoding(outer, r_stats, inner, s_stats, &r_rel, &s_rel)?;
+        let (result, _) = execute(
             &r_rel,
             &s_rel,
-            &plan,
+            &plan.intervals,
+            plan.key_buckets,
             threads,
             self.cfg.kernel,
             self.cfg.layout,
             pred,
-            &shard_pool,
-            share,
+            Some((&shard_pool, share)),
+            enc.as_deref(),
         )
-        .map(|(rel, _)| rel)
         .map_err(ServiceError::Join)?;
         Ok((result, outcome, partitions, key_buckets, None))
     }
 
-    /// Phases 3 & 4, streamed: identical planning, execution through
-    /// [`grid_join_streamed`] (which routes sequence/mixed templates to
+    /// Phases 3 & 4, streamed: identical planning, execution through the
+    /// streaming executor behind [`crate::parallel::grid_join_streamed`] (which routes sequence/mixed templates to
     /// the streaming merge fallback itself).
     #[allow(clippy::too_many_arguments)]
     fn plan_and_stream(
@@ -1146,18 +1339,19 @@ impl JoinService {
             r_stats,
             s_stats,
         )?;
-        let (plan, partitions, key_buckets) = match plan {
+        let (plan, partitions, key_buckets, enc) = match plan {
             Some(p) => {
                 let parts = p.intervals.len() as u64;
                 let kb = p.key_buckets;
-                (p, parts, kb)
+                let enc = self.pair_encoding(outer, r_stats, inner, s_stats, &r_rel, &s_rel)?;
+                (p, parts, kb, enc)
             }
-            None => (GridPlan::time_only(vec![Interval::ALL]), 0, 0),
+            None => (GridPlan::time_only(vec![Interval::ALL]), 0, 0, None),
         };
         let threads = self.cfg.threads_per_query.max(1);
         let shard_pool = PagePool::new(reserved_pages);
         let share = reserved_pages.div_ceil(threads as u64).max(1);
-        let summary = grid_join_streamed(
+        let summary = stream(
             &r_rel,
             &s_rel,
             &plan,
@@ -1165,9 +1359,9 @@ impl JoinService {
             self.cfg.kernel,
             self.cfg.layout,
             pred,
-            &shard_pool,
-            share,
+            (&shard_pool, share),
             sink,
+            enc.as_deref(),
         )
         .map_err(ServiceError::Join)?;
         Ok((summary, outcome, partitions, key_buckets))
@@ -1337,6 +1531,16 @@ impl JoinService {
             .len()
     }
 
+    /// Number of table-pair columnar encodings currently kept beside the
+    /// resident relations.
+    pub fn cached_encodings(&self) -> usize {
+        self.residency
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .encodings
+            .len()
+    }
+
     /// The service accounting section (obs schema v8), combining request
     /// counters with the page pool's high-water marks.
     pub fn service_section(&self) -> ServiceSection {
@@ -1395,7 +1599,7 @@ impl JoinService {
             io: IoSection::from_stats(io, cfg.ratio),
             phases: vec![PhaseSection {
                 name: "serve".into(),
-                wall_micros: 0,
+                wall_micros: c.exec_micros_total,
                 io: IoSection::from_stats(io, cfg.ratio),
                 predicted_cost: None,
             }],
@@ -1419,6 +1623,18 @@ impl JoinService {
                 Counter {
                     name: "resident_tables".into(),
                     value: self.resident_tables() as i64,
+                },
+                Counter {
+                    name: "cached_encodings".into(),
+                    value: self.cached_encodings() as i64,
+                },
+                Counter {
+                    name: "encoding_hits".into(),
+                    value: c.encoding_hits as i64,
+                },
+                Counter {
+                    name: "encoding_misses".into(),
+                    value: c.encoding_misses as i64,
                 },
             ],
             buffer_pool: None,
@@ -1715,6 +1931,39 @@ mod tests {
         let back = ExecutionReport::from_json_str(&report.to_json_string()).unwrap();
         assert_eq!(back, report);
         assert!(report.render_explain().contains("service:"));
+    }
+
+    #[test]
+    fn serve_phase_accumulates_execution_time() {
+        let svc = service(4096);
+        let serve_micros = |svc: &JoinService| {
+            let report = svc.execution_report();
+            assert_eq!(report.phases.len(), 1);
+            assert_eq!(report.phases[0].name, "serve");
+            report.phases[0].wall_micros
+        };
+        assert_eq!(serve_micros(&svc), 0, "nothing executed yet");
+        svc.submit("r", "s").unwrap();
+        let mut last = serve_micros(&svc);
+        assert!(last > 0, "one executed request takes time");
+        let mut sink = |_: Vec<Tuple>| {};
+        for i in 0..4 {
+            if i % 2 == 0 {
+                svc.submit("r", "s").unwrap();
+            } else {
+                svc.submit_streamed(
+                    "r",
+                    "s",
+                    &JoinPredicate::intersects(),
+                    &SubmitOptions::default(),
+                    &mut sink,
+                )
+                .unwrap();
+            }
+            let now = serve_micros(&svc);
+            assert!(now >= last, "serve time went back from {last} to {now}");
+            last = now;
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! This module rebuilds the hot path around three ideas:
 //!
-//! 1. **Struct-of-arrays encoding** ([`ColumnarSide`]): one pass per join
-//!    side at partition/scatter time extracts flat `start[]`/`end[]`
+//! 1. **Struct-of-arrays encoding** ([`EncodedPair`], viewed per side as
+//!    a [`ColumnarSide`]): one pass per join side extracts flat `start[]`/`end[]`
 //!    chronon columns, a pre-hashed 64-bit join-key column, and a
 //!    dictionary-compressed `key_id[]` column ([`KeyDictionary`] interns
 //!    each distinct join key once, shared by both sides, so the kernels'
@@ -36,7 +36,7 @@
 
 use crate::common::JoinSpec;
 use std::time::Instant;
-use vtjoin_core::{Chronon, Interval, Tuple};
+use vtjoin_core::{Chronon, Interval, Relation, Tuple};
 
 /// Best-effort read prefetch: a hint on x86_64, a no-op elsewhere. The
 /// pointer is never dereferenced, so a stale hint is harmless.
@@ -82,60 +82,101 @@ impl Layout {
     }
 }
 
-/// One join side's struct-of-arrays encoding: parallel columns indexed by
-/// **row id** (the tuple's position in encode order), plus the borrowed
-/// tuples themselves for the late-materialization pass.
-#[derive(Debug, Default)]
-pub struct ColumnarSide<'a> {
-    tuples: Vec<&'a Tuple>,
+/// One join side's struct-of-arrays columns, indexed by **row id** (the
+/// tuple's position in encode order). Owned and lifetime-free, so an
+/// encoding can outlive the request that built it: the service keeps one
+/// per resident table pair and pairs it with the resident tuples again on
+/// every request ([`EncodedPair::view`]).
+#[derive(Debug)]
+pub struct SideColumns {
     starts: Vec<Chronon>,
     ends: Vec<Chronon>,
     hashes: Vec<u64>,
     key_ids: Vec<u32>,
 }
 
-impl<'a> ColumnarSide<'a> {
+impl SideColumns {
     /// Number of encoded rows.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.starts.len()
     }
 
     /// Whether the side holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.starts.is_empty()
+    }
+
+    /// Heap bytes the columns occupy (28 per row).
+    pub fn heap_bytes(&self) -> u64 {
+        (self.starts.capacity() * std::mem::size_of::<Chronon>()
+            + self.ends.capacity() * std::mem::size_of::<Chronon>()
+            + self.hashes.capacity() * std::mem::size_of::<u64>()
+            + self.key_ids.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+}
+
+/// Where a [`ColumnarSide`] finds the tuple behind a row id: a relation's
+/// own tuple slice, or the references an iterator-fed encode collected.
+#[derive(Debug, Clone, Copy)]
+enum Rows<'a> {
+    Slice(&'a [Tuple]),
+    Refs(&'a [&'a Tuple]),
+}
+
+/// A borrowed view of one encoded join side: its [`SideColumns`] plus the
+/// tuples the row ids name, for the late-materialization pass. Building
+/// one copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnarSide<'a> {
+    cols: &'a SideColumns,
+    rows: Rows<'a>,
+}
+
+impl<'a> ColumnarSide<'a> {
+    /// Number of encoded rows.
+    pub fn len(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Whether the side holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.cols.is_empty()
     }
 
     /// The borrowed tuple behind `row` (late materialization only — the
     /// kernels never call this).
     #[inline]
     pub fn tuple(&self, row: u32) -> &'a Tuple {
-        self.tuples[row as usize]
+        match self.rows {
+            Rows::Slice(t) => &t[row as usize],
+            Rows::Refs(t) => t[row as usize],
+        }
     }
 
     /// Inclusive valid-start chronon of `row`.
     #[inline]
     pub fn start(&self, row: u32) -> Chronon {
-        self.starts[row as usize]
+        self.cols.starts[row as usize]
     }
 
     /// Inclusive valid-end chronon of `row`.
     #[inline]
     pub fn end(&self, row: u32) -> Chronon {
-        self.ends[row as usize]
+        self.cols.ends[row as usize]
     }
 
     /// Pre-computed 64-bit join-key hash of `row` (identical to
     /// [`JoinSpec::outer_key_hash`]/[`JoinSpec::inner_key_hash`]).
     #[inline]
     pub fn hash(&self, row: u32) -> u64 {
-        self.hashes[row as usize]
+        self.cols.hashes[row as usize]
     }
 
     /// Dictionary key id of `row`: two rows (either side) carry the same
     /// id iff their join keys are equal.
     #[inline]
     pub fn key_id(&self, row: u32) -> u32 {
-        self.key_ids[row as usize]
+        self.cols.key_ids[row as usize]
     }
 
     /// The valid-time interval of `row`, rebuilt from the inline columns.
@@ -170,7 +211,7 @@ impl<'a> KeyDictionary<'a> {
     const EMPTY: u32 = u32::MAX;
     const INITIAL_SLOTS: usize = 1024;
 
-    fn with_capacity(_expected_rows: usize) -> KeyDictionary<'a> {
+    fn new() -> KeyDictionary<'a> {
         KeyDictionary {
             slots: vec![(0, Self::EMPTY); Self::INITIAL_SLOTS],
             mask: Self::INITIAL_SLOTS - 1,
@@ -228,12 +269,15 @@ impl<'a> KeyDictionary<'a> {
 }
 
 /// Both sides of a join encoded columnar, plus what the encode measured.
+/// Owned and lifetime-free; the key ids of both sides come from one
+/// shared [`KeyDictionary`], whose interned representatives (borrowed
+/// tuples) are dropped once the encode ends — only its size is kept.
 #[derive(Debug)]
-pub struct ColumnarPair<'a> {
+pub struct EncodedPair {
     /// The outer (left / `r`) side.
-    pub outer: ColumnarSide<'a>,
+    pub outer: SideColumns,
     /// The inner (right / `s`) side.
-    pub inner: ColumnarSide<'a>,
+    pub inner: SideColumns,
     /// Distinct join keys interned across both sides.
     pub dict_size: u64,
     /// Wall-clock microseconds the encode pass took (profiling only —
@@ -241,26 +285,101 @@ pub struct ColumnarPair<'a> {
     pub encode_micros: u64,
 }
 
-/// Encodes both join sides in one pass each: extracts the chronon and
-/// key-hash columns and interns every key in a shared [`KeyDictionary`].
-/// Row ids are assigned in iteration order, so the columnar kernels see
-/// rows in exactly the order the row kernels see tuples.
+impl EncodedPair {
+    /// Encodes both join sides in one pass each: extracts the chronon and
+    /// key-hash columns and interns every key in a shared
+    /// [`KeyDictionary`]. Row ids are assigned in iteration order, so the
+    /// columnar kernels see rows in exactly the order the row kernels see
+    /// tuples.
+    pub fn encode<'a, R, S>(spec: &JoinSpec, r: R, s: S) -> EncodedPair
+    where
+        R: IntoIterator<Item = &'a Tuple>,
+        S: IntoIterator<Item = &'a Tuple>,
+    {
+        let t0 = Instant::now();
+        let mut dict = KeyDictionary::new();
+        let outer = encode_side(spec, r, true, &mut dict);
+        let inner = encode_side(spec, s, false, &mut dict);
+        EncodedPair {
+            outer,
+            inner,
+            dict_size: dict.len() as u64,
+            encode_micros: t0.elapsed().as_micros() as u64,
+        }
+    }
+
+    /// Heap bytes both sides' columns occupy.
+    pub fn heap_bytes(&self) -> u64 {
+        self.outer.heap_bytes() + self.inner.heap_bytes()
+    }
+
+    /// Views the encoding over the relations it was built from (in
+    /// iteration order), for kernels and late materialization; `None`
+    /// when a relation's length differs from its encoded side's.
+    pub fn view<'a>(
+        &'a self,
+        r: &'a Relation,
+        s: &'a Relation,
+    ) -> Option<(ColumnarSide<'a>, ColumnarSide<'a>)> {
+        if r.len() != self.outer.len() || s.len() != self.inner.len() {
+            return None;
+        }
+        Some((
+            ColumnarSide {
+                cols: &self.outer,
+                rows: Rows::Slice(r.tuples()),
+            },
+            ColumnarSide {
+                cols: &self.inner,
+                rows: Rows::Slice(s.tuples()),
+            },
+        ))
+    }
+}
+
+/// An [`EncodedPair`] built from tuple iterators, holding the tuple
+/// references it needs for late materialization.
+#[derive(Debug)]
+pub struct ColumnarPair<'a> {
+    outer_rows: Vec<&'a Tuple>,
+    inner_rows: Vec<&'a Tuple>,
+    /// The owned columns and what the encode measured.
+    pub columns: EncodedPair,
+}
+
+impl ColumnarPair<'_> {
+    /// The outer (left / `r`) side.
+    pub fn outer(&self) -> ColumnarSide<'_> {
+        ColumnarSide {
+            cols: &self.columns.outer,
+            rows: Rows::Refs(&self.outer_rows),
+        }
+    }
+
+    /// The inner (right / `s`) side.
+    pub fn inner(&self) -> ColumnarSide<'_> {
+        ColumnarSide {
+            cols: &self.columns.inner,
+            rows: Rows::Refs(&self.inner_rows),
+        }
+    }
+}
+
+/// Encodes both join sides from tuple iterators (see
+/// [`EncodedPair::encode`]), keeping the tuple references for late
+/// materialization.
 pub fn encode_pair<'a, R, S>(spec: &JoinSpec, r: R, s: S) -> ColumnarPair<'a>
 where
     R: IntoIterator<Item = &'a Tuple>,
     S: IntoIterator<Item = &'a Tuple>,
 {
-    let t0 = Instant::now();
-    let r = r.into_iter();
-    let s = s.into_iter();
-    let mut dict = KeyDictionary::with_capacity(r.size_hint().0 + s.size_hint().0);
-    let outer = encode_side(spec, r, true, &mut dict);
-    let inner = encode_side(spec, s, false, &mut dict);
+    let outer_rows: Vec<&'a Tuple> = r.into_iter().collect();
+    let inner_rows: Vec<&'a Tuple> = s.into_iter().collect();
+    let columns = EncodedPair::encode(spec, outer_rows.iter().copied(), inner_rows.iter().copied());
     ColumnarPair {
-        outer,
-        inner,
-        dict_size: dict.len() as u64,
-        encode_micros: t0.elapsed().as_micros() as u64,
+        outer_rows,
+        inner_rows,
+        columns,
     }
 }
 
@@ -269,14 +388,13 @@ fn encode_side<'a, I>(
     tuples: I,
     outer: bool,
     dict: &mut KeyDictionary<'a>,
-) -> ColumnarSide<'a>
+) -> SideColumns
 where
     I: IntoIterator<Item = &'a Tuple>,
 {
     let tuples = tuples.into_iter();
     let n = tuples.size_hint().0;
-    let mut side = ColumnarSide {
-        tuples: Vec::with_capacity(n),
+    let mut side = SideColumns {
         starts: Vec::with_capacity(n),
         ends: Vec::with_capacity(n),
         hashes: Vec::with_capacity(n),
@@ -288,16 +406,12 @@ where
         } else {
             spec.inner_key_hash(t)
         };
-        side.tuples.push(t);
         side.starts.push(t.valid().start());
         side.ends.push(t.valid().end());
         side.hashes.push(hash);
         side.key_ids.push(dict.intern(spec, t, outer, hash));
     }
-    assert!(
-        side.tuples.len() <= u32::MAX as usize,
-        "columnar row ids are u32"
-    );
+    assert!(side.len() <= u32::MAX as usize, "columnar row ids are u32");
     side
 }
 
@@ -430,10 +544,10 @@ impl IdBatch {
             if let Some(&(l, r)) = self.pairs.get(i + PF_STRUCT) {
                 prefetch_read(outer.tuple(l) as *const Tuple);
                 prefetch_read(inner.tuple(r) as *const Tuple);
-                prefetch_read(&outer.starts[l as usize] as *const Chronon);
-                prefetch_read(&outer.ends[l as usize] as *const Chronon);
-                prefetch_read(&inner.starts[r as usize] as *const Chronon);
-                prefetch_read(&inner.ends[r as usize] as *const Chronon);
+                prefetch_read(&outer.cols.starts[l as usize] as *const Chronon);
+                prefetch_read(&outer.cols.ends[l as usize] as *const Chronon);
+                prefetch_read(&inner.cols.starts[r as usize] as *const Chronon);
+                prefetch_read(&inner.cols.ends[r as usize] as *const Chronon);
             }
             if let Some(&(l, r)) = self.pairs.get(i + PF_VALUES) {
                 prefetch_read(outer.tuple(l).values().as_ptr());
@@ -532,25 +646,58 @@ mod tests {
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
         let pair = encode_pair(&spec, r.iter(), s.iter());
 
-        assert_eq!(pair.outer.len(), 3);
-        assert_eq!(pair.inner.len(), 3);
-        assert_eq!(pair.dict_size, 3); // keys {1, 2, 3}
-        assert_eq!(pair.outer.start(0), Chronon::new(0));
-        assert_eq!(pair.outer.end(1), Chronon::new(9));
-        assert_eq!(pair.outer.interval(2), Interval::from_raw(7, 8).unwrap());
+        assert_eq!(pair.outer().len(), 3);
+        assert_eq!(pair.inner().len(), 3);
+        assert_eq!(pair.columns.dict_size, 3); // keys {1, 2, 3}
+        assert_eq!(pair.outer().start(0), Chronon::new(0));
+        assert_eq!(pair.outer().end(1), Chronon::new(9));
+        assert_eq!(pair.outer().interval(2), Interval::from_raw(7, 8).unwrap());
         // Key 1 appears at outer rows 0, 2 and inner row 2 — one id.
-        assert_eq!(pair.outer.key_id(0), pair.outer.key_id(2));
-        assert_eq!(pair.outer.key_id(0), pair.inner.key_id(2));
+        assert_eq!(pair.outer().key_id(0), pair.outer().key_id(2));
+        assert_eq!(pair.outer().key_id(0), pair.inner().key_id(2));
         // Key 2: outer row 1 ≡ inner row 0; distinct from key 1.
-        assert_eq!(pair.outer.key_id(1), pair.inner.key_id(0));
-        assert_ne!(pair.outer.key_id(0), pair.outer.key_id(1));
+        assert_eq!(pair.outer().key_id(1), pair.inner().key_id(0));
+        assert_ne!(pair.outer().key_id(0), pair.outer().key_id(1));
         // Hash column matches the spec's per-side hash.
         for (i, t) in r.iter().enumerate() {
-            assert_eq!(pair.outer.hash(i as u32), spec.outer_key_hash(t));
+            assert_eq!(pair.outer().hash(i as u32), spec.outer_key_hash(t));
         }
         for (i, t) in s.iter().enumerate() {
-            assert_eq!(pair.inner.hash(i as u32), spec.inner_key_hash(t));
+            assert_eq!(pair.inner().hash(i as u32), spec.inner_key_hash(t));
         }
+    }
+
+    #[test]
+    fn owned_encoding_views_a_relation_like_the_iterator_encode() {
+        let (rs, ss) = schemas();
+        let r = rel(rs, &[(1, 10, 0, 5), (2, 11, 3, 9), (1, 12, 7, 8)]);
+        let s = rel(ss, &[(2, 20, 0, 1), (3, 21, 2, 4)]);
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let owned = EncodedPair::encode(&spec, r.iter(), s.iter());
+        assert_eq!(owned.heap_bytes(), 28 * 5, "8 + 8 + 8 + 4 bytes per row");
+        let pair = encode_pair(&spec, r.iter(), s.iter());
+        let (outer, inner) = owned.view(&r, &s).unwrap();
+        for (a, b) in [(outer, pair.outer()), (inner, pair.inner())] {
+            assert_eq!(a.len(), b.len());
+            for row in 0..a.len() as u32 {
+                assert_eq!(a.interval(row), b.interval(row));
+                assert_eq!(a.hash(row), b.hash(row));
+                assert_eq!(a.key_id(row), b.key_id(row));
+                assert!(std::ptr::eq(a.tuple(row), b.tuple(row)));
+            }
+        }
+    }
+
+    #[test]
+    fn an_encoding_does_not_view_relations_of_other_lengths() {
+        let (rs, ss) = schemas();
+        let r = rel(rs, &[(1, 10, 0, 5)]);
+        let s = rel(ss, &[(2, 20, 0, 1), (3, 21, 2, 4)]);
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let owned = EncodedPair::encode(&spec, r.iter(), s.iter());
+        assert!(owned.view(&r, &s).is_some());
+        assert!(owned.view(&s, &s).is_none());
+        assert!(owned.view(&r, &r).is_none());
     }
 
     #[test]
@@ -565,7 +712,7 @@ mod tests {
         for (i, x) in rt.iter().enumerate() {
             for (j, y) in st.iter().enumerate() {
                 assert_eq!(
-                    pair.outer.key_id(i as u32) == pair.inner.key_id(j as u32),
+                    pair.outer().key_id(i as u32) == pair.inner().key_id(j as u32),
                     spec.keys_equal(x, y),
                     "rows {i},{j}"
                 );
@@ -620,7 +767,7 @@ mod tests {
         b.emit(1, 0);
         b.emit(0, 0);
         let mut got = Vec::new();
-        let n = b.materialize_each(&spec, &pair.outer, &pair.inner, |t| got.push(t));
+        let n = b.materialize_each(&spec, &pair.outer(), &pair.inner(), |t| got.push(t));
         assert_eq!(n, 2);
         assert_eq!(b.batches_flushed(), 1);
         assert_eq!(b.total_emitted(), 2);

@@ -151,20 +151,58 @@ pub struct ColumnarScratch {
     radix_tmp: Vec<(u64, u32)>,
     r_active: ActiveLists,
     s_active: ActiveLists,
-    hash_buckets: Vec<Vec<(u64, u32)>>,
-    hash_mask: usize,
+    hash_table: FlatHashTable,
 }
 
-impl ColumnarScratch {
-    fn reset_hash_table(&mut self, expected: usize) {
-        let want = expected.max(1).next_power_of_two();
-        if want > self.hash_buckets.len() {
-            self.hash_buckets.resize_with(want, Vec::new);
+/// The hash kernel's build-side table, laid out gapless (Piatov et al.,
+/// PAPERS.md): one `(hash, slice position)` entries array grouped by
+/// bucket, and `buckets + 1` offsets, bucket `b` spanning
+/// `entries[offsets[b]..offsets[b + 1]]`. Built count-then-fill, so a
+/// build allocates nothing once the arrays have grown to the largest
+/// cell, and entries within a bucket keep build-row order — the order the
+/// row `BlockTable` pushes them in.
+#[derive(Debug, Default)]
+struct FlatHashTable {
+    offsets: Vec<u32>,
+    entries: Vec<(u64, u32)>,
+    mask: usize,
+}
+
+impl FlatHashTable {
+    /// Rebuilds the table over `hashes` (slice position = index) with
+    /// `buckets` buckets, a power of two.
+    fn build(&mut self, hashes: &[u64], buckets: usize) {
+        debug_assert!(buckets.is_power_of_two());
+        self.mask = buckets - 1;
+        self.offsets.clear();
+        self.offsets.resize(buckets + 1, 0);
+        // Count bucket b's rows into offsets[b + 1], then turn the counts
+        // into each bucket's start, still one slot to the right.
+        for &h in hashes {
+            self.offsets[((h as usize) & self.mask) + 1] += 1;
         }
-        for b in &mut self.hash_buckets {
-            b.clear();
+        let mut start = 0u32;
+        for o in &mut self.offsets[1..] {
+            let count = *o;
+            *o = start;
+            start += count;
         }
-        self.hash_mask = want - 1;
+        // Fill in row order, advancing offsets[b + 1] as b's cursor: it
+        // ends at b's end, which is where bucket b + 1 starts.
+        self.entries.clear();
+        self.entries.resize(hashes.len(), (0, 0));
+        for (i, &h) in hashes.iter().enumerate() {
+            let cursor = &mut self.offsets[((h as usize) & self.mask) + 1];
+            self.entries[*cursor as usize] = (h, i as u32);
+            *cursor += 1;
+        }
+    }
+
+    /// The entries of `hash`'s bucket, in build-row order.
+    #[inline]
+    fn bucket(&self, hash: u64) -> &[(u64, u32)] {
+        let b = (hash as usize) & self.mask;
+        &self.entries[self.offsets[b] as usize..self.offsets[b + 1] as usize]
     }
 }
 
@@ -410,25 +448,22 @@ fn hash_ids(
     out: &mut IdBatch,
 ) -> HashStats {
     let mut stats = HashStats::default();
-    scratch.r_slice.gather(r, r_rows);
-    scratch.s_slice.gather(s, s_rows);
-    scratch.reset_hash_table(r_rows.len());
     let ColumnarScratch {
         r_slice,
         s_slice,
-        hash_buckets,
-        hash_mask,
+        hash_table,
         ..
     } = scratch;
-    for (i, &h) in r_slice.hashes.iter().enumerate() {
-        hash_buckets[(h as usize) & *hash_mask].push((h, i as u32));
-    }
+    r_slice.gather(r, r_rows);
+    s_slice.gather(s, s_rows);
+    // The row `BlockTable`'s bucket count, so buckets hold the same rows.
+    hash_table.build(&r_slice.hashes, r_slice.len().max(1).next_power_of_two());
     for j in 0..s_slice.len() {
         stats.probes += 1;
         let h = s_slice.hashes[j];
         let (y_start, y_end) = (s_slice.starts[j], s_slice.ends[j]);
         let y_key = s_slice.key_ids[j];
-        for &(hx, pos) in &hash_buckets[(h as usize) & *hash_mask] {
+        for &(hx, pos) in hash_table.bucket(h) {
             if hx != h {
                 continue;
             }
@@ -542,9 +577,9 @@ mod tests {
         let mut col_out = IdBatch::new();
         let (col_stats, _) = match &pred {
             None => columnar_sweep_join(
-                &enc.outer,
+                &enc.outer(),
                 &r_rows,
-                &enc.inner,
+                &enc.inner(),
                 &s_rows,
                 window,
                 &mut cs,
@@ -552,9 +587,9 @@ mod tests {
             ),
             Some(p) => columnar_sweep_join_pred(
                 p,
-                &enc.outer,
+                &enc.outer(),
                 &r_rows,
-                &enc.inner,
+                &enc.inner(),
                 &s_rows,
                 window,
                 &mut cs,
@@ -563,7 +598,7 @@ mod tests {
         };
         assert_eq!(row_stats, col_stats, "sweep stats diverge");
         let mut col_tuples = Vec::new();
-        col_out.materialize_each(&spec, &enc.outer, &enc.inner, |t| col_tuples.push(t));
+        col_out.materialize_each(&spec, &enc.outer(), &enc.inner(), |t| col_tuples.push(t));
         assert_eq!(row_out.take(), col_tuples, "sweep output diverges");
 
         // Hash.
@@ -575,9 +610,9 @@ mod tests {
         let mut col_out = IdBatch::new();
         let col_stats = match &pred {
             None => columnar_hash_join(
-                &enc.outer,
+                &enc.outer(),
                 &r_rows,
-                &enc.inner,
+                &enc.inner(),
                 &s_rows,
                 window,
                 &mut cs,
@@ -585,9 +620,9 @@ mod tests {
             ),
             Some(p) => columnar_hash_join_pred(
                 p,
-                &enc.outer,
+                &enc.outer(),
                 &r_rows,
-                &enc.inner,
+                &enc.inner(),
                 &s_rows,
                 window,
                 &mut cs,
@@ -596,7 +631,7 @@ mod tests {
         };
         assert_eq!(row_stats, col_stats, "hash stats diverge");
         let mut col_tuples = Vec::new();
-        col_out.materialize_each(&spec, &enc.outer, &enc.inner, |t| col_tuples.push(t));
+        col_out.materialize_each(&spec, &enc.outer(), &enc.inner(), |t| col_tuples.push(t));
         assert_eq!(row_out.take(), col_tuples, "hash output diverges");
     }
 
@@ -634,13 +669,13 @@ mod tests {
             let (r_rows, s_rows) = (all_rows(rr.len()), all_rows(sr.len()));
             assert_eq!(
                 estimate_dups_per_key_x100(&spec, &rr, &sr),
-                estimate_dups_per_key_x100_ids(&enc.outer, &r_rows, &enc.inner, &s_rows),
+                estimate_dups_per_key_x100_ids(&enc.outer(), &r_rows, &enc.inner(), &s_rows),
                 "keys={keys}"
             );
             for choice in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
                 assert_eq!(
                     choose_kernel(choice, &spec, &rr, &sr),
-                    choose_kernel_ids(choice, &enc.outer, &r_rows, &enc.inner, &s_rows)
+                    choose_kernel_ids(choice, &enc.outer(), &r_rows, &enc.inner(), &s_rows)
                 );
             }
         }
@@ -654,9 +689,9 @@ mod tests {
         let mut cs = ColumnarScratch::default();
         let mut out = IdBatch::new();
         let (stats, _) = columnar_sweep_join(
-            &enc.outer,
-            &all_rows(enc.outer.len()),
-            &enc.inner,
+            &enc.outer(),
+            &all_rows(enc.outer().len()),
+            &enc.inner(),
             &[],
             Interval::ALL,
             &mut cs,
@@ -665,18 +700,115 @@ mod tests {
         assert_eq!(stats.pairs_emitted, 0);
         assert!(out.is_empty());
         let hstats = columnar_hash_join(
-            &enc.outer,
+            &enc.outer(),
             &[],
-            &enc.inner,
-            &all_rows(enc.inner.len()),
+            &enc.inner(),
+            &all_rows(enc.inner().len()),
             Interval::ALL,
             &mut cs,
             &mut out,
         );
         assert_eq!(hstats.pairs_emitted, 0);
         assert_eq!(
-            estimate_dups_per_key_x100_ids(&enc.outer, &[], &enc.inner, &[]),
+            estimate_dups_per_key_x100_ids(&enc.outer(), &[], &enc.inner(), &[]),
             100
         );
+    }
+
+    #[test]
+    fn flat_table_keeps_build_order_when_many_keys_share_a_bucket() {
+        // 1,000 rows over 300 distinct key hashes in 4 buckets: every
+        // bucket holds dozens of keys. Each bucket must list exactly the
+        // rows a per-bucket `Vec` table would push, in the same order.
+        let hashes: Vec<u64> = (0..1000u64)
+            .map(|i| ((i * 7) % 300).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let mut table = FlatHashTable::default();
+        table.build(&hashes, 4);
+        let mut want: Vec<Vec<(u64, u32)>> = vec![Vec::new(); 4];
+        for (i, &h) in hashes.iter().enumerate() {
+            want[(h as usize) & 3].push((h, i as u32));
+        }
+        for (b, want) in want.iter().enumerate() {
+            let keys: std::collections::HashSet<u64> = want.iter().map(|e| e.0).collect();
+            assert!(keys.len() > 30, "bucket {b} holds few keys");
+            assert_eq!(table.bucket(b as u64), want.as_slice(), "bucket {b}");
+        }
+        // A rebuild over fewer rows leaves nothing of the last build.
+        table.build(&hashes[..3], 4);
+        let total: usize = (0..4u64).map(|b| table.bucket(b).len()).sum();
+        assert_eq!(total, 3);
+    }
+
+    #[test]
+    fn flat_hash_kernel_mirrors_row_hash_join_on_crowded_buckets() {
+        let rs = Schema::new(vec![
+            AttrDef::new("k", AttrType::Int),
+            AttrDef::new("b", AttrType::Int),
+        ])
+        .unwrap()
+        .into_shared();
+        let ss = Schema::new(vec![
+            AttrDef::new("k", AttrType::Int),
+            AttrDef::new("c", AttrType::Int),
+        ])
+        .unwrap()
+        .into_shared();
+        let rel = |schema: &Arc<Schema>, rows: Vec<(i64, i64, i64)>| {
+            let tuples = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (k, st, len))| {
+                    Tuple::new(
+                        vec![Value::Int(k), Value::Int(i as i64)],
+                        Interval::from_raw(st, st + len).unwrap(),
+                    )
+                })
+                .collect();
+            Relation::from_parts_unchecked(Arc::clone(schema), tuples)
+        };
+        let cases = [
+            // A 4-row build side (4 buckets) probed by 1,000 distinct keys:
+            // every bucket is visited by hundreds of distinct keys.
+            (
+                (0..4).map(|i| (i * 5, i * 3, 40)).collect::<Vec<_>>(),
+                (0..2000).map(|i| (i % 1000, i % 50, 5)).collect::<Vec<_>>(),
+            ),
+            // Duplicate-heavy build side: 3 keys over 600 rows, so each
+            // occupied bucket holds ~200 entries; the probe side mixes
+            // those keys with 400 absent ones.
+            (
+                (0..600).map(|i| (i % 3, i % 97, 3)).collect(),
+                (0..800).map(|i| (i % 403, i % 89, 4)).collect(),
+            ),
+        ];
+        for (ci, (r_rows, s_rows)) in cases.into_iter().enumerate() {
+            let (r, s) = (rel(&rs, r_rows), rel(&ss, s_rows));
+            let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+            let rr: Vec<&Tuple> = r.iter().collect();
+            let sr: Vec<&Tuple> = s.iter().collect();
+            let enc = encode_pair(&spec, r.iter(), s.iter());
+            let (r_ids, s_ids) = (all_rows(rr.len()), all_rows(sr.len()));
+            let mut cs = ColumnarScratch::default();
+            for window in [Interval::ALL, Interval::from_raw(10, 60).unwrap()] {
+                let mut row_out = OutputBatch::new();
+                let row_stats = hash_join(&spec, &rr, &sr, window, &mut row_out);
+                let mut col_out = IdBatch::new();
+                let col_stats = columnar_hash_join(
+                    &enc.outer(),
+                    &r_ids,
+                    &enc.inner(),
+                    &s_ids,
+                    window,
+                    &mut cs,
+                    &mut col_out,
+                );
+                assert_eq!(row_stats, col_stats, "case {ci}: counters diverge");
+                assert!(row_stats.pairs_emitted > 0, "case {ci}: fixture matches");
+                let mut col_tuples = Vec::new();
+                col_out.materialize_each(&spec, &enc.outer(), &enc.inner(), |t| col_tuples.push(t));
+                assert_eq!(row_out.take(), col_tuples, "case {ci}: output diverges");
+            }
+        }
     }
 }

@@ -306,14 +306,14 @@ pub fn join_partitions(
                         .chain(loaded.iter()),
                 );
                 notes.hash_tables += 1;
-                let r_rows: Vec<u32> = (0..enc.outer.len() as u32).collect();
-                let s_rows: Vec<u32> = (0..enc.inner.len() as u32).collect();
+                let r_rows: Vec<u32> = (0..enc.outer().len() as u32).collect();
+                let s_rows: Vec<u32> = (0..enc.inner().len() as u32).collect();
                 id_batch.begin(r_rows.len().max(16));
                 let hs = if pred.is_natural() {
                     columnar_hash_join(
-                        &enc.outer,
+                        &enc.outer(),
                         &r_rows,
-                        &enc.inner,
+                        &enc.inner(),
                         &s_rows,
                         p_i,
                         &mut col_scratch,
@@ -322,9 +322,9 @@ pub fn join_partitions(
                 } else {
                     columnar_hash_join_pred(
                         pred,
-                        &enc.outer,
+                        &enc.outer(),
                         &r_rows,
-                        &enc.inner,
+                        &enc.inner(),
                         &s_rows,
                         p_i,
                         &mut col_scratch,
@@ -336,10 +336,10 @@ pub fn join_partitions(
                 notes.filter_checks += hs.filter_checks as i64;
                 notes.filter_hits += hs.filter_hits as i64;
                 let materialized =
-                    id_batch.materialize_each(spec, &enc.outer, &enc.inner, |z| batch.emit(z));
+                    id_batch.materialize_each(spec, &enc.outer(), &enc.inner(), |z| batch.emit(z));
                 let col = notes.columnar.as_mut().expect("columnar layout");
-                col.encode_micros += enc.encode_micros;
-                col.dict_size = col.dict_size.max(enc.dict_size);
+                col.encode_micros += enc.columns.encode_micros;
+                col.dict_size = col.dict_size.max(enc.columns.dict_size);
                 col.materialized_rows += materialized;
                 // Migration (first chunk only): flushed-cache tuples then
                 // stored inner tuples — the same push order the row path

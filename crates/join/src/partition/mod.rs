@@ -115,16 +115,16 @@ impl PartitionJoin {
                     inner_buf.extend(inner.read_page(p)?);
                 }
                 let enc = encode_pair(&spec, block.iter(), inner_buf.iter());
-                let r_rows: Vec<u32> = (0..enc.outer.len() as u32).collect();
-                let s_rows: Vec<u32> = (0..enc.inner.len() as u32).collect();
+                let r_rows: Vec<u32> = (0..enc.outer().len() as u32).collect();
+                let s_rows: Vec<u32> = (0..enc.inner().len() as u32).collect();
                 let mut scratch = ColumnarScratch::default();
                 let mut id_batch = IdBatch::new();
                 id_batch.begin(r_rows.len().max(16));
                 let hs = if cfg.predicate.is_natural() {
                     columnar_hash_join(
-                        &enc.outer,
+                        &enc.outer(),
                         &r_rows,
-                        &enc.inner,
+                        &enc.inner(),
                         &s_rows,
                         Interval::ALL,
                         &mut scratch,
@@ -133,9 +133,9 @@ impl PartitionJoin {
                 } else {
                     columnar_hash_join_pred(
                         &cfg.predicate,
-                        &enc.outer,
+                        &enc.outer(),
                         &r_rows,
-                        &enc.inner,
+                        &enc.inner(),
                         &s_rows,
                         Interval::ALL,
                         &mut scratch,
@@ -147,11 +147,11 @@ impl PartitionJoin {
                 filter_checks = hs.filter_checks;
                 filter_hits = hs.filter_hits;
                 let materialized =
-                    id_batch.materialize_each(&spec, &enc.outer, &enc.inner, |z| sink.push(z));
+                    id_batch.materialize_each(&spec, &enc.outer(), &enc.inner(), |z| sink.push(z));
                 columnar = Some(ColumnarCounters {
-                    encode_micros: enc.encode_micros,
+                    encode_micros: enc.columns.encode_micros,
                     radix_passes: 0,
-                    dict_size: enc.dict_size,
+                    dict_size: enc.columns.dict_size,
                     materialized_rows: materialized,
                 });
             } else {

@@ -312,3 +312,176 @@ fn drift_past_tolerance_forces_a_replan() {
     };
     assert_eq!(sorted_encoding(&resp.result), want);
 }
+
+/// A counter of the service report's `counters` list.
+fn report_counter(svc: &JoinService, name: &str) -> i64 {
+    svc.execution_report()
+        .counters
+        .iter()
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("no counter {name}"))
+        .value
+}
+
+/// The order-independent bytes of the oracle over the tables as the
+/// catalog holds them now.
+fn oracle_now(svc: &JoinService, outer: &str, inner: &str) -> Vec<Vec<u8>> {
+    let db = svc.database().read().unwrap();
+    let (r, s) = (db.scan(outer).unwrap(), db.scan(inner).unwrap());
+    sorted_encoding(&natural_join(&r, &s).unwrap())
+}
+
+#[test]
+fn second_submit_on_unchanged_tables_reuses_the_pair_encoding() {
+    let svc = service_with(&[("r", 2_000, true), ("s", 2_000, false)]);
+    let want = oracle_now(&svc, "r", "s");
+    assert_eq!(svc.cached_encodings(), 0);
+    let first = svc.submit("r", "s").unwrap();
+    assert_eq!(
+        svc.cached_encodings(),
+        1,
+        "the first submit keeps its encoding"
+    );
+    assert_eq!(report_counter(&svc, "encoding_misses"), 1);
+    assert_eq!(report_counter(&svc, "encoding_hits"), 0);
+    let second = svc.submit("r", "s").unwrap();
+    assert_eq!(
+        report_counter(&svc, "encoding_hits"),
+        1,
+        "reused, not re-encoded"
+    );
+    assert_eq!(report_counter(&svc, "encoding_misses"), 1);
+    assert_eq!(svc.cached_encodings(), 1);
+    assert_eq!(sorted_encoding(&first.result), want);
+    assert_eq!(second.result.tuples(), first.result.tuples());
+}
+
+#[test]
+fn append_re_encodes_and_never_serves_the_stale_encoding() {
+    let svc = service_with(&[("r", 2_000, true), ("s", 2_000, false)]);
+    svc.submit("r", "s").unwrap();
+    svc.submit("r", "s").unwrap();
+    assert_eq!(report_counter(&svc, "encoding_hits"), 1);
+
+    // A small append: the plan stays a cache hit, but the outer table's
+    // catalog version moves, so its encoding must be rebuilt.
+    svc.append("r", &workload(50, 0xA99, true).into_tuples())
+        .unwrap();
+    let resp = svc.submit("r", "s").unwrap();
+    assert_eq!(report_counter(&svc, "encoding_misses"), 2, "re-encoded");
+    assert_eq!(report_counter(&svc, "encoding_hits"), 1);
+    assert_eq!(svc.cached_encodings(), 1, "the stale entry is gone");
+    assert_eq!(sorted_encoding(&resp.result), oracle_now(&svc, "r", "s"));
+
+    // And the rebuilt encoding serves the next request.
+    let again = svc.submit("r", "s").unwrap();
+    assert_eq!(report_counter(&svc, "encoding_hits"), 2);
+    assert_eq!(again.result.tuples(), resp.result.tuples());
+}
+
+#[test]
+fn evicting_a_resident_table_drops_its_pair_encoding() {
+    let pairs = [
+        ("r1", 1_500, true),
+        ("s1", 1_500, false),
+        ("r2", 1_500, true),
+        ("s2", 1_500, false),
+    ];
+    let mut db = Database::new(1024);
+    for (name, tuples, outer) in pairs {
+        db.create_table(name, &workload(tuples, 0xE71C ^ tuples, outer))
+            .unwrap();
+    }
+    let pages = |t: &str| db.table_stats(t).unwrap().pages;
+    // One pair's two tables plus its encoding (28 bytes a row, in 1 KiB
+    // pages) fit the residency budget; a second pair does not.
+    let enc_pages = (28u64 * 3_000).div_ceil(1024);
+    let budget = pages("r1") + pages("s1") + enc_pages;
+    assert!(budget >= pages("r2") + pages("s2") + enc_pages);
+    let mut cfg = ServiceConfig::new(JoinConfig::with_buffer(16).seed(7), 16_384);
+    cfg.threads_per_query = 2;
+    cfg.residency_pages = budget;
+    let svc = JoinService::new(db, cfg);
+
+    let want_1 = oracle_now(&svc, "r1", "s1");
+    let want_2 = oracle_now(&svc, "r2", "s2");
+    assert_eq!(
+        sorted_encoding(&svc.submit("r1", "s1").unwrap().result),
+        want_1
+    );
+    assert_eq!((svc.resident_tables(), svc.cached_encodings()), (2, 1));
+
+    // Faulting in r2 and s2 evicts r1 and s1, and with them the r1 ⋈ s1
+    // encoding; r2 ⋈ s2 keeps its own.
+    assert_eq!(
+        sorted_encoding(&svc.submit("r2", "s2").unwrap().result),
+        want_2
+    );
+    assert_eq!(svc.service_section().residency_evictions, 2);
+    assert_eq!((svc.resident_tables(), svc.cached_encodings()), (2, 1));
+
+    // r1 ⋈ s1 must encode afresh: its encoding did not survive.
+    assert_eq!(
+        sorted_encoding(&svc.submit("r1", "s1").unwrap().result),
+        want_1
+    );
+    assert_eq!(report_counter(&svc, "encoding_misses"), 3);
+    assert_eq!(report_counter(&svc, "encoding_hits"), 0);
+    assert_eq!(svc.cached_encodings(), 1);
+}
+
+#[test]
+fn residency_off_keeps_no_encoding() {
+    let mut db = Database::new(1024);
+    db.create_table("r", &workload(2_000, 0x0FF, true)).unwrap();
+    db.create_table("s", &workload(2_000, 0x0FE, false))
+        .unwrap();
+    let mut cfg = ServiceConfig::new(JoinConfig::with_buffer(16).seed(7), 16_384);
+    cfg.residency_pages = 0;
+    let svc = JoinService::new(db, cfg);
+    let want = oracle_now(&svc, "r", "s");
+    for _ in 0..3 {
+        let resp = svc.submit("r", "s").unwrap();
+        assert_eq!(sorted_encoding(&resp.result), want);
+    }
+    let mut streamed = Vec::new();
+    svc.submit_streamed(
+        "r",
+        "s",
+        &JoinPredicate::intersects(),
+        &SubmitOptions::default(),
+        &mut |b| streamed.extend(b),
+    )
+    .unwrap();
+    let streamed = Relation::from_parts_unchecked(
+        std::sync::Arc::clone(svc.submit("r", "s").unwrap().result.schema()),
+        streamed,
+    );
+    assert_eq!(sorted_encoding(&streamed), want);
+    assert_eq!((svc.resident_tables(), svc.cached_encodings()), (0, 0));
+    assert_eq!(report_counter(&svc, "encoding_hits"), 0);
+    assert_eq!(report_counter(&svc, "encoding_misses"), 0);
+}
+
+#[test]
+fn streamed_output_equals_materialized_with_the_encoding_warm() {
+    let svc = service_with(&[("r", 2_000, true), ("s", 2_000, false)]);
+    let materialized = svc.submit("r", "s").unwrap();
+    assert_eq!(
+        sorted_encoding(&materialized.result),
+        oracle_now(&svc, "r", "s")
+    );
+    let mut streamed = Vec::new();
+    let resp = svc
+        .submit_streamed(
+            "r",
+            "s",
+            &JoinPredicate::intersects(),
+            &SubmitOptions::default(),
+            &mut |b| streamed.extend(b),
+        )
+        .unwrap();
+    assert_eq!(report_counter(&svc, "encoding_hits"), 1, "stream reused it");
+    assert_eq!(resp.tuples as usize, streamed.len());
+    assert_eq!(materialized.result.tuples(), &streamed[..]);
+}
