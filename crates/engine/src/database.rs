@@ -66,12 +66,14 @@ pub struct Database {
     disk: SharedDisk,
     tables: BTreeMap<String, HeapFile>,
     meta: BTreeMap<String, TableMeta>,
+    /// The last version stamp handed out, database-wide.
+    last_version: u64,
 }
 
 /// Catalog-tracked per-table metadata beyond what the heap file itself
-/// knows: a monotone version stamp (bumped on every rewrite) and the
-/// long-lived tuple count, both maintained at load time so statistics
-/// queries perform no I/O.
+/// knows: a version stamp (fresh on every rewrite) and the long-lived
+/// tuple count, both maintained at load time so statistics queries
+/// perform no I/O.
 #[derive(Debug, Clone, Copy)]
 struct TableMeta {
     version: u64,
@@ -92,8 +94,10 @@ pub struct TableStats {
     /// Tuples whose lifespan covers at least 1/16 of the table's hull —
     /// the statistic behind the planner's tuple-cache estimate (§3.3).
     pub long_lived: u64,
-    /// Monotone rewrite stamp: bumped every time the table's heap file is
-    /// replaced (create = 1, each append +1).
+    /// Rewrite stamp: every create and every append takes the next value
+    /// of one database-wide counter, so a stamp is never reused — not
+    /// even by a table dropped and recreated under the same name. Caches
+    /// keyed by (table, version) therefore never serve older contents.
     pub version: u64,
 }
 
@@ -123,7 +127,14 @@ impl Database {
             disk: SharedDisk::new(page_size),
             tables: BTreeMap::new(),
             meta: BTreeMap::new(),
+            last_version: 0,
         }
+    }
+
+    /// The next database-wide version stamp.
+    fn next_version(&mut self) -> u64 {
+        self.last_version += 1;
+        self.last_version
     }
 
     /// The shared disk (for running join algorithms against tables).
@@ -138,10 +149,11 @@ impl Database {
         }
         let heap = HeapFile::bulk_load(&self.disk, rel)?;
         self.tables.insert(name.to_owned(), heap);
+        let version = self.next_version();
         self.meta.insert(
             name.to_owned(),
             TableMeta {
-                version: 1,
+                version,
                 long_lived: long_lived_count(rel.tuples()),
             },
         );
@@ -211,7 +223,7 @@ impl Database {
         }
         let heap = w.finish()?;
         self.tables.insert(name.to_owned(), heap);
-        let version = self.meta.get(name).map_or(1, |m| m.version) + 1;
+        let version = self.next_version();
         self.meta.insert(
             name.to_owned(),
             TableMeta {
@@ -262,6 +274,19 @@ mod tests {
         db.drop_table("t").unwrap();
         assert!(matches!(db.scan("t"), Err(DbError::NoSuchTable(_))));
         assert!(matches!(db.drop_table("t"), Err(DbError::NoSuchTable(_))));
+    }
+
+    #[test]
+    fn versions_never_repeat_for_a_name() {
+        let mut db = Database::new(256);
+        db.create_table("t", &rel(5)).unwrap();
+        let created = db.table_stats("t").unwrap().version;
+        db.append("t", &rel(2).into_tuples()).unwrap();
+        let appended = db.table_stats("t").unwrap().version;
+        assert!(appended > created);
+        db.drop_table("t").unwrap();
+        db.create_table("t", &rel(5)).unwrap();
+        assert!(db.table_stats("t").unwrap().version > appended);
     }
 
     #[test]

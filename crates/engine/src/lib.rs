@@ -42,12 +42,11 @@ pub mod view;
 pub use database::{Database, TableStats};
 pub use operator::{operator_execution_report, operator_join, OperatorCounters};
 pub use parallel::{
-    grid_execution_report_layout, grid_execution_report_pred, grid_execution_report_sharded,
-    grid_execution_report_with, grid_join_streamed, grid_partition_join, grid_partition_join_pred,
-    grid_partition_join_with, parallel_execution_report, parallel_execution_report_pred,
-    parallel_execution_report_with, parallel_partition_join, parallel_partition_join_naive,
-    parallel_partition_join_pred, parallel_partition_join_reported, parallel_partition_join_with,
-    StreamSummary,
+    grid_execution_report_pred, grid_execution_report_sharded, grid_execution_report_with,
+    grid_join_streamed, grid_partition_join, grid_partition_join_pred, grid_partition_join_with,
+    parallel_execution_report, parallel_execution_report_pred, parallel_execution_report_with,
+    parallel_partition_join, parallel_partition_join_naive, parallel_partition_join_pred,
+    parallel_partition_join_reported, parallel_partition_join_with, StreamSummary,
 };
 pub use planner::{choose_algorithm, partition_feasible, Algorithm};
 pub use query::{Predicate, Query};

@@ -23,7 +23,7 @@
 //! * materialization replays the oracle's output order per operator, so
 //!   results are **byte-identical** to `outerjoin_pred`,
 //!   `full_outerjoin_pred`, `semijoin_pred`, and `antijoin_pred`
-//!   regardless of thread count, partition count, or layout;
+//!   regardless of thread count or partition count;
 //! * [`Operator::Aggregate`] pipes the matched pairs through the
 //!   checkpointed [`TimelineIndex`] and returns the maximal constant
 //!   segments, byte-identical to `count_over_time`/`sum_over_time`/
@@ -45,7 +45,7 @@ use vtjoin_core::{
     AggFunc, AttrType, Chronon, Interval, JoinPredicate, Operator, Period, Relation, TemporalError,
     Tuple, Value,
 };
-use vtjoin_join::columnar::{encode_pair, Layout};
+use vtjoin_join::columnar::{ColumnarSide, EncodedPair, Layout};
 use vtjoin_join::partition::intervals::{is_partitioning, replica_range};
 use vtjoin_join::{
     tracked_sweep, Fragment, JoinError, JoinSpec, OperatorLog, TimelineIndex, TrackedInput,
@@ -101,9 +101,9 @@ pub struct OperatorCounters {
 }
 
 /// One side's per-cell columns, gathered at scatter time so each worker
-/// reads contiguous slices (the tracked sweep is layout-agnostic: row
-/// executions gather from tuples, columnar executions from the encoded
-/// [`vtjoin_join::columnar::ColumnarSide`] columns).
+/// reads contiguous slices; `ids` index the side's encoded
+/// [`vtjoin_join::columnar::ColumnarSide`], whose key-id column resolves
+/// key equality.
 #[derive(Debug, Default, Clone)]
 struct CellCols {
     ids: Vec<u32>,
@@ -130,18 +130,19 @@ impl CellCols {
     }
 }
 
-/// Scatters one side into `intervals.len() * k` grid cells: a tuple is
-/// replicated into every time partition it overlaps (Leung–Muntz rule)
-/// and lands in the key bucket `hash & (k-1)` — so key-equal tuples of
+/// Scatters one encoded side into `intervals.len() * k` grid cells: a row
+/// is replicated into every time partition it overlaps (Leung–Muntz rule)
+/// and lands in the key bucket `hash & (k-1)` — so key-equal rows of
 /// both sides always share a bucket and every cell sees its window's
-/// entire coverage.
-fn scatter(tuples: &[&Tuple], hashes: &[u64], intervals: &[Interval], k: usize) -> Vec<CellCols> {
+/// entire coverage. Hashes and intervals come from the encoded columns,
+/// so the encode pass is the only hashing pass.
+fn scatter(side: &ColumnarSide<'_>, intervals: &[Interval], k: usize) -> Vec<CellCols> {
     let mut cells = vec![CellCols::default(); intervals.len() * k];
-    for (i, t) in tuples.iter().enumerate() {
-        let h = hashes[i];
+    for row in 0..side.len() as u32 {
+        let (h, iv) = (side.hash(row), side.interval(row));
         let b = (h as usize) & (k - 1);
-        for p in replica_range(intervals, t.valid()) {
-            cells[p * k + b].push(i as u32, t.valid(), h);
+        for p in replica_range(intervals, iv) {
+            cells[p * k + b].push(row, iv, h);
         }
     }
     cells
@@ -164,12 +165,14 @@ fn stitch(frags: &[Fragment], n: usize) -> (Vec<Period>, u64) {
 /// Evaluates `op` over `r ⟨op⟩ᵛ s` on the production partitioned stack.
 ///
 /// `intervals` must partition all of valid time (as for the inner-join
-/// executors); `key_buckets` is rounded up to a power of two;
-/// `layout` selects whether per-cell key equality resolves through the
-/// columnar key dictionary or row-wise attribute compares (the output is
-/// byte-identical either way). The result is byte-identical to the
-/// corresponding `vtjoin_core::algebra` oracle for every operator,
-/// predicate, thread count, partition count, and layout.
+/// executors); `key_buckets` is rounded up to a power of two. Per-cell
+/// key equality resolves through the columnar key dictionary. The result
+/// is byte-identical to the corresponding `vtjoin_core::algebra` oracle
+/// for every operator, predicate, thread count, and partition count.
+///
+/// `layout` selects nothing: [`Layout`] has the single variant
+/// `Columnar`. The parameter stays so that callers naming a layout keep
+/// compiling.
 #[allow(clippy::too_many_arguments)]
 pub fn operator_join(
     r: &Relation,
@@ -201,32 +204,15 @@ pub fn operator_join(
         return nested_fallback(r, s, &spec, op, pred, threads, counters);
     }
 
-    let r_all: Vec<&Tuple> = r.iter().collect();
-    let s_all: Vec<&Tuple> = s.iter().collect();
-    let enc = match layout {
-        Layout::Columnar => Some(encode_pair(
-            &spec,
-            r_all.iter().copied(),
-            s_all.iter().copied(),
-        )),
-        Layout::Row => None,
-    };
+    let Layout::Columnar = layout;
+    let pair = EncodedPair::encode(&spec, r.iter(), s.iter());
+    let (outer, inner) = pair.view(r, s).ok_or(JoinError::Internal(
+        "columnar encoding does not match the relations it encoded",
+    ))?;
     let k = key_buckets.max(1).next_power_of_two();
     counters.key_buckets = k as u64;
-    // The columnar encode precomputes the same fixed-seed hashes the spec
-    // produces; reuse them so the encode pass is the only hashing pass.
-    let (r_hashes, s_hashes): (Vec<u64>, Vec<u64>) = match &enc {
-        Some(p) => (
-            (0..r_all.len() as u32).map(|i| p.outer().hash(i)).collect(),
-            (0..s_all.len() as u32).map(|i| p.inner().hash(i)).collect(),
-        ),
-        None => (
-            r_all.iter().map(|t| spec.outer_key_hash(t)).collect(),
-            s_all.iter().map(|t| spec.inner_key_hash(t)).collect(),
-        ),
-    };
-    let r_cells = scatter(&r_all, &r_hashes, intervals, k);
-    let s_cells = scatter(&s_all, &s_hashes, intervals, k);
+    let r_cells = scatter(&outer, intervals, k);
+    let s_cells = scatter(&inner, intervals, k);
 
     // A cell must run when it can produce pairs (both sides present) or
     // dangling fragments for a tracked side — a tuple with no partners in
@@ -255,8 +241,7 @@ pub fn operator_join(
         for _ in 0..num_workers {
             let (next, order) = (&next, &order);
             let (r_cells, s_cells) = (&r_cells, &s_cells);
-            let (r_all, s_all) = (&r_all, &s_all);
-            let (spec, enc) = (&spec, &enc);
+            let (outer, inner) = (&outer, &inner);
             handles.push(scope.spawn(move || {
                 let mut scratch = TrackedScratch::default();
                 let mut log = OperatorLog::default();
@@ -269,33 +254,18 @@ pub fn operator_join(
                     let c = order[i];
                     let window = intervals[c / k];
                     let (rc, sc) = (&r_cells[c], &s_cells[c]);
-                    let st = match enc {
-                        Some(p) => tracked_sweep(
-                            op,
-                            Some(pred),
-                            rc.input(),
-                            sc.input(),
-                            window,
-                            |xi, yi| p.outer().key_id(rc.ids[xi]) == p.inner().key_id(sc.ids[yi]),
-                            &mut scratch,
-                            &mut log,
-                        ),
-                        None => tracked_sweep(
-                            op,
-                            Some(pred),
-                            rc.input(),
-                            sc.input(),
-                            window,
-                            |xi, yi| {
-                                spec.keys_equal(
-                                    r_all[rc.ids[xi] as usize],
-                                    s_all[sc.ids[yi] as usize],
-                                )
-                            },
-                            &mut scratch,
-                            &mut log,
-                        ),
-                    };
+                    // Key equality resolves through the shared key
+                    // dictionary: one `u32` compare per candidate.
+                    let st = tracked_sweep(
+                        op,
+                        Some(pred),
+                        rc.input(),
+                        sc.input(),
+                        window,
+                        |xi, yi| outer.key_id(rc.ids[xi]) == inner.key_id(sc.ids[yi]),
+                        &mut scratch,
+                        &mut log,
+                    );
                     stats.merge(&st);
                 }
                 (log, stats)
@@ -835,33 +805,30 @@ mod tests {
     }
 
     #[test]
-    fn operators_match_oracles_across_partitions_threads_layouts() {
+    fn operators_match_oracles_across_partitions_and_threads() {
         let (r, s) = workload();
         let pred = JoinPredicate::intersects();
         let lifespan = Interval::from_raw(0, 140).unwrap();
         for parts in [1u64, 4] {
             let intervals = equal_width(lifespan, parts);
             for threads in [1usize, 3] {
-                for layout in [Layout::Row, Layout::Columnar] {
-                    let ctx =
-                        |name: &str| format!("{name} parts={parts} threads={threads} {layout:?}");
-                    let cases: Vec<(Operator, Relation)> = vec![
-                        (Operator::Inner, predicate_join(&r, &s, &pred).unwrap()),
-                        (
-                            Operator::Left,
-                            outerjoin_pred(&r, &s, JoinSide::Left, &pred).unwrap(),
-                        ),
-                        (Operator::Full, full_outerjoin_pred(&r, &s, &pred).unwrap()),
-                        (Operator::Semi, semijoin_pred(&r, &s, &pred).unwrap()),
-                        (Operator::Anti, antijoin_pred(&r, &s, &pred).unwrap()),
-                    ];
-                    for (op, want) in cases {
-                        let (got, counters) =
-                            operator_join(&r, &s, &op, &pred, &intervals, 4, threads, layout)
-                                .unwrap();
-                        assert_identical(&got, &want, &ctx(&op.to_string()));
-                        assert!(!counters.fallback_nested);
-                    }
+                let ctx = |name: &str| format!("{name} parts={parts} threads={threads}");
+                let cases: Vec<(Operator, Relation)> = vec![
+                    (Operator::Inner, predicate_join(&r, &s, &pred).unwrap()),
+                    (
+                        Operator::Left,
+                        outerjoin_pred(&r, &s, JoinSide::Left, &pred).unwrap(),
+                    ),
+                    (Operator::Full, full_outerjoin_pred(&r, &s, &pred).unwrap()),
+                    (Operator::Semi, semijoin_pred(&r, &s, &pred).unwrap()),
+                    (Operator::Anti, antijoin_pred(&r, &s, &pred).unwrap()),
+                ];
+                for (op, want) in cases {
+                    let (got, counters) =
+                        operator_join(&r, &s, &op, &pred, &intervals, 4, threads, Layout::Columnar)
+                            .unwrap();
+                    assert_identical(&got, &want, &ctx(&op.to_string()));
+                    assert!(!counters.fallback_nested);
                 }
             }
         }
@@ -911,7 +878,7 @@ mod tests {
         let intervals = [Interval::ALL];
         let unknown = Operator::Aggregate(AggFunc::Sum("nope".into()));
         assert!(matches!(
-            operator_join(&r, &s, &unknown, &pred, &intervals, 1, 1, Layout::Row),
+            operator_join(&r, &s, &unknown, &pred, &intervals, 1, 1, Layout::Columnar),
             Err(JoinError::Core(TemporalError::UnknownAttribute(_)))
         ));
     }
@@ -975,7 +942,8 @@ mod tests {
         ] {
             for threads in [1usize, 4] {
                 let (got, counters) =
-                    operator_join(&r, &s, &op, &pred, &intervals, 4, threads, Layout::Row).unwrap();
+                    operator_join(&r, &s, &op, &pred, &intervals, 4, threads, Layout::Columnar)
+                        .unwrap();
                 assert!(counters.fallback_nested);
                 assert_identical(&got, &want, &format!("{op} fallback threads={threads}"));
             }
@@ -1004,7 +972,7 @@ mod tests {
             &intervals,
             1,
             2,
-            Layout::Row,
+            Layout::Columnar,
         )
         .unwrap();
         assert_eq!(counters.outer_fragments, 4);
@@ -1027,7 +995,7 @@ mod tests {
                 &bad,
                 1,
                 1,
-                Layout::Row
+                Layout::Columnar
             ),
             Err(JoinError::Precondition(_))
         ));

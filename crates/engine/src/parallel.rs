@@ -21,21 +21,17 @@
 //!
 //! * **gated intra-partition kernels** — each claimed cell is joined by
 //!   whichever [`vtjoin_join::kernel`] the per-cell cost gate picks: the
-//!   hash kernel (BlockTable build + probe) on mostly-unique keys, the
+//!   hash kernel (flat table build + probe) on mostly-unique keys, the
 //!   forward-sweep interval kernel on duplicate-heavy data. A forced
 //!   [`KernelChoice`] overrides the gate (CLI `--kernel`);
 //! * **cost-aware dynamic scheduling** — cells are sorted by estimated
 //!   cost `|r_c|·|s_c|` descending and claimed one at a time from an
 //!   atomic work queue, so one skewed cell occupies one worker while the
 //!   rest drain the remainder;
-//! * **private per-worker output arenas** — each worker emits into a
-//!   capacity-reserved thread-local [`OutputBatch`] and drains it, once
-//!   per cell, into a worker-private arena `Vec` (recording only the
-//!   cell's offset range). The arena is split into per-cell slots after
-//!   the worker's last cell, so the join loop performs **zero shared-path
-//!   work and zero per-cell allocations**; per-tuple pushes into growing
-//!   shared vectors were what made self-speedup *degrade* under thread
-//!   count;
+//! * **exact-sized per-cell outputs** — a worker buffers a cell's matches
+//!   as `(row, row)` id pairs in a reused [`IdBatch`] and materializes
+//!   them once into a vector sized from the pair count, so the join loop
+//!   does no shared-path work and no tuple moves after its one splice;
 //! * **per-shard page reservations** — a worker can pin its share of a
 //!   [`PagePool`] for its whole lifetime (the service's per-query
 //!   sub-pool), making shard memory accounting visible to admission
@@ -43,22 +39,28 @@
 //!
 //! Output stays deterministic regardless of scheduling: the kernel gate
 //! depends only on cell data (never on thread count), every cell's result
-//! lands in its own slot at gather time, and the slots are flattened in
-//! time-major cell order.
+//! lands in its own slot, and the slots are released in time-major cell
+//! order.
 //!
-//! **Columnar batch execution.** By default ([`Layout::Columnar`]) the
-//! executor encodes both relations struct-of-arrays once at scatter time
+//! **Columnar execution.** The executor encodes both relations
+//! struct-of-arrays once at scatter time
 //! ([`vtjoin_join::columnar::EncodedPair`]: flat start/end chronon
 //! columns, a pre-hashed key column, and a dictionary-compressed key-id
 //! column shared across sides — or takes the encoding `JoinService`
-//! keeps for a resident pair) and scatters **row ids** into grid cells
-//! instead of cloning tuple references per cell. Workers run the columnar
-//! kernel mirrors ([`vtjoin_join::kernel::columnar`]) over gathered
-//! column slices — the sweep's endpoint sort is a stable LSD radix sort
-//! on biased start chronons — and emit `(row, row)` pairs,
-//! materializing result tuples once per cell flush. The output (and every
-//! kernel counter) is byte-identical to [`Layout::Row`], which keeps the
-//! pre-columnar loop for A/B measurement (`bench_columnar`).
+//! keeps for a resident pair) and scatters **row ids** into grid cells.
+//! Workers run the columnar kernels ([`vtjoin_join::kernel::columnar`])
+//! over gathered column slices — the sweep's endpoint sort is a stable
+//! LSD radix sort on biased start chronons — and late-materialize result
+//! tuples once per cell. This is the only physical layout: [`Layout`]
+//! keeps a single variant so signatures that name one still compile.
+//!
+//! **One cell loop, two sinks.** The materializing entry points
+//! (`*_join`, `*_report`) and the streaming one ([`grid_join_streamed`])
+//! share the scatter, the schedule and the worker loop; they differ only
+//! in where a finished cell goes. Materializing runs keep it in its slot
+//! and flatten the slots after the last worker; streaming runs send it
+//! over a channel to a reorder window that hands cells to the caller's
+//! sink in cell order as soon as each is complete.
 //!
 //! **Generalized predicates.** The `_pred` entry points evaluate an
 //! arbitrary [`JoinPredicate`]. Intersection-template predicates run the
@@ -69,7 +71,8 @@
 //! predicate-aware merge fallback instead: the outer relation is split
 //! into contiguous chunks, one per worker, and each chunk is merged
 //! against the whole inner side. Chunk outputs concatenate back to outer
-//! order, so this path is also deterministic across thread counts.
+//! order, so this path is also deterministic across thread counts; it
+//! takes the same two sinks.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -79,10 +82,9 @@ use vtjoin_core::{Interval, JoinPredicate, Relation, Tuple};
 use vtjoin_join::columnar::{ColumnarCounters, ColumnarSide, EncodedPair, IdBatch, Layout};
 use vtjoin_join::common::JoinSpec;
 use vtjoin_join::kernel::{
-    choose_kernel, choose_kernel_ids, columnar_hash_join, columnar_hash_join_pred,
-    columnar_sweep_join, columnar_sweep_join_pred, hash_join, hash_join_pred, merge_join_pred,
-    sweep_join, sweep_join_pred, ColumnarScratch, KernelChoice, KernelCounters, KernelKind,
-    OutputBatch, PredicateCounters, SweepScratch,
+    choose_kernel_ids, columnar_hash_join, columnar_hash_join_pred, columnar_sweep_join,
+    columnar_sweep_join_pred, merge_join_pred, ColumnarScratch, KernelChoice, KernelCounters,
+    KernelKind, OutputBatch, PredicateCounters,
 };
 use vtjoin_join::partition::intervals::{is_partitioning, replica_range};
 use vtjoin_join::partition::GridPlan;
@@ -117,21 +119,6 @@ pub fn parallel_partition_join_with(
     threads: usize,
     choice: KernelChoice,
 ) -> Result<Relation, vtjoin_join::JoinError> {
-    parallel_partition_join_layout(r, s, intervals, threads, choice, Layout::default())
-}
-
-/// As [`parallel_partition_join_with`], with an explicit physical
-/// [`Layout`]: the columnar struct-of-arrays path (the default) or the
-/// row-at-a-time path. Both layouts produce byte-identical output; only
-/// the work profile differs. `bench_columnar` A/Bs the two.
-pub fn parallel_partition_join_layout(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-    choice: KernelChoice,
-    layout: Layout,
-) -> Result<Relation, vtjoin_join::JoinError> {
     execute(
         r,
         s,
@@ -139,7 +126,6 @@ pub fn parallel_partition_join_layout(
         1,
         threads,
         choice,
-        layout,
         &JoinPredicate::intersects(),
         None,
         None,
@@ -168,7 +154,6 @@ pub fn parallel_partition_join_pred(
         1,
         threads,
         KernelChoice::Auto,
-        Layout::default(),
         pred,
         None,
         None,
@@ -198,7 +183,6 @@ pub fn parallel_partition_join_reported(
         1,
         threads,
         KernelChoice::Auto,
-        Layout::default(),
         &JoinPredicate::intersects(),
         None,
         None,
@@ -236,7 +220,6 @@ pub fn grid_partition_join_with(
         plan.key_buckets,
         threads,
         choice,
-        Layout::default(),
         &JoinPredicate::intersects(),
         None,
         None,
@@ -261,7 +244,6 @@ pub fn grid_partition_join_pred(
         plan.key_buckets,
         threads,
         KernelChoice::Auto,
-        Layout::default(),
         pred,
         None,
         None,
@@ -269,7 +251,7 @@ pub fn grid_partition_join_pred(
     .map(|(rel, _)| rel)
 }
 
-/// Everything [`execute`] measured beyond the result itself; consumed by
+/// Everything a run measured beyond the result itself; consumed by
 /// [`parallel_execution_report`] and the worker-section wrapper.
 pub(crate) struct ExecDetail {
     workers: Vec<WorkerSection>,
@@ -282,7 +264,7 @@ pub(crate) struct ExecDetail {
     input_tuples: u64,
     /// Grid shape the run executed (1 × N for the time-only surface).
     key_buckets: u64,
-    /// Aggregated hash-kernel BlockTable counters across all cells.
+    /// Aggregated hash-kernel probe/match-test counters across all cells.
     probes: u64,
     match_tests: u64,
     /// Per-kernel accounting, merged across workers.
@@ -296,8 +278,8 @@ pub(crate) struct ExecDetail {
     /// Wall-clock the coordinator spent gathering worker results (the
     /// scatter/gather join loop), in microseconds.
     coordinator_wait_micros: u64,
-    /// Columnar-path accounting; `None` for row-layout and merge-fallback
-    /// runs (the report then carries no `columnar` section).
+    /// Columnar-path accounting; `None` for merge-fallback runs (the
+    /// report then carries no `columnar` section).
     columnar: Option<ColumnarCounters>,
 }
 
@@ -313,34 +295,12 @@ fn replicate<'a>(rel: &'a Relation, intervals: &[Interval]) -> Vec<Vec<&'a Tuple
     parts
 }
 
-/// Scatters a relation over the grid: bucket = masked join-key hash,
-/// partitions = the Leung–Muntz `replica_range` — so a tuple replicates
-/// only along the time axis, landing in `i * k + b` for each overlapped
-/// time range `i`. With one bucket the hash is skipped entirely, keeping
-/// the 1×N path's cost identical to the pre-grid executor.
-fn replicate_cells<'a>(
-    rel: &'a Relation,
-    intervals: &[Interval],
-    k: usize,
-    hash: impl Fn(&Tuple) -> u64,
-) -> Vec<Vec<&'a Tuple>> {
-    let mut cells: Vec<Vec<&Tuple>> = vec![Vec::new(); intervals.len() * k];
-    let mask = k as u64 - 1;
-    for t in rel.iter() {
-        let b = if k == 1 { 0 } else { (hash(t) & mask) as usize };
-        for i in replica_range(intervals, t.valid()) {
-            cells[i * k + b].push(t);
-        }
-    }
-    cells
-}
-
-/// Scatters an encoded side's **row ids** over the grid under the same
-/// membership rule as [`replicate_cells`]: bucket = masked key hash (read
-/// from the pre-hashed column), partitions = the Leung–Muntz
-/// `replica_range` over the inline chronon columns. Because the hashes
-/// are the same `JoinSpec` key hashes, a row lands in exactly the cells
-/// its tuple lands in under the row layout, in the same order.
+/// Scatters an encoded side's **row ids** over the grid: bucket = masked
+/// join-key hash (read from the pre-hashed column), partitions = the
+/// Leung–Muntz `replica_range` over the inline chronon columns — so a row
+/// replicates only along the time axis, landing in `i * k + b` for each
+/// overlapped time range `i`. With one bucket the hash is not read, so
+/// the 1×N path costs what the pre-grid executor did.
 fn scatter_rows(side: &ColumnarSide<'_>, intervals: &[Interval], k: usize) -> Vec<Vec<u32>> {
     let mut cells: Vec<Vec<u32>> = vec![Vec::new(); intervals.len() * k];
     let mask = k as u64 - 1;
@@ -369,10 +329,15 @@ fn view<'a>(
     ))
 }
 
-/// The grid executor behind every public `*_join` / `*_report` entry
-/// point. `enc`, when given, is a columnar encoding of exactly `r` and `s`
-/// (the service keeps one per resident table pair); the columnar path
-/// then skips its encode pass. Other paths ignore it.
+/// Where a run's finished cells (or merge chunks) go: `None` keeps each
+/// in its slot and returns the slots flattened in order; `Some(sink)`
+/// streams them to `sink` in slot order and returns no tuples.
+type Sink<'s> = Option<&'s mut dyn FnMut(Vec<Tuple>)>;
+
+/// The materializing executor behind every public `*_join` / `*_report`
+/// entry point. `enc`, when given, is a columnar encoding of exactly `r`
+/// and `s` (the service keeps one per resident table pair); the grid path
+/// then skips its encode pass. The merge fallback ignores it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
     r: &Relation,
@@ -381,11 +346,69 @@ pub(crate) fn execute(
     key_buckets: u64,
     threads: usize,
     choice: KernelChoice,
-    layout: Layout,
     pred: &JoinPredicate,
     shard_pool: Option<(&PagePool, u64)>,
     enc: Option<&EncodedPair>,
 ) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
+    run(
+        r,
+        s,
+        intervals,
+        key_buckets,
+        threads,
+        choice,
+        pred,
+        shard_pool,
+        enc,
+        None,
+    )
+    .map(|(rel, detail, _)| (rel, detail))
+}
+
+/// The streaming twin of [`execute`] behind [`grid_join_streamed`]: the
+/// same run, with every finished cell handed to `sink` in cell order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stream(
+    r: &Relation,
+    s: &Relation,
+    plan: &GridPlan,
+    threads: usize,
+    choice: KernelChoice,
+    pred: &JoinPredicate,
+    (pool, pages_per_worker): (&PagePool, u64),
+    sink: &mut dyn FnMut(Vec<Tuple>),
+    enc: Option<&EncodedPair>,
+) -> Result<StreamSummary, vtjoin_join::JoinError> {
+    run(
+        r,
+        s,
+        &plan.intervals,
+        plan.key_buckets,
+        threads,
+        choice,
+        pred,
+        Some((pool, pages_per_worker)),
+        enc,
+        Some(sink),
+    )
+    .map(|(_, _, summary)| summary)
+}
+
+/// Validates the partitioning and routes to the grid cell loop or, for
+/// sequence/mixed templates, the merge fallback.
+#[allow(clippy::too_many_arguments)]
+fn run(
+    r: &Relation,
+    s: &Relation,
+    intervals: &[Interval],
+    key_buckets: u64,
+    threads: usize,
+    choice: KernelChoice,
+    pred: &JoinPredicate,
+    shard_pool: Option<(&PagePool, u64)>,
+    enc: Option<&EncodedPair>,
+    sink: Sink<'_>,
+) -> Result<(Relation, ExecDetail, StreamSummary), vtjoin_join::JoinError> {
     // A typed error, not an assert: the intervals may arrive from a plan
     // cache or an external request, and a malformed set must fail the one
     // request instead of taking the process down.
@@ -394,25 +417,14 @@ pub(crate) fn execute(
             "intervals must partition all of valid time (sorted, gapless, ending at forever)",
         ));
     }
+    let spec = JoinSpec::natural(r.schema(), s.schema())?;
     // Sequence/mixed templates cannot be served by time partitioning (a
     // matching pair may share no partition); they run the merge fallback.
-    // The fallback is row-only: it scans every (outer, inner) pair once,
-    // so a columnar encode would add a pass without removing one.
-    if !pred.partitioning_eligible() {
-        return execute_merge(r, s, threads, pred);
-    }
-    match layout {
-        Layout::Row => execute_row(
-            r,
-            s,
-            intervals,
-            key_buckets,
-            threads,
-            choice,
-            pred,
-            shard_pool,
-        ),
-        Layout::Columnar => execute_columnar(
+    // The fallback scans every (outer, inner) pair once, so a columnar
+    // encode would add a pass without removing one.
+    let (tuples, detail, summary) = if pred.partitioning_eligible() {
+        run_cells(
+            &spec,
             r,
             s,
             intervals,
@@ -422,15 +434,71 @@ pub(crate) fn execute(
             pred,
             shard_pool,
             enc,
-        ),
+            sink,
+        )?
+    } else {
+        run_merge(&spec, r, s, threads, pred, sink)?
+    };
+    let rel = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples);
+    Ok((rel, detail, summary))
+}
+
+/// The streaming coordinator's reorder window: receives `(slot, batch)`
+/// pairs in completion order and releases them to `sink` strictly in slot
+/// order (empty batches advance the window silently). Returns how many
+/// slots were released — fewer than `n_slots` means a worker died before
+/// sending its marker.
+fn release_in_order(
+    rx: mpsc::Receiver<(usize, Vec<Tuple>)>,
+    n_slots: usize,
+    summary: &mut StreamSummary,
+    sink: &mut dyn FnMut(Vec<Tuple>),
+) -> usize {
+    let mut pending: Vec<Option<Vec<Tuple>>> = (0..n_slots).map(|_| None).collect();
+    let mut next_out = 0usize;
+    for (c, out) in rx {
+        pending[c] = Some(out);
+        while next_out < n_slots {
+            let Some(out) = pending[next_out].take() else {
+                break;
+            };
+            next_out += 1;
+            if !out.is_empty() {
+                summary.batches += 1;
+                summary.tuples += out.len() as u64;
+                sink(out);
+            }
+        }
+    }
+    next_out
+}
+
+/// Hands one finished slot to the coordinator: into the worker's
+/// `produced` list when materializing, over the channel when streaming.
+/// Returns `false` when the streaming coordinator is gone (the worker
+/// then stops).
+fn deliver(
+    tx: &Option<mpsc::Sender<(usize, Vec<Tuple>)>>,
+    produced: &mut Vec<(usize, Vec<Tuple>)>,
+    slot: usize,
+    out: Vec<Tuple>,
+) -> bool {
+    match tx {
+        Some(tx) => tx.send((slot, out)).is_ok(),
+        None => {
+            produced.push((slot, out));
+            true
+        }
     }
 }
 
-/// The row-layout grid executor (the pre-columnar hot loop, kept intact
-/// as the `bench_columnar` A/B baseline): cells hold `&Tuple` references
-/// and the row kernels splice result tuples as they match.
+/// The grid cell loop: encode (unless `enc` is given) → row-id scatter →
+/// cost-sorted work-stealing workers running the columnar kernels → one
+/// late-materialized vector per cell, handed to [`deliver`]. Output,
+/// output order and every counter are the same for both sinks.
 #[allow(clippy::too_many_arguments)]
-fn execute_row(
+fn run_cells(
+    spec: &JoinSpec,
     r: &Relation,
     s: &Relation,
     intervals: &[Interval],
@@ -439,15 +507,25 @@ fn execute_row(
     choice: KernelChoice,
     pred: &JoinPredicate,
     shard_pool: Option<(&PagePool, u64)>,
-) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
+    enc: Option<&EncodedPair>,
+    sink: Sink<'_>,
+) -> Result<(Vec<Tuple>, ExecDetail, StreamSummary), vtjoin_join::JoinError> {
     let k = key_buckets.max(1).next_power_of_two() as usize;
     let n_cells = intervals.len() * k;
     let natural = pred.is_natural();
 
     let replicate_started = Instant::now();
-    let r_cells = replicate_cells(r, intervals, k, |t| spec.outer_key_hash(t));
-    let s_cells = replicate_cells(s, intervals, k, |t| spec.inner_key_hash(t));
+    let fresh;
+    let (pair, encode_micros) = match enc {
+        Some(e) => (e, 0),
+        None => {
+            fresh = EncodedPair::encode(spec, r.iter(), s.iter());
+            (&fresh, fresh.encode_micros)
+        }
+    };
+    let (outer, inner) = view(pair, r, s)?;
+    let r_cells = scatter_rows(&outer, intervals, k);
+    let s_cells = scatter_rows(&inner, intervals, k);
     let replicate_micros = replicate_started.elapsed().as_micros() as u64;
 
     let est_costs: Vec<u64> = (0..n_cells)
@@ -467,263 +545,25 @@ fn execute_row(
     let mut match_tests = 0u64;
     let mut kernel = KernelCounters::default();
     let mut predicate = PredicateCounters::default();
+    let mut columnar = ColumnarCounters::default();
     let mut coordinator_wait_micros = 0u64;
+    let mut summary = StreamSummary::default();
     thread::scope(|scope| {
+        let (tx, rx) = sink.is_some().then(mpsc::channel).unzip();
         let mut handles = Vec::with_capacity(num_workers);
         for w in 0..num_workers {
-            let spec = &spec;
             let r_cells = &r_cells;
             let s_cells = &s_cells;
             let order = &order;
             let est_costs = &est_costs;
             let next = &next;
+            let (outer, inner) = (&outer, &inner);
+            let tx = tx.clone();
             handles.push(scope.spawn(move || {
                 // Pin this shard's page share for the worker's whole
                 // lifetime (RAII release on return). Best-effort: a share
                 // the pool cannot grant right now does not block the join,
                 // it only goes unaccounted.
-                let _reservation = shard_pool.and_then(|(pool, pages)| pool.try_reserve(pages));
-                let started = Instant::now();
-                let mut cells = 0u64;
-                let mut tuples = 0u64;
-                let mut busy = std::time::Duration::ZERO;
-                let mut probes = 0u64;
-                let mut match_tests = 0u64;
-                let mut kernel = KernelCounters::default();
-                let mut predicate = PredicateCounters::default();
-                // Reused across every cell this worker steals: sweep
-                // event/active-list buffers and the output batch grow to
-                // the workload's high-water mark once, then never again.
-                let mut scratch = SweepScratch::default();
-                let mut batch = OutputBatch::new();
-                // Worker-private output arena: each cell's tuples are
-                // drained here contiguously and only the (cell, len) range
-                // recorded, so the join loop allocates no per-cell vectors
-                // and touches no shared output path.
-                let mut sink: Vec<Tuple> = Vec::new();
-                let mut ranges: Vec<(usize, usize)> = Vec::new();
-                // Running emitted-tuples-per-estimated-cost ratio, used to
-                // reserve output capacity before joining each cell.
-                let mut emitted_total = 0u64;
-                let mut cost_total = 0u64;
-                loop {
-                    let q = next.fetch_add(1, Ordering::Relaxed);
-                    if q >= order.len() {
-                        break;
-                    }
-                    let c = order[q];
-                    // The cell's canonical emit window is its time range:
-                    // a pair co-resident in several cells of its bucket
-                    // row is emitted only where the overlap's endpoint
-                    // falls (the canonical-cell rule).
-                    let p_c = intervals[c / k];
-                    let claimed = Instant::now();
-                    let before = sink.len();
-                    if !r_cells[c].is_empty() && !s_cells[c].is_empty() {
-                        let est = if cost_total > 0 {
-                            ((emitted_total as u128 * est_costs[c] as u128 / cost_total as u128)
-                                as usize)
-                                .max(16)
-                        } else {
-                            // First cell: no ratio yet; a side's size is
-                            // the output floor for a key-dense join.
-                            r_cells[c].len().max(s_cells[c].len())
-                        };
-                        batch.begin(est);
-                        match choose_kernel(choice, spec, &r_cells[c], &s_cells[c]) {
-                            KernelKind::Hash => {
-                                let hs = if natural {
-                                    hash_join(spec, &r_cells[c], &s_cells[c], p_c, &mut batch)
-                                } else {
-                                    hash_join_pred(
-                                        spec,
-                                        pred,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut batch,
-                                    )
-                                };
-                                probes += hs.probes;
-                                match_tests += hs.match_tests;
-                                predicate.filter_checks += hs.filter_checks;
-                                predicate.filter_hits += hs.filter_hits;
-                                kernel.hash_partitions += 1;
-                            }
-                            KernelKind::Sweep => {
-                                let ss = if natural {
-                                    sweep_join(
-                                        spec,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                } else {
-                                    sweep_join_pred(
-                                        spec,
-                                        pred,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                };
-                                kernel.sweep_partitions += 1;
-                                kernel.sweep_comparisons += ss.comparisons;
-                                predicate.filter_checks += ss.filter_checks;
-                                predicate.filter_hits += ss.filter_hits;
-                            }
-                        }
-                        emitted_total += batch.len() as u64;
-                        cost_total += est_costs[c];
-                        // One flush per cell into the private arena; the
-                        // batch keeps its allocation for the next cell.
-                        batch.drain_each(|t| sink.push(t));
-                    }
-                    busy += claimed.elapsed();
-                    cells += 1;
-                    tuples += (sink.len() - before) as u64;
-                    ranges.push((c, sink.len() - before));
-                }
-                kernel.batches_flushed = batch.batches_flushed();
-                // Split the arena into per-cell slots — once, after the
-                // last cell, off the join loop's critical path.
-                let mut produced: Vec<(usize, Vec<Tuple>)> = Vec::with_capacity(ranges.len());
-                let mut it = sink.into_iter();
-                for (cell, len) in ranges {
-                    produced.push((cell, it.by_ref().take(len).collect()));
-                }
-                let section = WorkerSection {
-                    worker: w as u64,
-                    partitions: cells,
-                    tuples,
-                    wall_micros: started.elapsed().as_micros() as u64,
-                    busy_micros: busy.as_micros() as u64,
-                };
-                (section, produced, probes, match_tests, kernel, predicate)
-            }));
-        }
-        let gather_started = Instant::now();
-        let mut worker_panicked = false;
-        for h in handles {
-            // A panicking worker (a bug, not a data error) must surface as
-            // a typed error on this one request, not abort the service.
-            match h.join() {
-                Ok((section, produced, p, m, kc, pc)) => {
-                    workers.push(section);
-                    probes += p;
-                    match_tests += m;
-                    kernel.merge(kc);
-                    predicate.merge(pc);
-                    for (c, out) in produced {
-                        outputs[c] = out;
-                    }
-                }
-                Err(_) => worker_panicked = true,
-            }
-        }
-        coordinator_wait_micros = gather_started.elapsed().as_micros() as u64;
-        if worker_panicked {
-            return Err(vtjoin_join::JoinError::Internal(
-                "partition worker panicked",
-            ));
-        }
-        Ok(())
-    })?;
-    let join_micros = join_started.elapsed().as_micros() as u64;
-
-    let tuples: Vec<Tuple> = outputs.into_iter().flatten().collect();
-    let rel = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples);
-    let detail = ExecDetail {
-        workers,
-        replicated_r: r_cells.iter().map(|p| p.len() as u64).sum(),
-        replicated_s: s_cells.iter().map(|p| p.len() as u64).sum(),
-        input_tuples: r.len() as u64 + s.len() as u64,
-        key_buckets: k as u64,
-        est_costs,
-        probes,
-        match_tests,
-        kernel,
-        predicate,
-        replicate_micros,
-        join_micros,
-        coordinator_wait_micros,
-        columnar: None,
-    };
-    Ok((rel, detail))
-}
-
-/// The columnar grid executor: both relations are encoded
-/// struct-of-arrays **once** ([`encode_pair`] — flat chronon columns,
-/// pre-hashed keys, a shared key dictionary), row ids are scattered into
-/// grid cells instead of tuple references, and the workers run the
-/// columnar kernel mirrors over column slices, emitting `(row, row)`
-/// pairs. Each cell's pairs are late-materialized into
-/// result tuples in one pass at flush time. Output, output order, and
-/// every kernel counter are byte-identical to [`execute_row`]; the run
-/// additionally reports [`ColumnarCounters`].
-#[allow(clippy::too_many_arguments)]
-fn execute_columnar(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    key_buckets: u64,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    shard_pool: Option<(&PagePool, u64)>,
-    enc: Option<&EncodedPair>,
-) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
-    let k = key_buckets.max(1).next_power_of_two() as usize;
-    let n_cells = intervals.len() * k;
-    let natural = pred.is_natural();
-
-    let replicate_started = Instant::now();
-    let fresh;
-    let (pair, encode_micros) = match enc {
-        Some(e) => (e, 0),
-        None => {
-            fresh = EncodedPair::encode(&spec, r.iter(), s.iter());
-            (&fresh, fresh.encode_micros)
-        }
-    };
-    let (outer, inner) = view(pair, r, s)?;
-    let r_cells = scatter_rows(&outer, intervals, k);
-    let s_cells = scatter_rows(&inner, intervals, k);
-    let replicate_micros = replicate_started.elapsed().as_micros() as u64;
-
-    let est_costs: Vec<u64> = (0..n_cells)
-        .map(|c| r_cells[c].len() as u64 * s_cells[c].len() as u64)
-        .collect();
-    let mut order: Vec<usize> = (0..n_cells).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(est_costs[c]));
-
-    let num_workers = threads.max(1).min(n_cells);
-    let next = AtomicUsize::new(0);
-
-    let join_started = Instant::now();
-    let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); n_cells];
-    let mut workers: Vec<WorkerSection> = Vec::with_capacity(num_workers);
-    let mut probes = 0u64;
-    let mut match_tests = 0u64;
-    let mut kernel = KernelCounters::default();
-    let mut predicate = PredicateCounters::default();
-    let mut columnar = ColumnarCounters::default();
-    let mut coordinator_wait_micros = 0u64;
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_workers);
-        for w in 0..num_workers {
-            let spec = &spec;
-            let r_cells = &r_cells;
-            let s_cells = &s_cells;
-            let order = &order;
-            let est_costs = &est_costs;
-            let next = &next;
-            handles.push(scope.spawn(move || {
                 let _reservation = shard_pool.and_then(|(pool, pages)| pool.try_reserve(pages));
                 let started = Instant::now();
                 let mut cells = 0u64;
@@ -739,12 +579,9 @@ fn execute_columnar(
                 // workload's high-water mark once, then never again.
                 let mut scratch = ColumnarScratch::default();
                 let mut batch = IdBatch::new();
-                // Per-cell output vectors, exact-sized from the batch's
-                // pair count before materializing: the id batch already
-                // knows the cell's cardinality, so — unlike the row
-                // worker's arena-then-split — no tuple is ever moved
-                // again after its one late-materialization splice.
                 let mut produced: Vec<(usize, Vec<Tuple>)> = Vec::new();
+                // Running emitted-pairs-per-estimated-cost ratio, used to
+                // reserve batch capacity before joining each cell.
                 let mut emitted_total = 0u64;
                 let mut cost_total = 0u64;
                 loop {
@@ -753,26 +590,33 @@ fn execute_columnar(
                         break;
                     }
                     let c = order[q];
+                    // The cell's canonical emit window is its time range:
+                    // a pair co-resident in several cells of its bucket
+                    // row is emitted only where the overlap's endpoint
+                    // falls (the canonical-cell rule).
                     let p_c = intervals[c / k];
+                    let (rc, sc) = (&r_cells[c], &s_cells[c]);
                     let claimed = Instant::now();
                     let mut out_cell: Vec<Tuple> = Vec::new();
-                    if !r_cells[c].is_empty() && !s_cells[c].is_empty() {
+                    if !rc.is_empty() && !sc.is_empty() {
                         let est = if cost_total > 0 {
                             ((emitted_total as u128 * est_costs[c] as u128 / cost_total as u128)
                                 as usize)
                                 .max(16)
                         } else {
-                            r_cells[c].len().max(s_cells[c].len())
+                            // First cell: no ratio yet; a side's size is
+                            // the output floor for a key-dense join.
+                            rc.len().max(sc.len())
                         };
                         batch.begin(est);
-                        match choose_kernel_ids(choice, &outer, &r_cells[c], &inner, &s_cells[c]) {
+                        match choose_kernel_ids(choice, outer, rc, inner, sc) {
                             KernelKind::Hash => {
                                 let hs = if natural {
                                     columnar_hash_join(
-                                        &outer,
-                                        &r_cells[c],
-                                        &inner,
-                                        &s_cells[c],
+                                        outer,
+                                        rc,
+                                        inner,
+                                        sc,
                                         p_c,
                                         &mut scratch,
                                         &mut batch,
@@ -780,10 +624,10 @@ fn execute_columnar(
                                 } else {
                                     columnar_hash_join_pred(
                                         pred,
-                                        &outer,
-                                        &r_cells[c],
-                                        &inner,
-                                        &s_cells[c],
+                                        outer,
+                                        rc,
+                                        inner,
+                                        sc,
                                         p_c,
                                         &mut scratch,
                                         &mut batch,
@@ -798,10 +642,10 @@ fn execute_columnar(
                             KernelKind::Sweep => {
                                 let (ss, radix_passes) = if natural {
                                     columnar_sweep_join(
-                                        &outer,
-                                        &r_cells[c],
-                                        &inner,
-                                        &s_cells[c],
+                                        outer,
+                                        rc,
+                                        inner,
+                                        sc,
                                         p_c,
                                         &mut scratch,
                                         &mut batch,
@@ -809,10 +653,10 @@ fn execute_columnar(
                                 } else {
                                     columnar_sweep_join_pred(
                                         pred,
-                                        &outer,
-                                        &r_cells[c],
-                                        &inner,
-                                        &s_cells[c],
+                                        outer,
+                                        rc,
+                                        inner,
+                                        sc,
                                         p_c,
                                         &mut scratch,
                                         &mut batch,
@@ -832,12 +676,16 @@ fn execute_columnar(
                         // exact-sized per-cell vector.
                         out_cell.reserve_exact(batch.len());
                         columnar.materialized_rows +=
-                            batch.materialize_each(spec, &outer, &inner, |t| out_cell.push(t));
+                            batch.materialize_each(spec, outer, inner, |t| out_cell.push(t));
                     }
                     busy += claimed.elapsed();
                     cells += 1;
                     tuples += out_cell.len() as u64;
-                    produced.push((c, out_cell));
+                    // Empty cells are delivered too: a streaming reorder
+                    // window needs their marker to advance past them.
+                    if !deliver(&tx, &mut produced, c, out_cell) {
+                        break;
+                    }
                 }
                 kernel.batches_flushed = batch.batches_flushed();
                 let section = WorkerSection {
@@ -858,9 +706,18 @@ fn execute_columnar(
                 )
             }));
         }
+        drop(tx);
         let gather_started = Instant::now();
+        // Streaming: release cells strictly in time-major order, so the
+        // stream is deterministic regardless of completion order.
+        let released = match (rx, sink) {
+            (Some(rx), Some(sink)) => release_in_order(rx, n_cells, &mut summary, sink),
+            _ => n_cells,
+        };
         let mut worker_panicked = false;
         for h in handles {
+            // A panicking worker (a bug, not a data error) must surface as
+            // a typed error on this one request, not abort the service.
             match h.join() {
                 Ok((section, produced, p, m, kc, pc, cc)) => {
                     workers.push(section);
@@ -877,7 +734,7 @@ fn execute_columnar(
             }
         }
         coordinator_wait_micros = gather_started.elapsed().as_micros() as u64;
-        if worker_panicked {
+        if worker_panicked || released < n_cells {
             return Err(vtjoin_join::JoinError::Internal(
                 "partition worker panicked",
             ));
@@ -892,7 +749,6 @@ fn execute_columnar(
     columnar.dict_size = pair.dict_size;
 
     let tuples: Vec<Tuple> = outputs.into_iter().flatten().collect();
-    let rel = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples);
     let detail = ExecDetail {
         workers,
         replicated_r: r_cells.iter().map(|p| p.len() as u64).sum(),
@@ -909,20 +765,22 @@ fn execute_columnar(
         coordinator_wait_micros,
         columnar: Some(columnar),
     };
-    Ok((rel, detail))
+    Ok((tuples, detail, summary))
 }
 
-/// The merge-fallback executor for sequence/mixed predicate templates:
-/// contiguous outer chunks, one per worker, each merged against the whole
-/// inner side by [`merge_join_pred`]. Chunk outputs concatenate back to
-/// outer order, so the result is deterministic across thread counts.
-fn execute_merge(
+/// The merge fallback for sequence/mixed predicate templates: contiguous
+/// outer chunks, one per worker, each merged against the whole inner side
+/// by [`merge_join_pred`]. Each chunk's result is one slot (one wire
+/// batch when streamed), released in chunk order, so the output is outer
+/// order at every thread count.
+fn run_merge(
+    spec: &JoinSpec,
     r: &Relation,
     s: &Relation,
     threads: usize,
     pred: &JoinPredicate,
-) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
+    sink: Sink<'_>,
+) -> Result<(Vec<Tuple>, ExecDetail, StreamSummary), vtjoin_join::JoinError> {
     let gather_started = Instant::now();
     let r_all: Vec<&Tuple> = r.iter().collect();
     let s_all: Vec<&Tuple> = s.iter().collect();
@@ -931,20 +789,23 @@ fn execute_merge(
     let num_workers = threads.max(1).min(r_all.len()).max(1);
     let chunk_len = r_all.len().div_ceil(num_workers).max(1);
     let chunks: Vec<&[&Tuple]> = r_all.chunks(chunk_len).collect();
+    let n_chunks = chunks.len();
     let est_costs: Vec<u64> = chunks
         .iter()
         .map(|c| c.len() as u64 * s_all.len() as u64)
         .collect();
 
     let join_started = Instant::now();
-    let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); chunks.len()];
-    let mut workers: Vec<WorkerSection> = Vec::with_capacity(chunks.len());
+    let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); n_chunks];
+    let mut workers: Vec<WorkerSection> = Vec::with_capacity(n_chunks);
     let mut predicate = PredicateCounters::default();
+    let mut summary = StreamSummary::default();
     thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(chunks.len());
+        let (tx, rx) = sink.is_some().then(mpsc::channel).unzip();
+        let mut handles = Vec::with_capacity(n_chunks);
         for (w, chunk) in chunks.iter().enumerate() {
-            let spec = &spec;
             let s_all = &s_all;
+            let tx = tx.clone();
             handles.push(scope.spawn(move || {
                 let started = Instant::now();
                 let mut batch = OutputBatch::new();
@@ -959,22 +820,31 @@ fn execute_merge(
                     wall_micros: elapsed,
                     busy_micros: elapsed,
                 };
-                (section, out, stats)
+                let mut produced = Vec::new();
+                deliver(&tx, &mut produced, w, out);
+                (section, produced, stats)
             }));
         }
+        drop(tx);
+        let released = match (rx, sink) {
+            (Some(rx), Some(sink)) => release_in_order(rx, n_chunks, &mut summary, sink),
+            _ => n_chunks,
+        };
         let mut worker_panicked = false;
-        for (w, h) in handles.into_iter().enumerate() {
+        for h in handles {
             match h.join() {
-                Ok((section, out, stats)) => {
+                Ok((section, produced, stats)) => {
                     workers.push(section);
-                    outputs[w] = out;
+                    for (w, out) in produced {
+                        outputs[w] = out;
+                    }
                     predicate.merge_pairs_scanned += stats.pairs_scanned;
                     predicate.merge_pairs_emitted += stats.pairs_emitted;
                 }
                 Err(_) => worker_panicked = true,
             }
         }
-        if worker_panicked {
+        if worker_panicked || released < n_chunks {
             return Err(vtjoin_join::JoinError::Internal("merge worker panicked"));
         }
         Ok(())
@@ -982,7 +852,6 @@ fn execute_merge(
     let join_micros = join_started.elapsed().as_micros() as u64;
 
     let tuples: Vec<Tuple> = outputs.into_iter().flatten().collect();
-    let rel = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples);
     let detail = ExecDetail {
         workers,
         replicated_r: r_all.len() as u64,
@@ -999,7 +868,7 @@ fn execute_merge(
         coordinator_wait_micros: 0,
         columnar: None,
     };
-    Ok((rel, detail))
+    Ok((tuples, detail, summary))
 }
 
 /// Computes the [`SkewSection`] of a finished parallel run from the
@@ -1059,25 +928,15 @@ pub fn parallel_execution_report_with(
     choice: KernelChoice,
 ) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
     let pred = JoinPredicate::intersects();
-    let (rel, detail) = execute(
-        r,
-        s,
-        intervals,
-        1,
-        threads,
-        choice,
-        Layout::default(),
-        &pred,
-        None,
-        None,
-    )?;
+    let (rel, detail) = execute(r, s, intervals, 1, threads, choice, &pred, None, None)?;
     Ok(build_report(rel, detail, intervals, threads, &pred))
 }
 
 /// As [`parallel_execution_report`], evaluating an arbitrary
 /// [`JoinPredicate`]. Non-natural runs additionally carry the schema-v6
 /// `predicate` section; merge-fallback runs (sequence/mixed templates)
-/// carry no `kernel` or `grid` section, since no cell kernel is invoked.
+/// carry no `kernel`, `grid` or `columnar` section, since no cell kernel
+/// is invoked.
 pub fn parallel_execution_report_pred(
     r: &Relation,
     s: &Relation,
@@ -1092,7 +951,6 @@ pub fn parallel_execution_report_pred(
         1,
         threads,
         KernelChoice::Auto,
-        Layout::default(),
         pred,
         None,
         None,
@@ -1108,44 +966,8 @@ pub fn grid_execution_report_with(
     threads: usize,
     choice: KernelChoice,
 ) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    grid_execution_report_layout(
-        r,
-        s,
-        plan,
-        threads,
-        choice,
-        &JoinPredicate::intersects(),
-        Layout::default(),
-    )
-}
-
-/// As [`grid_execution_report_with`], with an explicit physical
-/// [`Layout`] and predicate. This is the A/B surface `bench_columnar`
-/// measures: both layouts produce byte-identical output and kernel
-/// counters; columnar runs additionally carry the schema-v9 `columnar`
-/// report section.
-pub fn grid_execution_report_layout(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    layout: Layout,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    let (rel, detail) = execute(
-        r,
-        s,
-        &plan.intervals,
-        plan.key_buckets,
-        threads,
-        choice,
-        layout,
-        pred,
-        None,
-        None,
-    )?;
-    Ok(build_report(rel, detail, &plan.intervals, threads, pred))
+    let pred = JoinPredicate::intersects();
+    grid_report(r, s, plan, threads, choice, &pred, None)
 }
 
 /// As [`grid_execution_report_with`], evaluating an arbitrary
@@ -1157,21 +979,18 @@ pub fn grid_execution_report_pred(
     threads: usize,
     pred: &JoinPredicate,
 ) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    grid_execution_report_layout(
-        r,
-        s,
-        plan,
-        threads,
-        KernelChoice::Auto,
-        pred,
-        Layout::default(),
-    )
+    grid_report(r, s, plan, threads, KernelChoice::Auto, pred, None)
 }
 
-/// As [`grid_execution_report_pred`], with each shard worker pinning
-/// `pages_per_worker` pages of `pool` for its lifetime (the service's
-/// per-query sub-pool reservations). Reservation is best-effort: a share
-/// the pool cannot grant does not block or fail the join.
+/// As [`grid_execution_report_pred`], with an explicit kernel policy and
+/// each shard worker pinning `pages_per_worker` pages of `pool` for its
+/// lifetime (the service's per-query sub-pool reservations). Reservation
+/// is best-effort: a share the pool cannot grant does not block or fail
+/// the join.
+///
+/// `layout` selects nothing: [`Layout`] has the single variant
+/// `Columnar`. The parameter stays so that callers naming a layout keep
+/// compiling.
 #[allow(clippy::too_many_arguments)]
 pub fn grid_execution_report_sharded(
     r: &Relation,
@@ -1184,6 +1003,21 @@ pub fn grid_execution_report_sharded(
     pool: &PagePool,
     pages_per_worker: u64,
 ) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
+    let Layout::Columnar = layout;
+    let shard_pool = Some((pool, pages_per_worker));
+    grid_report(r, s, plan, threads, choice, pred, shard_pool)
+}
+
+/// Runs the grid executor over `plan` and assembles its report.
+fn grid_report(
+    r: &Relation,
+    s: &Relation,
+    plan: &GridPlan,
+    threads: usize,
+    choice: KernelChoice,
+    pred: &JoinPredicate,
+    shard_pool: Option<(&PagePool, u64)>,
+) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
     let (rel, detail) = execute(
         r,
         s,
@@ -1191,9 +1025,8 @@ pub fn grid_execution_report_sharded(
         plan.key_buckets,
         threads,
         choice,
-        layout,
         pred,
-        Some((pool, pages_per_worker)),
+        shard_pool,
         None,
     )?;
     Ok(build_report(rel, detail, &plan.intervals, threads, pred))
@@ -1212,8 +1045,8 @@ pub struct StreamSummary {
 /// As [`grid_execution_report_sharded`], but **streaming**: instead of
 /// materializing one output relation, each grid cell's result is handed to
 /// `sink` as soon as it is both *complete* and *next in deterministic
-/// order*. The wire unit is one [`OutputBatch`] flush — exactly the
-/// per-cell batch the materializing executor drains into its arena — so
+/// order*. The wire unit is one cell's late-materialized output — the
+/// very vector the materializing executor keeps in that cell's slot — so
 /// the concatenation of all batches is byte-identical to the
 /// materializing executor's output (time-major cell order, empty cells
 /// contributing nothing).
@@ -1228,6 +1061,8 @@ pub struct StreamSummary {
 /// sink backpressures the coordinator, not the workers (cells buffer in
 /// the reorder window). Errors surface after any already-released batches
 /// — a caller that observes `Err` must treat the stream as truncated.
+///
+/// `layout` selects nothing, as for [`grid_execution_report_sharded`].
 #[allow(clippy::too_many_arguments)]
 pub fn grid_join_streamed(
     r: &Relation,
@@ -1241,419 +1076,18 @@ pub fn grid_join_streamed(
     pages_per_worker: u64,
     sink: &mut dyn FnMut(Vec<Tuple>),
 ) -> Result<StreamSummary, vtjoin_join::JoinError> {
+    let Layout::Columnar = layout;
     stream(
         r,
         s,
         plan,
         threads,
         choice,
-        layout,
         pred,
         (pool, pages_per_worker),
         sink,
         None,
     )
-}
-
-/// [`grid_join_streamed`], with `enc` as in [`execute`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stream(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-    layout: Layout,
-    pred: &JoinPredicate,
-    (pool, pages_per_worker): (&PagePool, u64),
-    sink: &mut dyn FnMut(Vec<Tuple>),
-    enc: Option<&EncodedPair>,
-) -> Result<StreamSummary, vtjoin_join::JoinError> {
-    if !pred.partitioning_eligible() {
-        return merge_join_streamed(r, s, threads, pred, sink);
-    }
-    let intervals = &plan.intervals;
-    if !is_partitioning(intervals) {
-        return Err(vtjoin_join::JoinError::Precondition(
-            "intervals must partition all of valid time (sorted, gapless, ending at forever)",
-        ));
-    }
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
-    let k = plan.key_buckets.max(1).next_power_of_two() as usize;
-    match layout {
-        Layout::Row => stream_cells_row(
-            &spec,
-            r,
-            s,
-            intervals,
-            k,
-            threads,
-            choice,
-            pred,
-            pool,
-            pages_per_worker,
-            sink,
-        ),
-        Layout::Columnar => stream_cells_columnar(
-            &spec,
-            r,
-            s,
-            intervals,
-            k,
-            threads,
-            choice,
-            pred,
-            pool,
-            pages_per_worker,
-            sink,
-            enc,
-        ),
-    }
-}
-
-/// The streaming coordinator's reorder window: receives `(cell, batch)`
-/// pairs in completion order and releases them to `sink` strictly in cell
-/// order (empty batches advance the window silently). Returns how many
-/// cells were released — fewer than `n_cells` means a worker died before
-/// sending its marker.
-fn release_in_order(
-    rx: mpsc::Receiver<(usize, Vec<Tuple>)>,
-    n_cells: usize,
-    summary: &mut StreamSummary,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-) -> usize {
-    let mut pending: Vec<Option<Vec<Tuple>>> = (0..n_cells).map(|_| None).collect();
-    let mut next_out = 0usize;
-    for (c, out) in rx {
-        pending[c] = Some(out);
-        while next_out < n_cells {
-            let Some(out) = pending[next_out].take() else {
-                break;
-            };
-            next_out += 1;
-            if !out.is_empty() {
-                summary.batches += 1;
-                summary.tuples += out.len() as u64;
-                sink(out);
-            }
-        }
-    }
-    next_out
-}
-
-/// The row-layout streaming worker loop (see [`grid_join_streamed`]).
-#[allow(clippy::too_many_arguments)]
-fn stream_cells_row(
-    spec: &JoinSpec,
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    k: usize,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    pool: &PagePool,
-    pages_per_worker: u64,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-) -> Result<StreamSummary, vtjoin_join::JoinError> {
-    let n_cells = intervals.len() * k;
-    let natural = pred.is_natural();
-
-    let r_cells = replicate_cells(r, intervals, k, |t| spec.outer_key_hash(t));
-    let s_cells = replicate_cells(s, intervals, k, |t| spec.inner_key_hash(t));
-
-    let est_costs: Vec<u64> = (0..n_cells)
-        .map(|c| r_cells[c].len() as u64 * s_cells[c].len() as u64)
-        .collect();
-    let mut order: Vec<usize> = (0..n_cells).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(est_costs[c]));
-
-    let num_workers = threads.max(1).min(n_cells);
-    let next = AtomicUsize::new(0);
-    let mut summary = StreamSummary::default();
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Tuple>)>();
-        let mut handles = Vec::with_capacity(num_workers);
-        for _ in 0..num_workers {
-            let r_cells = &r_cells;
-            let s_cells = &s_cells;
-            let order = &order;
-            let next = &next;
-            let tx = tx.clone();
-            handles.push(scope.spawn(move || {
-                let _reservation = pool.try_reserve(pages_per_worker);
-                let mut scratch = SweepScratch::default();
-                let mut batch = OutputBatch::new();
-                loop {
-                    let q = next.fetch_add(1, Ordering::Relaxed);
-                    if q >= order.len() {
-                        break;
-                    }
-                    let c = order[q];
-                    let p_c = intervals[c / k];
-                    if !r_cells[c].is_empty() && !s_cells[c].is_empty() {
-                        batch.begin(r_cells[c].len().max(s_cells[c].len()).max(16));
-                        match choose_kernel(choice, spec, &r_cells[c], &s_cells[c]) {
-                            KernelKind::Hash => {
-                                if natural {
-                                    hash_join(spec, &r_cells[c], &s_cells[c], p_c, &mut batch);
-                                } else {
-                                    hash_join_pred(
-                                        spec,
-                                        pred,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut batch,
-                                    );
-                                }
-                            }
-                            KernelKind::Sweep => {
-                                if natural {
-                                    sweep_join(
-                                        spec,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                } else {
-                                    sweep_join_pred(
-                                        spec,
-                                        pred,
-                                        &r_cells[c],
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    // `take` hands the batch over as the wire unit (empty
-                    // cells send an empty marker so the reorder window can
-                    // advance past them). A send can only fail if the
-                    // coordinator died; the worker just stops.
-                    if tx.send((c, batch.take())).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(tx);
-        // Reorder window: release cells strictly in time-major order, so
-        // the stream is deterministic regardless of completion order.
-        let next_out = release_in_order(rx, n_cells, &mut summary, sink);
-        let mut worker_panicked = false;
-        for h in handles {
-            if h.join().is_err() {
-                worker_panicked = true;
-            }
-        }
-        if worker_panicked || next_out < n_cells {
-            return Err(vtjoin_join::JoinError::Internal(
-                "partition worker panicked",
-            ));
-        }
-        Ok(())
-    })?;
-    Ok(summary)
-}
-
-/// The columnar streaming worker loop: one encode pass up front (none
-/// when the caller hands in the pair's encoding), row-id
-/// scatter, and per-cell late materialization *on the worker* — the wire
-/// unit stays a fully materialized per-cell `Vec<Tuple>`, byte-identical
-/// to the row path's batches.
-#[allow(clippy::too_many_arguments)]
-fn stream_cells_columnar(
-    spec: &JoinSpec,
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    k: usize,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    pool: &PagePool,
-    pages_per_worker: u64,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-    enc: Option<&EncodedPair>,
-) -> Result<StreamSummary, vtjoin_join::JoinError> {
-    let n_cells = intervals.len() * k;
-    let natural = pred.is_natural();
-
-    let fresh;
-    let pair = match enc {
-        Some(e) => e,
-        None => {
-            fresh = EncodedPair::encode(spec, r.iter(), s.iter());
-            &fresh
-        }
-    };
-    let (outer, inner) = view(pair, r, s)?;
-    let r_cells = scatter_rows(&outer, intervals, k);
-    let s_cells = scatter_rows(&inner, intervals, k);
-
-    let est_costs: Vec<u64> = (0..n_cells)
-        .map(|c| r_cells[c].len() as u64 * s_cells[c].len() as u64)
-        .collect();
-    let mut order: Vec<usize> = (0..n_cells).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(est_costs[c]));
-
-    let num_workers = threads.max(1).min(n_cells);
-    let next = AtomicUsize::new(0);
-    let mut summary = StreamSummary::default();
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Tuple>)>();
-        let mut handles = Vec::with_capacity(num_workers);
-        for _ in 0..num_workers {
-            let r_cells = &r_cells;
-            let s_cells = &s_cells;
-            let order = &order;
-            let next = &next;
-            let tx = tx.clone();
-            handles.push(scope.spawn(move || {
-                let _reservation = pool.try_reserve(pages_per_worker);
-                let mut scratch = ColumnarScratch::default();
-                let mut batch = IdBatch::new();
-                loop {
-                    let q = next.fetch_add(1, Ordering::Relaxed);
-                    if q >= order.len() {
-                        break;
-                    }
-                    let c = order[q];
-                    let p_c = intervals[c / k];
-                    let mut out: Vec<Tuple> = Vec::new();
-                    if !r_cells[c].is_empty() && !s_cells[c].is_empty() {
-                        batch.begin(r_cells[c].len().max(s_cells[c].len()).max(16));
-                        match choose_kernel_ids(choice, &outer, &r_cells[c], &inner, &s_cells[c]) {
-                            KernelKind::Hash => {
-                                if natural {
-                                    columnar_hash_join(
-                                        &outer,
-                                        &r_cells[c],
-                                        &inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                } else {
-                                    columnar_hash_join_pred(
-                                        pred,
-                                        &outer,
-                                        &r_cells[c],
-                                        &inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                }
-                            }
-                            KernelKind::Sweep => {
-                                if natural {
-                                    columnar_sweep_join(
-                                        &outer,
-                                        &r_cells[c],
-                                        &inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                } else {
-                                    columnar_sweep_join_pred(
-                                        pred,
-                                        &outer,
-                                        &r_cells[c],
-                                        &inner,
-                                        &s_cells[c],
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    );
-                                }
-                            }
-                        }
-                        out.reserve_exact(batch.len());
-                        batch.materialize_each(spec, &outer, &inner, |t| out.push(t));
-                    }
-                    // Empty cells still send their (empty) marker so the
-                    // reorder window can advance past them.
-                    if tx.send((c, out)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(tx);
-        let next_out = release_in_order(rx, n_cells, &mut summary, sink);
-        let mut worker_panicked = false;
-        for h in handles {
-            if h.join().is_err() {
-                worker_panicked = true;
-            }
-        }
-        if worker_panicked || next_out < n_cells {
-            return Err(vtjoin_join::JoinError::Internal(
-                "partition worker panicked",
-            ));
-        }
-        Ok(())
-    })?;
-    Ok(summary)
-}
-
-/// The streaming merge fallback for sequence/mixed predicate templates:
-/// each outer chunk's result is one wire batch, released in chunk order.
-fn merge_join_streamed(
-    r: &Relation,
-    s: &Relation,
-    threads: usize,
-    pred: &JoinPredicate,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-) -> Result<StreamSummary, vtjoin_join::JoinError> {
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
-    let r_all: Vec<&Tuple> = r.iter().collect();
-    let s_all: Vec<&Tuple> = s.iter().collect();
-    let num_workers = threads.max(1).min(r_all.len()).max(1);
-    let chunk_len = r_all.len().div_ceil(num_workers).max(1);
-    let chunks: Vec<&[&Tuple]> = r_all.chunks(chunk_len).collect();
-    let n_chunks = chunks.len();
-
-    let mut summary = StreamSummary::default();
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Tuple>)>();
-        let mut handles = Vec::with_capacity(n_chunks);
-        for (w, chunk) in chunks.iter().enumerate() {
-            let spec = &spec;
-            let s_all = &s_all;
-            let tx = tx.clone();
-            handles.push(scope.spawn(move || {
-                let mut batch = OutputBatch::new();
-                batch.begin(chunk.len().max(16));
-                merge_join_pred(spec, pred, chunk, s_all, &mut batch);
-                let _ = tx.send((w, batch.take()));
-            }));
-        }
-        drop(tx);
-        let next_out = release_in_order(rx, n_chunks, &mut summary, sink);
-        let mut worker_panicked = false;
-        for h in handles {
-            if h.join().is_err() {
-                worker_panicked = true;
-            }
-        }
-        if worker_panicked || next_out < n_chunks {
-            return Err(vtjoin_join::JoinError::Internal("merge worker panicked"));
-        }
-        Ok(())
-    })?;
-    Ok(summary)
 }
 
 /// Assembles the [`ExecutionReport`] for a finished parallel run.
@@ -1969,37 +1403,35 @@ mod tests {
                 intervals: equal_width(Interval::from_raw(0, 400).unwrap(), 6),
             };
             let want = grid_partition_join(&r, &s, &plan, 1).unwrap();
-            for layout in [Layout::Row, Layout::Columnar] {
-                for threads in [1usize, 2, 4] {
-                    let pool = PagePool::new(64);
-                    let mut streamed: Vec<Tuple> = Vec::new();
-                    let mut batches = 0u64;
-                    let summary = grid_join_streamed(
-                        &r,
-                        &s,
-                        &plan,
-                        threads,
-                        KernelChoice::Auto,
-                        layout,
-                        &JoinPredicate::intersects(),
-                        &pool,
-                        4,
-                        &mut |b| {
-                            assert!(!b.is_empty(), "sink only sees non-empty batches");
-                            batches += 1;
-                            streamed.extend(b);
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(summary.batches, batches);
-                    assert_eq!(summary.tuples, streamed.len() as u64);
-                    assert_eq!(
-                        streamed,
-                        want.tuples(),
-                        "key_buckets = {key_buckets}, layout = {layout:?}, threads = {threads}"
-                    );
-                    assert_eq!(pool.in_flight(), 0, "shard reservations released");
-                }
+            for threads in [1usize, 2, 4] {
+                let pool = PagePool::new(64);
+                let mut streamed: Vec<Tuple> = Vec::new();
+                let mut batches = 0u64;
+                let summary = grid_join_streamed(
+                    &r,
+                    &s,
+                    &plan,
+                    threads,
+                    KernelChoice::Auto,
+                    Layout::Columnar,
+                    &JoinPredicate::intersects(),
+                    &pool,
+                    4,
+                    &mut |b| {
+                        assert!(!b.is_empty(), "sink only sees non-empty batches");
+                        batches += 1;
+                        streamed.extend(b);
+                    },
+                )
+                .unwrap();
+                assert_eq!(summary.batches, batches);
+                assert_eq!(summary.tuples, streamed.len() as u64);
+                assert_eq!(
+                    streamed,
+                    want.tuples(),
+                    "key_buckets = {key_buckets}, threads = {threads}"
+                );
+                assert_eq!(pool.in_flight(), 0, "shard reservations released");
             }
         }
     }
@@ -2378,7 +1810,8 @@ mod tests {
     }
 
     #[test]
-    fn columnar_layout_is_byte_identical_to_row_layout() {
+    fn every_shape_kernel_and_predicate_matches_the_oracle() {
+        use vtjoin_core::algebra::predicate_join;
         let r = rel("b", 200, 4);
         let s = rel("c", 200, 3);
         let six = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
@@ -2389,61 +1822,48 @@ mod tests {
         ] {
             for pred in ["intersects", "overlaps", "during", "meets-or-overlaps"] {
                 let pred: JoinPredicate = pred.parse().unwrap();
+                let want = predicate_join(&r, &s, &pred).unwrap();
                 for choice in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
-                    for threads in [1usize, 3] {
-                        let (row, row_er) = grid_execution_report_layout(
-                            &r,
-                            &s,
-                            &plan,
-                            threads,
-                            choice,
-                            &pred,
-                            Layout::Row,
-                        )
-                        .unwrap();
-                        let (col, col_er) = grid_execution_report_layout(
-                            &r,
-                            &s,
-                            &plan,
-                            threads,
-                            choice,
-                            &pred,
-                            Layout::Columnar,
-                        )
-                        .unwrap();
-                        let ctx = format!(
-                            "K={} N={} pred={pred} choice={choice:?} threads={threads}",
-                            plan.key_buckets,
-                            plan.intervals.len()
-                        );
-                        assert_eq!(row.tuples(), col.tuples(), "{ctx}");
-                        // Not just the result: the work profile mirrors too.
-                        assert_eq!(row_er.kernel, col_er.kernel, "{ctx}");
-                        assert_eq!(
-                            row_er.counter("cpu_probes"),
-                            col_er.counter("cpu_probes"),
-                            "{ctx}"
-                        );
-                        assert_eq!(
-                            row_er.counter("cpu_match_tests"),
-                            col_er.counter("cpu_match_tests"),
-                            "{ctx}"
-                        );
-                        assert_eq!(row_er.predicate, col_er.predicate, "{ctx}");
-                        assert_eq!(
-                            row_er.grid.map(|g| (
-                                g.key_buckets,
-                                g.cells,
-                                g.replication_factor_x100
-                            )),
-                            col_er.grid.map(|g| (
-                                g.key_buckets,
-                                g.cells,
-                                g.replication_factor_x100
-                            )),
-                            "{ctx}"
-                        );
-                    }
+                    let pool = PagePool::new(64);
+                    let serial = grid_execution_report_sharded(
+                        &r,
+                        &s,
+                        &plan,
+                        1,
+                        choice,
+                        Layout::Columnar,
+                        &pred,
+                        &pool,
+                        4,
+                    )
+                    .unwrap();
+                    let parallel = grid_execution_report_sharded(
+                        &r,
+                        &s,
+                        &plan,
+                        3,
+                        choice,
+                        Layout::Columnar,
+                        &pred,
+                        &pool,
+                        4,
+                    )
+                    .unwrap();
+                    let ctx = format!(
+                        "K={} N={} pred={pred} choice={choice:?}",
+                        plan.key_buckets,
+                        plan.intervals.len()
+                    );
+                    assert!(serial.0.multiset_eq(&want), "{ctx}");
+                    // Output and work profile are thread-count invariant.
+                    assert_eq!(serial.0.tuples(), parallel.0.tuples(), "{ctx}");
+                    assert_eq!(serial.1.kernel, parallel.1.kernel, "{ctx}");
+                    assert_eq!(serial.1.predicate, parallel.1.predicate, "{ctx}");
+                    assert_eq!(
+                        serial.1.counter("cpu_probes"),
+                        parallel.1.counter("cpu_probes"),
+                        "{ctx}"
+                    );
                 }
             }
         }
@@ -2457,22 +1877,19 @@ mod tests {
         let plan = GridPlan::with_buckets(2, parts);
         let pred = JoinPredicate::intersects();
 
-        // Row runs carry no columnar section.
-        let (_, er) =
-            grid_execution_report_layout(&r, &s, &plan, 2, KernelChoice::Auto, &pred, Layout::Row)
-                .unwrap();
-        assert!(er.columnar.is_none());
-
-        // Columnar runs account every materialized tuple and the shared
+        // Grid runs account every materialized tuple and the shared
         // dictionary, and round-trip through the v9 JSON schema.
-        let (got, er) = grid_execution_report_layout(
+        let pool = PagePool::new(64);
+        let (got, er) = grid_execution_report_sharded(
             &r,
             &s,
             &plan,
             2,
             KernelChoice::Sweep,
-            &pred,
             Layout::Columnar,
+            &pred,
+            &pool,
+            4,
         )
         .unwrap();
         let c = er.columnar.expect("columnar section");
@@ -2484,5 +1901,10 @@ mod tests {
         let back = vtjoin_obs::ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
         assert_eq!(back, er);
         assert_eq!(back.columnar, er.columnar);
+
+        // Merge-fallback runs encode nothing and carry no columnar section.
+        let before: JoinPredicate = "before".parse().unwrap();
+        let (_, er) = grid_execution_report_pred(&r, &s, &plan, 2, &before).unwrap();
+        assert!(er.columnar.is_none());
     }
 }

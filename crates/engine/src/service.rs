@@ -708,9 +708,9 @@ pub struct ServiceConfig {
     pub threads_per_query: usize,
     /// Kernel policy for the parallel executor.
     pub kernel: KernelChoice,
-    /// Physical batch layout for the parallel executor: columnar
-    /// struct-of-arrays (the default) or the row-at-a-time baseline.
-    /// Both produce byte-identical results.
+    /// Physical batch layout of the executors. [`Layout`] has the single
+    /// variant `Columnar`, so this selects nothing; the field stays so
+    /// that configurations naming a layout keep compiling.
     pub layout: Layout,
     /// Grid policy for the executor's key axis: cost-chosen (`Auto`, the
     /// default), forced time-only, forced key × time, or a fixed bucket
@@ -1170,7 +1170,7 @@ impl JoinService {
     /// the kept one when it encodes exactly `r` and `s`, else a fresh
     /// encode, kept beside the resident relations under the residency
     /// budget. `None` — the executor encodes for itself — when residency
-    /// is off or the layout is row.
+    /// is off.
     fn pair_encoding(
         &self,
         outer: &str,
@@ -1180,7 +1180,7 @@ impl JoinService {
         r: &Arc<Relation>,
         s: &Arc<Relation>,
     ) -> Result<Option<Arc<EncodedPair>>, ServiceError> {
-        if self.cfg.residency_pages == 0 || self.cfg.layout != Layout::Columnar {
+        if self.cfg.residency_pages == 0 {
             return Ok(None);
         }
         let key = (
@@ -1302,7 +1302,6 @@ impl JoinService {
             plan.key_buckets,
             threads,
             self.cfg.kernel,
-            self.cfg.layout,
             pred,
             Some((&shard_pool, share)),
             enc.as_deref(),
@@ -1357,7 +1356,6 @@ impl JoinService {
             &plan,
             threads,
             self.cfg.kernel,
-            self.cfg.layout,
             pred,
             (&shard_pool, share),
             sink,

@@ -30,9 +30,10 @@
 //!
 //! The columnar kernels in [`crate::kernel::columnar`] are literal
 //! mirrors of the row kernels — same tie-breaks, same bucket masks, same
-//! counter semantics — so the emitted relation is **byte-identical** to
-//! the row path's under every layout; `tests/columnar_roundtrip.rs` pins
-//! this property across predicates and executors.
+//! counter semantics. Every executor runs the columnar kernels; the row
+//! kernels stay as the reference the kernel tests compare emission order
+//! and counters against, and `tests/columnar_roundtrip.rs` pins every
+//! executor's output to the oracles across predicates.
 
 use crate::common::JoinSpec;
 use std::time::Instant;
@@ -52,34 +53,15 @@ fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// Which physical layout the executors run their kernels on.
+/// The physical layout the executors run their kernels on. Columnar
+/// struct-of-arrays (encode + columnar kernels + late materialization) is
+/// the only one; the type keeps a single variant so that configurations
+/// and signatures that name a layout still compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Layout {
-    /// The pre-columnar path: kernels walk `&Tuple` slices directly.
-    Row,
-    /// Struct-of-arrays encode + columnar kernels + late materialization
-    /// (the default: byte-identical results, fewer pointer chases).
+    /// Struct-of-arrays encode + columnar kernels + late materialization.
     #[default]
     Columnar,
-}
-
-impl Layout {
-    /// Parses a CLI value (`row` | `columnar`).
-    pub fn parse(s: &str) -> Option<Layout> {
-        match s {
-            "row" => Some(Layout::Row),
-            "columnar" => Some(Layout::Columnar),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case name (CLI round-trip).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Layout::Row => "row",
-            Layout::Columnar => "columnar",
-        }
-    }
 }
 
 /// One join side's struct-of-arrays columns, indexed by **row id** (the
@@ -784,15 +766,6 @@ mod tests {
             &[Value::Int(1), Value::Int(10), Value::Int(20)]
         );
         assert_eq!(got[1].valid(), Interval::from_raw(1, 3).unwrap());
-    }
-
-    #[test]
-    fn layout_parses_and_round_trips() {
-        for s in ["row", "columnar"] {
-            assert_eq!(Layout::parse(s).unwrap().as_str(), s);
-        }
-        assert_eq!(Layout::parse("soa"), None);
-        assert_eq!(Layout::default(), Layout::Columnar);
     }
 
     #[test]

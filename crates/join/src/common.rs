@@ -102,11 +102,6 @@ pub struct JoinConfig {
     /// `buffSize`; evaluating a stride of candidates finds the same smooth
     /// minimum at a fraction of the planning CPU — see DESIGN.md).
     pub planner_candidates: u64,
-    /// Physical batch layout for the partition join's intra-partition
-    /// evaluation: columnar struct-of-arrays (the default) or the
-    /// row-at-a-time baseline. Both produce byte-identical results; see
-    /// [`crate::columnar`].
-    pub layout: crate::columnar::Layout,
     /// The temporal join predicate. Defaults to
     /// [`JoinPredicate::intersects`] — the paper's natural join. Every
     /// algorithm honors the default; algorithms whose evaluation strategy
@@ -140,17 +135,9 @@ impl JoinConfig {
             seed: 0x5eed,
             collect_result: false,
             planner_candidates: 64,
-            layout: crate::columnar::Layout::default(),
             predicate: JoinPredicate::intersects(),
             op: Operator::Inner,
         }
-    }
-
-    /// Builder-style: set the physical batch layout.
-    #[must_use]
-    pub fn layout(mut self, layout: crate::columnar::Layout) -> JoinConfig {
-        self.layout = layout;
-        self
     }
 
     /// Builder-style: set the cost ratio.

@@ -14,16 +14,18 @@
 //!   index within a start — the stable radix sort reproduces the row
 //!   sweep's `(start, idx)` total order);
 //! * the same counter semantics (`comparisons`/`match_tests` count
-//!   hash-equal candidates, `filter_checks` counts key-equal pairs), so
-//!   the bench regression gate sees identical numbers from both layouts.
+//!   hash-equal candidates, `filter_checks` counts key-equal pairs).
+//!
+//! Every executor runs these kernels; the row twins stay as the reference
+//! the tests below compare emission order and counters against.
 //!
 //! The one semantic substitution: the row kernels reject hash-collisions
 //! with a borrowed `Vec<Value>` compare per candidate; here the encode
 //! pass interned every key in a shared dictionary, so key equality is a
 //! `u32` compare against the `key_id` column. The gate estimator
 //! [`estimate_dups_per_key_x100_ids`] reads the same strided hash sample
-//! off the hash column, so `KernelChoice::Auto` resolves identically
-//! under either layout — a prerequisite for byte-identical output.
+//! off the hash column, so `KernelChoice::Auto` resolves exactly as the
+//! row gate does.
 
 use super::{HashStats, KernelChoice, KernelKind, SweepStats, SWEEP_DUP_THRESHOLD_X100};
 use crate::columnar::{biased_chronon, radix_sort_pairs, ColumnarSide, IdBatch};
@@ -209,7 +211,7 @@ impl FlatHashTable {
 /// Mirrors [`super::estimate_dups_per_key_x100`] over the pre-hashed key
 /// column: identical strides, identical sample, identical fixed-point
 /// arithmetic — so the `Auto` gate picks the same kernel per partition
-/// under either layout.
+/// as the row gate.
 pub fn estimate_dups_per_key_x100_ids(
     r: &ColumnarSide<'_>,
     r_rows: &[u32],

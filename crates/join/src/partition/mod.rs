@@ -32,10 +32,9 @@ pub use replicated::ReplicatedPartitionJoin;
 
 pub(crate) use exec::chunk_by_pages as exec_chunks;
 
-use crate::columnar::{encode_pair, ColumnarCounters, IdBatch, Layout};
+use crate::columnar::{encode_pair, ColumnarCounters, IdBatch};
 use crate::common::{
-    BlockTable, JoinAlgorithm, JoinConfig, JoinError, JoinReport, JoinSpec, PhaseTracker, Result,
-    ResultSink,
+    JoinAlgorithm, JoinConfig, JoinError, JoinReport, JoinSpec, PhaseTracker, Result, ResultSink,
 };
 use crate::kernel::{columnar_hash_join, columnar_hash_join_pred, ColumnarScratch};
 use std::sync::Arc;
@@ -101,79 +100,55 @@ impl PartitionJoin {
             let block = read_whole(outer)?;
             tracker.phase("plan");
             tracker.phase("partition");
-            let (mut filter_checks, mut filter_hits) = (0u64, 0u64);
-            let mut cpu = crate::common::CpuCounters::default();
-            let mut columnar: Option<ColumnarCounters> = None;
-            if cfg.layout == Layout::Columnar {
-                // Columnar degenerate path: buffer the inner pages (the
-                // same charged reads), encode both sides once, join over
-                // the id columns, and late-materialize straight into the
-                // sink. `Interval::ALL` as the emit window reproduces the
-                // row path's unconditional emission.
-                let mut inner_buf: Vec<Tuple> = Vec::new();
-                for p in 0..inner.pages() {
-                    inner_buf.extend(inner.read_page(p)?);
-                }
-                let enc = encode_pair(&spec, block.iter(), inner_buf.iter());
-                let r_rows: Vec<u32> = (0..enc.outer().len() as u32).collect();
-                let s_rows: Vec<u32> = (0..enc.inner().len() as u32).collect();
-                let mut scratch = ColumnarScratch::default();
-                let mut id_batch = IdBatch::new();
-                id_batch.begin(r_rows.len().max(16));
-                let hs = if cfg.predicate.is_natural() {
-                    columnar_hash_join(
-                        &enc.outer(),
-                        &r_rows,
-                        &enc.inner(),
-                        &s_rows,
-                        Interval::ALL,
-                        &mut scratch,
-                        &mut id_batch,
-                    )
-                } else {
-                    columnar_hash_join_pred(
-                        &cfg.predicate,
-                        &enc.outer(),
-                        &r_rows,
-                        &enc.inner(),
-                        &s_rows,
-                        Interval::ALL,
-                        &mut scratch,
-                        &mut id_batch,
-                    )
-                };
-                cpu.probes += hs.probes;
-                cpu.match_tests += hs.match_tests;
-                filter_checks = hs.filter_checks;
-                filter_hits = hs.filter_hits;
-                let materialized =
-                    id_batch.materialize_each(&spec, &enc.outer(), &enc.inner(), |z| sink.push(z));
-                columnar = Some(ColumnarCounters {
-                    encode_micros: enc.columns.encode_micros,
-                    radix_passes: 0,
-                    dict_size: enc.columns.dict_size,
-                    materialized_rows: materialized,
-                });
-            } else {
-                let table = BlockTable::build(&spec, &block);
-                if cfg.predicate.is_natural() {
-                    for p in 0..inner.pages() {
-                        for y in inner.read_page(p)? {
-                            table.probe(&y, &mut sink, |_| true);
-                        }
-                    }
-                } else {
-                    for p in 0..inner.pages() {
-                        for y in inner.read_page(p)? {
-                            let (c, h) =
-                                table.probe_each_pred(&cfg.predicate, &y, |z| sink.push(z));
-                            filter_checks += c;
-                            filter_hits += h;
-                        }
-                    }
-                }
-                cpu.absorb(&table);
+            // Buffer the inner pages (the same charged reads a page-at-a-
+            // time probe makes), encode both sides once, join over the id
+            // columns, and late-materialize straight into the sink.
+            // `Interval::ALL` as the emit window emits every match: there
+            // is one partition, so no canonical-partition rule applies.
+            let mut inner_buf: Vec<Tuple> = Vec::new();
+            for p in 0..inner.pages() {
+                inner_buf.extend(inner.read_page(p)?);
             }
+            let enc = encode_pair(&spec, block.iter(), inner_buf.iter());
+            let r_rows: Vec<u32> = (0..enc.outer().len() as u32).collect();
+            let s_rows: Vec<u32> = (0..enc.inner().len() as u32).collect();
+            let mut scratch = ColumnarScratch::default();
+            let mut id_batch = IdBatch::new();
+            id_batch.begin(r_rows.len().max(16));
+            let hs = if cfg.predicate.is_natural() {
+                columnar_hash_join(
+                    &enc.outer(),
+                    &r_rows,
+                    &enc.inner(),
+                    &s_rows,
+                    Interval::ALL,
+                    &mut scratch,
+                    &mut id_batch,
+                )
+            } else {
+                columnar_hash_join_pred(
+                    &cfg.predicate,
+                    &enc.outer(),
+                    &r_rows,
+                    &enc.inner(),
+                    &s_rows,
+                    Interval::ALL,
+                    &mut scratch,
+                    &mut id_batch,
+                )
+            };
+            let cpu = crate::common::CpuCounters {
+                probes: hs.probes,
+                match_tests: hs.match_tests,
+            };
+            let materialized =
+                id_batch.materialize_each(&spec, &enc.outer(), &enc.inner(), |z| sink.push(z));
+            let columnar = ColumnarCounters {
+                encode_micros: enc.columns.encode_micros,
+                radix_passes: 0,
+                dict_size: enc.columns.dict_size,
+                materialized_rows: materialized,
+            };
             tracker.phase("join");
             let faults = tracker.fault_summary(0);
             let (io, phases) = tracker.finish();
@@ -195,12 +170,10 @@ impl PartitionJoin {
                     ];
                     notes.extend(cpu.notes());
                     if !cfg.predicate.is_natural() {
-                        notes.push(("filter_checks".to_string(), filter_checks as i64));
-                        notes.push(("filter_hits".to_string(), filter_hits as i64));
+                        notes.push(("filter_checks".to_string(), hs.filter_checks as i64));
+                        notes.push(("filter_hits".to_string(), hs.filter_hits as i64));
                     }
-                    if let Some(c) = columnar {
-                        notes.extend(columnar_notes(&c));
-                    }
+                    notes.extend(columnar_notes(&columnar));
                     notes
                 },
                 faults,
@@ -229,7 +202,6 @@ impl PartitionJoin {
             self.reserved_cache_pages,
             &spec,
             &cfg.predicate,
-            cfg.layout,
             &mut sink,
         )?;
         tracker.phase("join");
@@ -275,9 +247,7 @@ impl PartitionJoin {
                 .notes
                 .push(("filter_hits".into(), exec_notes.filter_hits));
         }
-        if let Some(c) = exec_notes.columnar {
-            report.notes.extend(columnar_notes(&c));
-        }
+        report.notes.extend(columnar_notes(&exec_notes.columnar));
         Ok((report, planner_out))
     }
 }

@@ -70,8 +70,8 @@ fn predicate_section(report: &JoinReport, cfg: &JoinConfig) -> Option<PredicateS
 }
 
 /// Lifts the `columnar_*` diagnostic notes into the schema-v9 `columnar`
-/// section. Row-layout runs record none of them and carry no section, so
-/// pre-columnar reports keep their exact shape. Presence is keyed on the
+/// section. Only the partition join records them; the other algorithms'
+/// reports carry no section and keep their pre-columnar shape. Presence is keyed on the
 /// deterministic counters (`dict_size`/`materialized_rows`), not the
 /// wall-clock one.
 fn columnar_section(report: &JoinReport) -> Option<ColumnarSection> {

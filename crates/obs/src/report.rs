@@ -770,8 +770,8 @@ impl GridSection {
 /// encode pass and the columnar kernels did, when a run executed on the
 /// columnar layout. `encode_micros` is wall-clock profiling (excluded
 /// from regression comparison like every `*_micros` key); the other three
-/// are deterministic functions of the input. A row-layout run carries no
-/// section.
+/// are deterministic functions of the input. Runs that encode nothing
+/// (merge fallbacks, the non-partition disk algorithms) carry no section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ColumnarSection {
     /// Wall-clock microseconds the struct-of-arrays encode pass took

@@ -61,19 +61,19 @@ fn usage() -> String {
      [--duration MAX] [--seed N] [--side outer|inner] -o FILE\n  \
      vtjoin info FILE\n  \
      vtjoin join OUTER INNER [--algorithm nested-loop|sort-merge|partition|time-index|auto] \
-     [--predicate PRED] [--layout row|columnar] [--buffer PAGES] [--ratio N] \
+     [--predicate PRED] [--buffer PAGES] [--ratio N] \
      [--faults PERMILLE] [--fault-seed N] \
      [--retries N] [--explain] [--stats-json FILE] [-o FILE]\n  \
      vtjoin join OUTER INNER --threads N [--partitions N] [--kernel auto|hash|sweep] \
-     [--grid auto|1xN|KxN|<k>xN] [--predicate PRED] [--layout row|columnar] [--explain] \
+     [--grid auto|1xN|KxN|<k>xN] [--predicate PRED] [--explain] \
      [--stats-json FILE] [-o FILE]   (in-memory parallel grid-partition join)\n  \
      vtjoin join OUTER INNER --op left|full|semi|anti|aggregate:count|aggregate:sum:ATTR|\
 aggregate:min:ATTR|aggregate:max:ATTR [--threads N] [--partitions N] [--predicate PRED] \
-     [--layout row|columnar] [--explain] [--stats-json FILE] [-o FILE]   \
+     [--explain] [--stats-json FILE] [-o FILE]   \
      (temporal outer/semi/anti join or aggregation; see docs/OPERATORS.md)\n  \
      vtjoin serve --requests FILE [--concurrency N] [--pool-pages N] [--max-queue N] \
      [--buffer PAGES] [--threads-per-query N] [--kernel auto|hash|sweep] \
-     [--grid auto|1xN|KxN|<k>xN] [--layout row|columnar] \
+     [--grid auto|1xN|KxN|<k>xN] \
      [--priority interactive|batch|background] \
      [--deadline-ms MILLIS] [--stream] [--explain] [--stats-json FILE]\n  \
      vtjoin slice FILE --at CHRONON\n  \
@@ -86,6 +86,38 @@ aggregate:min:ATTR|aggregate:max:ATTR [--threads N] [--partitions N] [--predicat
         .to_owned()
 }
 
+/// A flag the subcommand does not accept: `flag` as written (dashes
+/// included) is not among `command`'s `accepted` flags.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct UsageError {
+    command: &'static str,
+    flag: String,
+    accepted: &'static [&'static str],
+}
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "`vtjoin {}` has no flag {}; accepted:",
+            self.command, self.flag
+        )?;
+        for a in self.accepted {
+            if *a == "out" {
+                write!(f, " -o")?;
+            } else {
+                write!(f, " --{a}")?;
+            }
+        }
+        if self.accepted.is_empty() {
+            write!(f, " none")?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for UsageError {}
+
 /// Tiny flag parser: `--name value` pairs plus positionals.
 struct Flags {
     positional: Vec<String>,
@@ -95,14 +127,77 @@ struct Flags {
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["explain", "stream"];
 
+/// The flags each subcommand accepts (`out` is `-o`).
+const GEN_FLAGS: &[&str] = &[
+    "tuples",
+    "long-lived",
+    "keys",
+    "lifespan",
+    "duration",
+    "pad",
+    "seed",
+    "side",
+    "out",
+];
+const INFO_FLAGS: &[&str] = &[];
+const JOIN_FLAGS: &[&str] = &[
+    "algorithm",
+    "op",
+    "predicate",
+    "buffer",
+    "ratio",
+    "faults",
+    "fault-seed",
+    "retries",
+    "threads",
+    "partitions",
+    "kernel",
+    "grid",
+    "explain",
+    "stats-json",
+    "out",
+];
+const SERVE_FLAGS: &[&str] = &[
+    "requests",
+    "concurrency",
+    "pool-pages",
+    "max-queue",
+    "buffer",
+    "threads-per-query",
+    "kernel",
+    "grid",
+    "priority",
+    "deadline-ms",
+    "stream",
+    "explain",
+    "stats-json",
+];
+const SLICE_FLAGS: &[&str] = &["at"];
+const COALESCE_FLAGS: &[&str] = &["out"];
+
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, AnyError> {
+    /// Parses `args` for `command`, refusing any flag not in `accepted`
+    /// with a [`UsageError`] — a misspelt or retired flag must not be
+    /// ignored silently.
+    fn parse(
+        args: &[String],
+        command: &'static str,
+        accepted: &'static [&'static str],
+    ) -> Result<Flags, AnyError> {
         let mut positional = Vec::new();
         let mut named = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let a = &args[i];
             if let Some(name) = a.strip_prefix("--") {
+                if !accepted.contains(&name) {
+                    return Err(UsageError {
+                        command,
+                        flag: a.clone(),
+                        accepted,
+                    }
+                    .into());
+                }
                 if BOOL_FLAGS.contains(&name) {
                     named.push((name.to_owned(), "true".to_owned()));
                     i += 1;
@@ -114,6 +209,14 @@ impl Flags {
                 named.push((name.to_owned(), value.clone()));
                 i += 2;
             } else if a == "-o" {
+                if !accepted.contains(&"out") {
+                    return Err(UsageError {
+                        command,
+                        flag: a.clone(),
+                        accepted,
+                    }
+                    .into());
+                }
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| "-o needs a value".to_owned())?;
@@ -166,17 +269,6 @@ fn parse_predicate(flags: &Flags) -> Result<JoinPredicate, AnyError> {
     }
 }
 
-/// `--layout row|columnar` (default: columnar). Both layouts produce
-/// byte-identical results; `row` exists for A/B comparison and as an
-/// escape hatch.
-fn parse_layout(flags: &Flags) -> Result<vtjoin::join::Layout, AnyError> {
-    match flags.get("layout") {
-        None => Ok(vtjoin::join::Layout::default()),
-        Some(l) => vtjoin::join::Layout::parse(l)
-            .ok_or_else(|| format!("--layout must be row|columnar, got `{l}`").into()),
-    }
-}
-
 fn load(path: &str) -> Result<Relation, AnyError> {
     let text =
         std::fs::read_to_string(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
@@ -189,7 +281,7 @@ fn save(rel: &Relation, path: &str) -> Result<(), AnyError> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), AnyError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "gen", GEN_FLAGS)?;
     let tuples = flags.get_u64("tuples", 1000)?;
     let cfg = GeneratorConfig {
         tuples,
@@ -218,7 +310,7 @@ fn cmd_gen(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), AnyError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "info", INFO_FLAGS)?;
     let path = flags.positional.first().ok_or("info needs a FILE")?;
     let rel = load(path)?;
     println!("schema    {}", rel.schema());
@@ -236,7 +328,7 @@ fn cmd_info(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_join(args: &[String]) -> Result<(), AnyError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "join", JOIN_FLAGS)?;
     let [outer_path, inner_path] = flags.positional.as_slice() else {
         return Err("join needs OUTER and INNER files".into());
     };
@@ -265,7 +357,6 @@ fn cmd_join(args: &[String]) -> Result<(), AnyError> {
     let cfg = JoinConfig::with_buffer(buffer)
         .ratio(ratio)
         .predicate(pred)
-        .layout(parse_layout(&flags)?)
         .collecting();
 
     let disk = SharedDisk::new(4096);
@@ -406,19 +497,10 @@ fn join_parallel(
     // sequence/mixed templates, where neither time partitioning nor the
     // key grid applies).
     let pred = parse_predicate(flags)?;
-    let layout = parse_layout(flags)?;
     let (result, exec_report) = if pred.is_natural() {
-        vtjoin::engine::grid_execution_report_layout(r, s, &plan, threads, kernel, &pred, layout)?
+        vtjoin::engine::grid_execution_report_with(r, s, &plan, threads, kernel)?
     } else {
-        vtjoin::engine::grid_execution_report_layout(
-            r,
-            s,
-            &plan,
-            threads,
-            vtjoin::join::KernelChoice::Auto,
-            &pred,
-            layout,
-        )?
+        vtjoin::engine::grid_execution_report_pred(r, s, &plan, threads, &pred)?
     };
 
     if flags.get("explain").is_some() {
@@ -499,7 +581,6 @@ fn join_operator(
     let threads = flags.get_u64("threads", 1)?.max(1) as usize;
     let partitions = flags.get_u64("partitions", (threads as u64 * 4).max(16))?;
     let pred = parse_predicate(flags)?;
-    let layout = parse_layout(flags)?;
     let hull = match (r.lifespan(), s.lifespan()) {
         (Some(a), Some(b)) => {
             Interval::new(a.start().min(b.start()), a.end().max(b.end())).expect("ordered hull")
@@ -527,7 +608,7 @@ fn join_operator(
         &plan.intervals,
         plan.key_buckets as usize,
         threads,
-        layout,
+        vtjoin::join::Layout::Columnar,
     )?;
 
     if flags.get("explain").is_some() {
@@ -600,7 +681,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     use vtjoin::engine::{Database, JoinService, Priority, ServiceConfig, SubmitOptions};
     use vtjoin::join::partition::GridChoice;
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "serve", SERVE_FLAGS)?;
     let requests_path = flags.get("requests").ok_or("serve needs --requests FILE")?;
     let text = std::fs::read_to_string(Path::new(requests_path))
         .map_err(|e| format!("reading {requests_path}: {e}"))?;
@@ -728,7 +809,6 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     }
     cfg.threads_per_query = threads_per_query as usize;
     cfg.kernel = kernel;
-    cfg.layout = parse_layout(&flags)?;
     let grid_name = flags.get("grid").unwrap_or("auto");
     cfg.grid = GridChoice::parse(grid_name)
         .ok_or_else(|| format!("--grid must be auto|1xN|KxN|<k>xN, got `{grid_name}`"))?;
@@ -868,7 +948,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_slice(args: &[String]) -> Result<(), AnyError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "slice", SLICE_FLAGS)?;
     let path = flags.positional.first().ok_or("slice needs a FILE")?;
     let at = flags
         .get("at")
@@ -888,7 +968,7 @@ fn cmd_slice(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_coalesce(args: &[String]) -> Result<(), AnyError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "coalesce", COALESCE_FLAGS)?;
     let path = flags.positional.first().ok_or("coalesce needs a FILE")?;
     let rel = load(path)?;
     let out = algebra::coalesce(&rel);
@@ -898,4 +978,74 @@ fn cmd_coalesce(args: &[String]) -> Result<(), AnyError> {
         println!("wrote {dest}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| (*w).to_owned()).collect()
+    }
+
+    /// Runs a command line that must be refused before any file is read,
+    /// returning the typed refusal.
+    fn refusal(words: &[&str]) -> UsageError {
+        let err = run(&args(words)).expect_err("command line must be refused");
+        *err.downcast::<UsageError>()
+            .unwrap_or_else(|e| panic!("untyped refusal: {e}"))
+    }
+
+    #[test]
+    fn join_refuses_the_retired_layout_flag() {
+        let e = refusal(&["join", "r.vt", "s.vt", "--layout", "row"]);
+        assert_eq!((e.command, e.flag.as_str()), ("join", "--layout"));
+        assert!(e.to_string().contains("--threads"), "lists the flags: {e}");
+    }
+
+    #[test]
+    fn misspelt_flags_are_refused_by_every_subcommand() {
+        for (words, flag) in [
+            (&["join", "r.vt", "s.vt", "--thread", "2"][..], "--thread"),
+            (
+                &["join", "r.vt", "s.vt", "--threads", "2", "--kernal", "hash"],
+                "--kernal",
+            ),
+            (
+                &["serve", "--requests", "q.txt", "--concurency", "2"],
+                "--concurency",
+            ),
+            (&["gen", "--tuple", "10", "-o", "r.vt"], "--tuple"),
+            (&["info", "r.vt", "--explain"], "--explain"),
+            (&["slice", "r.vt", "-o", "x.vt"], "-o"),
+            (&["coalesce", "r.vt", "--at", "3"], "--at"),
+        ] {
+            assert_eq!(refusal(words).flag, flag, "{words:?}");
+        }
+    }
+
+    #[test]
+    fn accepted_flags_parse_with_their_values() {
+        let flags = Flags::parse(
+            &args(&[
+                "r.vt",
+                "s.vt",
+                "--threads",
+                "2",
+                "--explain",
+                "--grid",
+                "4xN",
+                "-o",
+                "out.vt",
+            ]),
+            "join",
+            JOIN_FLAGS,
+        )
+        .unwrap();
+        assert_eq!(flags.positional, ["r.vt", "s.vt"]);
+        assert_eq!(flags.get("threads"), Some("2"));
+        assert_eq!(flags.get("explain"), Some("true"));
+        assert_eq!(flags.get("grid"), Some("4xN"));
+        assert_eq!(flags.get("out"), Some("out.vt"));
+    }
 }

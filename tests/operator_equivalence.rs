@@ -3,7 +3,7 @@
 //! sweeps, boundary stitching, oracle-order materialization) must be
 //! **byte-identical** to the nested-loop oracles of
 //! `vtjoin::model::algebra` for every operator, every grammar-nameable
-//! predicate, both layouts, and several thread and partition counts —
+//! predicate, and several thread and partition counts —
 //! plus the algebraic invariant that semijoin and antijoin *partition*
 //! every input interval.
 
@@ -123,8 +123,8 @@ fn merged(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every operator × every grammar predicate × both layouts × thread
-    /// counts 1/2/4 × several partition counts: the production executor
+    /// Every operator × every grammar predicate × thread counts 1/2/4 ×
+    /// several partition counts: the production executor
     /// reproduces the algebra oracle byte-for-byte.
     #[test]
     fn operators_match_oracles_bytewise(
@@ -148,23 +148,21 @@ proptest! {
             ];
             for (op, want) in &oracles {
                 for threads in [1usize, 2, 4] {
-                    for layout in [Layout::Row, Layout::Columnar] {
-                        let (got, counters) = operator_join(
-                            &r, &s, op, &pred, &intervals, 2, threads, layout,
-                        ).unwrap();
-                        prop_assert_eq!(
-                            ordered_encoding(&got),
-                            ordered_encoding(want),
-                            "{} under {pred_text} (threads={threads}, {layout:?}, \
-                             parts={parts}): diverged from the oracle",
-                            op,
-                        );
-                        prop_assert_eq!(
-                            counters.fallback_nested,
-                            !pred.partitioning_eligible(),
-                            "{} under {pred_text}: wrong execution path", op,
-                        );
-                    }
+                    let (got, counters) = operator_join(
+                        &r, &s, op, &pred, &intervals, 2, threads, Layout::Columnar,
+                    ).unwrap();
+                    prop_assert_eq!(
+                        ordered_encoding(&got),
+                        ordered_encoding(want),
+                        "{} under {pred_text} (threads={threads}, parts={parts}): \
+                         diverged from the oracle",
+                        op,
+                    );
+                    prop_assert_eq!(
+                        counters.fallback_nested,
+                        !pred.partitioning_eligible(),
+                        "{} under {pred_text}: wrong execution path", op,
+                    );
                 }
             }
         }
@@ -241,7 +239,7 @@ proptest! {
         for (f, want) in &cases {
             let op = Operator::Aggregate(f.clone());
             let (got, counters) = operator_join(
-                &r, &s, &op, &pred, &intervals, 2, threads, Layout::Row,
+                &r, &s, &op, &pred, &intervals, 2, threads, Layout::Columnar,
             ).unwrap();
             prop_assert_eq!(
                 ordered_encoding(&got),

@@ -485,3 +485,43 @@ fn streamed_output_equals_materialized_with_the_encoding_warm() {
     assert_eq!(resp.tuples as usize, streamed.len());
     assert_eq!(materialized.result.tuples(), &streamed[..]);
 }
+
+#[test]
+fn dropped_and_recreated_table_is_never_served_from_the_old_data() {
+    let svc = service_with(&[("r", 2_000, true), ("s", 2_000, false)]);
+    let before = svc.submit("r", "s").unwrap();
+    assert_eq!(sorted_encoding(&before.result), oracle_now(&svc, "r", "s"));
+
+    // Same name, other tuples: every cache keyed by the table's catalog
+    // version (plan, resident relation, pair encoding) must miss.
+    {
+        let mut db = svc.database().write().unwrap();
+        db.drop_table("r").unwrap();
+        db.create_table("r", &workload(2_000, 0xD209, true))
+            .unwrap();
+    }
+    let want = oracle_now(&svc, "r", "s");
+    assert_ne!(
+        sorted_encoding(&before.result),
+        want,
+        "fixture must change the join result"
+    );
+    let after = svc.submit("r", "s").unwrap();
+    assert_eq!(sorted_encoding(&after.result), want);
+    let mut streamed = Vec::new();
+    svc.submit_streamed(
+        "r",
+        "s",
+        &JoinPredicate::intersects(),
+        &SubmitOptions::default(),
+        &mut |batch| streamed.extend(batch),
+    )
+    .unwrap();
+    assert_eq!(
+        sorted_encoding(&Relation::from_parts_unchecked(
+            std::sync::Arc::clone(after.result.schema()),
+            streamed
+        )),
+        want
+    );
+}
