@@ -16,9 +16,10 @@
 
 use std::time::Instant;
 use vtjoin_core::{Interval, Relation};
-use vtjoin_engine::parallel::{parallel_execution_report_with, parallel_partition_join_with};
+use vtjoin_engine::parallel::{run as execute, ExecRequest};
 use vtjoin_join::kernel::KernelChoice;
 use vtjoin_join::partition::intervals::equal_width;
+use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
@@ -136,14 +137,21 @@ fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
 pub fn run(cfg: &KernelBenchConfig) -> Json {
     let (r, s) = workload_pair(cfg);
     let lifespan_iv = Interval::from_raw(0, cfg.lifespan).expect("positive lifespan");
-    let intervals = equal_width(lifespan_iv, cfg.partitions);
+    let plan = GridPlan::time_only(equal_width(lifespan_iv, cfg.partitions));
+    let join = |choice: KernelChoice| {
+        let req = ExecRequest {
+            threads: cfg.threads,
+            kernel: choice,
+            ..ExecRequest::new(&plan)
+        };
+        execute(&r, &s, req).expect("benchmark join failed")
+    };
 
     let time = |choice: KernelChoice| {
         let mut best = u64::MAX;
         for _ in 0..cfg.repeats.max(1) {
             let t0 = Instant::now();
-            parallel_partition_join_with(&r, &s, &intervals, cfg.threads, choice)
-                .expect("benchmark join failed");
+            join(choice);
             best = best.min(t0.elapsed().as_micros() as u64);
         }
         best
@@ -155,9 +163,8 @@ pub fn run(cfg: &KernelBenchConfig) -> Json {
     let mut result_tuples = 0_i64;
     for choice in [KernelChoice::Hash, KernelChoice::Sweep] {
         let wall = time(choice);
-        let (result, report) =
-            parallel_execution_report_with(&r, &s, &intervals, cfg.threads, choice)
-                .expect("benchmark join failed");
+        let out = join(choice);
+        let (result, report) = (out.relation, out.report);
         let k = report.kernel.expect("parallel report has a kernel section");
         result_tuples = result.len() as i64;
         kernels_json.push(obj(vec![

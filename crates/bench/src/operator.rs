@@ -18,9 +18,9 @@ use vtjoin_core::algebra::{
     segments_to_relation, semijoin_pred, Extremum, JoinSide,
 };
 use vtjoin_core::{AggFunc, Interval, JoinPredicate, Operator, Relation};
-use vtjoin_engine::operator_join;
-use vtjoin_join::columnar::Layout;
+use vtjoin_engine::{run as execute, ExecRequest, OperatorCounters};
 use vtjoin_join::partition::intervals::equal_width;
+use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
@@ -179,7 +179,10 @@ fn oracle(r: &Relation, s: &Relation, op: &Operator, pred: &JoinPredicate) -> Re
 pub fn run(cfg: &OperatorBenchConfig) -> Json {
     let pred = JoinPredicate::intersects();
     let lifespan_iv = Interval::from_raw(0, cfg.lifespan).expect("positive lifespan");
-    let intervals = equal_width(lifespan_iv, cfg.partitions);
+    let plan = GridPlan {
+        key_buckets: cfg.key_buckets as u64,
+        intervals: equal_width(lifespan_iv, cfg.partitions),
+    };
 
     let mut cells = Vec::new();
     let mut all_identical = 1_i64;
@@ -188,33 +191,23 @@ pub fn run(cfg: &OperatorBenchConfig) -> Json {
         for name in GRID_OPERATORS {
             let op: Operator = name.parse().expect("grid operator parses");
             let want = ordered_encoding(&oracle(&r, &s, &op, &pred));
+            let join = || -> (Relation, OperatorCounters) {
+                let req = ExecRequest {
+                    threads: cfg.threads,
+                    predicate: pred,
+                    operator: Some(&op),
+                    ..ExecRequest::new(&plan)
+                };
+                let out = execute(&r, &s, req).expect("benchmark operator run failed");
+                (out.relation, out.operator.expect("operator runs count"))
+            };
             let mut wall = u64::MAX;
             for _ in 0..cfg.repeats.max(1) {
                 let t0 = Instant::now();
-                operator_join(
-                    &r,
-                    &s,
-                    &op,
-                    &pred,
-                    &intervals,
-                    cfg.key_buckets,
-                    cfg.threads,
-                    Layout::Columnar,
-                )
-                .expect("benchmark operator run failed");
+                join();
                 wall = wall.min(t0.elapsed().as_micros() as u64);
             }
-            let (result, c) = operator_join(
-                &r,
-                &s,
-                &op,
-                &pred,
-                &intervals,
-                cfg.key_buckets,
-                cfg.threads,
-                Layout::Columnar,
-            )
-            .expect("benchmark operator run failed");
+            let (result, c) = join();
             let identical = i64::from(ordered_encoding(&result) == want);
             all_identical &= identical;
             cells.push(obj(vec![

@@ -15,13 +15,10 @@
 
 use std::time::Instant;
 use vtjoin_core::{Interval, Relation};
-use vtjoin_engine::parallel::{
-    grid_partition_join, parallel_execution_report, parallel_partition_join_naive,
-    parallel_partition_join_reported,
-};
+use vtjoin_engine::parallel::{parallel_partition_join_naive, run as execute, ExecRequest};
 use vtjoin_join::common::JoinSpec;
 use vtjoin_join::partition::intervals::{equal_width, replica_range};
-use vtjoin_join::partition::{plan_grid, GridChoice};
+use vtjoin_join::partition::{plan_grid, GridChoice, GridPlan};
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
@@ -147,15 +144,18 @@ pub fn run(cfg: &ParallelBenchConfig) -> Json {
     let (r, s) = skewed_pair(cfg);
     let lifespan_iv = Interval::from_raw(0, cfg.lifespan).expect("positive lifespan");
     let intervals = equal_width(lifespan_iv, cfg.partitions);
+    let time_only = GridPlan::time_only(intervals.clone());
+    let join = |plan: &GridPlan, threads: usize| {
+        let req = ExecRequest {
+            threads,
+            ..ExecRequest::new(plan)
+        };
+        execute(&r, &s, req).expect("benchmark join failed")
+    };
 
     // One reported run for the result cardinality and skew section.
-    let (result, report) = parallel_execution_report(
-        &r,
-        &s,
-        &intervals,
-        cfg.threads.first().copied().unwrap_or(1),
-    )
-    .expect("benchmark join failed");
+    let out = join(&time_only, cfg.threads.first().copied().unwrap_or(1));
+    let (result, report) = (out.relation, out.report);
     let skew = report.skew.expect("parallel report has a skew section");
 
     let time = |f: &dyn Fn()| {
@@ -171,10 +171,9 @@ pub fn run(cfg: &ParallelBenchConfig) -> Json {
     let mut runs: Vec<(usize, u64, u64)> = Vec::new(); // (threads, wall, util%)
     for &t in &cfg.threads {
         let wall = time(&|| {
-            parallel_partition_join_reported(&r, &s, &intervals, t).expect("join failed");
+            join(&time_only, t);
         });
-        let (_, workers) =
-            parallel_partition_join_reported(&r, &s, &intervals, t).expect("join failed");
+        let workers = join(&time_only, t).report.workers;
         let busy: u64 = workers.iter().map(|w| w.busy_micros).sum();
         let wall_max = workers.iter().map(|w| w.wall_micros).max().unwrap_or(0);
         let util = if wall_max == 0 || workers.is_empty() {
@@ -201,14 +200,14 @@ pub fn run(cfg: &ParallelBenchConfig) -> Json {
         GridChoice::Fixed(BENCH_GRID_BUCKETS),
     )
     .plan;
-    let grid_serial = grid_partition_join(&r, &s, &plan, 1).expect("grid join failed");
+    let grid_serial = join(&plan, 1).relation;
     let mut grid_identical = true;
     let mut grid_runs_json: Vec<Json> = Vec::new();
     for &(t, time_only_wall, _) in &runs {
         let grid_wall = time(&|| {
-            grid_partition_join(&r, &s, &plan, t).expect("grid join failed");
+            join(&plan, t);
         });
-        let got = grid_partition_join(&r, &s, &plan, t).expect("grid join failed");
+        let got = join(&plan, t).relation;
         grid_identical &= got.tuples() == grid_serial.tuples();
         grid_runs_json.push(obj(vec![
             ("threads", Json::Int(t as i64)),
@@ -323,7 +322,7 @@ pub fn run(cfg: &ParallelBenchConfig) -> Json {
             .map(|&(_, w, _)| w)
             .unwrap_or_else(|| {
                 time(&|| {
-                    parallel_partition_join_reported(&r, &s, &intervals, bt).expect("join failed");
+                    join(&time_only, bt);
                 })
             });
         pairs.push((

@@ -14,8 +14,9 @@
 use std::time::Instant;
 use vtjoin_core::algebra::predicate_join;
 use vtjoin_core::{Interval, JoinPredicate, Relation};
-use vtjoin_engine::parallel::{parallel_execution_report_pred, parallel_partition_join_pred};
+use vtjoin_engine::parallel::{run as execute, ExecRequest};
 use vtjoin_join::partition::intervals::equal_width;
+use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
@@ -142,12 +143,20 @@ fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
 /// Runs the grid and returns the `BENCH_predicate.json` document.
 pub fn run(cfg: &PredicateBenchConfig) -> Json {
     let lifespan_iv = Interval::from_raw(0, cfg.lifespan).expect("positive lifespan");
-    let intervals = equal_width(lifespan_iv, cfg.partitions);
+    let plan = GridPlan::time_only(equal_width(lifespan_iv, cfg.partitions));
 
     let mut cells = Vec::new();
     let mut all_identical = 1_i64;
     for &ratio in &cfg.duplicate_ratios {
         let (r, s) = workload_pair(cfg, ratio);
+        let join = |pred: &JoinPredicate| {
+            let req = ExecRequest {
+                threads: cfg.threads,
+                predicate: *pred,
+                ..ExecRequest::new(&plan)
+            };
+            execute(&r, &s, req).expect("benchmark join failed")
+        };
         let oracle_bytes: std::collections::HashMap<&str, Vec<Vec<u8>>> = GRID_PREDICATES
             .iter()
             .map(|p| {
@@ -161,13 +170,11 @@ pub fn run(cfg: &PredicateBenchConfig) -> Json {
             let mut wall = u64::MAX;
             for _ in 0..cfg.repeats.max(1) {
                 let t0 = Instant::now();
-                parallel_partition_join_pred(&r, &s, &intervals, cfg.threads, &pred)
-                    .expect("benchmark join failed");
+                join(&pred);
                 wall = wall.min(t0.elapsed().as_micros() as u64);
             }
-            let (result, report) =
-                parallel_execution_report_pred(&r, &s, &intervals, cfg.threads, &pred)
-                    .expect("benchmark join failed");
+            let out = join(&pred);
+            let (result, report) = (out.relation, out.report);
             let identical = i64::from(sorted_encoding(&result) == oracle_bytes[*p]);
             all_identical &= identical;
             // The natural join carries no predicate section (pre-v6 report
@@ -181,7 +188,7 @@ pub fn run(cfg: &PredicateBenchConfig) -> Json {
                 (
                     "partitions_used",
                     Json::Int(if pred.partitioning_eligible() {
-                        intervals.len() as i64
+                        plan.intervals.len() as i64
                     } else {
                         0
                     }),

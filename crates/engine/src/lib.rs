@@ -16,11 +16,11 @@
 //! * [`query`] — a small declarative query layer: table scans and planned
 //!   joins piped through filters, projections, windows, timeslices, and
 //!   coalescing;
-//! * [`parallel`] — a multi-threaded partition join over replicated
-//!   partitions, the Leung–Muntz multiprocessor setting (\[LM92b\]) as an
-//!   in-memory ablation;
-//! * [`operator`] — the production executor for the wider §4.1 operator
-//!   family (outer/semi/anti joins and temporal aggregation), running
+//! * [`parallel`] — the in-memory executor: one [`ExecRequest`] handed to
+//!   [`run`], one multi-threaded scheduler over replicated grid cells (the
+//!   Leung–Muntz multiprocessor setting, \[LM92b\]) or outer chunks;
+//! * [`operator`] — the wider §4.1 operator family (outer/semi/anti joins
+//!   and temporal aggregation) on that scheduler, running
 //!   dangling-fragment-tracking sweeps over the same partition grid;
 //! * [`service`] — a concurrent multi-query join service: admission
 //!   control over a shared page pool and a statistics-fingerprinted plan
@@ -40,13 +40,10 @@ pub mod service;
 pub mod view;
 
 pub use database::{Database, TableStats};
-pub use operator::{operator_execution_report, operator_join, OperatorCounters};
+pub use operator::{operator_join, OperatorCounters};
 pub use parallel::{
-    grid_execution_report_pred, grid_execution_report_sharded, grid_execution_report_with,
-    grid_join_streamed, grid_partition_join, grid_partition_join_pred, grid_partition_join_with,
-    parallel_execution_report, parallel_execution_report_pred, parallel_execution_report_with,
-    parallel_partition_join, parallel_partition_join_naive, parallel_partition_join_pred,
-    parallel_partition_join_reported, parallel_partition_join_with, StreamSummary,
+    grid_execution_report_sharded, grid_join_streamed, parallel_partition_join_naive, run,
+    ExecOutput, ExecRequest, Sink, StreamSummary,
 };
 pub use planner::{choose_algorithm, partition_feasible, Algorithm};
 pub use query::{Predicate, Query};

@@ -1,23 +1,28 @@
-//! Production executor for the temporal operator family.
+//! The temporal operator family on the shared executor.
 //!
-//! The disk algorithms and the grid executor of [`crate::parallel`]
+//! The disk algorithms and the grid inner join of [`crate::parallel`]
 //! evaluate the paper's **inner** valid-time natural join. This module
 //! lifts the rest of the §4.1 operator family — temporal LEFT/FULL outer
 //! join, semijoin, antijoin, and temporal aggregation over the join
 //! result — from the nested-loop oracles of `vtjoin_core::algebra` onto
-//! the production stack:
+//! the same production stack. [`crate::parallel::run`] calls it for a
+//! request that names an operator; it supplies two bodies for the shared
+//! scheduler and the gather, and spawns no threads of its own:
 //!
 //! * tuples are scattered into the same (key-bucket × time-range) grid
-//!   cells as the inner-join executor (equal keys co-bucket by
-//!   construction; tuples replicate only along the time axis);
-//! * each cell runs the dangling-fragment-tracking sweep
-//!   ([`vtjoin_join::kernel::tracked`]), which emits matched pairs under
-//!   the canonical-partition rule and per-tuple **unmatched fragments**
-//!   clipped to the cell's window;
-//! * the gather phase sorts pairs into `(outer, inner)` order — exactly
-//!   the oracle's `r`-major, `s`-candidate order — and **stitches**
-//!   fragments of one tuple that abut at partition boundaries back into
-//!   maximal dangling intervals ([`vtjoin_core::Period::insert`] merges
+//!   cells as the inner join (equal keys co-bucket by construction;
+//!   tuples replicate only along the time axis), from the same columnar
+//!   encoding — the one `JoinService` keeps for a resident pair, when
+//!   given;
+//! * the **tracked-sweep cell** body runs the dangling-fragment-tracking
+//!   sweep ([`vtjoin_join::kernel::tracked`]), which logs matched pairs
+//!   under the canonical-partition rule and per-tuple **unmatched
+//!   fragments** clipped to the cell's window; cells that can log
+//!   neither are not scheduled;
+//! * the gather sorts pairs into `(outer, inner)` order — exactly the
+//!   oracle's `r`-major, `s`-candidate order — and **stitches** fragments
+//!   of one tuple that abut at partition boundaries back into maximal
+//!   dangling intervals ([`vtjoin_core::Period::insert`] merges
 //!   adjacency), so a tuple replicated into several partitions reports
 //!   its unmatched window exactly once;
 //! * materialization replays the oracle's output order per operator, so
@@ -30,14 +35,11 @@
 //!   `extremum_over_time` over the materialized inner join.
 //!
 //! Sequence and mixed predicate templates cannot run on an overlap sweep
-//! (their matches may share no partition); they fall back to a
-//! deterministic chunked nested scan over the outer relation, mirroring
-//! the merge fallback of the inner-join executor.
+//! (their matches may share no partition); they run the **nested tracked
+//! chunk** body instead — a deterministic chunked nested scan over the
+//! outer relation, mirroring the merge fallback of the inner join.
 
-use std::cmp::Reverse;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::Instant;
 
 use vtjoin_core::algebra::{segments_to_relation, Extremum};
@@ -45,16 +47,14 @@ use vtjoin_core::{
     AggFunc, AttrType, Chronon, Interval, JoinPredicate, Operator, Period, Relation, TemporalError,
     Tuple, Value,
 };
-use vtjoin_join::columnar::{ColumnarSide, EncodedPair, Layout};
-use vtjoin_join::partition::intervals::{is_partitioning, replica_range};
+use vtjoin_join::columnar::{ColumnarSide, Layout};
+use vtjoin_join::partition::GridPlan;
 use vtjoin_join::{
     tracked_sweep, Fragment, JoinError, JoinSpec, OperatorLog, TimelineIndex, TrackedInput,
     TrackedScratch, TrackedStats,
 };
-use vtjoin_obs::{
-    ConfigSection, Counter, ExecutionReport, IoSection, OperatorSection, PhaseSection,
-    PredicateSection, ResultSection,
-};
+
+use crate::parallel::{run, scatter, schedule, Body, Ctx, ExecDetail, ExecRequest, Scattered};
 
 /// What one operator execution did, for the observability report's
 /// per-operator section and the CLI explain output.
@@ -100,54 +100,6 @@ pub struct OperatorCounters {
     pub fallback_nested: bool,
 }
 
-/// One side's per-cell columns, gathered at scatter time so each worker
-/// reads contiguous slices; `ids` index the side's encoded
-/// [`vtjoin_join::columnar::ColumnarSide`], whose key-id column resolves
-/// key equality.
-#[derive(Debug, Default, Clone)]
-struct CellCols {
-    ids: Vec<u32>,
-    starts: Vec<Chronon>,
-    ends: Vec<Chronon>,
-    hashes: Vec<u64>,
-}
-
-impl CellCols {
-    fn push(&mut self, id: u32, iv: Interval, hash: u64) {
-        self.ids.push(id);
-        self.starts.push(iv.start());
-        self.ends.push(iv.end());
-        self.hashes.push(hash);
-    }
-
-    fn input(&self) -> TrackedInput<'_> {
-        TrackedInput {
-            ids: &self.ids,
-            starts: &self.starts,
-            ends: &self.ends,
-            hashes: &self.hashes,
-        }
-    }
-}
-
-/// Scatters one encoded side into `intervals.len() * k` grid cells: a row
-/// is replicated into every time partition it overlaps (Leung–Muntz rule)
-/// and lands in the key bucket `hash & (k-1)` — so key-equal rows of
-/// both sides always share a bucket and every cell sees its window's
-/// entire coverage. Hashes and intervals come from the encoded columns,
-/// so the encode pass is the only hashing pass.
-fn scatter(side: &ColumnarSide<'_>, intervals: &[Interval], k: usize) -> Vec<CellCols> {
-    let mut cells = vec![CellCols::default(); intervals.len() * k];
-    for row in 0..side.len() as u32 {
-        let (h, iv) = (side.hash(row), side.interval(row));
-        let b = (h as usize) & (k - 1);
-        for p in replica_range(intervals, iv) {
-            cells[p * k + b].push(row, iv, h);
-        }
-    }
-    cells
-}
-
 /// Merges per-cell fragments into one maximal-interval [`Period`] per
 /// tuple. Cell windows are disjoint, so fragments never overlap; abutting
 /// fragments (one tuple split across a partition boundary with no match
@@ -162,17 +114,10 @@ fn stitch(frags: &[Fragment], n: usize) -> (Vec<Period>, u64) {
     (periods, frags.len() as u64 - finals)
 }
 
-/// Evaluates `op` over `r ⟨op⟩ᵛ s` on the production partitioned stack.
-///
-/// `intervals` must partition all of valid time (as for the inner-join
-/// executors); `key_buckets` is rounded up to a power of two. Per-cell
-/// key equality resolves through the columnar key dictionary. The result
-/// is byte-identical to the corresponding `vtjoin_core::algebra` oracle
-/// for every operator, predicate, thread count, and partition count.
-///
-/// `layout` selects nothing: [`Layout`] has the single variant
-/// `Columnar`. The parameter stays so that callers naming a layout keep
-/// compiling.
+/// The operator executor with its old signature: [`run`] with
+/// `Some(op)`, `pred` and `threads` over `key_buckets` × `intervals`,
+/// returning the result and the operator counters. `layout` selects
+/// nothing ([`Layout`] has the single variant `Columnar`).
 #[allow(clippy::too_many_arguments)]
 pub fn operator_join(
     r: &Relation,
@@ -182,109 +127,50 @@ pub fn operator_join(
     intervals: &[Interval],
     key_buckets: usize,
     threads: usize,
-    layout: Layout,
+    _layout: Layout,
 ) -> Result<(Relation, OperatorCounters), JoinError> {
-    if !is_partitioning(intervals) {
-        return Err(JoinError::Precondition(
-            "intervals must partition all of valid time (sorted, gapless, ending at forever)",
-        ));
-    }
-    assert!(
-        r.len() <= u32::MAX as usize && s.len() <= u32::MAX as usize,
-        "operator executor tuple ids are u32"
-    );
-    let spec = JoinSpec::natural(r.schema(), s.schema())?;
+    run(
+        r,
+        s,
+        ExecRequest {
+            threads,
+            predicate: *pred,
+            operator: Some(op),
+            ..ExecRequest::new(&GridPlan {
+                key_buckets: key_buckets as u64,
+                intervals: intervals.to_vec(),
+            })
+        },
+    )
+    .map(|out| (out.relation, out.operator.unwrap_or_default()))
+}
+
+/// Evaluates `op` for [`run`]: the tracked-sweep cells (or, for
+/// sequence/mixed templates, the nested chunks) on the shared scheduler,
+/// then the gather — pairs sorted into `(outer, inner)` order, fragments
+/// stitched into maximal dangling periods, oracle-order
+/// materialization.
+pub(crate) fn execute(
+    cx: &Ctx<'_>,
+    op: &Operator,
+) -> Result<(Relation, ExecDetail, OperatorCounters), JoinError> {
     let mut counters = OperatorCounters {
         op: op.to_string(),
         key_buckets: 1,
         ..OperatorCounters::default()
     };
+    let (logs, mut detail) = if cx.pred.partitioning_eligible() {
+        run_tracked(cx, op, &mut counters)?
+    } else {
+        run_nested(cx, op, &mut counters)?
+    };
+    counters.workers = detail.workers.len() as u64;
 
-    if !pred.partitioning_eligible() {
-        return nested_fallback(r, s, &spec, op, pred, threads, counters);
-    }
-
-    let Layout::Columnar = layout;
-    let pair = EncodedPair::encode(&spec, r.iter(), s.iter());
-    let (outer, inner) = pair.view(r, s).ok_or(JoinError::Internal(
-        "columnar encoding does not match the relations it encoded",
-    ))?;
-    let k = key_buckets.max(1).next_power_of_two();
-    counters.key_buckets = k as u64;
-    let r_cells = scatter(&outer, intervals, k);
-    let s_cells = scatter(&inner, intervals, k);
-
-    // A cell must run when it can produce pairs (both sides present) or
-    // dangling fragments for a tracked side — a tuple with no partners in
-    // its cell is exactly the dangling case, so one-sided cells of a
-    // tracked side cannot be skipped.
-    let (track_outer, track_inner) = (op.tracks_outer(), op.tracks_inner());
-    let mut order: Vec<usize> = (0..r_cells.len())
-        .filter(|&c| {
-            let (nr, ns) = (r_cells[c].ids.len(), s_cells[c].ids.len());
-            (nr > 0 && (ns > 0 || track_outer)) || (ns > 0 && track_inner)
-        })
-        .collect();
-    order.sort_by_key(|&c| {
-        let (nr, ns) = (r_cells[c].ids.len() as u64, s_cells[c].ids.len() as u64);
-        (Reverse(nr * ns + nr + ns), c)
-    });
-    counters.cells = order.len() as u64;
-
-    let num_workers = threads.max(1).min(order.len().max(1));
-    counters.workers = num_workers as u64;
-    let next = AtomicUsize::new(0);
-    let mut logs: Vec<(OperatorLog, TrackedStats)> = Vec::with_capacity(num_workers);
-    let mut worker_panicked = false;
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_workers);
-        for _ in 0..num_workers {
-            let (next, order) = (&next, &order);
-            let (r_cells, s_cells) = (&r_cells, &s_cells);
-            let (outer, inner) = (&outer, &inner);
-            handles.push(scope.spawn(move || {
-                let mut scratch = TrackedScratch::default();
-                let mut log = OperatorLog::default();
-                let mut stats = TrackedStats::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= order.len() {
-                        break;
-                    }
-                    let c = order[i];
-                    let window = intervals[c / k];
-                    let (rc, sc) = (&r_cells[c], &s_cells[c]);
-                    // Key equality resolves through the shared key
-                    // dictionary: one `u32` compare per candidate.
-                    let st = tracked_sweep(
-                        op,
-                        Some(pred),
-                        rc.input(),
-                        sc.input(),
-                        window,
-                        |xi, yi| outer.key_id(rc.ids[xi]) == inner.key_id(sc.ids[yi]),
-                        &mut scratch,
-                        &mut log,
-                    );
-                    stats.merge(&st);
-                }
-                (log, stats)
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(pair) => logs.push(pair),
-                Err(_) => worker_panicked = true,
-            }
-        }
-    });
-    if worker_panicked {
-        return Err(JoinError::Internal("operator worker panicked"));
-    }
-
-    // Gather: the workers' logs are unordered (cells are claimed
+    // Gather: the workers' logs are unordered (units are claimed
     // dynamically); the sorts below restore the oracle's deterministic
     // order independent of scheduling.
+    let started = Instant::now();
+    let (r, s) = (cx.r, cx.s);
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     let mut outer_frags: Vec<Fragment> = Vec::new();
     let mut inner_frags: Vec<Fragment> = Vec::new();
@@ -299,133 +185,182 @@ pub fn operator_join(
     pairs.sort_unstable();
     counters.pairs_logged = pairs.len() as u64;
     counters.outer_fragments = outer_frags.len() as u64;
-    counters.inner_fragments = inner_frags.len() as u64;
     let (outer_dangling, stitched_outer) = stitch(&outer_frags, r.len());
-    let (inner_dangling, stitched_inner) = stitch(&inner_frags, s.len());
     counters.stitched_outer = stitched_outer;
-    counters.stitched_inner = stitched_inner;
-    counters.outer_dangling = outer_dangling
-        .iter()
-        .map(|p| p.intervals().len() as u64)
-        .sum();
-    counters.inner_dangling = inner_dangling
-        .iter()
-        .map(|p| p.intervals().len() as u64)
-        .sum();
+    let inner_dangling = if counters.fallback_nested {
+        // The nested chunks log inner *coverage*, not dangling: the inner
+        // side is shared across chunks, so its dangling is the complement
+        // of the merged coverage.
+        let mut dangling: Vec<Period> = std::iter::repeat_with(Period::new).take(s.len()).collect();
+        if op.tracks_inner() {
+            let (matched, _) = stitch(&inner_frags, s.len());
+            for (yi, y) in s.iter().enumerate() {
+                dangling[yi] = Period::from_interval(y.valid()).difference(&matched[yi]);
+            }
+        }
+        dangling
+    } else {
+        let (dangling, stitched_inner) = stitch(&inner_frags, s.len());
+        counters.stitched_inner = stitched_inner;
+        dangling
+    };
+    let windows =
+        |periods: &[Period]| -> u64 { periods.iter().map(|p| p.intervals().len() as u64).sum() };
+    counters.outer_dangling = windows(&outer_dangling);
+    counters.inner_dangling = windows(&inner_dangling);
+    counters.inner_fragments = if counters.fallback_nested {
+        counters.inner_dangling
+    } else {
+        inner_frags.len() as u64
+    };
 
     let rel = materialize(
         r,
         s,
-        &spec,
+        cx.spec,
         op,
-        pred,
+        cx.pred,
         &pairs,
         &outer_dangling,
         &inner_dangling,
         &mut counters,
     )?;
-    Ok((rel, counters))
+    detail.gather_micros = started.elapsed().as_micros() as u64;
+    detail.predicate.filter_checks = counters.filter_checks;
+    detail.predicate.filter_hits = counters.filter_hits;
+    Ok((rel, detail, counters))
 }
 
-/// As [`operator_join`], additionally assembling a schema-v10
-/// [`ExecutionReport`] whose `operator` section carries the executor's
-/// dangling/stitch/timeline counters — the CLI's `--explain` and
-/// `--stats-json` surface for the non-inner operator family.
-#[allow(clippy::too_many_arguments)]
-pub fn operator_execution_report(
-    r: &Relation,
-    s: &Relation,
+/// One worker's operator log and sweep statistics.
+type Logged = (OperatorLog, TrackedStats);
+
+/// A cell's interval and hash columns, gathered from the encoded side
+/// into worker-reused buffers so the sweep reads contiguous slices.
+#[derive(Debug, Default)]
+struct CellCols {
+    starts: Vec<Chronon>,
+    ends: Vec<Chronon>,
+    hashes: Vec<u64>,
+}
+
+impl CellCols {
+    fn gather<'c>(&'c mut self, side: &ColumnarSide<'_>, ids: &'c [u32]) -> TrackedInput<'c> {
+        self.starts.clear();
+        self.ends.clear();
+        self.hashes.clear();
+        for &id in ids {
+            self.starts.push(side.start(id));
+            self.ends.push(side.end(id));
+            self.hashes.push(side.hash(id));
+        }
+        TrackedInput {
+            ids,
+            starts: &self.starts,
+            ends: &self.ends,
+            hashes: &self.hashes,
+        }
+    }
+}
+
+/// The grid tracked-sweep cell body.
+struct TrackedCell<'a> {
+    op: &'a Operator,
+    pred: &'a JoinPredicate,
+    intervals: &'a [Interval],
+    k: usize,
+    grid: &'a Scattered<'a>,
+}
+
+/// A tracked-sweep worker's reusable buffers, log and statistics.
+#[derive(Default)]
+struct TrackedLocal {
+    scratch: TrackedScratch,
+    log: OperatorLog,
+    stats: TrackedStats,
+    r_cols: CellCols,
+    s_cols: CellCols,
+}
+
+impl Body for TrackedCell<'_> {
+    type Local = TrackedLocal;
+
+    fn cost(&self, c: usize) -> u64 {
+        let nr = self.grid.r_cells[c].len() as u64;
+        let ns = self.grid.s_cells[c].len() as u64;
+        nr * ns + nr + ns
+    }
+
+    fn run(&self, c: usize, l: &mut TrackedLocal) -> (Vec<Tuple>, u64) {
+        let (outer, inner) = (&self.grid.outer, &self.grid.inner);
+        let (rc, sc) = (&self.grid.r_cells[c], &self.grid.s_cells[c]);
+        let TrackedLocal {
+            scratch,
+            log,
+            stats,
+            r_cols,
+            s_cols,
+        } = l;
+        // Key equality resolves through the shared key dictionary: one
+        // `u32` compare per candidate.
+        let st = tracked_sweep(
+            self.op,
+            Some(self.pred),
+            r_cols.gather(outer, rc),
+            s_cols.gather(inner, sc),
+            self.intervals[c / self.k],
+            |xi, yi| outer.key_id(rc[xi]) == inner.key_id(sc[yi]),
+            scratch,
+            log,
+        );
+        stats.merge(&st);
+        (
+            Vec::new(),
+            st.pairs_logged + st.outer_fragments + st.inner_fragments,
+        )
+    }
+}
+
+/// The tracked grid: the shared scatter, then every cell that can log a
+/// pair (both sides present) or a dangling fragment of a tracked side on
+/// the scheduler — a tuple with no partners in its cell is exactly the
+/// dangling case, so one-sided cells of a tracked side cannot be skipped.
+fn run_tracked(
+    cx: &Ctx<'_>,
     op: &Operator,
-    pred: &JoinPredicate,
-    intervals: &[Interval],
-    key_buckets: usize,
-    threads: usize,
-    layout: Layout,
-) -> Result<(Relation, ExecutionReport), JoinError> {
-    let started = Instant::now();
-    let (rel, c) = operator_join(r, s, op, pred, intervals, key_buckets, threads, layout)?;
-    let wall_micros = started.elapsed().as_micros() as u64;
-    let zero_io = IoSection {
-        random_reads: 0,
-        seq_reads: 0,
-        random_writes: 0,
-        seq_writes: 0,
-        total_ios: 0,
-        cost: 0,
+    counters: &mut OperatorCounters,
+) -> Result<(Vec<Logged>, ExecDetail), JoinError> {
+    let mut fresh = None;
+    let grid = scatter(cx, &mut fresh)?;
+    let (track_outer, track_inner) = (op.tracks_outer(), op.tracks_inner());
+    let n_cells = grid.r_cells.len();
+    let units: Vec<usize> = (0..n_cells)
+        .filter(|&c| {
+            let (nr, ns) = (grid.r_cells[c].len(), grid.s_cells[c].len());
+            (nr > 0 && (ns > 0 || track_outer)) || (ns > 0 && track_inner)
+        })
+        .collect();
+    counters.key_buckets = cx.k as u64;
+    counters.cells = units.len() as u64;
+    let body = TrackedCell {
+        op,
+        pred: cx.pred,
+        intervals: cx.intervals,
+        k: cx.k,
+        grid: &grid,
     };
-    let report = ExecutionReport {
-        algorithm: "operator".into(),
-        config: ConfigSection {
-            buffer_pages: 0,
-            random_cost: 1,
-            seed: 0,
-        },
-        result: ResultSection {
-            tuples: rel.len() as u64,
-            pages: 0,
-        },
-        io: zero_io,
-        phases: vec![PhaseSection {
-            name: "execute".into(),
-            wall_micros,
-            io: zero_io,
-            predicted_cost: None,
-        }],
-        counters: vec![
-            Counter {
-                name: "num_partitions".into(),
-                value: intervals.len() as i64,
-            },
-            Counter {
-                name: "threads_requested".into(),
-                value: threads as i64,
-            },
-            Counter {
-                name: "cpu_comparisons".into(),
-                value: c.comparisons as i64,
-            },
-        ],
-        buffer_pool: None,
-        plan: None,
-        deviation: None,
-        workers: Vec::new(),
-        skew: None,
-        kernel: None,
-        faults: None,
-        service: None,
-        predicate: if pred.is_natural() {
-            None
-        } else {
-            Some(PredicateSection {
-                predicate: pred.to_string(),
-                template: pred.template().as_str().to_owned(),
-                filter_checks: c.filter_checks,
-                filter_hits: c.filter_hits,
-                merge_pairs_scanned: 0,
-                merge_pairs_emitted: 0,
-            })
-        },
-        grid: None,
-        columnar: None,
-        operator: Some(OperatorSection {
-            op: c.op.clone(),
-            cells: c.cells,
-            workers: c.workers,
-            key_buckets: c.key_buckets,
-            pairs_logged: c.pairs_logged,
-            outer_fragments: c.outer_fragments,
-            inner_fragments: c.inner_fragments,
-            stitched_outer: c.stitched_outer,
-            stitched_inner: c.stitched_inner,
-            outer_dangling: c.outer_dangling,
-            inner_dangling: c.inner_dangling,
-            timeline_events: c.timeline_events,
-            timeline_checkpoints: c.timeline_checkpoints,
-            agg_segments: c.agg_segments,
-            fallback_nested: c.fallback_nested,
-        }),
+    let done = schedule(&body, units, n_cells, cx.threads, cx.shard_pool, None)?;
+    let mut detail = ExecDetail {
+        workers: done.workers,
+        est_costs: grid.pair_costs(),
+        key_buckets: cx.k as u64,
+        replicate_micros: grid.replicate_micros,
+        join_micros: done.join_micros,
+        coordinator_wait_micros: done.coordinator_wait_micros,
+        ..ExecDetail::default()
     };
-    Ok((rel, report))
+    (detail.replicated_r, detail.replicated_s) = grid.replicated();
+    let logs = done.locals.into_iter().map(|l| (l.log, l.stats)).collect();
+    Ok((logs, detail))
 }
 
 /// The matched window a partner grants one operand: the predicate stamp
@@ -437,149 +372,134 @@ fn matched_window(pred: &JoinPredicate, mine: Interval, theirs: Interval) -> Int
         .expect("a match's stamp always intersects the operand's interval")
 }
 
-/// Sequence/mixed-template fallback: a chunked nested scan over `r`,
-/// one contiguous chunk per worker. Each worker owns its `r` tuples
+/// The nested tracked chunk body: a nested scan of one contiguous outer
+/// range against the whole inner side. The chunk owns its outer tuples
 /// outright (matched windows accumulate locally, dangling is computed
-/// whole — no cross-worker stitching), and inner-side coverage windows
-/// are merged at gather. Deterministic across thread counts for the same
-/// reason the merge fallback is: outputs are keyed by tuple index, not
-/// by scheduling.
-fn nested_fallback(
-    r: &Relation,
-    s: &Relation,
-    spec: &JoinSpec,
-    op: &Operator,
-    pred: &JoinPredicate,
-    threads: usize,
-    mut counters: OperatorCounters,
-) -> Result<(Relation, OperatorCounters), JoinError> {
-    counters.fallback_nested = true;
-    let r_all: Vec<&Tuple> = r.iter().collect();
-    let s_all: Vec<&Tuple> = s.iter().collect();
-    let r_hashes: Vec<u64> = r_all.iter().map(|t| spec.outer_key_hash(t)).collect();
-    let s_hashes: Vec<u64> = s_all.iter().map(|t| spec.inner_key_hash(t)).collect();
-    let (need_pairs, track_outer, track_inner) =
-        (op.needs_pairs(), op.tracks_outer(), op.tracks_inner());
+/// whole — no cross-chunk stitching) and logs inner-side *coverage*
+/// windows for the gather to merge.
+struct NestedChunk<'a> {
+    spec: &'a JoinSpec,
+    op: &'a Operator,
+    pred: &'a JoinPredicate,
+    r_all: Vec<&'a Tuple>,
+    s_all: Vec<&'a Tuple>,
+    r_hashes: Vec<u64>,
+    s_hashes: Vec<u64>,
+    ranges: Vec<(usize, usize)>,
+}
 
-    let num_workers = threads.max(1).min(r_all.len()).max(1);
-    counters.workers = num_workers as u64;
-    let chunk_len = r_all.len().div_ceil(num_workers).max(1);
-    let ranges: Vec<(usize, usize)> = (0..num_workers)
-        .map(|w| (w * chunk_len, ((w + 1) * chunk_len).min(r_all.len())))
-        .collect();
+impl Body for NestedChunk<'_> {
+    type Local = Logged;
 
-    let mut logs: Vec<(OperatorLog, TrackedStats)> = Vec::with_capacity(num_workers);
-    let mut worker_panicked = false;
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_workers);
-        for &(lo, hi) in &ranges {
-            let (r_all, s_all) = (&r_all, &s_all);
-            let (r_hashes, s_hashes) = (&r_hashes, &s_hashes);
-            handles.push(scope.spawn(move || {
-                let mut log = OperatorLog::default();
-                let mut stats = TrackedStats::default();
-                for xi in lo..hi {
-                    let x = r_all[xi];
-                    let mut matched = Period::new();
-                    for (yi, y) in s_all.iter().enumerate() {
-                        if r_hashes[xi] != s_hashes[yi] || !spec.keys_equal(x, y) {
-                            continue;
-                        }
-                        stats.comparisons += 1;
-                        stats.filter_checks += 1;
-                        if !pred.matches(x.valid(), y.valid()) {
-                            continue;
-                        }
-                        stats.filter_hits += 1;
-                        if need_pairs {
-                            log.pairs.push((xi as u32, yi as u32));
-                            stats.pairs_logged += 1;
-                        }
-                        if track_outer {
-                            matched.insert(matched_window(pred, x.valid(), y.valid()));
-                        }
-                        if track_inner {
-                            // Coverage, not dangling: the inner side is
-                            // shared across chunks, so its dangling is
-                            // computed at gather from merged coverage.
-                            log.inner_frags.push(Fragment {
-                                id: yi as u32,
-                                iv: matched_window(pred, y.valid(), x.valid()),
-                            });
-                        }
-                    }
-                    if track_outer {
-                        for iv in Period::from_interval(x.valid())
-                            .difference(&matched)
-                            .intervals()
-                        {
-                            log.outer_frags.push(Fragment {
-                                id: xi as u32,
-                                iv: *iv,
-                            });
-                            stats.outer_fragments += 1;
-                        }
-                    }
+    fn cost(&self, w: usize) -> u64 {
+        let (lo, hi) = self.ranges[w];
+        (hi - lo) as u64 * self.s_all.len() as u64
+    }
+
+    fn run(&self, w: usize, (log, stats): &mut Logged) -> (Vec<Tuple>, u64) {
+        let (need_pairs, track_outer, track_inner) = (
+            self.op.needs_pairs(),
+            self.op.tracks_outer(),
+            self.op.tracks_inner(),
+        );
+        let (pred, logged) = (self.pred, log.pairs.len() + log.outer_frags.len());
+        let (lo, hi) = self.ranges[w];
+        for xi in lo..hi {
+            let x = self.r_all[xi];
+            let mut matched = Period::new();
+            for (yi, y) in self.s_all.iter().enumerate() {
+                if self.r_hashes[xi] != self.s_hashes[yi] || !self.spec.keys_equal(x, y) {
+                    continue;
                 }
-                (log, stats)
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(pair) => logs.push(pair),
-                Err(_) => worker_panicked = true,
+                stats.comparisons += 1;
+                stats.filter_checks += 1;
+                if !pred.matches(x.valid(), y.valid()) {
+                    continue;
+                }
+                stats.filter_hits += 1;
+                if need_pairs {
+                    log.pairs.push((xi as u32, yi as u32));
+                    stats.pairs_logged += 1;
+                }
+                if track_outer {
+                    matched.insert(matched_window(pred, x.valid(), y.valid()));
+                }
+                if track_inner {
+                    log.inner_frags.push(Fragment {
+                        id: yi as u32,
+                        iv: matched_window(pred, y.valid(), x.valid()),
+                    });
+                }
+            }
+            if track_outer {
+                for iv in Period::from_interval(x.valid())
+                    .difference(&matched)
+                    .intervals()
+                {
+                    log.outer_frags.push(Fragment {
+                        id: xi as u32,
+                        iv: *iv,
+                    });
+                    stats.outer_fragments += 1;
+                }
             }
         }
-    });
-    if worker_panicked {
-        return Err(JoinError::Internal("operator worker panicked"));
+        let emitted = log.pairs.len() + log.outer_frags.len() - logged;
+        (Vec::new(), emitted as u64)
     }
+}
 
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let mut outer_frags: Vec<Fragment> = Vec::new();
-    let mut inner_cov: Vec<Fragment> = Vec::new();
-    for (log, st) in logs {
-        pairs.extend(log.pairs);
-        outer_frags.extend(log.outer_frags);
-        inner_cov.extend(log.inner_frags);
-        counters.comparisons += st.comparisons;
-        counters.filter_checks += st.filter_checks;
-        counters.filter_hits += st.filter_hits;
-    }
-    pairs.sort_unstable();
-    counters.pairs_logged = pairs.len() as u64;
-    counters.outer_fragments = outer_frags.len() as u64;
-    let (outer_dangling, _) = stitch(&outer_frags, r.len());
-    let mut inner_dangling: Vec<Period> =
-        std::iter::repeat_with(Period::new).take(s.len()).collect();
-    if track_inner {
-        let (matched, _) = stitch(&inner_cov, s.len());
-        for (yi, y) in s_all.iter().enumerate() {
-            inner_dangling[yi] = Period::from_interval(y.valid()).difference(&matched[yi]);
-        }
-    }
-    counters.outer_dangling = outer_dangling
-        .iter()
-        .map(|p| p.intervals().len() as u64)
-        .sum();
-    counters.inner_dangling = inner_dangling
-        .iter()
-        .map(|p| p.intervals().len() as u64)
-        .sum();
-    counters.inner_fragments = counters.inner_dangling;
+/// Sequence/mixed-template fallback: one contiguous outer chunk per
+/// requested thread on the shared scheduler. Deterministic across thread
+/// counts for the same reason the merge fallback is: outputs are keyed by
+/// tuple index, not by scheduling.
+fn run_nested(
+    cx: &Ctx<'_>,
+    op: &Operator,
+    counters: &mut OperatorCounters,
+) -> Result<(Vec<Logged>, ExecDetail), JoinError> {
+    counters.fallback_nested = true;
+    let started = Instant::now();
+    let r_all: Vec<&Tuple> = cx.r.iter().collect();
+    let s_all: Vec<&Tuple> = cx.s.iter().collect();
+    let r_hashes = r_all.iter().map(|t| cx.spec.outer_key_hash(t)).collect();
+    let s_hashes = s_all.iter().map(|t| cx.spec.inner_key_hash(t)).collect();
+    let replicate_micros = started.elapsed().as_micros() as u64;
 
-    let rel = materialize(
-        r,
-        s,
-        spec,
+    let n = r_all.len();
+    let n_chunks = cx.threads.max(1).min(n).max(1);
+    let chunk_len = n.div_ceil(n_chunks).max(1);
+    let body = NestedChunk {
+        spec: cx.spec,
         op,
-        pred,
-        &pairs,
-        &outer_dangling,
-        &inner_dangling,
-        &mut counters,
+        pred: cx.pred,
+        ranges: (0..n_chunks)
+            .map(|w| ((w * chunk_len).min(n), ((w + 1) * chunk_len).min(n)))
+            .collect(),
+        r_all,
+        s_all,
+        r_hashes,
+        s_hashes,
+    };
+    let done = schedule(
+        &body,
+        (0..n_chunks).collect(),
+        n_chunks,
+        cx.threads,
+        cx.shard_pool,
+        None,
     )?;
-    Ok((rel, counters))
+    let detail = ExecDetail {
+        workers: done.workers,
+        est_costs: (0..n_chunks).map(|w| body.cost(w)).collect(),
+        replicated_r: cx.r.len() as u64,
+        replicated_s: cx.s.len() as u64,
+        key_buckets: 1,
+        replicate_micros,
+        join_micros: done.join_micros,
+        ..ExecDetail::default()
+    };
+    Ok((done.locals, detail))
 }
 
 /// Replays the oracle's output order from the gathered pairs and stitched
@@ -999,5 +919,54 @@ mod tests {
             ),
             Err(JoinError::Precondition(_))
         ));
+    }
+
+    #[test]
+    fn operator_report_carries_the_shared_sections() {
+        let (r, s) = workload();
+        let plan = GridPlan::with_buckets(4, equal_width(Interval::from_raw(0, 140).unwrap(), 4));
+        for (pred, grid) in [("intersects", true), ("before", false)] {
+            let req = ExecRequest {
+                threads: 3,
+                predicate: pred.parse().unwrap(),
+                operator: Some(&Operator::Full),
+                ..ExecRequest::new(&plan)
+            };
+            let out = run(&r, &s, req).unwrap();
+            let (er, c) = (&out.report, out.operator.as_ref().unwrap());
+            assert_eq!(er.algorithm, "operator");
+            assert_eq!(er.result.tuples, out.relation.len() as u64);
+            let o = er.operator.as_ref().expect("operator section");
+            assert_eq!((o.cells, o.workers), (c.cells, c.workers));
+            assert_eq!(er.workers.len() as u64, c.workers);
+            // Every scheduled unit is claimed exactly once.
+            let units = if grid { c.cells } else { c.workers };
+            assert_eq!(er.workers.iter().map(|w| w.partitions).sum::<u64>(), units);
+            assert_eq!(er.counter("cpu_comparisons"), Some(c.comparisons as i64));
+            assert!(er.skew.is_some());
+            assert_eq!(er.grid.is_some(), grid, "{pred}");
+            if let Some(g) = &er.grid {
+                assert_eq!((g.key_buckets, g.cells), (4, 16));
+            }
+            assert!(er.phases.iter().any(|p| p.name == "gather"));
+            let back = vtjoin_obs::ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
+            assert_eq!(&back, er);
+
+            // Streamed, the gathered result arrives as one batch.
+            let mut batches: Vec<Vec<Tuple>> = Vec::new();
+            let mut sink = |b| batches.push(b);
+            let req = ExecRequest {
+                threads: 3,
+                predicate: pred.parse().unwrap(),
+                operator: Some(&Operator::Full),
+                sink: crate::parallel::Sink::Stream(&mut sink),
+                ..ExecRequest::new(&plan)
+            };
+            let streamed = run(&r, &s, req).unwrap();
+            assert!(streamed.relation.is_empty());
+            assert_eq!(streamed.stream.batches, 1);
+            assert_eq!(streamed.report.result, er.result);
+            assert_eq!(batches.concat(), out.relation.tuples(), "{pred}");
+        }
     }
 }

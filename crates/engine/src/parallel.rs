@@ -1,84 +1,78 @@
-//! Multi-threaded grid-partition joining with sharded scatter/gather.
+//! The in-memory executor: one request type, one scheduler, four bodies.
 //!
 //! Leung & Muntz studied partition-based temporal joins **in a
 //! multiprocessor setting** with tuples replicated across processors
 //! (\[LM92b\], §4.1 of the paper). Replication is precisely what makes the
 //! partition joins independent — no tuple migrates between partitions, so
-//! each `rᵢ ⋈ᵛ sᵢ` can run on its own thread. This module provides that
-//! variant as an in-memory ablation, generalized from the paper's 1×N
-//! time-only partitioning to a **2D (key × time) grid**
+//! each `rᵢ ⋈ᵛ sᵢ` can run on its own thread. This module runs that
+//! scheme in memory, generalized from the paper's 1×N time-only
+//! partitioning to a **2D (key × time) grid**
 //! ([`vtjoin_join::partition::GridPlan`]): a cell is a (key-bucket,
 //! time-range) pair, tuples replicate only along the time axis (matching
 //! pairs co-bucket by construction — equal keys hash identically), and
 //! the canonical-partition emit rule generalizes to a *canonical-cell*
-//! rule, so every result is emitted exactly once. The 1×N grid is
-//! byte-identical to the pre-grid executor: cells are laid out time-major,
-//! so collapsing the key axis reproduces the old partition order exactly.
+//! rule, so every result is emitted exactly once. Cells are laid out
+//! time-major, so the 1×N grid is the paper's partition order.
 //!
-//! The executor is a scatter/gather coordinator over independent shard
-//! workers, combining four optimizations over the obvious
-//! one-chunk-per-thread nested-loop design:
+//! **One request, one entry point.** Every in-memory run is an
+//! [`ExecRequest`] (grid plan, threads, kernel policy, predicate,
+//! operator, shard pool, kept encoding, sink) handed to [`run`], which
+//! returns the output together with its [`ExecutionReport`] for every
+//! sink and operator.
 //!
-//! * **gated intra-partition kernels** — each claimed cell is joined by
-//!   whichever [`vtjoin_join::kernel`] the per-cell cost gate picks: the
-//!   hash kernel (flat table build + probe) on mostly-unique keys, the
-//!   forward-sweep interval kernel on duplicate-heavy data. A forced
-//!   [`KernelChoice`] overrides the gate (CLI `--kernel`);
-//! * **cost-aware dynamic scheduling** — cells are sorted by estimated
-//!   cost `|r_c|·|s_c|` descending and claimed one at a time from an
-//!   atomic work queue, so one skewed cell occupies one worker while the
-//!   rest drain the remainder;
-//! * **exact-sized per-cell outputs** — a worker buffers a cell's matches
-//!   as `(row, row)` id pairs in a reused [`IdBatch`] and materializes
-//!   them once into a vector sized from the pair count, so the join loop
-//!   does no shared-path work and no tuple moves after its one splice;
-//! * **per-shard page reservations** — a worker can pin its share of a
-//!   [`PagePool`] for its whole lifetime (the service's per-query
-//!   sub-pool), making shard memory accounting visible to admission
-//!   control without taking a lock inside the join loop.
+//! **One scheduler, four bodies.** [`run`] picks a per-unit body and
+//! hands it to the one scheduler, which owns worker spawn (exactly
+//! `min(threads, units)` workers), the cost-sorted atomic claim queue
+//! (heaviest unit first, so one skewed unit occupies one worker while the
+//! rest drain the remainder), per-shard page reservations (a worker pins
+//! its share of a [`PagePool`] for its whole lifetime — the service's
+//! per-query sub-pool), per-worker timing, panic → typed error, and the
+//! two sinks. The bodies:
+//!
+//! * **grid inner-join cell** — whichever [`vtjoin_join::kernel`] the
+//!   per-cell cost gate picks (flat hash table on mostly-unique keys,
+//!   forward sweep on duplicate-heavy data; a forced [`KernelChoice`]
+//!   overrides the gate), buffering `(row, row)` id pairs in a reused
+//!   [`IdBatch`] and late-materializing them once per cell;
+//! * **merge chunk** — sequence and mixed predicate templates, whose
+//!   matches may share no partition, split the outer relation into
+//!   contiguous chunks, each merged against the whole inner side;
+//! * **grid tracked-sweep cell** and **nested tracked chunk** — the same
+//!   two shapes for the rest of the §4.1 operator family, logging pairs
+//!   and dangling fragments into worker-local logs that
+//!   [`crate::operator`] gathers.
+//!
+//! **Columnar execution.** Grid runs encode both relations
+//! struct-of-arrays once ([`vtjoin_join::columnar::EncodedPair`]: flat
+//! start/end chronon columns, a pre-hashed key column, and a
+//! dictionary-compressed key-id column shared across sides — or take the
+//! encoding `JoinService` keeps for a resident pair) and scatter **row
+//! ids** into grid cells.
+//!
+//! **Sinks.** A materializing run keeps each unit's output in its slot
+//! and flattens the slots after the last worker; a streaming run sends
+//! each finished unit over a channel to a reorder window that hands it to
+//! the caller's sink in unit order as soon as it is complete. Both see
+//! the same output, order and counters. Operator runs stream their
+//! gathered result as one batch: dangling output is final only once every
+//! cell has run.
 //!
 //! Output stays deterministic regardless of scheduling: the kernel gate
-//! depends only on cell data (never on thread count), every cell's result
-//! lands in its own slot, and the slots are released in time-major cell
-//! order.
+//! depends only on cell data (never on thread count), every unit's result
+//! lands in its own slot, and the slots are released in unit order.
 //!
-//! **Columnar execution.** The executor encodes both relations
-//! struct-of-arrays once at scatter time
-//! ([`vtjoin_join::columnar::EncodedPair`]: flat start/end chronon
-//! columns, a pre-hashed key column, and a dictionary-compressed key-id
-//! column shared across sides — or takes the encoding `JoinService`
-//! keeps for a resident pair) and scatters **row ids** into grid cells.
-//! Workers run the columnar kernels ([`vtjoin_join::kernel::columnar`])
-//! over gathered column slices — the sweep's endpoint sort is a stable
-//! LSD radix sort on biased start chronons — and late-materialize result
-//! tuples once per cell. This is the only physical layout: [`Layout`]
-//! keeps a single variant so signatures that name one still compile.
-//!
-//! **One cell loop, two sinks.** The materializing entry points
-//! (`*_join`, `*_report`) and the streaming one ([`grid_join_streamed`])
-//! share the scatter, the schedule and the worker loop; they differ only
-//! in where a finished cell goes. Materializing runs keep it in its slot
-//! and flatten the slots after the last worker; streaming runs send it
-//! over a channel to a reorder window that hands cells to the caller's
-//! sink in cell order as soon as each is complete.
-//!
-//! **Generalized predicates.** The `_pred` entry points evaluate an
-//! arbitrary [`JoinPredicate`]. Intersection-template predicates run the
-//! grid path above with the predicate-filtering kernel variants (the
-//! canonical-cell emit rule still de-duplicates, because every
-//! intersection match is stamped with its overlap). Sequence and mixed
-//! templates — whose matches may share no partition — run the
-//! predicate-aware merge fallback instead: the outer relation is split
-//! into contiguous chunks, one per worker, and each chunk is merged
-//! against the whole inner side. Chunk outputs concatenate back to outer
-//! order, so this path is also deterministic across thread counts; it
-//! takes the same two sinks.
+//! Three shims keep their old signatures over [`run`]
+//! ([`grid_execution_report_sharded`], [`grid_join_streamed`],
+//! [`crate::operator::operator_join`]) because the end-to-end benchmark
+//! calls them; [`parallel_partition_join_naive`] stays as the ablation
+//! baseline `bench_parallel` measures against.
 
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Instant;
-use vtjoin_core::{Interval, JoinPredicate, Relation, Tuple};
+use std::time::{Duration, Instant};
+use vtjoin_core::{Interval, JoinPredicate, Operator, Relation, Tuple};
 use vtjoin_join::columnar::{ColumnarCounters, ColumnarSide, EncodedPair, IdBatch, Layout};
 use vtjoin_join::common::JoinSpec;
 use vtjoin_join::kernel::{
@@ -88,359 +82,355 @@ use vtjoin_join::kernel::{
 };
 use vtjoin_join::partition::intervals::{is_partitioning, replica_range};
 use vtjoin_join::partition::GridPlan;
+use vtjoin_join::JoinError;
 use vtjoin_obs::{
     ColumnarSection, ConfigSection, Counter, ExecutionReport, GridSection, IoSection,
-    KernelSection, PhaseSection, PredicateSection, ResultSection, SkewSection, WorkerSection,
+    KernelSection, OperatorSection, PhaseSection, PredicateSection, ResultSection, SkewSection,
+    WorkerSection,
 };
 use vtjoin_storage::PagePool;
 
-/// Joins `r ⋈ᵛ s` by replicating tuples into every overlapping partition
-/// and joining the partitions on `threads` worker threads.
-///
-/// Returns the join result; the output order is deterministic (partition
-/// order, then per-partition probe order) regardless of thread scheduling.
-pub fn parallel_partition_join(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    parallel_partition_join_with(r, s, intervals, threads, KernelChoice::Auto)
+use crate::operator::OperatorCounters;
+
+/// Where a run's result goes.
+pub enum Sink<'a> {
+    /// Collect the result into [`ExecOutput::relation`].
+    Materialize,
+    /// Hand the result to the closure in deterministic order, one
+    /// non-empty batch per finished grid cell or merge chunk (operator
+    /// runs: one batch). The concatenated batches equal the materialized
+    /// relation. The closure runs on the calling thread, so a slow sink
+    /// backpressures the coordinator, not the workers. An `Err` from
+    /// [`run`] after some batches means the stream was truncated.
+    Stream(&'a mut dyn FnMut(Vec<Tuple>)),
 }
 
-/// As [`parallel_partition_join`], with an explicit kernel policy: force
-/// the hash or sweep kernel everywhere, or let the per-partition gate
-/// decide (`KernelChoice::Auto`, the default). All policies produce the
-/// same result multiset; only the work profile differs.
-pub fn parallel_partition_join_with(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-    choice: KernelChoice,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    execute(
-        r,
-        s,
-        intervals,
-        1,
-        threads,
-        choice,
-        &JoinPredicate::intersects(),
-        None,
-        None,
-    )
-    .map(|(rel, _)| rel)
+/// One in-memory execution of `r ⟨op⟩ᵛ s` over a grid plan.
+pub struct ExecRequest<'a> {
+    /// Key buckets × time partitions. The intervals must partition all
+    /// of valid time; the bucket count is rounded up to a power of two.
+    /// Sequence/mixed predicates ignore the plan beyond validating it.
+    pub plan: &'a GridPlan,
+    /// Worker threads; exactly `min(threads, units)` are spawned.
+    pub threads: usize,
+    /// Intra-cell kernel policy of the inner join (operator runs always
+    /// sweep).
+    pub kernel: KernelChoice,
+    /// The join predicate (default: `intersects`, the natural join).
+    pub predicate: JoinPredicate,
+    /// `None` runs the paper's inner join on the grid kernels, emitting
+    /// in cell order. `Some(op)` runs the operator-family executor, whose
+    /// output replays the `vtjoin_core::algebra` oracle's order for `op`
+    /// (`Some(&Operator::Inner)` included).
+    pub operator: Option<&'a Operator>,
+    /// A pool each worker pins `pages` of for its lifetime. Best-effort:
+    /// a share the pool cannot grant does not block or fail the run.
+    pub shard_pool: Option<(&'a PagePool, u64)>,
+    /// A columnar encoding of exactly `r` and `s`, skipping the encode
+    /// pass of grid runs (the service keeps one per resident pair).
+    pub encoding: Option<&'a EncodedPair>,
+    /// Where the result goes.
+    pub sink: Sink<'a>,
 }
 
-/// As [`parallel_partition_join`], evaluating an arbitrary
-/// [`JoinPredicate`] instead of the natural intersection predicate.
-///
-/// Intersection-template predicates run the partitioned executor with
-/// predicate-filtering kernels; sequence/mixed templates run the merge
-/// fallback (see the module documentation) and ignore `intervals` beyond
-/// validating them.
-pub fn parallel_partition_join_pred(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-    pred: &JoinPredicate,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    execute(
-        r,
-        s,
-        intervals,
-        1,
-        threads,
-        KernelChoice::Auto,
-        pred,
-        None,
-        None,
-    )
-    .map(|(rel, _)| rel)
-}
-
-/// As [`parallel_partition_join`], but also reports a per-worker breakdown
-/// (partitions claimed, tuples emitted, wall-clock and busy time) for the
-/// execution report's `workers` section.
-///
-/// **Worker-count contract**: exactly `min(threads.max(1), cells)` workers
-/// are spawned and reported — a worker without a cell to claim would only
-/// report zeros, so none is created. The tuple counts are deterministic in
-/// aggregate; which worker claims which cell, and the wall-clock figures,
-/// are not.
-pub fn parallel_partition_join_reported(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-) -> Result<(Relation, Vec<WorkerSection>), vtjoin_join::JoinError> {
-    let (rel, detail) = execute(
-        r,
-        s,
-        intervals,
-        1,
-        threads,
-        KernelChoice::Auto,
-        &JoinPredicate::intersects(),
-        None,
-        None,
-    )?;
-    Ok((rel, detail.workers))
-}
-
-/// Joins `r ⋈ᵛ s` over a 2D (key × time) [`GridPlan`]: `plan.key_buckets`
-/// hash buckets × `plan.intervals` time ranges, joined cell-by-cell on
-/// `threads` workers. The 1×N plan is byte-identical to
-/// [`parallel_partition_join`]; a K×N plan reorders output (time-major
-/// cell order) but is deterministic at every thread count and emits the
-/// same result multiset.
-pub fn grid_partition_join(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    grid_partition_join_with(r, s, plan, threads, KernelChoice::Auto)
-}
-
-/// As [`grid_partition_join`], with an explicit kernel policy.
-pub fn grid_partition_join_with(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    execute(
-        r,
-        s,
-        &plan.intervals,
-        plan.key_buckets,
-        threads,
-        choice,
-        &JoinPredicate::intersects(),
-        None,
-        None,
-    )
-    .map(|(rel, _)| rel)
-}
-
-/// As [`grid_partition_join`], evaluating an arbitrary [`JoinPredicate`].
-/// Sequence/mixed templates run the merge fallback, which ignores the
-/// grid shape entirely.
-pub fn grid_partition_join_pred(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    pred: &JoinPredicate,
-) -> Result<Relation, vtjoin_join::JoinError> {
-    execute(
-        r,
-        s,
-        &plan.intervals,
-        plan.key_buckets,
-        threads,
-        KernelChoice::Auto,
-        pred,
-        None,
-        None,
-    )
-    .map(|(rel, _)| rel)
-}
-
-/// Everything a run measured beyond the result itself; consumed by
-/// [`parallel_execution_report`] and the worker-section wrapper.
-pub(crate) struct ExecDetail {
-    workers: Vec<WorkerSection>,
-    /// Per-cell estimated costs `|r_c|·|s_c|`, time-major.
-    est_costs: Vec<u64>,
-    /// Total tuple references after replication, per input side.
-    replicated_r: u64,
-    replicated_s: u64,
-    /// `|r| + |s|` before replication (replication-factor denominator).
-    input_tuples: u64,
-    /// Grid shape the run executed (1 × N for the time-only surface).
-    key_buckets: u64,
-    /// Aggregated hash-kernel probe/match-test counters across all cells.
-    probes: u64,
-    match_tests: u64,
-    /// Per-kernel accounting, merged across workers.
-    kernel: KernelCounters,
-    /// Predicate-filter / merge-fallback accounting, merged across
-    /// workers; all-zero for the natural join.
-    predicate: PredicateCounters,
-    /// Wall-clock of the replicate and join phases, in microseconds.
-    replicate_micros: u64,
-    join_micros: u64,
-    /// Wall-clock the coordinator spent gathering worker results (the
-    /// scatter/gather join loop), in microseconds.
-    coordinator_wait_micros: u64,
-    /// Columnar-path accounting; `None` for merge-fallback runs (the
-    /// report then carries no `columnar` section).
-    columnar: Option<ColumnarCounters>,
-}
-
-/// Replicates a relation's tuples into one bucket per partition under the
-/// shared Leung–Muntz rule (`replica_range`).
-fn replicate<'a>(rel: &'a Relation, intervals: &[Interval]) -> Vec<Vec<&'a Tuple>> {
-    let mut parts: Vec<Vec<&Tuple>> = vec![Vec::new(); intervals.len()];
-    for t in rel.iter() {
-        for i in replica_range(intervals, t.valid()) {
-            parts[i].push(t);
+impl<'a> ExecRequest<'a> {
+    /// A one-thread, automatic-kernel, natural inner join over `plan`,
+    /// materialized, with no shard pool and no kept encoding.
+    pub fn new(plan: &'a GridPlan) -> ExecRequest<'a> {
+        ExecRequest {
+            plan,
+            threads: 1,
+            kernel: KernelChoice::Auto,
+            predicate: JoinPredicate::intersects(),
+            operator: None,
+            shard_pool: None,
+            encoding: None,
+            sink: Sink::Materialize,
         }
     }
-    parts
 }
 
-/// Scatters an encoded side's **row ids** over the grid: bucket = masked
-/// join-key hash (read from the pre-hashed column), partitions = the
-/// Leung–Muntz `replica_range` over the inline chronon columns — so a row
-/// replicates only along the time axis, landing in `i * k + b` for each
-/// overlapped time range `i`. With one bucket the hash is not read, so
-/// the 1×N path costs what the pre-grid executor did.
-fn scatter_rows(side: &ColumnarSide<'_>, intervals: &[Interval], k: usize) -> Vec<Vec<u32>> {
-    let mut cells: Vec<Vec<u32>> = vec![Vec::new(); intervals.len() * k];
-    let mask = k as u64 - 1;
-    for row in 0..side.len() as u32 {
-        let b = if k == 1 {
-            0
-        } else {
-            (side.hash(row) & mask) as usize
-        };
-        for i in replica_range(intervals, side.interval(row)) {
-            cells[i * k + b].push(row);
-        }
-    }
-    cells
+/// What one [`run`] produced.
+#[derive(Debug)]
+pub struct ExecOutput {
+    /// The result; empty (with the result schema) when it was streamed.
+    pub relation: Relation,
+    /// What the sink received; zero for materializing runs.
+    pub stream: StreamSummary,
+    /// The run's execution report: algorithm `"parallel"` for the inner
+    /// join, `"operator"` (with its `operator` section) otherwise.
+    pub report: ExecutionReport,
+    /// The operator executor's counters; `Some` exactly when the request
+    /// named an operator.
+    pub operator: Option<OperatorCounters>,
 }
 
-/// Views `pair` over `r` and `s`, refusing an encoding of relations of
-/// other lengths with a typed error.
-fn view<'a>(
-    pair: &'a EncodedPair,
-    r: &'a Relation,
-    s: &'a Relation,
-) -> Result<(ColumnarSide<'a>, ColumnarSide<'a>), vtjoin_join::JoinError> {
-    pair.view(r, s).ok_or(vtjoin_join::JoinError::Precondition(
-        "columnar encoding does not match the relations it is joined over",
-    ))
+/// What a streamed run delivered: how many wire batches the sink saw and
+/// how many tuples they carried in total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StreamSummary {
+    /// Non-empty batches handed to the sink.
+    pub batches: u64,
+    /// Total tuples across all batches.
+    pub tuples: u64,
 }
 
-/// Where a run's finished cells (or merge chunks) go: `None` keeps each
-/// in its slot and returns the slots flattened in order; `Some(sink)`
-/// streams them to `sink` in slot order and returns no tuples.
-type Sink<'s> = Option<&'s mut dyn FnMut(Vec<Tuple>)>;
-
-/// The materializing executor behind every public `*_join` / `*_report`
-/// entry point. `enc`, when given, is a columnar encoding of exactly `r`
-/// and `s` (the service keeps one per resident table pair); the grid path
-/// then skips its encode pass. The merge fallback ignores it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    key_buckets: u64,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    shard_pool: Option<(&PagePool, u64)>,
-    enc: Option<&EncodedPair>,
-) -> Result<(Relation, ExecDetail), vtjoin_join::JoinError> {
-    run(
-        r,
-        s,
-        intervals,
-        key_buckets,
+/// Runs one request. Errors are typed: a malformed partitioning or a
+/// side past `u32::MAX` rows is a precondition failure, a panicking
+/// worker an internal error — never a process abort.
+pub fn run(r: &Relation, s: &Relation, req: ExecRequest<'_>) -> Result<ExecOutput, JoinError> {
+    let ExecRequest {
+        plan,
         threads,
-        choice,
-        pred,
+        kernel,
+        predicate,
+        operator,
         shard_pool,
-        enc,
-        None,
-    )
-    .map(|(rel, detail, _)| (rel, detail))
-}
-
-/// The streaming twin of [`execute`] behind [`grid_join_streamed`]: the
-/// same run, with every finished cell handed to `sink` in cell order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stream(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    (pool, pages_per_worker): (&PagePool, u64),
-    sink: &mut dyn FnMut(Vec<Tuple>),
-    enc: Option<&EncodedPair>,
-) -> Result<StreamSummary, vtjoin_join::JoinError> {
-    run(
-        r,
-        s,
-        &plan.intervals,
-        plan.key_buckets,
-        threads,
-        choice,
-        pred,
-        Some((pool, pages_per_worker)),
-        enc,
-        Some(sink),
-    )
-    .map(|(_, _, summary)| summary)
-}
-
-/// Validates the partitioning and routes to the grid cell loop or, for
-/// sequence/mixed templates, the merge fallback.
-#[allow(clippy::too_many_arguments)]
-fn run(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    key_buckets: u64,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    shard_pool: Option<(&PagePool, u64)>,
-    enc: Option<&EncodedPair>,
-    sink: Sink<'_>,
-) -> Result<(Relation, ExecDetail, StreamSummary), vtjoin_join::JoinError> {
+        encoding,
+        sink,
+    } = req;
     // A typed error, not an assert: the intervals may arrive from a plan
     // cache or an external request, and a malformed set must fail the one
     // request instead of taking the process down.
-    if !is_partitioning(intervals) {
-        return Err(vtjoin_join::JoinError::Precondition(
+    if !is_partitioning(&plan.intervals) {
+        return Err(JoinError::Precondition(
             "intervals must partition all of valid time (sorted, gapless, ending at forever)",
         ));
     }
+    if r.len() > u32::MAX as usize || s.len() > u32::MAX as usize {
+        return Err(JoinError::Precondition(
+            "the in-memory executor addresses rows by u32 ids; a side exceeds u32::MAX tuples",
+        ));
+    }
     let spec = JoinSpec::natural(r.schema(), s.schema())?;
-    // Sequence/mixed templates cannot be served by time partitioning (a
-    // matching pair may share no partition); they run the merge fallback.
-    // The fallback scans every (outer, inner) pair once, so a columnar
-    // encode would add a pass without removing one.
-    let (tuples, detail, summary) = if pred.partitioning_eligible() {
-        run_cells(
-            &spec,
-            r,
-            s,
-            intervals,
-            key_buckets,
-            threads,
-            choice,
-            pred,
-            shard_pool,
-            enc,
-            sink,
-        )?
-    } else {
-        run_merge(&spec, r, s, threads, pred, sink)?
+    let cx = Ctx {
+        spec: &spec,
+        r,
+        s,
+        intervals: &plan.intervals,
+        k: plan.key_buckets.max(1).next_power_of_two() as usize,
+        threads,
+        pred: &predicate,
+        shard_pool,
+        encoding,
     };
-    let rel = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples);
-    Ok((rel, detail, summary))
+    let (relation, mut detail, stream, counters) = match operator {
+        None => {
+            let sink: Option<&mut dyn FnMut(Vec<Tuple>)> = match sink {
+                Sink::Materialize => None,
+                Sink::Stream(f) => Some(f),
+            };
+            let (tuples, detail, stream) = if predicate.partitioning_eligible() {
+                run_cells(&cx, kernel, sink)?
+            } else {
+                run_merge(&cx, sink)?
+            };
+            let rel = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples);
+            (rel, detail, stream, None)
+        }
+        Some(op) => {
+            let (rel, detail, counters) = crate::operator::execute(&cx, op)?;
+            let mut stream = StreamSummary::default();
+            let rel = match sink {
+                Sink::Materialize => rel,
+                Sink::Stream(f) => {
+                    let schema = Arc::clone(rel.schema());
+                    if !rel.is_empty() {
+                        stream.batches = 1;
+                        stream.tuples = rel.len() as u64;
+                        f(rel.into_tuples());
+                    }
+                    Relation::empty(schema)
+                }
+            };
+            (rel, detail, stream, Some(counters))
+        }
+    };
+    detail.input_tuples = r.len() as u64 + s.len() as u64;
+    let result_tuples = relation.len() as u64 + stream.tuples;
+    let report = build_report(
+        &detail,
+        result_tuples,
+        &plan.intervals,
+        threads,
+        &predicate,
+        counters.as_ref(),
+    );
+    Ok(ExecOutput {
+        relation,
+        stream,
+        report,
+        operator: counters,
+    })
+}
+
+/// The inputs every body shares, unpacked from an [`ExecRequest`].
+pub(crate) struct Ctx<'a> {
+    pub(crate) spec: &'a JoinSpec,
+    pub(crate) r: &'a Relation,
+    pub(crate) s: &'a Relation,
+    pub(crate) intervals: &'a [Interval],
+    /// Key buckets, a power of two.
+    pub(crate) k: usize,
+    pub(crate) threads: usize,
+    pub(crate) pred: &'a JoinPredicate,
+    pub(crate) shard_pool: Option<(&'a PagePool, u64)>,
+    pub(crate) encoding: Option<&'a EncodedPair>,
+}
+
+/// Everything a run measured beyond the result itself; [`build_report`]
+/// turns it into the report.
+#[derive(Default)]
+pub(crate) struct ExecDetail {
+    pub(crate) workers: Vec<WorkerSection>,
+    /// Per-unit estimated costs (`|r_c|·|s_c|` per grid cell,
+    /// time-major; `|chunk|·|s|` per outer chunk).
+    pub(crate) est_costs: Vec<u64>,
+    /// Total tuple references after replication, per input side.
+    pub(crate) replicated_r: u64,
+    pub(crate) replicated_s: u64,
+    /// `|r| + |s|` before replication (replication-factor denominator).
+    pub(crate) input_tuples: u64,
+    /// Grid shape the run executed (1 for the chunked fallbacks).
+    pub(crate) key_buckets: u64,
+    /// Aggregated hash-kernel probe/match-test counters across all cells.
+    pub(crate) probes: u64,
+    pub(crate) match_tests: u64,
+    /// Per-kernel accounting; `None` for runs that invoke no cell kernel.
+    pub(crate) kernel: Option<KernelCounters>,
+    /// Predicate-filter / merge-fallback accounting, merged across
+    /// workers; all-zero for the natural join.
+    pub(crate) predicate: PredicateCounters,
+    /// Wall-clock of the replicate (encode + scatter), join (scheduler)
+    /// and operator gather phases, in microseconds.
+    pub(crate) replicate_micros: u64,
+    pub(crate) join_micros: u64,
+    pub(crate) gather_micros: u64,
+    /// Wall-clock the coordinator spent gathering worker results.
+    pub(crate) coordinator_wait_micros: u64,
+    /// Columnar-path accounting; `None` where the report carries no
+    /// `columnar` section.
+    pub(crate) columnar: Option<ColumnarCounters>,
+}
+
+/// One body of the shared scheduler: the work of one unit (a grid cell
+/// or an outer chunk), with worker-local state the caller merges after
+/// the run.
+pub(crate) trait Body: Sync {
+    /// Worker-local scratch buffers, logs and counters, fresh per
+    /// worker.
+    type Local: Send + Default;
+    /// Estimated cost of `unit`; heavier units are claimed first.
+    fn cost(&self, unit: usize) -> u64;
+    /// Runs `unit`. Returns its output slot (empty for bodies that log
+    /// into `local`) and the number of result entries it produced.
+    fn run(&self, unit: usize, local: &mut Self::Local) -> (Vec<Tuple>, u64);
+}
+
+/// What the scheduler hands back.
+pub(crate) struct Scheduled<L> {
+    /// Every unit's output slot, in unit order (empty when streamed).
+    pub(crate) outputs: Vec<Vec<Tuple>>,
+    /// The workers' local states, for the caller to merge.
+    pub(crate) locals: Vec<L>,
+    pub(crate) workers: Vec<WorkerSection>,
+    pub(crate) join_micros: u64,
+    pub(crate) coordinator_wait_micros: u64,
+    pub(crate) stream: StreamSummary,
+}
+
+/// The one scheduler: runs `units` (indices into `n_slots` output slots)
+/// of `body` on `min(threads, units)` workers, heaviest unit first
+/// (ties in unit order), each worker pinning its `shard_pool` share for
+/// its lifetime. With a `sink`, finished slots go to it in slot order,
+/// so `units` must then cover every slot.
+pub(crate) fn schedule<B: Body>(
+    body: &B,
+    mut units: Vec<usize>,
+    n_slots: usize,
+    threads: usize,
+    shard_pool: Option<(&PagePool, u64)>,
+    sink: Option<&mut dyn FnMut(Vec<Tuple>)>,
+) -> Result<Scheduled<B::Local>, JoinError> {
+    units.sort_by_key(|&u| Reverse(body.cost(u)));
+    let num_workers = threads.max(1).min(units.len());
+    let next = AtomicUsize::new(0);
+    let started = Instant::now();
+    let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); n_slots];
+    let mut locals = Vec::with_capacity(num_workers);
+    let mut workers = Vec::with_capacity(num_workers);
+    let mut stream = StreamSummary::default();
+    let mut coordinator_wait_micros = 0u64;
+    thread::scope(|scope| {
+        let (tx, rx) = sink.is_some().then(mpsc::channel).unzip();
+        let handles: Vec<_> = (0..num_workers)
+            .map(|w| {
+                let (units, next, tx) = (&units, &next, tx.clone());
+                scope.spawn(move || {
+                    // Pinned until the worker returns (RAII release).
+                    let _reservation = shard_pool.and_then(|(pool, pages)| pool.try_reserve(pages));
+                    let started = Instant::now();
+                    let mut local = B::Local::default();
+                    let (mut claimed, mut tuples, mut busy) = (0u64, 0u64, Duration::ZERO);
+                    let mut produced: Vec<(usize, Vec<Tuple>)> = Vec::new();
+                    while let Some(&u) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let t = Instant::now();
+                        let (out, emitted) = body.run(u, &mut local);
+                        busy += t.elapsed();
+                        claimed += 1;
+                        tuples += emitted;
+                        // Empty slots are delivered too: a streaming
+                        // reorder window needs their marker to advance.
+                        if !deliver(&tx, &mut produced, u, out) {
+                            break;
+                        }
+                    }
+                    let section = WorkerSection {
+                        worker: w as u64,
+                        partitions: claimed,
+                        tuples,
+                        wall_micros: started.elapsed().as_micros() as u64,
+                        busy_micros: busy.as_micros() as u64,
+                    };
+                    (section, produced, local)
+                })
+            })
+            .collect();
+        drop(tx);
+        let gather_started = Instant::now();
+        let released = match (rx, sink) {
+            (Some(rx), Some(sink)) => release_in_order(rx, n_slots, &mut stream, sink),
+            _ => n_slots,
+        };
+        let mut worker_panicked = false;
+        for h in handles {
+            // A panicking worker (a bug, not a data error) must surface as
+            // a typed error on this one request, not abort the service.
+            match h.join() {
+                Ok((section, produced, local)) => {
+                    workers.push(section);
+                    locals.push(local);
+                    for (u, out) in produced {
+                        outputs[u] = out;
+                    }
+                }
+                Err(_) => worker_panicked = true,
+            }
+        }
+        coordinator_wait_micros = gather_started.elapsed().as_micros() as u64;
+        if worker_panicked || released < n_slots {
+            return Err(JoinError::Internal("executor worker panicked"));
+        }
+        Ok(())
+    })?;
+    Ok(Scheduled {
+        outputs,
+        locals,
+        workers,
+        join_micros: started.elapsed().as_micros() as u64,
+        coordinator_wait_micros,
+        stream,
+    })
 }
 
 /// The streaming coordinator's reorder window: receives `(slot, batch)`
@@ -492,388 +482,324 @@ fn deliver(
     }
 }
 
-/// The grid cell loop: encode (unless `enc` is given) → row-id scatter →
-/// cost-sorted work-stealing workers running the columnar kernels → one
-/// late-materialized vector per cell, handed to [`deliver`]. Output,
-/// output order and every counter are the same for both sinks.
-#[allow(clippy::too_many_arguments)]
-fn run_cells(
-    spec: &JoinSpec,
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    key_buckets: u64,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    shard_pool: Option<(&PagePool, u64)>,
-    enc: Option<&EncodedPair>,
-    sink: Sink<'_>,
-) -> Result<(Vec<Tuple>, ExecDetail, StreamSummary), vtjoin_join::JoinError> {
-    let k = key_buckets.max(1).next_power_of_two() as usize;
-    let n_cells = intervals.len() * k;
-    let natural = pred.is_natural();
+/// Both sides encoded and scattered over the grid.
+pub(crate) struct Scattered<'a> {
+    pub(crate) outer: ColumnarSide<'a>,
+    pub(crate) inner: ColumnarSide<'a>,
+    /// Row ids per cell (`i * k + b`), per side.
+    pub(crate) r_cells: Vec<Vec<u32>>,
+    pub(crate) s_cells: Vec<Vec<u32>>,
+    /// Encode time of this run (0 for a kept encoding), dictionary size.
+    pub(crate) encode_micros: u64,
+    pub(crate) dict_size: u64,
+    /// Encode + scatter wall-clock.
+    pub(crate) replicate_micros: u64,
+}
 
-    let replicate_started = Instant::now();
-    let fresh;
-    let (pair, encode_micros) = match enc {
+impl Scattered<'_> {
+    /// `|r_c|·|s_c|` per cell, time-major.
+    pub(crate) fn pair_costs(&self) -> Vec<u64> {
+        self.r_cells
+            .iter()
+            .zip(&self.s_cells)
+            .map(|(rc, sc)| rc.len() as u64 * sc.len() as u64)
+            .collect()
+    }
+
+    /// Replicated row references per side.
+    pub(crate) fn replicated(&self) -> (u64, u64) {
+        let total = |cells: &[Vec<u32>]| cells.iter().map(|c| c.len() as u64).sum();
+        (total(&self.r_cells), total(&self.s_cells))
+    }
+}
+
+/// The replicate phase of every grid run: encode both sides (or take the
+/// kept encoding, `fresh` then stays empty) and scatter their **row
+/// ids** over the grid — bucket = masked join-key hash (read from the
+/// pre-hashed column), partitions = the Leung–Muntz `replica_range` over
+/// the inline chronon columns, so a row replicates only along the time
+/// axis, landing in `i * k + b` for each overlapped time range `i`.
+pub(crate) fn scatter<'a>(
+    cx: &Ctx<'a>,
+    fresh: &'a mut Option<EncodedPair>,
+) -> Result<Scattered<'a>, JoinError> {
+    let started = Instant::now();
+    let (pair, encode_micros) = match cx.encoding {
         Some(e) => (e, 0),
         None => {
-            fresh = EncodedPair::encode(spec, r.iter(), s.iter());
-            (&fresh, fresh.encode_micros)
+            let e = fresh.insert(EncodedPair::encode(cx.spec, cx.r.iter(), cx.s.iter()));
+            (&*e, e.encode_micros)
         }
     };
-    let (outer, inner) = view(pair, r, s)?;
-    let r_cells = scatter_rows(&outer, intervals, k);
-    let s_cells = scatter_rows(&inner, intervals, k);
-    let replicate_micros = replicate_started.elapsed().as_micros() as u64;
-
-    let est_costs: Vec<u64> = (0..n_cells)
-        .map(|c| r_cells[c].len() as u64 * s_cells[c].len() as u64)
-        .collect();
-    // Heaviest cells first, so the work-stealing tail is short.
-    let mut order: Vec<usize> = (0..n_cells).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(est_costs[c]));
-
-    let num_workers = threads.max(1).min(n_cells);
-    let next = AtomicUsize::new(0);
-
-    let join_started = Instant::now();
-    let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); n_cells];
-    let mut workers: Vec<WorkerSection> = Vec::with_capacity(num_workers);
-    let mut probes = 0u64;
-    let mut match_tests = 0u64;
-    let mut kernel = KernelCounters::default();
-    let mut predicate = PredicateCounters::default();
-    let mut columnar = ColumnarCounters::default();
-    let mut coordinator_wait_micros = 0u64;
-    let mut summary = StreamSummary::default();
-    thread::scope(|scope| {
-        let (tx, rx) = sink.is_some().then(mpsc::channel).unzip();
-        let mut handles = Vec::with_capacity(num_workers);
-        for w in 0..num_workers {
-            let r_cells = &r_cells;
-            let s_cells = &s_cells;
-            let order = &order;
-            let est_costs = &est_costs;
-            let next = &next;
-            let (outer, inner) = (&outer, &inner);
-            let tx = tx.clone();
-            handles.push(scope.spawn(move || {
-                // Pin this shard's page share for the worker's whole
-                // lifetime (RAII release on return). Best-effort: a share
-                // the pool cannot grant right now does not block the join,
-                // it only goes unaccounted.
-                let _reservation = shard_pool.and_then(|(pool, pages)| pool.try_reserve(pages));
-                let started = Instant::now();
-                let mut cells = 0u64;
-                let mut tuples = 0u64;
-                let mut busy = std::time::Duration::ZERO;
-                let mut probes = 0u64;
-                let mut match_tests = 0u64;
-                let mut kernel = KernelCounters::default();
-                let mut predicate = PredicateCounters::default();
-                let mut columnar = ColumnarCounters::default();
-                // Reused across every cell this worker steals: radix
-                // pair/scratch buffers and the id-pair batch grow to the
-                // workload's high-water mark once, then never again.
-                let mut scratch = ColumnarScratch::default();
-                let mut batch = IdBatch::new();
-                let mut produced: Vec<(usize, Vec<Tuple>)> = Vec::new();
-                // Running emitted-pairs-per-estimated-cost ratio, used to
-                // reserve batch capacity before joining each cell.
-                let mut emitted_total = 0u64;
-                let mut cost_total = 0u64;
-                loop {
-                    let q = next.fetch_add(1, Ordering::Relaxed);
-                    if q >= order.len() {
-                        break;
-                    }
-                    let c = order[q];
-                    // The cell's canonical emit window is its time range:
-                    // a pair co-resident in several cells of its bucket
-                    // row is emitted only where the overlap's endpoint
-                    // falls (the canonical-cell rule).
-                    let p_c = intervals[c / k];
-                    let (rc, sc) = (&r_cells[c], &s_cells[c]);
-                    let claimed = Instant::now();
-                    let mut out_cell: Vec<Tuple> = Vec::new();
-                    if !rc.is_empty() && !sc.is_empty() {
-                        let est = if cost_total > 0 {
-                            ((emitted_total as u128 * est_costs[c] as u128 / cost_total as u128)
-                                as usize)
-                                .max(16)
-                        } else {
-                            // First cell: no ratio yet; a side's size is
-                            // the output floor for a key-dense join.
-                            rc.len().max(sc.len())
-                        };
-                        batch.begin(est);
-                        match choose_kernel_ids(choice, outer, rc, inner, sc) {
-                            KernelKind::Hash => {
-                                let hs = if natural {
-                                    columnar_hash_join(
-                                        outer,
-                                        rc,
-                                        inner,
-                                        sc,
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                } else {
-                                    columnar_hash_join_pred(
-                                        pred,
-                                        outer,
-                                        rc,
-                                        inner,
-                                        sc,
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                };
-                                probes += hs.probes;
-                                match_tests += hs.match_tests;
-                                predicate.filter_checks += hs.filter_checks;
-                                predicate.filter_hits += hs.filter_hits;
-                                kernel.hash_partitions += 1;
-                            }
-                            KernelKind::Sweep => {
-                                let (ss, radix_passes) = if natural {
-                                    columnar_sweep_join(
-                                        outer,
-                                        rc,
-                                        inner,
-                                        sc,
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                } else {
-                                    columnar_sweep_join_pred(
-                                        pred,
-                                        outer,
-                                        rc,
-                                        inner,
-                                        sc,
-                                        p_c,
-                                        &mut scratch,
-                                        &mut batch,
-                                    )
-                                };
-                                kernel.sweep_partitions += 1;
-                                kernel.sweep_comparisons += ss.comparisons;
-                                predicate.filter_checks += ss.filter_checks;
-                                predicate.filter_hits += ss.filter_hits;
-                                columnar.radix_passes += radix_passes;
-                            }
-                        }
-                        emitted_total += batch.len() as u64;
-                        cost_total += est_costs[c];
-                        // The late-materialization pass: one splice per
-                        // buffered pair, once per cell, straight into the
-                        // exact-sized per-cell vector.
-                        out_cell.reserve_exact(batch.len());
-                        columnar.materialized_rows +=
-                            batch.materialize_each(spec, outer, inner, |t| out_cell.push(t));
-                    }
-                    busy += claimed.elapsed();
-                    cells += 1;
-                    tuples += out_cell.len() as u64;
-                    // Empty cells are delivered too: a streaming reorder
-                    // window needs their marker to advance past them.
-                    if !deliver(&tx, &mut produced, c, out_cell) {
-                        break;
-                    }
-                }
-                kernel.batches_flushed = batch.batches_flushed();
-                let section = WorkerSection {
-                    worker: w as u64,
-                    partitions: cells,
-                    tuples,
-                    wall_micros: started.elapsed().as_micros() as u64,
-                    busy_micros: busy.as_micros() as u64,
-                };
-                (
-                    section,
-                    produced,
-                    probes,
-                    match_tests,
-                    kernel,
-                    predicate,
-                    columnar,
-                )
-            }));
-        }
-        drop(tx);
-        let gather_started = Instant::now();
-        // Streaming: release cells strictly in time-major order, so the
-        // stream is deterministic regardless of completion order.
-        let released = match (rx, sink) {
-            (Some(rx), Some(sink)) => release_in_order(rx, n_cells, &mut summary, sink),
-            _ => n_cells,
-        };
-        let mut worker_panicked = false;
-        for h in handles {
-            // A panicking worker (a bug, not a data error) must surface as
-            // a typed error on this one request, not abort the service.
-            match h.join() {
-                Ok((section, produced, p, m, kc, pc, cc)) => {
-                    workers.push(section);
-                    probes += p;
-                    match_tests += m;
-                    kernel.merge(kc);
-                    predicate.merge(pc);
-                    columnar.merge(cc);
-                    for (c, out) in produced {
-                        outputs[c] = out;
-                    }
-                }
-                Err(_) => worker_panicked = true,
+    let (outer, inner) = pair.view(cx.r, cx.s).ok_or(JoinError::Precondition(
+        "columnar encoding does not match the relations it is joined over",
+    ))?;
+    let scatter_rows = |side: &ColumnarSide<'_>| {
+        let mut cells: Vec<Vec<u32>> = vec![Vec::new(); cx.intervals.len() * cx.k];
+        let mask = cx.k as u64 - 1;
+        for row in 0..side.len() as u32 {
+            // With one bucket the hash is not read.
+            let b = if cx.k == 1 {
+                0
+            } else {
+                (side.hash(row) & mask) as usize
+            };
+            for i in replica_range(cx.intervals, side.interval(row)) {
+                cells[i * cx.k + b].push(row);
             }
         }
-        coordinator_wait_micros = gather_started.elapsed().as_micros() as u64;
-        if worker_panicked || released < n_cells {
-            return Err(vtjoin_join::JoinError::Internal(
-                "partition worker panicked",
-            ));
-        }
-        Ok(())
-    })?;
-    let join_micros = join_started.elapsed().as_micros() as u64;
+        cells
+    };
+    let (r_cells, s_cells) = (scatter_rows(&outer), scatter_rows(&inner));
+    Ok(Scattered {
+        outer,
+        inner,
+        r_cells,
+        s_cells,
+        encode_micros,
+        dict_size: pair.dict_size,
+        replicate_micros: started.elapsed().as_micros() as u64,
+    })
+}
 
+/// The grid inner-join cell body.
+struct GridCell<'a> {
+    spec: &'a JoinSpec,
+    pred: &'a JoinPredicate,
+    choice: KernelChoice,
+    intervals: &'a [Interval],
+    k: usize,
+    grid: &'a Scattered<'a>,
+}
+
+/// A grid inner-join worker's reusable buffers and counters.
+#[derive(Default)]
+struct CellLocal {
+    /// Radix pair/scratch buffers and the id-pair batch grow to the
+    /// workload's high-water mark once, then never again.
+    scratch: ColumnarScratch,
+    batch: IdBatch,
+    /// Running emitted-pairs-per-estimated-cost ratio, used to reserve
+    /// batch capacity before joining each cell.
+    emitted_total: u64,
+    cost_total: u64,
+    probes: u64,
+    match_tests: u64,
+    kernel: KernelCounters,
+    predicate: PredicateCounters,
+    columnar: ColumnarCounters,
+}
+
+impl Body for GridCell<'_> {
+    type Local = CellLocal;
+
+    fn cost(&self, c: usize) -> u64 {
+        self.grid.r_cells[c].len() as u64 * self.grid.s_cells[c].len() as u64
+    }
+
+    fn run(&self, c: usize, l: &mut CellLocal) -> (Vec<Tuple>, u64) {
+        let (outer, inner) = (&self.grid.outer, &self.grid.inner);
+        let (rc, sc) = (&self.grid.r_cells[c], &self.grid.s_cells[c]);
+        let mut out: Vec<Tuple> = Vec::new();
+        if rc.is_empty() || sc.is_empty() {
+            return (out, 0);
+        }
+        let cost = self.cost(c);
+        let est = if l.cost_total > 0 {
+            ((l.emitted_total as u128 * cost as u128 / l.cost_total as u128) as usize).max(16)
+        } else {
+            // First cell: no ratio yet; a side's size is the output floor
+            // for a key-dense join.
+            rc.len().max(sc.len())
+        };
+        l.batch.begin(est);
+        // The cell's canonical emit window is its time range: a pair
+        // co-resident in several cells of its bucket row is emitted only
+        // where the overlap's endpoint falls (the canonical-cell rule).
+        let p_c = self.intervals[c / self.k];
+        let natural = self.pred.is_natural();
+        let (scratch, batch) = (&mut l.scratch, &mut l.batch);
+        match choose_kernel_ids(self.choice, outer, rc, inner, sc) {
+            KernelKind::Hash => {
+                let hs = if natural {
+                    columnar_hash_join(outer, rc, inner, sc, p_c, scratch, batch)
+                } else {
+                    columnar_hash_join_pred(self.pred, outer, rc, inner, sc, p_c, scratch, batch)
+                };
+                l.probes += hs.probes;
+                l.match_tests += hs.match_tests;
+                l.predicate.filter_checks += hs.filter_checks;
+                l.predicate.filter_hits += hs.filter_hits;
+                l.kernel.hash_partitions += 1;
+            }
+            KernelKind::Sweep => {
+                let (ss, radix_passes) = if natural {
+                    columnar_sweep_join(outer, rc, inner, sc, p_c, scratch, batch)
+                } else {
+                    columnar_sweep_join_pred(self.pred, outer, rc, inner, sc, p_c, scratch, batch)
+                };
+                l.kernel.sweep_partitions += 1;
+                l.kernel.sweep_comparisons += ss.comparisons;
+                l.predicate.filter_checks += ss.filter_checks;
+                l.predicate.filter_hits += ss.filter_hits;
+                l.columnar.radix_passes += radix_passes;
+            }
+        }
+        l.emitted_total += l.batch.len() as u64;
+        l.cost_total += cost;
+        // The late-materialization pass: one splice per buffered pair,
+        // once per cell, straight into the exact-sized per-cell vector.
+        out.reserve_exact(l.batch.len());
+        l.columnar.materialized_rows += l
+            .batch
+            .materialize_each(self.spec, outer, inner, |t| out.push(t));
+        let n = out.len() as u64;
+        (out, n)
+    }
+}
+
+/// The grid inner join: scatter, then every cell on the scheduler.
+/// Output, output order and every counter are the same for both sinks.
+fn run_cells(
+    cx: &Ctx<'_>,
+    choice: KernelChoice,
+    sink: Option<&mut dyn FnMut(Vec<Tuple>)>,
+) -> Result<(Vec<Tuple>, ExecDetail, StreamSummary), JoinError> {
+    let mut fresh = None;
+    let grid = scatter(cx, &mut fresh)?;
+    let body = GridCell {
+        spec: cx.spec,
+        pred: cx.pred,
+        choice,
+        intervals: cx.intervals,
+        k: cx.k,
+        grid: &grid,
+    };
+    let n_cells = grid.r_cells.len();
+    let done = schedule(
+        &body,
+        (0..n_cells).collect(),
+        n_cells,
+        cx.threads,
+        cx.shard_pool,
+        sink,
+    )?;
+
+    let mut detail = ExecDetail {
+        est_costs: grid.pair_costs(),
+        key_buckets: cx.k as u64,
+        replicate_micros: grid.replicate_micros,
+        ..ExecDetail::default()
+    };
+    (detail.replicated_r, detail.replicated_s) = grid.replicated();
+    let mut kernel = KernelCounters::default();
     // Encode-time figures live on the pair, not the workers; a reused
     // encoding cost this run nothing.
-    columnar.encode_micros = encode_micros;
-    columnar.dict_size = pair.dict_size;
-
-    let tuples: Vec<Tuple> = outputs.into_iter().flatten().collect();
-    let detail = ExecDetail {
-        workers,
-        replicated_r: r_cells.iter().map(|p| p.len() as u64).sum(),
-        replicated_s: s_cells.iter().map(|p| p.len() as u64).sum(),
-        input_tuples: r.len() as u64 + s.len() as u64,
-        key_buckets: k as u64,
-        est_costs,
-        probes,
-        match_tests,
-        kernel,
-        predicate,
-        replicate_micros,
-        join_micros,
-        coordinator_wait_micros,
-        columnar: Some(columnar),
+    let mut columnar = ColumnarCounters {
+        encode_micros: grid.encode_micros,
+        dict_size: grid.dict_size,
+        ..ColumnarCounters::default()
     };
-    Ok((tuples, detail, summary))
+    for l in done.locals {
+        detail.probes += l.probes;
+        detail.match_tests += l.match_tests;
+        kernel.merge(KernelCounters {
+            batches_flushed: l.batch.batches_flushed(),
+            ..l.kernel
+        });
+        detail.predicate.merge(l.predicate);
+        columnar.merge(l.columnar);
+    }
+    detail.kernel = Some(kernel);
+    detail.columnar = Some(columnar);
+    detail.workers = done.workers;
+    detail.join_micros = done.join_micros;
+    detail.coordinator_wait_micros = done.coordinator_wait_micros;
+    let tuples = done.outputs.into_iter().flatten().collect();
+    Ok((tuples, detail, done.stream))
 }
 
-/// The merge fallback for sequence/mixed predicate templates: contiguous
-/// outer chunks, one per worker, each merged against the whole inner side
-/// by [`merge_join_pred`]. Each chunk's result is one slot (one wire
-/// batch when streamed), released in chunk order, so the output is outer
-/// order at every thread count.
+/// The merge-chunk body: one contiguous outer chunk merged against the
+/// whole inner side by [`merge_join_pred`].
+struct MergeChunk<'a> {
+    spec: &'a JoinSpec,
+    pred: &'a JoinPredicate,
+    chunks: Vec<&'a [&'a Tuple]>,
+    s_all: &'a [&'a Tuple],
+}
+
+impl Body for MergeChunk<'_> {
+    type Local = PredicateCounters;
+
+    fn cost(&self, w: usize) -> u64 {
+        self.chunks[w].len() as u64 * self.s_all.len() as u64
+    }
+
+    fn run(&self, w: usize, l: &mut PredicateCounters) -> (Vec<Tuple>, u64) {
+        let chunk = self.chunks[w];
+        let mut batch = OutputBatch::new();
+        batch.begin(chunk.len().max(16));
+        let stats = merge_join_pred(self.spec, self.pred, chunk, self.s_all, &mut batch);
+        l.merge_pairs_scanned += stats.pairs_scanned;
+        l.merge_pairs_emitted += stats.pairs_emitted;
+        let out = batch.take();
+        let n = out.len() as u64;
+        (out, n)
+    }
+}
+
+/// The merge fallback for sequence/mixed predicate templates: one
+/// contiguous outer chunk per requested thread, each chunk one slot (one
+/// wire batch when streamed), released in chunk order, so the output is
+/// outer order at every thread count. The fallback scans every (outer,
+/// inner) pair once, so a columnar encode would add a pass without
+/// removing one.
 fn run_merge(
-    spec: &JoinSpec,
-    r: &Relation,
-    s: &Relation,
-    threads: usize,
-    pred: &JoinPredicate,
-    sink: Sink<'_>,
-) -> Result<(Vec<Tuple>, ExecDetail, StreamSummary), vtjoin_join::JoinError> {
-    let gather_started = Instant::now();
-    let r_all: Vec<&Tuple> = r.iter().collect();
-    let s_all: Vec<&Tuple> = s.iter().collect();
-    let replicate_micros = gather_started.elapsed().as_micros() as u64;
+    cx: &Ctx<'_>,
+    sink: Option<&mut dyn FnMut(Vec<Tuple>)>,
+) -> Result<(Vec<Tuple>, ExecDetail, StreamSummary), JoinError> {
+    let started = Instant::now();
+    let r_all: Vec<&Tuple> = cx.r.iter().collect();
+    let s_all: Vec<&Tuple> = cx.s.iter().collect();
+    let replicate_micros = started.elapsed().as_micros() as u64;
 
-    let num_workers = threads.max(1).min(r_all.len()).max(1);
-    let chunk_len = r_all.len().div_ceil(num_workers).max(1);
-    let chunks: Vec<&[&Tuple]> = r_all.chunks(chunk_len).collect();
-    let n_chunks = chunks.len();
-    let est_costs: Vec<u64> = chunks
-        .iter()
-        .map(|c| c.len() as u64 * s_all.len() as u64)
-        .collect();
+    let chunk_len = r_all.len().div_ceil(cx.threads.max(1)).max(1);
+    let body = MergeChunk {
+        spec: cx.spec,
+        pred: cx.pred,
+        chunks: r_all.chunks(chunk_len).collect(),
+        s_all: &s_all,
+    };
+    let n_chunks = body.chunks.len();
+    let done = schedule(
+        &body,
+        (0..n_chunks).collect(),
+        n_chunks,
+        cx.threads,
+        cx.shard_pool,
+        sink,
+    )?;
 
-    let join_started = Instant::now();
-    let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); n_chunks];
-    let mut workers: Vec<WorkerSection> = Vec::with_capacity(n_chunks);
-    let mut predicate = PredicateCounters::default();
-    let mut summary = StreamSummary::default();
-    thread::scope(|scope| {
-        let (tx, rx) = sink.is_some().then(mpsc::channel).unzip();
-        let mut handles = Vec::with_capacity(n_chunks);
-        for (w, chunk) in chunks.iter().enumerate() {
-            let s_all = &s_all;
-            let tx = tx.clone();
-            handles.push(scope.spawn(move || {
-                let started = Instant::now();
-                let mut batch = OutputBatch::new();
-                batch.begin(chunk.len().max(16));
-                let stats = merge_join_pred(spec, pred, chunk, s_all, &mut batch);
-                let out = batch.take();
-                let elapsed = started.elapsed().as_micros() as u64;
-                let section = WorkerSection {
-                    worker: w as u64,
-                    partitions: 1,
-                    tuples: out.len() as u64,
-                    wall_micros: elapsed,
-                    busy_micros: elapsed,
-                };
-                let mut produced = Vec::new();
-                deliver(&tx, &mut produced, w, out);
-                (section, produced, stats)
-            }));
-        }
-        drop(tx);
-        let released = match (rx, sink) {
-            (Some(rx), Some(sink)) => release_in_order(rx, n_chunks, &mut summary, sink),
-            _ => n_chunks,
-        };
-        let mut worker_panicked = false;
-        for h in handles {
-            match h.join() {
-                Ok((section, produced, stats)) => {
-                    workers.push(section);
-                    for (w, out) in produced {
-                        outputs[w] = out;
-                    }
-                    predicate.merge_pairs_scanned += stats.pairs_scanned;
-                    predicate.merge_pairs_emitted += stats.pairs_emitted;
-                }
-                Err(_) => worker_panicked = true,
-            }
-        }
-        if worker_panicked || released < n_chunks {
-            return Err(vtjoin_join::JoinError::Internal("merge worker panicked"));
-        }
-        Ok(())
-    })?;
-    let join_micros = join_started.elapsed().as_micros() as u64;
-
-    let tuples: Vec<Tuple> = outputs.into_iter().flatten().collect();
-    let detail = ExecDetail {
-        workers,
+    let mut detail = ExecDetail {
+        workers: done.workers,
+        est_costs: (0..n_chunks).map(|w| body.cost(w)).collect(),
         replicated_r: r_all.len() as u64,
         replicated_s: s_all.len() as u64,
-        input_tuples: r_all.len() as u64 + s_all.len() as u64,
         key_buckets: 1,
-        est_costs,
-        probes: 0,
-        match_tests: 0,
-        kernel: KernelCounters::default(),
-        predicate,
         replicate_micros,
-        join_micros,
-        coordinator_wait_micros: 0,
-        columnar: None,
+        join_micros: done.join_micros,
+        ..ExecDetail::default()
     };
-    Ok((tuples, detail, summary))
+    for l in done.locals {
+        detail.predicate.merge(l);
+    }
+    let tuples = done.outputs.into_iter().flatten().collect();
+    Ok((tuples, detail, done.stream))
 }
 
-/// Computes the [`SkewSection`] of a finished parallel run from the
-/// per-cell cost estimates and worker sections. For grid runs the
-/// "partitions" the section counts are grid cells.
+/// Computes the [`SkewSection`] of a finished run from the per-unit cost
+/// estimates and worker sections. For grid runs the "partitions" the
+/// section counts are grid cells.
 fn skew_section(est_costs: &[u64], workers: &[WorkerSection]) -> SkewSection {
     let est_cost_total: u64 = est_costs.iter().sum();
     let est_cost_max = est_costs.iter().copied().max().unwrap_or(0);
@@ -897,207 +823,24 @@ fn skew_section(est_costs: &[u64], workers: &[WorkerSection]) -> SkewSection {
     }
 }
 
-/// Runs the parallel join and assembles a full [`ExecutionReport`]
-/// (algorithm `"parallel"`) with replicate/join phases, CPU counters,
-/// the per-worker breakdown, and the skew/utilization summary.
+/// Assembles the [`ExecutionReport`] of a finished run.
 ///
 /// The run is entirely in memory: all I/O sections are zero, the result
-/// page count is zero (nothing is paged), and `buffer_pages`/`seed` in
-/// the config section are zero. Counters carry the partition count,
-/// requested threads, spawned workers, replicated tuple counts per side,
-/// and the hash kernel's aggregated `BlockTable` probe/match-test
-/// counters; the schema-v4 `kernel` section carries the per-kernel
-/// partition split, sweep comparisons, and batches flushed; the
-/// schema-v7 `grid` section carries the grid shape, cell occupancy and
-/// share, time-axis replication factor, and coordinator gather wait.
-pub fn parallel_execution_report(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    parallel_execution_report_with(r, s, intervals, threads, KernelChoice::Auto)
-}
-
-/// As [`parallel_execution_report`], with an explicit kernel policy.
-pub fn parallel_execution_report_with(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-    choice: KernelChoice,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    let pred = JoinPredicate::intersects();
-    let (rel, detail) = execute(r, s, intervals, 1, threads, choice, &pred, None, None)?;
-    Ok(build_report(rel, detail, intervals, threads, &pred))
-}
-
-/// As [`parallel_execution_report`], evaluating an arbitrary
-/// [`JoinPredicate`]. Non-natural runs additionally carry the schema-v6
-/// `predicate` section; merge-fallback runs (sequence/mixed templates)
-/// carry no `kernel`, `grid` or `columnar` section, since no cell kernel
-/// is invoked.
-pub fn parallel_execution_report_pred(
-    r: &Relation,
-    s: &Relation,
-    intervals: &[Interval],
-    threads: usize,
-    pred: &JoinPredicate,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    let (rel, detail) = execute(
-        r,
-        s,
-        intervals,
-        1,
-        threads,
-        KernelChoice::Auto,
-        pred,
-        None,
-        None,
-    )?;
-    Ok(build_report(rel, detail, intervals, threads, pred))
-}
-
-/// As [`parallel_execution_report`], over an explicit [`GridPlan`].
-pub fn grid_execution_report_with(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    let pred = JoinPredicate::intersects();
-    grid_report(r, s, plan, threads, choice, &pred, None)
-}
-
-/// As [`grid_execution_report_with`], evaluating an arbitrary
-/// [`JoinPredicate`].
-pub fn grid_execution_report_pred(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    pred: &JoinPredicate,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    grid_report(r, s, plan, threads, KernelChoice::Auto, pred, None)
-}
-
-/// As [`grid_execution_report_pred`], with an explicit kernel policy and
-/// each shard worker pinning `pages_per_worker` pages of `pool` for its
-/// lifetime (the service's per-query sub-pool reservations). Reservation
-/// is best-effort: a share the pool cannot grant does not block or fail
-/// the join.
-///
-/// `layout` selects nothing: [`Layout`] has the single variant
-/// `Columnar`. The parameter stays so that callers naming a layout keep
-/// compiling.
-#[allow(clippy::too_many_arguments)]
-pub fn grid_execution_report_sharded(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-    layout: Layout,
-    pred: &JoinPredicate,
-    pool: &PagePool,
-    pages_per_worker: u64,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    let Layout::Columnar = layout;
-    let shard_pool = Some((pool, pages_per_worker));
-    grid_report(r, s, plan, threads, choice, pred, shard_pool)
-}
-
-/// Runs the grid executor over `plan` and assembles its report.
-fn grid_report(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-    pred: &JoinPredicate,
-    shard_pool: Option<(&PagePool, u64)>,
-) -> Result<(Relation, ExecutionReport), vtjoin_join::JoinError> {
-    let (rel, detail) = execute(
-        r,
-        s,
-        &plan.intervals,
-        plan.key_buckets,
-        threads,
-        choice,
-        pred,
-        shard_pool,
-        None,
-    )?;
-    Ok(build_report(rel, detail, &plan.intervals, threads, pred))
-}
-
-/// What a streamed run delivered: how many wire batches the sink saw and
-/// how many tuples they carried in total.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreamSummary {
-    /// Non-empty batches handed to the sink.
-    pub batches: u64,
-    /// Total tuples across all batches.
-    pub tuples: u64,
-}
-
-/// As [`grid_execution_report_sharded`], but **streaming**: instead of
-/// materializing one output relation, each grid cell's result is handed to
-/// `sink` as soon as it is both *complete* and *next in deterministic
-/// order*. The wire unit is one cell's late-materialized output — the
-/// very vector the materializing executor keeps in that cell's slot — so
-/// the concatenation of all batches is byte-identical to the
-/// materializing executor's output (time-major cell order, empty cells
-/// contributing nothing).
-///
-/// Workers send finished cells over a channel; the coordinator holds a
-/// reorder buffer and releases batches in cell order, so the stream is
-/// deterministic at every thread count even though cells complete out of
-/// order. Sequence/mixed predicate templates stream the merge fallback's
-/// outer chunks in chunk order instead.
-///
-/// The sink runs on the calling thread, between channel receives: a slow
-/// sink backpressures the coordinator, not the workers (cells buffer in
-/// the reorder window). Errors surface after any already-released batches
-/// — a caller that observes `Err` must treat the stream as truncated.
-///
-/// `layout` selects nothing, as for [`grid_execution_report_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub fn grid_join_streamed(
-    r: &Relation,
-    s: &Relation,
-    plan: &GridPlan,
-    threads: usize,
-    choice: KernelChoice,
-    layout: Layout,
-    pred: &JoinPredicate,
-    pool: &PagePool,
-    pages_per_worker: u64,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-) -> Result<StreamSummary, vtjoin_join::JoinError> {
-    let Layout::Columnar = layout;
-    stream(
-        r,
-        s,
-        plan,
-        threads,
-        choice,
-        pred,
-        (pool, pages_per_worker),
-        sink,
-        None,
-    )
-}
-
-/// Assembles the [`ExecutionReport`] for a finished parallel run.
+/// page count is zero, and `buffer_pages`/`seed` in the config section
+/// are zero. Every run carries the `workers` and `skew` sections; grid
+/// runs add the `grid` section (shape, occupancy, heaviest-cell share,
+/// time-axis replication, coordinator wait); inner grid runs the
+/// `kernel` and `columnar` sections; non-natural predicates the
+/// `predicate` section; operator runs the `operator` section, a `gather`
+/// phase and the `cpu_comparisons` counter.
 fn build_report(
-    rel: Relation,
-    detail: ExecDetail,
+    detail: &ExecDetail,
+    result_tuples: u64,
     intervals: &[Interval],
     threads: usize,
     pred: &JoinPredicate,
-) -> (Relation, ExecutionReport) {
+    operator: Option<&OperatorCounters>,
+) -> ExecutionReport {
     let zero_io = IoSection {
         random_reads: 0,
         seq_reads: 0,
@@ -1106,7 +849,37 @@ fn build_report(
         total_ios: 0,
         cost: 0,
     };
-    let skew = skew_section(&detail.est_costs, &detail.workers);
+    let phase = |name: &str, wall_micros: u64| PhaseSection {
+        name: name.into(),
+        wall_micros,
+        io: zero_io,
+        predicted_cost: None,
+    };
+    let counter = |name: &str, value: u64| Counter {
+        name: name.into(),
+        value: value as i64,
+    };
+    let mut phases = vec![
+        phase("replicate", detail.replicate_micros),
+        phase("join", detail.join_micros),
+    ];
+    let mut counters = vec![
+        counter("num_partitions", intervals.len() as u64),
+        counter("threads_requested", threads as u64),
+        counter("workers", detail.workers.len() as u64),
+        counter("replicated_r_tuples", detail.replicated_r),
+        counter("replicated_s_tuples", detail.replicated_s),
+    ];
+    match operator {
+        None => {
+            counters.push(counter("cpu_probes", detail.probes));
+            counters.push(counter("cpu_match_tests", detail.match_tests));
+        }
+        Some(c) => {
+            phases.push(phase("gather", detail.gather_micros));
+            counters.push(counter("cpu_comparisons", c.comparisons));
+        }
+    }
     let grid = pred.partitioning_eligible().then(|| {
         let est_total: u64 = detail.est_costs.iter().sum();
         let est_max = detail.est_costs.iter().copied().max().unwrap_or(0);
@@ -1122,91 +895,46 @@ fn build_report(
             coordinator_wait_micros: detail.coordinator_wait_micros,
         }
     });
-    let report = ExecutionReport {
-        algorithm: "parallel".into(),
+    ExecutionReport {
+        algorithm: if operator.is_some() {
+            "operator"
+        } else {
+            "parallel"
+        }
+        .into(),
         config: ConfigSection {
             buffer_pages: 0,
             random_cost: 1,
             seed: 0,
         },
         result: ResultSection {
-            tuples: rel.len() as u64,
+            tuples: result_tuples,
             pages: 0,
         },
         io: zero_io,
-        phases: vec![
-            PhaseSection {
-                name: "replicate".into(),
-                wall_micros: detail.replicate_micros,
-                io: zero_io,
-                predicted_cost: None,
-            },
-            PhaseSection {
-                name: "join".into(),
-                wall_micros: detail.join_micros,
-                io: zero_io,
-                predicted_cost: None,
-            },
-        ],
-        counters: vec![
-            Counter {
-                name: "num_partitions".into(),
-                value: intervals.len() as i64,
-            },
-            Counter {
-                name: "threads_requested".into(),
-                value: threads as i64,
-            },
-            Counter {
-                name: "workers".into(),
-                value: detail.workers.len() as i64,
-            },
-            Counter {
-                name: "replicated_r_tuples".into(),
-                value: detail.replicated_r as i64,
-            },
-            Counter {
-                name: "replicated_s_tuples".into(),
-                value: detail.replicated_s as i64,
-            },
-            Counter {
-                name: "cpu_probes".into(),
-                value: detail.probes as i64,
-            },
-            Counter {
-                name: "cpu_match_tests".into(),
-                value: detail.match_tests as i64,
-            },
-        ],
+        phases,
+        counters,
         buffer_pool: None,
         plan: None,
         deviation: None,
-        workers: detail.workers,
-        skew: Some(skew),
-        kernel: if pred.partitioning_eligible() {
-            Some(KernelSection {
-                hash_partitions: detail.kernel.hash_partitions,
-                sweep_partitions: detail.kernel.sweep_partitions,
-                sweep_comparisons: detail.kernel.sweep_comparisons,
-                batches_flushed: detail.kernel.batches_flushed,
-            })
-        } else {
-            None
-        },
+        workers: detail.workers.clone(),
+        skew: Some(skew_section(&detail.est_costs, &detail.workers)),
+        kernel: detail.kernel.map(|k| KernelSection {
+            hash_partitions: k.hash_partitions,
+            sweep_partitions: k.sweep_partitions,
+            sweep_comparisons: k.sweep_comparisons,
+            batches_flushed: k.batches_flushed,
+        }),
         faults: None,
         service: None,
-        predicate: if pred.is_natural() {
-            None
-        } else {
-            Some(PredicateSection {
-                predicate: pred.to_string(),
-                template: pred.template().as_str().to_owned(),
-                filter_checks: detail.predicate.filter_checks,
-                filter_hits: detail.predicate.filter_hits,
-                merge_pairs_scanned: detail.predicate.merge_pairs_scanned,
-                merge_pairs_emitted: detail.predicate.merge_pairs_emitted,
-            })
-        },
+        predicate: (!pred.is_natural()).then(|| PredicateSection {
+            predicate: pred.to_string(),
+            template: pred.template().as_str().to_owned(),
+            filter_checks: detail.predicate.filter_checks,
+            filter_hits: detail.predicate.filter_hits,
+            merge_pairs_scanned: detail.predicate.merge_pairs_scanned,
+            merge_pairs_emitted: detail.predicate.merge_pairs_emitted,
+        }),
         grid,
         columnar: detail.columnar.map(|c| ColumnarSection {
             encode_micros: c.encode_micros,
@@ -1214,9 +942,96 @@ fn build_report(
             dict_size: c.dict_size,
             materialized_rows: c.materialized_rows,
         }),
-        operator: None,
-    };
-    (rel, report)
+        operator: operator.map(|c| OperatorSection {
+            op: c.op.clone(),
+            cells: c.cells,
+            workers: c.workers,
+            key_buckets: c.key_buckets,
+            pairs_logged: c.pairs_logged,
+            outer_fragments: c.outer_fragments,
+            inner_fragments: c.inner_fragments,
+            stitched_outer: c.stitched_outer,
+            stitched_inner: c.stitched_inner,
+            outer_dangling: c.outer_dangling,
+            inner_dangling: c.inner_dangling,
+            timeline_events: c.timeline_events,
+            timeline_checkpoints: c.timeline_checkpoints,
+            agg_segments: c.agg_segments,
+            fallback_nested: c.fallback_nested,
+        }),
+    }
+}
+
+/// The inner-join grid executor with a shard pool, returning the result
+/// and its report: `run` with `threads`, `choice`, `pred` and
+/// `pages_per_worker` of `pool` per worker. `layout` selects nothing
+/// ([`Layout`] has the single variant `Columnar`).
+#[allow(clippy::too_many_arguments)]
+pub fn grid_execution_report_sharded(
+    r: &Relation,
+    s: &Relation,
+    plan: &GridPlan,
+    threads: usize,
+    choice: KernelChoice,
+    _layout: Layout,
+    pred: &JoinPredicate,
+    pool: &PagePool,
+    pages_per_worker: u64,
+) -> Result<(Relation, ExecutionReport), JoinError> {
+    run(
+        r,
+        s,
+        ExecRequest {
+            threads,
+            kernel: choice,
+            predicate: *pred,
+            shard_pool: Some((pool, pages_per_worker)),
+            ..ExecRequest::new(plan)
+        },
+    )
+    .map(|out| (out.relation, out.report))
+}
+
+/// As [`grid_execution_report_sharded`], streaming the result to `sink`
+/// ([`Sink::Stream`]) and returning what it delivered.
+#[allow(clippy::too_many_arguments)]
+pub fn grid_join_streamed(
+    r: &Relation,
+    s: &Relation,
+    plan: &GridPlan,
+    threads: usize,
+    choice: KernelChoice,
+    _layout: Layout,
+    pred: &JoinPredicate,
+    pool: &PagePool,
+    pages_per_worker: u64,
+    sink: &mut dyn FnMut(Vec<Tuple>),
+) -> Result<StreamSummary, JoinError> {
+    run(
+        r,
+        s,
+        ExecRequest {
+            threads,
+            kernel: choice,
+            predicate: *pred,
+            shard_pool: Some((pool, pages_per_worker)),
+            sink: Sink::Stream(sink),
+            ..ExecRequest::new(plan)
+        },
+    )
+    .map(|out| out.stream)
+}
+
+/// Replicates a relation's tuples into one bucket per partition under the
+/// shared Leung–Muntz rule (`replica_range`).
+fn replicate<'a>(rel: &'a Relation, intervals: &[Interval]) -> Vec<Vec<&'a Tuple>> {
+    let mut parts: Vec<Vec<&Tuple>> = vec![Vec::new(); intervals.len()];
+    for t in rel.iter() {
+        for i in replica_range(intervals, t.valid()) {
+            parts[i].push(t);
+        }
+    }
+    parts
 }
 
 /// The pre-optimization executor: static round-robin chunks of partitions,
@@ -1229,9 +1044,9 @@ pub fn parallel_partition_join_naive(
     s: &Relation,
     intervals: &[Interval],
     threads: usize,
-) -> Result<Relation, vtjoin_join::JoinError> {
+) -> Result<Relation, JoinError> {
     if !is_partitioning(intervals) {
-        return Err(vtjoin_join::JoinError::Precondition(
+        return Err(JoinError::Precondition(
             "intervals must partition all of valid time (sorted, gapless, ending at forever)",
         ));
     }
@@ -1272,9 +1087,7 @@ pub fn parallel_partition_join_naive(
             }
         }
         if worker_panicked {
-            return Err(vtjoin_join::JoinError::Internal(
-                "partition worker panicked",
-            ));
+            return Err(JoinError::Internal("partition worker panicked"));
         }
         Ok(())
     })?;
@@ -1289,8 +1102,9 @@ pub fn parallel_partition_join_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vtjoin_core::algebra::natural_join;
+    use vtjoin_core::algebra::{natural_join, predicate_join};
     use vtjoin_core::{AttrDef, AttrType, Schema, Value};
+    use vtjoin_join::kernel::KernelChoice::{Auto, Hash, Sweep};
     use vtjoin_join::partition::intervals::equal_width;
 
     fn rel(attr: &str, n: i64, long_every: i64) -> Relation {
@@ -1314,58 +1128,78 @@ mod tests {
         Relation::from_parts_unchecked(schema, tuples)
     }
 
+    /// `n` equal-width time partitions over [0, 400].
+    fn parts(n: u64) -> Vec<Interval> {
+        equal_width(Interval::from_raw(0, 400).unwrap(), n)
+    }
+
+    /// `threads` workers with `kernel` under `pred` over `plan`.
+    fn exec(
+        (r, s): (&Relation, &Relation),
+        plan: &GridPlan,
+        threads: usize,
+        kernel: KernelChoice,
+        pred: &str,
+    ) -> ExecOutput {
+        let predicate = pred.parse().unwrap();
+        let req = ExecRequest {
+            threads,
+            kernel,
+            predicate,
+            ..ExecRequest::new(plan)
+        };
+        run(r, s, req).unwrap()
+    }
+
+    /// The natural join's materialized result under the kernel gate.
+    fn join(rs: (&Relation, &Relation), plan: &GridPlan, threads: usize) -> Relation {
+        exec(rs, plan, threads, Auto, "intersects").relation
+    }
+
     #[test]
     fn matches_oracle_across_thread_counts() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
+        let plan = GridPlan::time_only(parts(6));
         let want = natural_join(&r, &s).unwrap();
         for threads in [1usize, 2, 4, 16] {
-            let got = parallel_partition_join(&r, &s, &parts, threads).unwrap();
+            let got = join((&r, &s), &plan, threads);
             assert!(got.multiset_eq(&want), "threads = {threads}");
         }
     }
 
     #[test]
     fn naive_baseline_matches_oracle() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
         let want = natural_join(&r, &s).unwrap();
         for threads in [1usize, 3] {
-            let got = parallel_partition_join_naive(&r, &s, &parts, threads).unwrap();
+            let got = parallel_partition_join_naive(&r, &s, &parts(6), threads).unwrap();
             assert!(got.multiset_eq(&want), "threads = {threads}");
         }
     }
 
     #[test]
     fn forced_kernels_agree_with_auto_and_the_oracle() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
+        let plan = GridPlan::time_only(parts(6));
         let want = natural_join(&r, &s).unwrap();
-        for choice in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
+        for choice in [Auto, Hash, Sweep] {
             for threads in [1usize, 3] {
-                let got = parallel_partition_join_with(&r, &s, &parts, threads, choice).unwrap();
-                assert!(
-                    got.multiset_eq(&want),
-                    "choice = {choice:?}, threads = {threads}"
-                );
+                let got = exec((&r, &s), &plan, threads, choice, "intersects").relation;
+                assert!(got.multiset_eq(&want), "{choice:?}, threads = {threads}");
             }
         }
     }
 
     #[test]
     fn report_kernel_section_accounts_every_partition() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
+        let plan = GridPlan::time_only(parts(6));
         for (choice, all_hash, all_sweep) in [
-            (KernelChoice::Hash, true, false),
-            (KernelChoice::Sweep, false, true),
-            (KernelChoice::Auto, false, false),
+            (Hash, true, false),
+            (Sweep, false, true),
+            (Auto, false, false),
         ] {
-            let (_, er) = parallel_execution_report_with(&r, &s, &parts, 2, choice).unwrap();
+            let er = exec((&r, &s), &plan, 2, choice, "intersects").report;
             let k = er.kernel.expect("parallel report has a kernel section");
             // Empty partitions are skipped without invoking a kernel, so
             // the split covers at most every partition.
@@ -1385,24 +1219,18 @@ mod tests {
 
     #[test]
     fn output_is_deterministic() {
-        let r = rel("b", 150, 5);
-        let s = rel("c", 150, 5);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 4);
-        let a = parallel_partition_join(&r, &s, &parts, 4).unwrap();
-        let b = parallel_partition_join(&r, &s, &parts, 2).unwrap();
+        let (r, s) = (rel("b", 150, 5), rel("c", 150, 5));
+        let plan = GridPlan::time_only(parts(4));
+        let a = join((&r, &s), &plan, 4);
+        let b = join((&r, &s), &plan, 2);
         assert_eq!(a.tuples(), b.tuples(), "order independent of thread count");
     }
 
     #[test]
     fn streamed_batches_concatenate_to_the_materialized_output() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        for key_buckets in [1u64, 4] {
-            let plan = GridPlan {
-                key_buckets,
-                intervals: equal_width(Interval::from_raw(0, 400).unwrap(), 6),
-            };
-            let want = grid_partition_join(&r, &s, &plan, 1).unwrap();
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
+        for plan in [1u64, 4].map(|k| GridPlan::with_buckets(k, parts(6))) {
+            let want = join((&r, &s), &plan, 1);
             for threads in [1usize, 2, 4] {
                 let pool = PagePool::new(64);
                 let mut streamed: Vec<Tuple> = Vec::new();
@@ -1412,7 +1240,7 @@ mod tests {
                     &s,
                     &plan,
                     threads,
-                    KernelChoice::Auto,
+                    Auto,
                     Layout::Columnar,
                     &JoinPredicate::intersects(),
                     &pool,
@@ -1426,11 +1254,8 @@ mod tests {
                 .unwrap();
                 assert_eq!(summary.batches, batches);
                 assert_eq!(summary.tuples, streamed.len() as u64);
-                assert_eq!(
-                    streamed,
-                    want.tuples(),
-                    "key_buckets = {key_buckets}, threads = {threads}"
-                );
+                let ctx = format!("key_buckets = {}, threads = {threads}", plan.key_buckets);
+                assert_eq!(streamed, want.tuples(), "{ctx}");
                 assert_eq!(pool.in_flight(), 0, "shard reservations released");
             }
         }
@@ -1438,26 +1263,26 @@ mod tests {
 
     #[test]
     fn streamed_merge_fallback_matches_materialized_order() {
-        let r = rel("b", 120, 4);
-        let s = rel("c", 120, 3);
+        let (r, s) = (rel("b", 120, 4), rel("c", 120, 3));
         let pred: JoinPredicate = "before".parse().unwrap();
         assert!(!pred.partitioning_eligible());
         let plan = GridPlan::time_only(vec![Interval::ALL]);
-        let want = parallel_partition_join_pred(&r, &s, &[Interval::ALL], 1, &pred).unwrap();
+        let want = exec((&r, &s), &plan, 1, Auto, "before").relation;
         for threads in [1usize, 3] {
             let pool = PagePool::new(64);
             let mut streamed: Vec<Tuple> = Vec::new();
+            let mut sink = |b: Vec<Tuple>| streamed.extend(b);
             grid_join_streamed(
                 &r,
                 &s,
                 &plan,
                 threads,
-                KernelChoice::Auto,
+                Auto,
                 Layout::default(),
                 &pred,
                 &pool,
                 4,
-                &mut |b| streamed.extend(b),
+                &mut sink,
             )
             .unwrap();
             assert_eq!(streamed, want.tuples(), "threads = {threads}");
@@ -1465,56 +1290,108 @@ mod tests {
     }
 
     #[test]
+    fn streamed_run_reports_what_the_materialized_run_reports() {
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
+        let plan = GridPlan::with_buckets(2, parts(6));
+        // One intersection template (grid cells), one sequence template
+        // (merge chunks).
+        for p in ["overlaps", "before"] {
+            let materialized = exec((&r, &s), &plan, 3, Sweep, p);
+            let mut batches: Vec<Vec<Tuple>> = Vec::new();
+            let mut sink = |b| batches.push(b);
+            let req = ExecRequest {
+                threads: 3,
+                kernel: Sweep,
+                predicate: p.parse().unwrap(),
+                sink: Sink::Stream(&mut sink),
+                ..ExecRequest::new(&plan)
+            };
+            let streamed = run(&r, &s, req).unwrap();
+            assert!(streamed.relation.is_empty(), "{p}");
+            assert_eq!(streamed.stream.batches, batches.len() as u64, "{p}");
+            assert_eq!(batches.concat(), materialized.relation.tuples(), "{p}");
+            let (m, st) = (&materialized.report, &streamed.report);
+            assert_eq!(m.result, st.result, "{p}");
+            assert_eq!(m.kernel, st.kernel, "{p}");
+            assert_eq!(m.predicate, st.predicate, "{p}");
+            // Equal up to the wall-clock fields.
+            let shape = |g: &GridSection| (g.cells, g.occupied_cells, g.replication_factor_x100);
+            assert_eq!(
+                m.grid.as_ref().map(shape),
+                st.grid.as_ref().map(shape),
+                "{p}"
+            );
+            let rows = |c: &ColumnarSection| (c.radix_passes, c.dict_size, c.materialized_rows);
+            let columnar = (
+                m.columnar.as_ref().map(rows),
+                st.columnar.as_ref().map(rows),
+            );
+            assert_eq!(columnar.0, columnar.1, "{p}");
+            let tuples = |er: &ExecutionReport| er.workers.iter().map(|w| w.tuples).sum::<u64>();
+            assert_eq!(tuples(m), tuples(st), "{p}");
+            assert_eq!(tuples(st), streamed.stream.tuples, "{p}");
+        }
+    }
+
+    #[test]
     fn single_partition_degenerates_to_plain_join() {
-        let r = rel("b", 80, 4);
-        let s = rel("c", 80, 4);
-        let got = parallel_partition_join(&r, &s, &[Interval::ALL], 3).unwrap();
-        let want = natural_join(&r, &s).unwrap();
-        assert!(got.multiset_eq(&want));
+        let (r, s) = (rel("b", 80, 4), rel("c", 80, 4));
+        let got = join((&r, &s), &GridPlan::time_only(vec![Interval::ALL]), 3);
+        assert!(got.multiset_eq(&natural_join(&r, &s).unwrap()));
     }
 
     #[test]
     fn worker_sections_account_for_all_tuples() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let (got, workers) = parallel_partition_join_reported(&r, &s, &parts, 3).unwrap();
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
+        let out = exec(
+            (&r, &s),
+            &GridPlan::time_only(parts(6)),
+            3,
+            Auto,
+            "intersects",
+        );
+        let workers = out.report.workers;
         assert_eq!(workers.len(), 3);
         assert_eq!(workers.iter().map(|w| w.partitions).sum::<u64>(), 6);
-        assert_eq!(
-            workers.iter().map(|w| w.tuples).sum::<u64>(),
-            got.len() as u64
-        );
+        let tuples = workers.iter().map(|w| w.tuples).sum::<u64>();
+        assert_eq!(tuples, out.relation.len() as u64);
         for (i, w) in workers.iter().enumerate() {
             assert_eq!(w.worker, i as u64);
-            assert!(
-                w.busy_micros <= w.wall_micros + 1000,
-                "busy beyond wall: {w:?}"
-            );
+            let slack = w.wall_micros + 1000;
+            assert!(w.busy_micros <= slack, "busy beyond wall: {w:?}");
         }
     }
 
     #[test]
     fn spawns_min_of_threads_and_partitions() {
-        let r = rel("b", 100, 4);
-        let s = rel("c", 100, 3);
+        let (r, s) = (rel("b", 100, 4), rel("c", 100, 3));
         // 2 partitions, 8 threads requested → exactly 2 workers.
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 2);
-        let (got, workers) = parallel_partition_join_reported(&r, &s, &parts, 8).unwrap();
-        assert_eq!(workers.len(), 2);
-        assert_eq!(workers.iter().map(|w| w.partitions).sum::<u64>(), 2);
-        let want = natural_join(&r, &s).unwrap();
-        assert!(got.multiset_eq(&want));
+        let out = exec(
+            (&r, &s),
+            &GridPlan::time_only(parts(2)),
+            8,
+            Auto,
+            "intersects",
+        );
+        assert_eq!(out.report.workers.len(), 2);
+        let claimed = out.report.workers.iter().map(|w| w.partitions).sum::<u64>();
+        assert_eq!(claimed, 2);
+        assert!(out.relation.multiset_eq(&natural_join(&r, &s).unwrap()));
     }
 
     #[test]
     fn execution_report_carries_workers_and_skew() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let (got, er) = parallel_execution_report(&r, &s, &parts, 3).unwrap();
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
+        let out = exec(
+            (&r, &s),
+            &GridPlan::time_only(parts(6)),
+            3,
+            Auto,
+            "intersects",
+        );
+        let er = out.report;
         assert_eq!(er.algorithm, "parallel");
-        assert_eq!(er.result.tuples, got.len() as u64);
+        assert_eq!(er.result.tuples, out.relation.len() as u64);
         assert_eq!(er.counter("num_partitions"), Some(6));
         assert_eq!(er.counter("workers"), Some(er.workers.len() as i64));
         // This workload is duplicate-heavy (6 keys), so the auto gate
@@ -1525,17 +1402,13 @@ mod tests {
         let sk = er.skew.expect("parallel report has a skew section");
         assert_eq!(sk.partitions, 6);
         assert!(sk.est_cost_max <= sk.est_cost_total);
-        assert_eq!(
-            sk.busy_micros_total,
-            er.workers.iter().map(|w| w.busy_micros).sum::<u64>()
-        );
+        let busy = er.workers.iter().map(|w| w.busy_micros).sum::<u64>();
+        assert_eq!(sk.busy_micros_total, busy);
         assert!(sk.utilization_percent <= 100);
         // The time-only surface reports a degenerate 1×N grid with
         // time-axis replication ≥ 1×.
         let g = er.grid.expect("parallel report has a grid section");
-        assert_eq!(g.key_buckets, 1);
-        assert_eq!(g.time_partitions, 6);
-        assert_eq!(g.cells, 6);
+        assert_eq!((g.key_buckets, g.time_partitions, g.cells), (1, 6, 6));
         assert!(g.occupied_cells <= g.cells);
         assert!(g.replication_factor_x100 >= 100);
         assert_eq!(g.max_cell_share_percent, sk.max_partition_share_percent);
@@ -1546,46 +1419,24 @@ mod tests {
 
     #[test]
     fn grid_shapes_match_the_oracle_at_every_thread_count() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
         let want = natural_join(&r, &s).unwrap();
-        let six = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
         // 1×N, K×1 and K×N shapes all emit the oracle multiset, and each
         // shape's output is byte-identical at every thread count.
         for plan in [
-            GridPlan::time_only(six.clone()),
+            GridPlan::time_only(parts(6)),
             GridPlan::with_buckets(4, vec![Interval::ALL]),
-            GridPlan::with_buckets(4, six.clone()),
-            GridPlan::with_buckets(8, six),
+            GridPlan::with_buckets(4, parts(6)),
+            GridPlan::with_buckets(8, parts(6)),
         ] {
-            let serial = grid_partition_join(&r, &s, &plan, 1).unwrap();
-            assert!(
-                serial.multiset_eq(&want),
-                "K={} N={}",
-                plan.key_buckets,
-                plan.intervals.len()
-            );
+            let ctx = format!("K={} N={}", plan.key_buckets, plan.intervals.len());
+            let serial = join((&r, &s), &plan, 1);
+            assert!(serial.multiset_eq(&want), "{ctx}");
             for threads in [2usize, 4, 16] {
-                let got = grid_partition_join(&r, &s, &plan, threads).unwrap();
-                assert_eq!(
-                    got.tuples(),
-                    serial.tuples(),
-                    "K={} N={} threads={threads}",
-                    plan.key_buckets,
-                    plan.intervals.len()
-                );
+                let got = join((&r, &s), &plan, threads);
+                assert_eq!(got.tuples(), serial.tuples(), "{ctx} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn collapsed_grid_is_byte_identical_to_time_only() {
-        let r = rel("b", 150, 5);
-        let s = rel("c", 150, 5);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 4);
-        let plain = parallel_partition_join(&r, &s, &parts, 3).unwrap();
-        let grid = grid_partition_join(&r, &s, &GridPlan::time_only(parts), 3).unwrap();
-        assert_eq!(plain.tuples(), grid.tuples());
     }
 
     #[test]
@@ -1610,17 +1461,15 @@ mod tests {
                 .collect();
             Relation::from_parts_unchecked(schema, tuples)
         };
-        let r = mk("b", 30);
-        let s = mk("c", 30);
+        let (r, s) = (mk("b", 30), mk("c", 30));
         let want = natural_join(&r, &s).unwrap();
         // 30×30 with 3 keys → exactly 300 pairs; any double emission from
         // a non-canonical cell would inflate the count.
         assert_eq!(want.len(), 300);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 5);
         for k in [1, 4, 8] {
-            let plan = GridPlan::with_buckets(k, parts.clone());
+            let plan = GridPlan::with_buckets(k, parts(5));
             for threads in [1usize, 3] {
-                let got = grid_partition_join(&r, &s, &plan, threads).unwrap();
+                let got = join((&r, &s), &plan, threads);
                 assert_eq!(got.len(), 300, "K={k} threads={threads}");
                 assert!(got.multiset_eq(&want), "K={k} threads={threads}");
             }
@@ -1629,16 +1478,12 @@ mod tests {
 
     #[test]
     fn grid_predicate_path_matches_the_oracle() {
-        use vtjoin_core::algebra::predicate_join;
-        let r = rel("b", 180, 4);
-        let s = rel("c", 180, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let plan = GridPlan::with_buckets(4, parts);
+        let (r, s) = (rel("b", 180, 4), rel("c", 180, 3));
+        let plan = GridPlan::with_buckets(4, parts(6));
         for p in ["overlaps", "during", "before"] {
-            let pred: JoinPredicate = p.parse().unwrap();
-            let want = predicate_join(&r, &s, &pred).unwrap();
+            let want = predicate_join(&r, &s, &p.parse().unwrap()).unwrap();
             for threads in [1usize, 3] {
-                let got = grid_partition_join_pred(&r, &s, &plan, threads, &pred).unwrap();
+                let got = exec((&r, &s), &plan, threads, Auto, p).relation;
                 assert!(got.multiset_eq(&want), "{p}, threads = {threads}");
             }
         }
@@ -1646,23 +1491,23 @@ mod tests {
 
     #[test]
     fn grid_report_reflects_the_shape() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let plan = GridPlan::with_buckets(4, parts);
-        let (got, er) = grid_execution_report_with(&r, &s, &plan, 2, KernelChoice::Auto).unwrap();
-        assert_eq!(er.result.tuples, got.len() as u64);
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
+        let plan = GridPlan::with_buckets(4, parts(6));
+        let out = exec((&r, &s), &plan, 2, Auto, "intersects");
+        let er = out.report;
+        assert_eq!(er.result.tuples, out.relation.len() as u64);
         let g = er.grid.expect("grid section");
-        assert_eq!(g.key_buckets, 4);
-        assert_eq!(g.time_partitions, 6);
-        assert_eq!(g.cells, 24);
+        assert_eq!((g.key_buckets, g.time_partitions, g.cells), (4, 6, 24));
         assert!(g.occupied_cells > 0 && g.occupied_cells <= 24);
         assert!(g.max_cell_share_percent <= 100);
         // Tuples replicate only along the time axis: the replication
         // factor of the 4×6 grid equals the 1×6 grid's.
-        let (_, er1) = parallel_execution_report(&r, &s, &plan.intervals, 2).unwrap();
-        let g1 = er1.grid.unwrap();
-        assert_eq!(g.replication_factor_x100, g1.replication_factor_x100);
+        let flat = GridPlan::time_only(plan.intervals.clone());
+        let g1 = exec((&r, &s), &flat, 2, Auto, "intersects").report.grid;
+        assert_eq!(
+            g.replication_factor_x100,
+            g1.unwrap().replication_factor_x100
+        );
         // The skew section counts cells for grid runs.
         assert_eq!(er.skew.unwrap().partitions, 24);
         // Round-trips through the documented v7 JSON schema.
@@ -1672,54 +1517,32 @@ mod tests {
 
     #[test]
     fn sharded_run_reserves_and_releases_worker_pages() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let plan = GridPlan::with_buckets(2, parts);
-        let pool = PagePool::new(64);
-        let pred = JoinPredicate::intersects();
-        let (got, _) = grid_execution_report_sharded(
-            &r,
-            &s,
-            &plan,
-            3,
-            KernelChoice::Auto,
-            Layout::default(),
-            &pred,
-            &pool,
-            8,
-        )
-        .unwrap();
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
+        let plan = GridPlan::with_buckets(2, parts(6));
         let want = natural_join(&r, &s).unwrap();
-        assert!(got.multiset_eq(&want));
+        let pred = JoinPredicate::intersects();
+        let sharded = |pool: &PagePool| {
+            let layout = Layout::default();
+            grid_execution_report_sharded(&r, &s, &plan, 3, Auto, layout, &pred, pool, 8)
+                .unwrap()
+                .0
+        };
+        let pool = PagePool::new(64);
+        assert!(sharded(&pool).multiset_eq(&want));
         // Every worker's reservation was granted and released.
         assert_eq!(pool.in_flight(), 0);
         assert_eq!(pool.stats().granted, 3);
         assert_eq!(pool.stats().released, 3);
         // A pool too small for any share still completes the join.
         let tiny = PagePool::new(4);
-        let (got, _) = grid_execution_report_sharded(
-            &r,
-            &s,
-            &plan,
-            3,
-            KernelChoice::Auto,
-            Layout::default(),
-            &pred,
-            &tiny,
-            8,
-        )
-        .unwrap();
-        assert!(got.multiset_eq(&want));
+        assert!(sharded(&tiny).multiset_eq(&want));
         assert_eq!(tiny.in_flight(), 0);
     }
 
     #[test]
     fn predicate_paths_match_the_oracle() {
-        use vtjoin_core::algebra::predicate_join;
-        let r = rel("b", 180, 4);
-        let s = rel("c", 180, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
+        let (r, s) = (rel("b", 180, 4), rel("c", 180, 3));
+        let plan = GridPlan::time_only(parts(6));
         // One predicate per template: intersection (filtered kernels),
         // sequence and mixed (merge fallback), plus a gap bound.
         for p in [
@@ -1733,13 +1556,13 @@ mod tests {
             "meets-or-overlaps",
             "before-within-3",
         ] {
-            let pred: JoinPredicate = p.parse().unwrap();
-            let want = predicate_join(&r, &s, &pred).unwrap();
+            let want = predicate_join(&r, &s, &p.parse().unwrap()).unwrap();
             for threads in [1usize, 3] {
-                let got = parallel_partition_join_pred(&r, &s, &parts, threads, &pred).unwrap();
+                let got = exec((&r, &s), &plan, threads, Auto, p).relation;
+                let ctx = format!("{p}, threads = {threads}");
                 assert!(
                     got.multiset_eq(&want),
-                    "{p}, threads = {threads}: got {} want {}",
+                    "{ctx}: {} vs {}",
                     got.len(),
                     want.len()
                 );
@@ -1749,28 +1572,27 @@ mod tests {
 
     #[test]
     fn predicate_fallback_is_deterministic_across_thread_counts() {
-        let r = rel("b", 150, 5);
-        let s = rel("c", 150, 5);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 4);
-        let pred: JoinPredicate = "before".parse().unwrap();
-        let a = parallel_partition_join_pred(&r, &s, &parts, 4, &pred).unwrap();
-        let b = parallel_partition_join_pred(&r, &s, &parts, 1, &pred).unwrap();
+        let (r, s) = (rel("b", 150, 5), rel("c", 150, 5));
+        let plan = GridPlan::time_only(parts(4));
+        let a = exec((&r, &s), &plan, 4, Auto, "before").relation;
+        let b = exec((&r, &s), &plan, 1, Auto, "before").relation;
         assert_eq!(a.tuples(), b.tuples(), "order independent of thread count");
     }
 
     #[test]
     fn predicate_report_sections_reflect_the_template() {
-        let r = rel("b", 180, 4);
-        let s = rel("c", 180, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
+        let (r, s) = (rel("b", 180, 4), rel("c", 180, 3));
+        let plan = GridPlan::time_only(parts(6));
+        let report = |p| {
+            let out = exec((&r, &s), &plan, 2, Auto, p);
+            (out.relation, out.report)
+        };
 
         // Natural runs carry no predicate section (pre-v6 shape).
-        let (_, er) = parallel_execution_report(&r, &s, &parts, 2).unwrap();
-        assert!(er.predicate.is_none());
+        assert!(report("intersects").1.predicate.is_none());
 
         // Intersection template: filtered kernels, no merge fallback.
-        let pred: JoinPredicate = "overlaps".parse().unwrap();
-        let (got, er) = parallel_execution_report_pred(&r, &s, &parts, 2, &pred).unwrap();
+        let (got, er) = report("overlaps");
         let pd = er.predicate.as_ref().expect("predicate section");
         assert_eq!(pd.predicate, "overlaps");
         assert_eq!(pd.template, "intersection");
@@ -1781,8 +1603,7 @@ mod tests {
         assert_eq!(er.result.tuples, got.len() as u64);
 
         // Sequence template: merge fallback, no kernel or grid section.
-        let pred: JoinPredicate = "before".parse().unwrap();
-        let (got, er) = parallel_execution_report_pred(&r, &s, &parts, 2, &pred).unwrap();
+        let (got, er) = report("before");
         let pd = er.predicate.as_ref().expect("predicate section");
         assert_eq!(pd.template, "sequence");
         assert_eq!(pd.filter_checks, 0);
@@ -1790,10 +1611,8 @@ mod tests {
         assert!(pd.merge_pairs_scanned >= pd.merge_pairs_emitted);
         assert!(er.kernel.is_none());
         assert!(er.grid.is_none());
-        assert_eq!(
-            er.workers.iter().map(|w| w.tuples).sum::<u64>(),
-            got.len() as u64
-        );
+        let tuples = er.workers.iter().map(|w| w.tuples).sum::<u64>();
+        assert_eq!(tuples, got.len() as u64);
         // Round-trips through the documented v6 JSON schema.
         let back = vtjoin_obs::ExecutionReport::from_json_str(&er.to_json_string()).unwrap();
         assert_eq!(back, er);
@@ -1801,54 +1620,31 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let r = rel("b", 0, 0);
-        let s = rel("c", 50, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 4);
-        assert!(parallel_partition_join(&r, &s, &parts, 2)
-            .unwrap()
-            .is_empty());
+        let (r, s) = (rel("b", 0, 0), rel("c", 50, 3));
+        assert!(join((&r, &s), &GridPlan::time_only(parts(4)), 2).is_empty());
     }
 
     #[test]
     fn every_shape_kernel_and_predicate_matches_the_oracle() {
-        use vtjoin_core::algebra::predicate_join;
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        let six = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
         for plan in [
-            GridPlan::time_only(six.clone()),
-            GridPlan::with_buckets(4, six.clone()),
+            GridPlan::time_only(parts(6)),
+            GridPlan::with_buckets(4, parts(6)),
             GridPlan::time_only(vec![Interval::ALL]),
         ] {
             for pred in ["intersects", "overlaps", "during", "meets-or-overlaps"] {
                 let pred: JoinPredicate = pred.parse().unwrap();
                 let want = predicate_join(&r, &s, &pred).unwrap();
-                for choice in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
+                for choice in [Auto, Hash, Sweep] {
                     let pool = PagePool::new(64);
-                    let serial = grid_execution_report_sharded(
-                        &r,
-                        &s,
-                        &plan,
-                        1,
-                        choice,
-                        Layout::Columnar,
-                        &pred,
-                        &pool,
-                        4,
-                    )
-                    .unwrap();
-                    let parallel = grid_execution_report_sharded(
-                        &r,
-                        &s,
-                        &plan,
-                        3,
-                        choice,
-                        Layout::Columnar,
-                        &pred,
-                        &pool,
-                        4,
-                    )
-                    .unwrap();
+                    let sharded = |threads| {
+                        let layout = Layout::Columnar;
+                        grid_execution_report_sharded(
+                            &r, &s, &plan, threads, choice, layout, &pred, &pool, 4,
+                        )
+                        .unwrap()
+                    };
+                    let (serial, parallel) = (sharded(1), sharded(3));
                     let ctx = format!(
                         "K={} N={} pred={pred} choice={choice:?}",
                         plan.key_buckets,
@@ -1859,11 +1655,8 @@ mod tests {
                     assert_eq!(serial.0.tuples(), parallel.0.tuples(), "{ctx}");
                     assert_eq!(serial.1.kernel, parallel.1.kernel, "{ctx}");
                     assert_eq!(serial.1.predicate, parallel.1.predicate, "{ctx}");
-                    assert_eq!(
-                        serial.1.counter("cpu_probes"),
-                        parallel.1.counter("cpu_probes"),
-                        "{ctx}"
-                    );
+                    let probes = |er: &ExecutionReport| er.counter("cpu_probes");
+                    assert_eq!(probes(&serial.1), probes(&parallel.1), "{ctx}");
                 }
             }
         }
@@ -1871,29 +1664,15 @@ mod tests {
 
     #[test]
     fn columnar_report_section_accounts_the_run() {
-        let r = rel("b", 200, 4);
-        let s = rel("c", 200, 3);
-        let parts = equal_width(Interval::from_raw(0, 400).unwrap(), 6);
-        let plan = GridPlan::with_buckets(2, parts);
-        let pred = JoinPredicate::intersects();
+        let (r, s) = (rel("b", 200, 4), rel("c", 200, 3));
+        let plan = GridPlan::with_buckets(2, parts(6));
 
         // Grid runs account every materialized tuple and the shared
         // dictionary, and round-trip through the v9 JSON schema.
-        let pool = PagePool::new(64);
-        let (got, er) = grid_execution_report_sharded(
-            &r,
-            &s,
-            &plan,
-            2,
-            KernelChoice::Sweep,
-            Layout::Columnar,
-            &pred,
-            &pool,
-            4,
-        )
-        .unwrap();
+        let out = exec((&r, &s), &plan, 2, Sweep, "intersects");
+        let er = out.report;
         let c = er.columnar.expect("columnar section");
-        assert_eq!(c.materialized_rows, got.len() as u64);
+        assert_eq!(c.materialized_rows, out.relation.len() as u64);
         // 6 join keys on each side → 6 interned entries.
         assert_eq!(c.dict_size, 6);
         // Forced sweep on a non-trivial workload sorts at least one cell.
@@ -1903,8 +1682,15 @@ mod tests {
         assert_eq!(back.columnar, er.columnar);
 
         // Merge-fallback runs encode nothing and carry no columnar section.
-        let before: JoinPredicate = "before".parse().unwrap();
-        let (_, er) = grid_execution_report_pred(&r, &s, &plan, 2, &before).unwrap();
-        assert!(er.columnar.is_none());
+        let before = exec((&r, &s), &plan, 2, Auto, "before").report;
+        assert!(before.columnar.is_none());
+    }
+
+    #[test]
+    fn malformed_partitionings_are_typed_errors() {
+        let (r, s) = (rel("b", 20, 4), rel("c", 20, 3));
+        let gappy = GridPlan::time_only(vec![Interval::from_raw(0, 10).unwrap()]);
+        let err = run(&r, &s, ExecRequest::new(&gappy));
+        assert!(matches!(err, Err(JoinError::Precondition(_))));
     }
 }

@@ -40,10 +40,13 @@
 //!   requests under a dedicated page budget, so a plan-cache hit on a hot
 //!   pair performs *zero* heap I/O end to end. Beside them, under the
 //!   same budget, the service keeps the columnar encoding of each
-//!   resident pair an inner join ran over, keyed by both tables' catalog
-//!   versions: later `submit`/`submit_streamed` calls on the pair skip
-//!   the encode pass until either version moves, and the encoding goes
-//!   when residency drops or evicts either table;
+//!   resident pair a grid join (inner or operator) ran over, keyed by
+//!   both tables' catalog versions: later `submit`/`submit_streamed`
+//!   calls on the pair skip the encode pass until either version moves,
+//!   and the encoding goes when residency drops or evicts either table.
+//!   Cold table reads and pair encodes are single-flight, like planning:
+//!   a concurrent request for the same table version or pair waits for
+//!   the one in progress instead of repeating it;
 //! * **streaming execution** ([`JoinService::submit_streamed`]): results
 //!   are delivered incrementally as [`vtjoin_join::kernel::OutputBatch`]
 //!   wire units in deterministic order — the concatenation of the batches
@@ -55,8 +58,8 @@
 //! [`ExecutionReport`] with algorithm `"service"`.
 
 use crate::database::{Database, DbError, TableStats};
-use crate::operator::{operator_join, OperatorCounters};
-use crate::parallel::{execute, stream, StreamSummary};
+use crate::operator::OperatorCounters;
+use crate::parallel::{run, ExecOutput, ExecRequest, Sink};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
@@ -425,25 +428,39 @@ impl CacheEntry {
     }
 }
 
-/// Holds a single-flight planning claim for one cache key; dropping it —
-/// on success or on any error path — releases the claim and wakes the
-/// requests parked behind the planner.
-struct PlanClaim<'a> {
-    svc: &'a JoinService,
-    key: Option<PlanKey>,
+/// What a single-flight claim is held for: a plan being sampled, a
+/// table being read into residency, or a resident pair being encoded.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum FlightKey {
+    Plan(PlanKey),
+    Table(String, u64),
+    Pair(PairKey),
 }
 
-impl Drop for PlanClaim<'_> {
+/// Holds a single-flight claim on one key; dropping it — on success or
+/// on any error path — releases the claim and wakes the requests parked
+/// behind it.
+struct Claim<'a> {
+    svc: &'a JoinService,
+    key: FlightKey,
+}
+
+impl Drop for Claim<'_> {
     fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            self.svc
-                .planning
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&key);
-            self.svc.planning_done.notify_all();
-        }
+        self.svc
+            .in_flight
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&self.key);
+        self.svc.flight_done.notify_all();
     }
+}
+
+/// What [`JoinService::single_flight`] hands back: the value another
+/// request published, or the claim to produce it.
+enum Flight<'a, T> {
+    Found(T),
+    Claimed(Claim<'a>),
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -482,7 +499,8 @@ struct Counters {
     /// Execution wall time summed over admitted requests (the report's
     /// `serve` phase).
     exec_micros_total: u64,
-    /// Inner joins that reused a kept pair encoding / encoded afresh.
+    /// Grid joins (inner or operator) that reused a kept pair encoding /
+    /// encoded afresh.
     encoding_hits: u64,
     encoding_misses: u64,
 }
@@ -763,11 +781,12 @@ pub struct JoinService {
     cfg: ServiceConfig,
     pool: PagePool,
     cache: Mutex<HashMap<PlanKey, CacheEntry>>,
-    /// Single-flight guard: keys whose plan is being computed right now.
-    /// Concurrent requests for the same key wait on the condvar and take
-    /// the cache hit instead of racing a redundant sampling pass.
-    planning: Mutex<HashSet<PlanKey>>,
-    planning_done: Condvar,
+    /// Single-flight guard: plans being sampled, tables being read and
+    /// pairs being encoded right now. Concurrent requests for the same
+    /// key wait on the condvar and take what the claim holder publishes
+    /// instead of racing a redundant pass.
+    in_flight: Mutex<HashSet<FlightKey>>,
+    flight_done: Condvar,
     residency: Mutex<Residency>,
     counters: Mutex<Counters>,
     io_base: IoStats,
@@ -786,8 +805,8 @@ impl JoinService {
             cfg,
             pool,
             cache: Mutex::new(HashMap::new()),
-            planning: Mutex::new(HashSet::new()),
-            planning_done: Condvar::new(),
+            in_flight: Mutex::new(HashSet::new()),
+            flight_done: Condvar::new(),
             residency: Mutex::new(Residency::default()),
             counters: Mutex::new(Counters::default()),
             io_base,
@@ -898,28 +917,28 @@ impl JoinService {
         // per-request error and must be counted, with the page reservation
         // released either way (RAII).
         let exec_started = Instant::now();
-        let outcome = self.plan_and_run(
-            outer, inner, pred, &opts.op, grid, &r_heap, &s_heap, &r_stats, &s_stats, pages,
+        let outcome = self.plan_and_execute(
+            outer, inner, pred, &opts.op, grid, &r_heap, &s_heap, &r_stats, &s_stats, pages, None,
         );
         drop(admit.reservation);
         let exec_micros = exec_started.elapsed().as_micros() as u64;
         let mut c = self.lock_counters();
         c.exec_micros_total += exec_micros;
         match outcome {
-            Ok((result, plan, partitions, key_buckets, operator)) => {
+            Ok((out, plan, partitions, key_buckets)) => {
                 c.completed += 1;
-                c.result_tuples += result.len() as u64;
+                c.result_tuples += out.relation.len() as u64;
                 c.exec_ewma_micros = (c.exec_ewma_micros * 7 + exec_micros) / 8;
                 drop(c);
                 Ok(JoinResponse {
-                    result,
+                    result: out.relation,
                     plan,
                     admission: admit.admission,
                     partitions,
                     key_buckets,
                     reserved_pages: pages,
                     wait_micros: admit.wait_micros,
-                    operator,
+                    operator: out.operator,
                 })
             }
             Err(e) => {
@@ -961,15 +980,32 @@ impl JoinService {
         let grid = opts.grid.unwrap_or(self.cfg.grid);
 
         let exec_started = Instant::now();
-        let outcome = self.plan_and_stream(
-            outer, inner, pred, grid, &r_heap, &s_heap, &r_stats, &s_stats, pages, sink,
+        let outcome = self.plan_and_execute(
+            outer,
+            inner,
+            pred,
+            &Operator::Inner,
+            grid,
+            &r_heap,
+            &s_heap,
+            &r_stats,
+            &s_stats,
+            pages,
+            Some(sink),
         );
         drop(admit.reservation);
         let exec_micros = exec_started.elapsed().as_micros() as u64;
         let mut c = self.lock_counters();
         c.exec_micros_total += exec_micros;
         match outcome {
-            Ok((summary, plan, partitions, key_buckets)) => {
+            Ok((
+                ExecOutput {
+                    stream: summary, ..
+                },
+                plan,
+                partitions,
+                key_buckets,
+            )) => {
                 c.completed += 1;
                 c.result_tuples += summary.tuples;
                 c.streamed_batches += summary.batches;
@@ -1130,47 +1166,46 @@ impl JoinService {
         heap: &HeapFile,
         stats: &TableStats,
     ) -> Result<Arc<Relation>, ServiceError> {
-        if self.cfg.residency_pages == 0 {
-            let rel = heap
-                .read_all()
-                .map_err(|e| ServiceError::Join(JoinError::Storage(e)))?;
-            return Ok(Arc::new(rel));
-        }
-        {
-            let mut res = self.residency.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(rel) = res.get(table, stats.version) {
-                self.lock_counters().residency_hits += 1;
-                return Ok(rel);
-            }
-        }
-        // Read outside the residency lock: concurrent misses on different
-        // tables read in parallel (a double miss on the same table costs
-        // one redundant read; last insert wins).
-        let rel = Arc::new(
+        let read = || {
             heap.read_all()
-                .map_err(|e| ServiceError::Join(JoinError::Storage(e)))?,
-        );
-        let evicted = {
-            let mut res = self.residency.lock().unwrap_or_else(|e| e.into_inner());
-            res.insert(
-                table,
-                stats.version,
-                Arc::clone(&rel),
-                stats.pages,
-                self.cfg.residency_pages,
-            )
+                .map(Arc::new)
+                .map_err(|e| ServiceError::Join(JoinError::Storage(e)))
         };
+        if self.cfg.residency_pages == 0 {
+            return read();
+        }
+        // Single-flight: a concurrent miss on the same table version
+        // waits for this read and takes the resident copy; misses on
+        // different tables still read in parallel, outside the residency
+        // lock.
+        let key = FlightKey::Table(table.to_owned(), stats.version);
+        let _claim =
+            match self.single_flight(key, || self.lock_residency().get(table, stats.version)) {
+                Flight::Found(rel) => {
+                    self.lock_counters().residency_hits += 1;
+                    return Ok(rel);
+                }
+                Flight::Claimed(claim) => claim,
+            };
+        let rel = read()?;
+        let evicted = self.lock_residency().insert(
+            table,
+            stats.version,
+            Arc::clone(&rel),
+            stats.pages,
+            self.cfg.residency_pages,
+        );
         let mut c = self.lock_counters();
         c.residency_misses += 1;
         c.residency_evictions += evicted;
         Ok(rel)
     }
 
-    /// The columnar encoding of a resident table pair for an inner join:
-    /// the kept one when it encodes exactly `r` and `s`, else a fresh
-    /// encode, kept beside the resident relations under the residency
-    /// budget. `None` — the executor encodes for itself — when residency
-    /// is off.
+    /// The columnar encoding of a resident table pair for a grid join
+    /// (inner or operator): the kept one when it encodes exactly `r` and
+    /// `s`, else a fresh encode, kept beside the resident relations under
+    /// the residency budget. `None` — the executor encodes for itself —
+    /// when residency is off.
     fn pair_encoding(
         &self,
         outer: &str,
@@ -1189,40 +1224,67 @@ impl JoinService {
             inner.to_owned(),
             s_stats.version,
         );
-        let kept = self
-            .residency
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get_encoding(&key, r, s);
-        if let Some(enc) = kept {
-            self.lock_counters().encoding_hits += 1;
-            return Ok(Some(enc));
-        }
-        // Encode outside the residency lock, like a relation read.
+        // Single-flight, like a relation read: a concurrent cold request
+        // on the pair waits for this encode and takes the kept one.
+        let _claim = match self.single_flight(FlightKey::Pair(key.clone()), || {
+            self.lock_residency().get_encoding(&key, r, s)
+        }) {
+            Flight::Found(enc) => {
+                self.lock_counters().encoding_hits += 1;
+                return Ok(Some(enc));
+            }
+            Flight::Claimed(claim) => claim,
+        };
         let spec = JoinSpec::natural(r.schema(), s.schema()).map_err(ServiceError::Join)?;
         let enc = Arc::new(EncodedPair::encode(&spec, r.iter(), s.iter()));
         let pages = enc.heap_bytes().div_ceil(self.page_bytes);
-        let evicted = self
-            .residency
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert_encoding(
-                key,
-                Arc::clone(&enc),
-                (r, s),
-                pages,
-                self.cfg.residency_pages,
-            );
+        let evicted = self.lock_residency().insert_encoding(
+            key,
+            Arc::clone(&enc),
+            (r, s),
+            pages,
+            self.cfg.residency_pages,
+        );
         let mut c = self.lock_counters();
         c.encoding_misses += 1;
         c.residency_evictions += evicted;
         Ok(Some(enc))
     }
 
-    /// Phases 3 & 4 — plan (through the cache) and execute, materialized.
+    /// Returns what `probe` finds, or — when it finds nothing — a claim
+    /// on `key`, first waiting while another request holds that claim.
+    /// So at most one request works on a key at a time, and the rest take
+    /// what it publishes. `probe` runs under the in-flight lock and may
+    /// take only the plan-cache and residency locks.
+    fn single_flight<T>(
+        &self,
+        key: FlightKey,
+        mut probe: impl FnMut() -> Option<T>,
+    ) -> Flight<'_, T> {
+        let mut in_flight = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(found) = probe() {
+                return Flight::Found(found);
+            }
+            if in_flight.insert(key.clone()) {
+                return Flight::Claimed(Claim { svc: self, key });
+            }
+            in_flight = self
+                .flight_done
+                .wait(in_flight)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    fn lock_residency(&self) -> MutexGuard<'_, Residency> {
+        self.residency.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Phases 3 & 4 — plan (through the cache) and execute: the one
+    /// executor call of every request, inner or operator, materialized
+    /// or (with a `sink`) streamed.
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn plan_and_run(
+    fn plan_and_execute(
         &self,
         outer: &str,
         inner: &str,
@@ -1234,135 +1296,47 @@ impl JoinService {
         r_stats: &TableStats,
         s_stats: &TableStats,
         reserved_pages: u64,
-    ) -> Result<(Relation, PlanOutcome, u64, u64, Option<OperatorCounters>), ServiceError> {
+        sink: Option<&mut dyn FnMut(Vec<Tuple>)>,
+    ) -> Result<(ExecOutput, PlanOutcome, u64, u64), ServiceError> {
         let (r_rel, s_rel, plan, outcome) = self.plan_phase(
             outer, inner, pred, op, grid, r_heap, s_heap, r_stats, s_stats,
         )?;
-        let Some(plan) = plan else {
-            // Sequence/mixed template: no time partitioning. The inner
-            // join takes the stream-shape merge fallback; non-inner
-            // operators run the tracked executor over the trivial
-            // partitioning (it routes to its own nested fallback).
-            if !op.is_inner() {
-                let (result, counters) = operator_join(
-                    &r_rel,
-                    &s_rel,
-                    op,
-                    pred,
-                    &[Interval::ALL],
-                    1,
-                    self.cfg.threads_per_query,
-                    self.cfg.layout,
-                )
-                .map_err(ServiceError::Join)?;
-                return Ok((result, outcome, 0, 0, Some(counters)));
-            }
-            let result = crate::parallel::parallel_partition_join_pred(
-                &r_rel,
-                &s_rel,
-                &[Interval::ALL],
-                self.cfg.threads_per_query,
-                pred,
-            )
-            .map_err(ServiceError::Join)?;
-            return Ok((result, outcome, 0, 0, None));
-        };
-        let partitions = plan.intervals.len() as u64;
-        let key_buckets = plan.key_buckets;
-        if !op.is_inner() {
-            // Non-inner operators reuse the cached partition boundaries
-            // and key-bucket count, but execute through the
-            // dangling-tracking operator executor instead of the sharded
-            // inner-join grid.
-            let (result, counters) = operator_join(
-                &r_rel,
-                &s_rel,
-                op,
-                pred,
-                &plan.intervals,
-                key_buckets as usize,
-                self.cfg.threads_per_query,
-                self.cfg.layout,
-            )
-            .map_err(ServiceError::Join)?;
-            return Ok((result, outcome, partitions, key_buckets, Some(counters)));
-        }
-        // Shard execution: the request's admitted page budget becomes a
-        // private sub-pool, and each grid worker pins its per-shard share
-        // for its whole lifetime — admission-visible memory accounting
-        // with no locking inside the join loop.
-        let threads = self.cfg.threads_per_query.max(1);
-        let shard_pool = PagePool::new(reserved_pages);
-        let share = reserved_pages.div_ceil(threads as u64).max(1);
-        let enc = self.pair_encoding(outer, r_stats, inner, s_stats, &r_rel, &s_rel)?;
-        let (result, _) = execute(
-            &r_rel,
-            &s_rel,
-            &plan.intervals,
-            plan.key_buckets,
-            threads,
-            self.cfg.kernel,
-            pred,
-            Some((&shard_pool, share)),
-            enc.as_deref(),
-        )
-        .map_err(ServiceError::Join)?;
-        Ok((result, outcome, partitions, key_buckets, None))
-    }
-
-    /// Phases 3 & 4, streamed: identical planning, execution through the
-    /// streaming executor behind [`crate::parallel::grid_join_streamed`] (which routes sequence/mixed templates to
-    /// the streaming merge fallback itself).
-    #[allow(clippy::too_many_arguments)]
-    fn plan_and_stream(
-        &self,
-        outer: &str,
-        inner: &str,
-        pred: &JoinPredicate,
-        grid: GridChoice,
-        r_heap: &HeapFile,
-        s_heap: &HeapFile,
-        r_stats: &TableStats,
-        s_stats: &TableStats,
-        reserved_pages: u64,
-        sink: &mut dyn FnMut(Vec<Tuple>),
-    ) -> Result<(StreamSummary, PlanOutcome, u64, u64), ServiceError> {
-        let (r_rel, s_rel, plan, outcome) = self.plan_phase(
-            outer,
-            inner,
-            pred,
-            &Operator::Inner,
-            grid,
-            r_heap,
-            s_heap,
-            r_stats,
-            s_stats,
-        )?;
+        // Sequence/mixed templates have no plan: the chunked fallbacks
+        // ignore the grid and encode nothing.
         let (plan, partitions, key_buckets, enc) = match plan {
             Some(p) => {
-                let parts = p.intervals.len() as u64;
-                let kb = p.key_buckets;
+                let (n, k) = (p.intervals.len() as u64, p.key_buckets);
                 let enc = self.pair_encoding(outer, r_stats, inner, s_stats, &r_rel, &s_rel)?;
-                (p, parts, kb, enc)
+                (p, n, k, enc)
             }
             None => (GridPlan::time_only(vec![Interval::ALL]), 0, 0, None),
         };
+        // Shard execution: the request's admitted page budget becomes a
+        // private sub-pool, and each worker pins its per-shard share for
+        // its whole lifetime — admission-visible memory accounting with
+        // no locking inside the join loop.
         let threads = self.cfg.threads_per_query.max(1);
         let shard_pool = PagePool::new(reserved_pages);
         let share = reserved_pages.div_ceil(threads as u64).max(1);
-        let summary = stream(
+        let out = run(
             &r_rel,
             &s_rel,
-            &plan,
-            threads,
-            self.cfg.kernel,
-            pred,
-            (&shard_pool, share),
-            sink,
-            enc.as_deref(),
+            ExecRequest {
+                plan: &plan,
+                threads,
+                kernel: self.cfg.kernel,
+                predicate: *pred,
+                operator: (!op.is_inner()).then_some(op),
+                shard_pool: Some((&shard_pool, share)),
+                encoding: enc.as_deref(),
+                sink: match sink {
+                    Some(f) => Sink::Stream(f),
+                    None => Sink::Materialize,
+                },
+            },
         )
         .map_err(ServiceError::Join)?;
-        Ok((summary, outcome, partitions, key_buckets))
+        Ok((out, outcome, partitions, key_buckets))
     }
 
     /// Shared planning front half: residency-cached relation reads plus
@@ -1432,44 +1406,34 @@ impl JoinService {
             op.to_string(),
         );
         let mut invalidated = false;
-        if self.cfg.plan_cache {
-            // Single-flight: at most one thread runs the sampling pass per
-            // key; concurrent requests for the same key park here and take
-            // the cache hit the planner publishes.
-            let mut planning = self.planning.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                {
-                    let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Some(entry) = cache.get(&key) {
-                        if entry.still_valid(outer_fp, inner_fp) {
-                            let plan = GridPlan {
-                                key_buckets: entry.key_buckets,
-                                intervals: entry.intervals.clone(),
-                            };
-                            drop(cache);
-                            drop(planning);
-                            self.lock_counters().cache_hits += 1;
-                            return Ok((plan, PlanOutcome::CacheHit));
-                        }
-                        cache.remove(&key);
-                        invalidated = true;
-                    }
+        // Single-flight: at most one thread runs the sampling pass per
+        // key; concurrent requests for the same key park here and take the
+        // cache hit the planner publishes. The claim is released on every
+        // exit, including the error paths, so waiters never hang on a
+        // failed planner.
+        let _claim = if self.cfg.plan_cache {
+            let probe = || {
+                let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+                let entry = cache.get(&key)?;
+                if entry.still_valid(outer_fp, inner_fp) {
+                    return Some(GridPlan {
+                        key_buckets: entry.key_buckets,
+                        intervals: entry.intervals.clone(),
+                    });
                 }
-                if !planning.contains(&key) {
-                    planning.insert(key.clone());
-                    break;
+                cache.remove(&key);
+                invalidated = true;
+                None
+            };
+            match self.single_flight(FlightKey::Plan(key.clone()), probe) {
+                Flight::Found(plan) => {
+                    self.lock_counters().cache_hits += 1;
+                    return Ok((plan, PlanOutcome::CacheHit));
                 }
-                planning = self
-                    .planning_done
-                    .wait(planning)
-                    .unwrap_or_else(|e| e.into_inner());
+                Flight::Claimed(claim) => Some(claim),
             }
-        }
-        // Releases the single-flight claim on every exit, including the
-        // error paths, so waiters never hang on a failed planner.
-        let _claim = PlanClaim {
-            svc: self,
-            key: self.cfg.plan_cache.then(|| key.clone()),
+        } else {
+            None
         };
 
         let planner = determine_part_intervals(r_heap, s_heap, None, &self.cfg.join)

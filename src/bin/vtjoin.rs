@@ -68,7 +68,8 @@ fn usage() -> String {
      [--grid auto|1xN|KxN|<k>xN] [--predicate PRED] [--explain] \
      [--stats-json FILE] [-o FILE]   (in-memory parallel grid-partition join)\n  \
      vtjoin join OUTER INNER --op left|full|semi|anti|aggregate:count|aggregate:sum:ATTR|\
-aggregate:min:ATTR|aggregate:max:ATTR [--threads N] [--partitions N] [--predicate PRED] \
+aggregate:min:ATTR|aggregate:max:ATTR [--threads N] [--partitions N] \
+     [--grid auto|1xN|KxN|<k>xN] [--predicate PRED] \
      [--explain] [--stats-json FILE] [-o FILE]   \
      (temporal outer/semi/anti join or aggregation; see docs/OPERATORS.md)\n  \
      vtjoin serve --requests FILE [--concurrency N] [--pool-pages N] [--max-queue N] \
@@ -87,16 +88,26 @@ aggregate:min:ATTR|aggregate:max:ATTR [--threads N] [--partitions N] [--predicat
 }
 
 /// A flag the subcommand does not accept: `flag` as written (dashes
-/// included) is not among `command`'s `accepted` flags.
+/// included) is not among `command`'s `accepted` flags — or, when
+/// `ignored_by` names the execution path the other flags chose, a flag
+/// that path would silently ignore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct UsageError {
     command: &'static str,
     flag: String,
     accepted: &'static [&'static str],
+    ignored_by: Option<String>,
 }
 
 impl std::fmt::Display for UsageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(path) = &self.ignored_by {
+            return write!(
+                f,
+                "`vtjoin {}`: {} has no effect on {path}; drop it or choose another path",
+                self.command, self.flag
+            );
+        }
         write!(
             f,
             "`vtjoin {}` has no flag {}; accepted:",
@@ -157,6 +168,17 @@ const JOIN_FLAGS: &[&str] = &[
     "stats-json",
     "out",
 ];
+/// `join` flags only the disk algorithms read.
+const DISK_FLAGS: &[&str] = &[
+    "algorithm",
+    "buffer",
+    "ratio",
+    "faults",
+    "fault-seed",
+    "retries",
+];
+/// `join` flags only the in-memory executor reads.
+const MEMORY_FLAGS: &[&str] = &["partitions", "kernel", "grid"];
 const SERVE_FLAGS: &[&str] = &[
     "requests",
     "concurrency",
@@ -195,6 +217,7 @@ impl Flags {
                         command,
                         flag: a.clone(),
                         accepted,
+                        ignored_by: None,
                     }
                     .into());
                 }
@@ -214,6 +237,7 @@ impl Flags {
                         command,
                         flag: a.clone(),
                         accepted,
+                        ignored_by: None,
                     }
                     .into());
                 }
@@ -329,26 +353,20 @@ fn cmd_info(args: &[String]) -> Result<(), AnyError> {
 
 fn cmd_join(args: &[String]) -> Result<(), AnyError> {
     let flags = Flags::parse(args, "join", JOIN_FLAGS)?;
+    // `--threads` or a non-inner `--op` (outer/semi/anti join or temporal
+    // aggregation) selects the in-memory executor; otherwise the disk
+    // algorithms run. Flags the chosen path would ignore are refused
+    // before any file is read.
+    let op = parse_op(&flags)?;
+    let threads = flags.get_u64("threads", 0)?;
+    check_join_path(&flags, &op, threads)?;
     let [outer_path, inner_path] = flags.positional.as_slice() else {
         return Err("join needs OUTER and INNER files".into());
     };
     let r = load(outer_path)?;
     let s = load(inner_path)?;
-
-    // `--op` selects a non-inner member of the operator family (outer/
-    // semi/anti join or temporal aggregation); those always run the
-    // in-memory operator executor, never the disk algorithms.
-    let op = parse_op(&flags)?;
-    if !op.is_inner() {
-        return join_operator(&flags, &r, &s, &op);
-    }
-
-    // `--threads` selects the in-memory parallel executor (work-stealing
-    // hash-probed partition join over replicated partitions); the
-    // disk-based algorithms below ignore it.
-    let threads = flags.get_u64("threads", 0)?;
-    if threads > 0 {
-        return join_parallel(&flags, &r, &s, threads as usize);
+    if threads > 0 || !op.is_inner() {
+        return join_in_memory(&flags, &r, &s, &op, threads.max(1) as usize);
     }
 
     let buffer = flags.get_u64("buffer", 256)?;
@@ -455,18 +473,61 @@ fn cmd_join(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// The `--threads` path of `join`: equal-width time partitions over the
-/// inputs' combined lifespan, crossed with a cost-chosen (or forced)
-/// key-hash axis into a 2D grid, joined by the parallel executor and
-/// reported through the same explain/stats-json surface as the disk
-/// algorithms.
-fn join_parallel(
+/// Refuses a `join` flag the chosen path would ignore: a disk-only flag
+/// on the in-memory executor, an in-memory flag on the disk algorithms,
+/// or `--kernel` with a non-inner `--op` (the tracked sweep has no
+/// kernel choice).
+fn check_join_path(
+    flags: &Flags,
+    op: &vtjoin::model::Operator,
+    threads: u64,
+) -> Result<(), UsageError> {
+    let (path, ignored): (String, &[&str]) = if !op.is_inner() {
+        (format!("the operator executor (--op {op})"), DISK_FLAGS)
+    } else if threads > 0 {
+        (
+            format!("the in-memory executor (--threads {threads})"),
+            DISK_FLAGS,
+        )
+    } else {
+        (
+            "the disk algorithms (no --threads)".to_owned(),
+            MEMORY_FLAGS,
+        )
+    };
+    let kernel = (!op.is_inner()).then_some("kernel");
+    match ignored
+        .iter()
+        .copied()
+        .chain(kernel)
+        .find(|f| flags.get(f).is_some())
+    {
+        Some(flag) => Err(UsageError {
+            command: "join",
+            flag: format!("--{flag}"),
+            accepted: JOIN_FLAGS,
+            ignored_by: Some(path),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The in-memory path of `join` (`--threads` or a non-inner `--op`):
+/// equal-width time partitions over the inputs' combined lifespan,
+/// crossed with a cost-chosen (or `--grid`-forced) key-hash axis into a
+/// 2D grid, executed by the shared in-memory executor and reported
+/// through the same explain/stats-json surface as the disk algorithms.
+/// Operator results are byte-identical to the `vtjoin::model::algebra`
+/// oracle for the requested operator.
+fn join_in_memory(
     flags: &Flags,
     r: &Relation,
     s: &Relation,
+    op: &vtjoin::model::Operator,
     threads: usize,
 ) -> Result<(), AnyError> {
-    use vtjoin::join::partition::plan_grid;
+    use vtjoin::engine::{run, ExecRequest};
+    use vtjoin::join::partition::{plan_grid, GridChoice};
 
     let partitions = flags.get_u64("partitions", (threads as u64 * 4).max(16))?;
     // Kernel policy: `auto` gates per partition on estimated
@@ -478,8 +539,9 @@ fn join_parallel(
     // (possibly collapsing to time-only), `1xN` forces time-only, `KxN`
     // forces the key axis on, `<k>xN` fixes the bucket count.
     let grid_name = flags.get("grid").unwrap_or("auto");
-    let grid = vtjoin::join::partition::GridChoice::parse(grid_name)
+    let grid = GridChoice::parse(grid_name)
         .ok_or_else(|| format!("--grid must be auto|1xN|KxN|<k>xN, got `{grid_name}`"))?;
+    let pred = parse_predicate(flags)?;
     let hull = match (r.lifespan(), s.lifespan()) {
         (Some(a), Some(b)) => {
             Interval::new(a.start().min(b.start()), a.end().max(b.end())).expect("ordered hull")
@@ -491,20 +553,46 @@ fn join_parallel(
     let intervals = vtjoin::join::partition::intervals::equal_width(hull, partitions);
     let spec = vtjoin::join::common::JoinSpec::natural(r.schema(), s.schema())?;
     let plan = plan_grid(&spec, r, s, &intervals, threads, grid).plan;
-    // The natural join keeps the forced-kernel surface; a non-natural
-    // predicate routes through the predicate-aware executor (filtered
-    // kernels under the auto gate, or the sort-merge fallback for
-    // sequence/mixed templates, where neither time partitioning nor the
-    // key grid applies).
-    let pred = parse_predicate(flags)?;
-    let (result, exec_report) = if pred.is_natural() {
-        vtjoin::engine::grid_execution_report_with(r, s, &plan, threads, kernel)?
-    } else {
-        vtjoin::engine::grid_execution_report_pred(r, s, &plan, threads, &pred)?
-    };
+    // Non-natural predicates run the predicate-filtering kernels, or the
+    // chunked fallbacks for sequence/mixed templates, where neither time
+    // partitioning nor the key grid applies.
+    let out = run(
+        r,
+        s,
+        ExecRequest {
+            threads,
+            kernel,
+            predicate: pred,
+            operator: (!op.is_inner()).then_some(op),
+            ..ExecRequest::new(&plan)
+        },
+    )?;
+    let (result, exec_report) = (out.relation, out.report);
 
     if flags.get("explain").is_some() {
         print!("{}", exec_report.render_explain());
+    } else if let Some(o) = &exec_report.operator {
+        println!(
+            "{op}: {} result tuples, {} cells on {} workers{}",
+            result.len(),
+            o.cells,
+            o.workers,
+            if o.fallback_nested {
+                " (nested fallback)"
+            } else {
+                ""
+            },
+        );
+        println!(
+            "  pairs {} | dangling outer {} ({} stitched), inner {} ({} stitched)",
+            o.pairs_logged, o.outer_dangling, o.stitched_outer, o.inner_dangling, o.stitched_inner,
+        );
+        if o.timeline_events > 0 || o.agg_segments > 0 {
+            println!(
+                "  timeline: {} events, {} checkpoints, {} segments",
+                o.timeline_events, o.timeline_checkpoints, o.agg_segments,
+            );
+        }
     } else {
         println!(
             "parallel: {} result tuples, {} partitions on {} workers",
@@ -550,93 +638,6 @@ fn join_parallel(
                 pd.filter_checks,
                 pd.merge_pairs_emitted,
                 pd.merge_pairs_scanned,
-            );
-        }
-    }
-    if let Some(path) = flags.get("stats-json") {
-        std::fs::write(PathBuf::from(path), exec_report.to_json_string())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote stats to {path}");
-    }
-    if let Some(out) = flags.get("out") {
-        save(&result, out)?;
-        println!("wrote result to {out}");
-    }
-    Ok(())
-}
-
-/// The `--op` path of `join`: equal-width time partitions crossed with a
-/// cost-chosen key-bucket axis (the same planning as the parallel inner
-/// join), executed by the dangling-tracking operator executor. Results
-/// are byte-identical to the `vtjoin::model::algebra` oracle for the
-/// requested operator.
-fn join_operator(
-    flags: &Flags,
-    r: &Relation,
-    s: &Relation,
-    op: &vtjoin::model::Operator,
-) -> Result<(), AnyError> {
-    use vtjoin::join::partition::plan_grid;
-
-    let threads = flags.get_u64("threads", 1)?.max(1) as usize;
-    let partitions = flags.get_u64("partitions", (threads as u64 * 4).max(16))?;
-    let pred = parse_predicate(flags)?;
-    let hull = match (r.lifespan(), s.lifespan()) {
-        (Some(a), Some(b)) => {
-            Interval::new(a.start().min(b.start()), a.end().max(b.end())).expect("ordered hull")
-        }
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => Interval::ALL,
-    };
-    let intervals = vtjoin::join::partition::intervals::equal_width(hull, partitions);
-    let spec = vtjoin::join::common::JoinSpec::natural(r.schema(), s.schema())?;
-    let plan = plan_grid(
-        &spec,
-        r,
-        s,
-        &intervals,
-        threads,
-        vtjoin::join::partition::GridChoice::Auto,
-    )
-    .plan;
-    let (result, exec_report) = vtjoin::engine::operator_execution_report(
-        r,
-        s,
-        op,
-        &pred,
-        &plan.intervals,
-        plan.key_buckets as usize,
-        threads,
-        vtjoin::join::Layout::Columnar,
-    )?;
-
-    if flags.get("explain").is_some() {
-        print!("{}", exec_report.render_explain());
-    } else {
-        let o = exec_report
-            .operator
-            .as_ref()
-            .expect("operator runs always carry their section");
-        println!(
-            "{op}: {} result tuples, {} cells on {} workers{}",
-            result.len(),
-            o.cells,
-            o.workers,
-            if o.fallback_nested {
-                " (nested fallback)"
-            } else {
-                ""
-            },
-        );
-        println!(
-            "  pairs {} | dangling outer {} ({} stitched), inner {} ({} stitched)",
-            o.pairs_logged, o.outer_dangling, o.stitched_outer, o.inner_dangling, o.stitched_inner,
-        );
-        if o.timeline_events > 0 || o.agg_segments > 0 {
-            println!(
-                "  timeline: {} events, {} checkpoints, {} segments",
-                o.timeline_events, o.timeline_checkpoints, o.agg_segments,
             );
         }
     }
@@ -1022,6 +1023,69 @@ mod tests {
         ] {
             assert_eq!(refusal(words).flag, flag, "{words:?}");
         }
+    }
+
+    /// Every disk-only flag, with a value.
+    const DISK_ONLY: [[&str; 2]; 6] = [
+        ["--algorithm", "sort-merge"],
+        ["--buffer", "3"],
+        ["--ratio", "5"],
+        ["--faults", "10"],
+        ["--fault-seed", "7"],
+        ["--retries", "2"],
+    ];
+
+    /// Asserts `words` plus each of `extra` is refused as `flag` ignored
+    /// by a path whose description contains `path`.
+    fn refused_as_ignored(words: &[&str], extra: &[[&str; 2]], path: &str) {
+        for pair in extra {
+            let line: Vec<&str> = words.iter().chain(pair).copied().collect();
+            let e = refusal(&line);
+            assert_eq!(e.flag, pair[0], "{line:?}");
+            let by = e.ignored_by.as_deref().expect("an ignored-flag refusal");
+            assert!(by.contains(path), "{line:?}: {by}");
+            assert!(e.to_string().contains("has no effect"), "{e}");
+        }
+    }
+
+    #[test]
+    fn join_refuses_disk_flags_with_threads() {
+        refused_as_ignored(
+            &["join", "r.vt", "s.vt", "--threads", "2"],
+            &DISK_ONLY,
+            "--threads 2",
+        );
+    }
+
+    #[test]
+    fn join_refuses_disk_flags_with_a_non_inner_op() {
+        refused_as_ignored(
+            &["join", "r.vt", "s.vt", "--op", "left"],
+            &DISK_ONLY,
+            "--op left",
+        );
+    }
+
+    #[test]
+    fn join_refuses_kernel_with_a_non_inner_op() {
+        refused_as_ignored(
+            &["join", "r.vt", "s.vt", "--op", "left", "--threads", "2"],
+            &[["--kernel", "sweep"]],
+            "--op left",
+        );
+    }
+
+    #[test]
+    fn join_refuses_in_memory_flags_on_the_disk_path() {
+        refused_as_ignored(
+            &["join", "r.vt", "s.vt", "--algorithm", "partition"],
+            &[
+                ["--partitions", "8"],
+                ["--kernel", "hash"],
+                ["--grid", "4xN"],
+            ],
+            "the disk algorithms",
+        );
     }
 
     #[test]

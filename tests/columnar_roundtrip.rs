@@ -10,12 +10,11 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::{grid_execution_report_sharded, operator_join};
+use vtjoin::engine::{run, ExecRequest};
 use vtjoin::join::common::JoinSpec;
 use vtjoin::join::kernel::KernelChoice;
 use vtjoin::join::partition::intervals::equal_width;
-use vtjoin::join::partition::{plan_grid, GridChoice};
-use vtjoin::join::Layout;
+use vtjoin::join::partition::{plan_grid, GridChoice, GridPlan};
 use vtjoin::model::algebra::{
     antijoin_pred, count_over_time, full_outerjoin_pred, outerjoin_pred, predicate_join,
     segments_to_relation, semijoin_pred, sum_over_time, JoinSide,
@@ -131,9 +130,15 @@ proptest! {
             let pred: JoinPredicate = pred_text.parse().unwrap();
             let want = sorted_encoding(&predicate_join(&r, &s, &pred).unwrap());
             for choice in [KernelChoice::Auto, KernelChoice::Sweep, KernelChoice::Hash] {
-                let (got, report) = grid_execution_report_sharded(
-                    &r, &s, &plan, threads, choice, Layout::Columnar, &pred, &pool, 4,
-                ).unwrap();
+                let req = ExecRequest {
+                    threads,
+                    kernel: choice,
+                    predicate: pred,
+                    shard_pool: Some((&pool, 4)),
+                    ..ExecRequest::new(&plan)
+                };
+                let out = run(&r, &s, req).unwrap();
+                let (got, report) = (out.relation, out.report);
                 prop_assert_eq!(
                     sorted_encoding(&got),
                     want.clone(),
@@ -161,7 +166,7 @@ proptest! {
         threads in 1usize..3,
     ) {
         let lifespan = Interval::from_raw(0, T_MAX + 40).unwrap();
-        let intervals = equal_width(lifespan, parts);
+        let plan = GridPlan::with_buckets(2, equal_width(lifespan, parts));
         for pred_text in GRAMMAR_PREDICATES {
             let pred: JoinPredicate = pred_text.parse().unwrap();
             let joined = predicate_join(&r, &s, &pred).unwrap();
@@ -180,9 +185,13 @@ proptest! {
                 ),
             ];
             for (op, want) in &cases {
-                let (got, _) = operator_join(
-                    &r, &s, op, &pred, &intervals, 2, threads, Layout::Columnar,
-                ).unwrap();
+                let req = ExecRequest {
+                    threads,
+                    predicate: pred,
+                    operator: Some(op),
+                    ..ExecRequest::new(&plan)
+                };
+                let got = run(&r, &s, req).unwrap().relation;
                 prop_assert_eq!(
                     ordered_encoding(&got),
                     ordered_encoding(want),

@@ -9,14 +9,23 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::grid_partition_join;
+use vtjoin::engine::{run, ExecRequest};
 use vtjoin::join::common::JoinSpec;
 use vtjoin::join::partition::intervals::equal_width;
-use vtjoin::join::partition::{plan_grid, GridChoice};
+use vtjoin::join::partition::{plan_grid, GridChoice, GridPlan};
 use vtjoin::model::algebra::natural_join;
 use vtjoin::prelude::*;
 
 const T_MAX: i64 = 120;
+
+/// The grid executor's materialized result over `plan` on `threads`.
+fn grid_join(r: &Relation, s: &Relation, plan: &GridPlan, threads: usize) -> Relation {
+    let req = ExecRequest {
+        threads,
+        ..ExecRequest::new(plan)
+    };
+    run(r, s, req).unwrap().relation
+}
 
 fn r_schema() -> Arc<Schema> {
     Schema::new(vec![
@@ -83,13 +92,13 @@ proptest! {
         ];
         for (label, ivs, choice) in shapes {
             let plan = plan_grid(&spec, &r, &s, ivs, 4, choice).plan;
-            let serial = grid_partition_join(&r, &s, &plan, 1).unwrap();
+            let serial = grid_join(&r, &s, &plan, 1);
             prop_assert!(
                 serial.multiset_eq(&want),
                 "{label}: got {} tuples, oracle {}", serial.len(), want.len()
             );
             for threads in [2usize, 3, 8] {
-                let got = grid_partition_join(&r, &s, &plan, threads).unwrap();
+                let got = grid_join(&r, &s, &plan, threads);
                 prop_assert_eq!(
                     got.tuples(), serial.tuples(),
                     "{} not byte-identical at {} threads", label, threads
@@ -112,9 +121,9 @@ proptest! {
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
         let intervals = equal_width(Interval::from_raw(0, T_MAX).unwrap(), 4);
         let plan = plan_grid(&spec, &r, &s, &intervals, 4, GridChoice::Fixed(8)).plan;
-        let serial = grid_partition_join(&r, &s, &plan, 1).unwrap();
+        let serial = grid_join(&r, &s, &plan, 1);
         prop_assert!(serial.multiset_eq(&want));
-        let got = grid_partition_join(&r, &s, &plan, 8).unwrap();
+        let got = grid_join(&r, &s, &plan, 8);
         prop_assert_eq!(got.tuples(), serial.tuples());
     }
 }
@@ -139,7 +148,7 @@ fn canonical_cell_rule_emits_each_pair_once() {
     assert!(plan.key_buckets > 1, "pin needs a real key axis");
 
     // 6 keys × 4 tuples/side/key → 4·4 pairs per key → 96 results.
-    let got = grid_partition_join(&r, &s, &plan, 4).unwrap();
+    let got = grid_join(&r, &s, &plan, 4);
     assert_eq!(got.len(), 96, "each co-resident pair must be emitted once");
     assert!(got.multiset_eq(&natural_join(&r, &s).unwrap()));
 }

@@ -7,10 +7,11 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::parallel_partition_join_with;
+use vtjoin::engine::{run, ExecRequest};
 use vtjoin::join::common::JoinSpec;
 use vtjoin::join::kernel::{hash_join, sweep_join, KernelChoice, OutputBatch, SweepScratch};
 use vtjoin::join::partition::intervals::equal_width;
+use vtjoin::join::partition::GridPlan;
 use vtjoin::model::algebra::natural_join;
 use vtjoin::prelude::*;
 
@@ -146,10 +147,11 @@ proptest! {
         n_parts in 1u64..7,
         threads in 1usize..4,
     ) {
-        let intervals = equal_width(Interval::from_raw(0, T_SPAN).unwrap(), n_parts);
+        let plan = GridPlan::time_only(equal_width(Interval::from_raw(0, T_SPAN).unwrap(), n_parts));
         let expected = natural_join(&r, &s).unwrap();
         for choice in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
-            let got = parallel_partition_join_with(&r, &s, &intervals, threads, choice).unwrap();
+            let req = ExecRequest { threads, kernel: choice, ..ExecRequest::new(&plan) };
+            let got = run(&r, &s, req).unwrap().relation;
             prop_assert!(
                 got.multiset_eq(&expected),
                 "{}: got {} want {} ({} partitions, {} threads)",

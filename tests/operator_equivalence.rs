@@ -1,5 +1,5 @@
 //! Operator-family equivalence: the production operator executor
-//! (`vtjoin::engine::operator_join` — grid scatter, dangling-tracking
+//! (`vtjoin::engine::run` with an operator — grid scatter, dangling-tracking
 //! sweeps, boundary stitching, oracle-order materialization) must be
 //! **byte-identical** to the nested-loop oracles of
 //! `vtjoin::model::algebra` for every operator, every grammar-nameable
@@ -9,9 +9,9 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::operator_join;
+use vtjoin::engine::{run, ExecRequest, OperatorCounters};
 use vtjoin::join::partition::intervals::equal_width;
-use vtjoin::join::Layout;
+use vtjoin::join::partition::GridPlan;
 use vtjoin::model::algebra::{
     antijoin_pred, count_over_time, extremum_over_time, full_outerjoin_pred, outerjoin_pred,
     predicate_join, segments_to_relation, semijoin_pred, sum_over_time, Extremum, JoinSide,
@@ -21,6 +21,27 @@ use vtjoin::prelude::*;
 use vtjoin::storage::codec::encode;
 
 const T_MAX: i64 = 120;
+
+/// The operator executor's result and counters for `op` under `pred`
+/// over a 2-bucket grid on `intervals`.
+fn operator_join(
+    r: &Relation,
+    s: &Relation,
+    op: &Operator,
+    pred: &JoinPredicate,
+    intervals: &[Interval],
+    threads: usize,
+) -> (Relation, OperatorCounters) {
+    let plan = GridPlan::with_buckets(2, intervals.to_vec());
+    let req = ExecRequest {
+        threads,
+        predicate: *pred,
+        operator: Some(op),
+        ..ExecRequest::new(&plan)
+    };
+    let out = run(r, s, req).unwrap();
+    (out.relation, out.operator.expect("operator runs count"))
+}
 
 /// Every predicate the `--predicate` grammar can name (the same list the
 /// columnar round-trip pins): intersection, sequence, and mixed
@@ -148,9 +169,7 @@ proptest! {
             ];
             for (op, want) in &oracles {
                 for threads in [1usize, 2, 4] {
-                    let (got, counters) = operator_join(
-                        &r, &s, op, &pred, &intervals, 2, threads, Layout::Columnar,
-                    ).unwrap();
+                    let (got, counters) = operator_join(&r, &s, op, &pred, &intervals, threads);
                     prop_assert_eq!(
                         ordered_encoding(&got),
                         ordered_encoding(want),
@@ -182,12 +201,8 @@ proptest! {
         let intervals = equal_width(lifespan, parts);
         for pred_text in ["intersects", "during", "before-within-7", "meets-or-met-by"] {
             let pred: JoinPredicate = pred_text.parse().unwrap();
-            let (semi, _) = operator_join(
-                &r, &s, &Operator::Semi, &pred, &intervals, 2, threads, Layout::Columnar,
-            ).unwrap();
-            let (anti, _) = operator_join(
-                &r, &s, &Operator::Anti, &pred, &intervals, 2, threads, Layout::Columnar,
-            ).unwrap();
+            let (semi, _) = operator_join(&r, &s, &Operator::Semi, &pred, &intervals, threads);
+            let (anti, _) = operator_join(&r, &s, &Operator::Anti, &pred, &intervals, threads);
             let union = Relation::from_parts_unchecked(
                 Arc::clone(r.schema()),
                 semi.iter().chain(anti.iter()).cloned().collect(),
@@ -238,9 +253,7 @@ proptest! {
         ];
         for (f, want) in &cases {
             let op = Operator::Aggregate(f.clone());
-            let (got, counters) = operator_join(
-                &r, &s, &op, &pred, &intervals, 2, threads, Layout::Columnar,
-            ).unwrap();
+            let (got, counters) = operator_join(&r, &s, &op, &pred, &intervals, threads);
             prop_assert_eq!(
                 ordered_encoding(&got),
                 ordered_encoding(want),

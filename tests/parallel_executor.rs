@@ -6,12 +6,29 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::{parallel_execution_report, parallel_partition_join_reported};
+use vtjoin::engine::{run, ExecRequest};
 use vtjoin::join::partition::intervals::equal_width;
+use vtjoin::join::partition::GridPlan;
 use vtjoin::model::algebra::natural_join;
 use vtjoin::prelude::*;
 
 const T_MAX: i64 = 120;
+
+/// The time-only grid executor's result and report over `parts`.
+fn reported(
+    r: &Relation,
+    s: &Relation,
+    parts: &[Interval],
+    threads: usize,
+) -> (Relation, vtjoin::obs::ExecutionReport) {
+    let plan = GridPlan::time_only(parts.to_vec());
+    let req = ExecRequest {
+        threads,
+        ..ExecRequest::new(&plan)
+    };
+    let out = run(r, s, req).unwrap();
+    (out.relation, out.report)
+}
 
 fn r_schema() -> Arc<Schema> {
     Schema::new(vec![
@@ -88,14 +105,14 @@ proptest! {
         let s = build_rel(s_schema(), &parts, raw_s);
         let want = natural_join(&r, &s).unwrap();
 
-        let (first, _) = parallel_partition_join_reported(&r, &s, &parts, 1).unwrap();
+        let (first, _) = reported(&r, &s, &parts, 1);
         prop_assert!(
             first.multiset_eq(&want),
             "1 thread: got {} want {}", first.len(), want.len()
         );
         for threads in [2usize, 3, 8] {
-            let (got, workers) =
-                parallel_partition_join_reported(&r, &s, &parts, threads).unwrap();
+            let (got, er) = reported(&r, &s, &parts, threads);
+            let workers = er.workers;
             // Deterministic: same tuples in the same order at any thread count.
             prop_assert_eq!(got.tuples(), first.tuples(), "threads = {}", threads);
             prop_assert_eq!(workers.len(), threads.min(parts.len()));
@@ -119,7 +136,8 @@ fn worker_count_contract_two_partitions_eight_threads() {
         .collect();
     let s = build_rel(s_schema(), &parts, raw);
 
-    let (got, workers) = parallel_partition_join_reported(&r, &s, &parts, 8).unwrap();
+    let (got, er) = reported(&r, &s, &parts, 8);
+    let workers = er.workers;
     assert_eq!(workers.len(), 2, "min(threads, partitions) workers");
     assert_eq!(workers.iter().map(|w| w.partitions).sum::<u64>(), 2);
     assert!(got.multiset_eq(&natural_join(&r, &s).unwrap()));
@@ -137,7 +155,7 @@ fn skew_and_utilization_sum_consistently_with_wall_clock() {
         .collect();
     let s = build_rel(s_schema(), &parts, raw);
 
-    let (_, er) = parallel_execution_report(&r, &s, &parts, 3).unwrap();
+    let (_, er) = reported(&r, &s, &parts, 3);
     let sk = er.skew.expect("parallel report carries a skew section");
 
     // The skew section is an exact aggregate of the worker sections.

@@ -14,9 +14,10 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vtjoin::engine::parallel_partition_join_pred;
 use vtjoin::engine::planner::run_join;
+use vtjoin::engine::{run, ExecRequest};
 use vtjoin::join::partition::intervals::equal_width;
+use vtjoin::join::partition::GridPlan;
 use vtjoin::model::PredicateTemplate;
 use vtjoin::prelude::*;
 
@@ -93,10 +94,11 @@ proptest! {
         n_parts in 1u64..6,
         threads in 1usize..4,
     ) {
-        let intervals = equal_width(Interval::from_raw(0, T_SPAN).unwrap(), n_parts);
+        let plan = GridPlan::time_only(equal_width(Interval::from_raw(0, T_SPAN).unwrap(), n_parts));
         for pred in grid_predicates() {
             let expected = predicate_join(&r, &s, &pred).unwrap();
-            let got = parallel_partition_join_pred(&r, &s, &intervals, threads, &pred).unwrap();
+            let req = ExecRequest { threads, predicate: pred, ..ExecRequest::new(&plan) };
+            let got = run(&r, &s, req).unwrap().relation;
             prop_assert!(
                 got.multiset_eq(&expected),
                 "{pred}: got {} want {} ({n_parts} partitions, {threads} threads)",

@@ -525,3 +525,69 @@ fn dropped_and_recreated_table_is_never_served_from_the_old_data() {
         want
     );
 }
+
+#[test]
+fn concurrent_cold_requests_read_and_encode_a_pair_once() {
+    let svc = service_with(&[("r", 2_000, true), ("s", 2_000, false)]);
+    let want = oracle_now(&svc, "r", "s");
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let submit = || {
+            start.wait();
+            svc.submit("r", "s").unwrap()
+        };
+        let handles = [scope.spawn(submit), scope.spawn(submit)];
+        for h in handles {
+            assert_eq!(sorted_encoding(&h.join().unwrap().result), want);
+        }
+    });
+    // Single-flight: the second cold request waits for the first one's
+    // table reads and pair encode instead of repeating them.
+    let section = svc.service_section();
+    assert_eq!(section.residency_misses, 2, "each table read once");
+    assert_eq!(section.residency_hits, 2);
+    assert_eq!(report_counter(&svc, "encoding_misses"), 1, "one encode");
+    assert_eq!(report_counter(&svc, "encoding_hits"), 1);
+}
+
+#[test]
+fn operator_requests_reuse_the_kept_encoding() {
+    use vtjoin::model::algebra::{outerjoin, JoinSide};
+    let svc = service_with(&[("r", 2_000, true), ("s", 2_000, false)]);
+    let left = SubmitOptions {
+        op: vtjoin::model::Operator::Left,
+        ..SubmitOptions::default()
+    };
+    let submit = || {
+        svc.submit_opts("r", "s", &JoinPredicate::intersects(), &left)
+            .unwrap()
+    };
+    let ordered = |rel: &Relation| -> Vec<Vec<u8>> {
+        rel.iter().map(vtjoin::storage::codec::encode).collect()
+    };
+    let oracle = || {
+        let db = svc.database().read().unwrap();
+        let (r, s) = (db.scan("r").unwrap(), db.scan("s").unwrap());
+        ordered(&outerjoin(&r, &s, JoinSide::Left).unwrap())
+    };
+    let counts = || {
+        (
+            report_counter(&svc, "encoding_hits"),
+            report_counter(&svc, "encoding_misses"),
+        )
+    };
+
+    submit();
+    assert_eq!(counts(), (0, 1), "the first left join encodes the pair");
+    let second = submit();
+    assert_eq!(counts(), (1, 1), "the second reuses the kept encoding");
+    assert_eq!(ordered(&second.result), oracle(), "byte for byte");
+
+    // An append moves the outer table's version: the next request
+    // re-encodes and still matches the oracle.
+    svc.append("r", &workload(50, 0xA99, true).into_tuples())
+        .unwrap();
+    let third = submit();
+    assert_eq!(counts(), (1, 2), "re-encoded after the append");
+    assert_eq!(ordered(&third.result), oracle(), "byte for byte");
+}
