@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use vtjoin_core::{Interval, Relation, Schema, Tuple};
-use vtjoin_storage::{HeapFile, HeapWriter, IoStats, SharedDisk};
+use vtjoin_storage::{HeapFile, IoStats, SharedDisk};
 
 /// Errors raised by the database layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,13 +71,60 @@ pub struct Database {
 }
 
 /// Catalog-tracked per-table metadata beyond what the heap file itself
-/// knows: a version stamp (fresh on every rewrite) and the long-lived
-/// tuple count, both maintained at load time so statistics queries
-/// perform no I/O.
-#[derive(Debug, Clone, Copy)]
+/// knows: a version stamp (fresh on every create and append) and the
+/// long-lived tuple count, both maintained at load time so statistics
+/// queries perform no I/O. The sorted tuple durations let an append
+/// recount the long-lived tuples exactly, against the new hull, without
+/// reading the table back.
+#[derive(Debug, Clone)]
 struct TableMeta {
     version: u64,
     long_lived: u64,
+    durations: Vec<u64>,
+}
+
+impl TableMeta {
+    /// The metadata of freshly loaded `tuples` under `hull`.
+    fn new(version: u64, tuples: &[Tuple], hull: Option<Interval>) -> TableMeta {
+        let mut durations: Vec<u64> = tuples.iter().map(duration).collect();
+        durations.sort_unstable();
+        let long_lived = long_lived_count(&durations, hull);
+        TableMeta {
+            version,
+            long_lived,
+            durations,
+        }
+    }
+
+    /// Folds appended `tuples` in; `hull` is the table's hull after them.
+    fn append(&mut self, version: u64, tuples: &[Tuple], hull: Option<Interval>) {
+        let mut delta: Vec<u64> = tuples.iter().map(duration).collect();
+        delta.sort_unstable();
+        let old = &self.durations;
+        let mut merged = Vec::with_capacity(old.len() + delta.len());
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < delta.len() {
+            if old[i] <= delta[j] {
+                merged.push(old[i]);
+                i += 1;
+            } else {
+                merged.push(delta[j]);
+                j += 1;
+            }
+        }
+        merged.extend_from_slice(&old[i..]);
+        merged.extend_from_slice(&delta[j..]);
+        self.durations = merged;
+        self.long_lived = long_lived_count(&self.durations, hull);
+        self.version = version;
+    }
+}
+
+/// A tuple's lifespan in chronons, saturated to `u64` (only the full
+/// timeline exceeds it, and every threshold it is compared with is far
+/// below).
+fn duration(t: &Tuple) -> u64 {
+    u64::try_from(t.valid().duration()).unwrap_or(u64::MAX)
 }
 
 /// A zero-I/O statistics snapshot of one table — the raw material for a
@@ -94,7 +141,7 @@ pub struct TableStats {
     /// Tuples whose lifespan covers at least 1/16 of the table's hull —
     /// the statistic behind the planner's tuple-cache estimate (§3.3).
     pub long_lived: u64,
-    /// Rewrite stamp: every create and every append takes the next value
+    /// Version stamp: every create and every append takes the next value
     /// of one database-wide counter, so a stamp is never reused — not
     /// even by a table dropped and recreated under the same name. Caches
     /// keyed by (table, version) therefore never serve older contents.
@@ -103,21 +150,12 @@ pub struct TableStats {
 
 /// Counts tuples whose lifespan is at least 1/16 of the hull span (with a
 /// floor of 2 chronons, so instant-heavy tables over tiny hulls do not
-/// count everything as long-lived).
-fn long_lived_count(tuples: &[Tuple]) -> u64 {
-    let mut hull: Option<Interval> = None;
-    for t in tuples {
-        hull = Some(match hull {
-            Some(h) => h.span(t.valid()),
-            None => t.valid(),
-        });
-    }
+/// count everything as long-lived), from their sorted durations.
+fn long_lived_count(sorted_durations: &[u64], hull: Option<Interval>) -> u64 {
     let Some(h) = hull else { return 0 };
-    let threshold = (h.duration() / 16).max(2);
-    tuples
-        .iter()
-        .filter(|t| t.valid().duration() >= threshold)
-        .count() as u64
+    let threshold = u64::try_from((h.duration() / 16).max(2)).unwrap_or(u64::MAX);
+    let short = sorted_durations.partition_point(|&d| d < threshold);
+    (sorted_durations.len() - short) as u64
 }
 
 impl Database {
@@ -148,15 +186,10 @@ impl Database {
             return Err(DbError::TableExists(name.to_owned()));
         }
         let heap = HeapFile::bulk_load(&self.disk, rel)?;
-        self.tables.insert(name.to_owned(), heap);
         let version = self.next_version();
-        self.meta.insert(
-            name.to_owned(),
-            TableMeta {
-                version,
-                long_lived: long_lived_count(rel.tuples()),
-            },
-        );
+        let meta = TableMeta::new(version, rel.tuples(), heap.time_hull());
+        self.tables.insert(name.to_owned(), heap);
+        self.meta.insert(name.to_owned(), meta);
         Ok(())
     }
 
@@ -177,8 +210,10 @@ impl Database {
         self.tables.keys().map(String::as_str).collect()
     }
 
-    /// Drops a table (its extent is abandoned; the simulated disk does not
-    /// reclaim address space).
+    /// Drops a table from the catalog. Its extent is abandoned, not
+    /// reclaimed (the simulated disk frees no address space), so heap-file
+    /// clones taken before the drop keep reading their snapshot. A table
+    /// later created under the same name takes a new version stamp.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         self.meta.remove(name);
         self.tables
@@ -190,10 +225,10 @@ impl Database {
     /// Zero-I/O statistics snapshot of a table (see [`TableStats`]).
     pub fn table_stats(&self, name: &str) -> Result<TableStats> {
         let heap = self.table(name)?;
-        let meta = self.meta.get(name).copied().unwrap_or(TableMeta {
-            version: 1,
-            long_lived: 0,
-        });
+        let meta = self
+            .meta
+            .get(name)
+            .expect("every table has catalog metadata");
         Ok(TableStats {
             tuples: heap.tuples(),
             pages: heap.pages(),
@@ -208,29 +243,28 @@ impl Database {
         Ok(self.table(name)?.read_all()?)
     }
 
-    /// Appends tuples to a table by rewriting it (heap files are
-    /// immutable once finished; the incremental path for joins is the
-    /// materialized-view layer, not base-table appends).
+    /// Appends tuples to a table in place: the heap file writes only its
+    /// tail page and new pages ([`HeapFile::append`]), and the catalog
+    /// folds the delta into the table's statistics without reading the
+    /// table back. The table then takes a new version stamp, so caches
+    /// keyed by (table, version) see new contents.
+    ///
+    /// The catalog update is the commit point. On an error nothing in the
+    /// catalog changes and the table still reads as before; heap-file
+    /// clones taken before the append keep reading their snapshot either
+    /// way. An empty append writes nothing but still takes a new version.
     pub fn append(&mut self, name: &str, tuples: &[Tuple]) -> Result<()> {
-        let heap = self.table(name)?;
-        let schema = Arc::clone(heap.schema());
-        let mut all = heap.read_all()?.into_tuples();
-        all.extend_from_slice(tuples);
-        let pages = HeapFile::pages_needed(self.disk.page_size(), &all);
-        let mut w = HeapWriter::create(&self.disk, schema, pages);
-        for t in &all {
-            w.push(t)?;
-        }
-        let heap = w.finish()?;
-        self.tables.insert(name.to_owned(), heap);
+        let heap = self
+            .tables
+            .get_mut(name)
+            .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))?;
+        heap.append(tuples)?;
+        let hull = heap.time_hull();
         let version = self.next_version();
-        self.meta.insert(
-            name.to_owned(),
-            TableMeta {
-                version,
-                long_lived: long_lived_count(&all),
-            },
-        );
+        self.meta
+            .get_mut(name)
+            .expect("every table has catalog metadata")
+            .append(version, tuples, hull);
         Ok(())
     }
 
@@ -290,12 +324,100 @@ mod tests {
     }
 
     #[test]
-    fn append_rewrites_table() {
+    fn append_extends_table() {
         let mut db = Database::new(256);
         db.create_table("t", &rel(5)).unwrap();
         let extra: Vec<Tuple> = rel(3).into_tuples();
         db.append("t", &extra).unwrap();
         assert_eq!(db.table("t").unwrap().tuples(), 8);
+    }
+
+    /// `n` tuples from `from` on: instants, short and long lifespans.
+    fn mixed(from: i64, n: i64, shift: i64) -> Vec<Tuple> {
+        (from..from + n)
+            .map(|i| {
+                let start = (i * 13) % 97 + shift;
+                let len = [0, 1, 3, 9, 40][(i % 5) as usize];
+                Tuple::new(
+                    vec![Value::Int(i)],
+                    Interval::from_raw(start, start + len).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn append_stats_equal_a_fresh_create_of_the_same_tuples() {
+        // Deltas inside the hull, one that widens it (the long-lived
+        // threshold rises), an empty one, and one onto an empty table.
+        let mut db = Database::new(256);
+        db.create_table(
+            "t",
+            &Relation::from_parts_unchecked(schema(), mixed(0, 40, 0)),
+        )
+        .unwrap();
+        db.create_empty("e", schema()).unwrap();
+        let mut all = mixed(0, 40, 0);
+        let mut counts = Vec::new();
+        for (delta, table) in [
+            (mixed(40, 7, 0), "t"),
+            (mixed(47, 30, 300), "t"),
+            (Vec::new(), "t"),
+            (mixed(77, 3, -50), "t"),
+            (mixed(0, 9, 5), "e"),
+        ] {
+            db.append(table, &delta).unwrap();
+            let contents = if table == "t" {
+                all.extend(delta);
+                all.clone()
+            } else {
+                delta
+            };
+            let mut fresh = Database::new(256);
+            fresh
+                .create_table("f", &Relation::from_parts_unchecked(schema(), contents))
+                .unwrap();
+            let (got, want) = (
+                db.table_stats(table).unwrap(),
+                fresh.table_stats("f").unwrap(),
+            );
+            assert_eq!(
+                (got.tuples, got.pages, got.time_hull, got.long_lived),
+                (want.tuples, want.pages, want.time_hull, want.long_lived),
+                "{table}"
+            );
+            counts.push(got.long_lived);
+        }
+        // Widening the hull raised the threshold past the 9-chronon
+        // tuples: the count fell although tuples were added.
+        assert!(counts[1] < counts[0], "{counts:?}");
+    }
+
+    #[test]
+    fn a_failed_append_changes_nothing_in_the_catalog() {
+        use vtjoin_storage::{FaultConfig, RetryPolicy};
+        let mut db = Database::new(256);
+        db.create_table("t", &rel(30)).unwrap();
+        db.append("t", &rel(2).into_tuples()).unwrap();
+        let before = db.table_stats("t").unwrap();
+        let snapshot = db.table("t").unwrap().clone();
+        db.disk().set_retry_policy(RetryPolicy::NONE);
+        db.disk().set_fault_config(Some(FaultConfig {
+            seed: 3,
+            read_fail_permille: 0,
+            write_fail_permille: 1000,
+            torn_write_permille: 0,
+        }));
+        assert!(matches!(
+            db.append("t", &mixed(0, 40, 0)),
+            Err(DbError::Storage(_))
+        ));
+        db.disk().set_fault_config(None);
+        assert_eq!(db.table_stats("t").unwrap(), before);
+        let mut want = rel(30).into_tuples();
+        want.extend(rel(2).into_tuples());
+        assert_eq!(db.scan("t").unwrap().tuples(), &want[..]);
+        assert_eq!(snapshot.read_all().unwrap().tuples(), &want[..]);
     }
 
     #[test]

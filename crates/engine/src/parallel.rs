@@ -527,7 +527,7 @@ pub(crate) fn scatter<'a>(
     let (pair, encode_micros) = match cx.encoding {
         Some(e) => (e, 0),
         None => {
-            let e = fresh.insert(EncodedPair::encode(cx.spec, cx.r.iter(), cx.s.iter()));
+            let e = fresh.insert(EncodedPair::encode(cx.spec, cx.r.tuples(), cx.s.tuples()));
             (&*e, e.encode_micros)
         }
     };
@@ -557,7 +557,7 @@ pub(crate) fn scatter<'a>(
         r_cells,
         s_cells,
         encode_micros,
-        dict_size: pair.dict_size,
+        dict_size: pair.dict_size(),
         replicate_micros: started.elapsed().as_micros() as u64,
     })
 }

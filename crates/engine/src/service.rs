@@ -42,8 +42,12 @@
 //!   same budget, the service keeps the columnar encoding of each
 //!   resident pair a grid join (inner or operator) ran over, keyed by
 //!   both tables' catalog versions: later `submit`/`submit_streamed`
-//!   calls on the pair skip the encode pass until either version moves,
-//!   and the encoding goes when residency drops or evicts either table.
+//!   calls on the pair skip the encode pass, and the encoding goes when
+//!   residency drops or evicts either table. An append
+//!   ([`JoinService::append`]) moves the table's version but drops
+//!   neither: the resident copy and every kept encoding over the table
+//!   are extended by the appended tuples, copy-on-write, and re-keyed
+//!   to the new version, so appends and reads keep hitting both caches.
 //!   Cold table reads and pair encodes are single-flight, like planning:
 //!   a concurrent request for the same table version or pair waits for
 //!   the one in progress instead of repeating it;
@@ -490,6 +494,8 @@ struct Counters {
     residency_hits: u64,
     residency_misses: u64,
     residency_evictions: u64,
+    /// Resident tables and kept encodings an append extended in place.
+    residency_extensions: u64,
     // v8: queue-wait accounting. The histogram counts every admission
     // (immediate grants land in the first bucket); the EWMAs feed the
     // shedding policy's retry hints.
@@ -555,10 +561,25 @@ impl Residency {
         Some(Arc::clone(&e.rel))
     }
 
-    /// Inserts a freshly-read relation, drops stale versions of the same
+    /// Removes every resident copy of `table` older than `version`;
+    /// returns how many there were. Versions only grow, so an older copy
+    /// serves only requests that began before the table changed.
+    fn drop_older(&mut self, table: &str, version: u64) -> u64 {
+        let stale: Vec<(String, u64)> = self
+            .entries
+            .keys()
+            .filter(|(t, v)| t == table && *v < version)
+            .cloned()
+            .collect();
+        stale.iter().filter(|k| self.remove_table(k)).count() as u64
+    }
+
+    /// Inserts a freshly-read relation, drops older versions of the same
     /// table, and evicts least-recently-used entries past the budget.
-    /// Returns how many tables were evicted (stale versions included —
-    /// they can never be requested again, the catalog version only grows).
+    /// Returns how many tables were evicted (older versions included).
+    /// A relation older than a resident version of its table is not
+    /// inserted: a request that read it before an append must not evict
+    /// the copy the append extended.
     fn insert(
         &mut self,
         table: &str,
@@ -567,18 +588,10 @@ impl Residency {
         pages: u64,
         budget: u64,
     ) -> u64 {
-        let mut evicted = 0;
-        let stale: Vec<(String, u64)> = self
-            .entries
-            .keys()
-            .filter(|(t, v)| t == table && *v != version)
-            .cloned()
-            .collect();
-        for k in stale {
-            if self.remove_table(&k) {
-                evicted += 1;
-            }
+        if self.entries.keys().any(|(t, v)| t == table && *v > version) {
+            return 0;
         }
+        let evicted = self.drop_older(table, version);
         if pages > budget {
             return evicted; // would never fit; serve uncached
         }
@@ -595,6 +608,85 @@ impl Residency {
         self.entries.insert(key, entry);
         self.total_pages += pages;
         evicted + self.evict_past(budget, &[])
+    }
+
+    /// Carries the resident copy of `table` at version `from`, and every
+    /// kept encoding over it, to version `to` by appending `delta`, which
+    /// took the table to `pages` heap pages. Copy-on-write: a copy or an
+    /// encoding an in-flight request still holds is cloned first, so that
+    /// request keeps its snapshot. An encoding that outgrows the budget
+    /// together with its tables is dropped, a table that outgrows it
+    /// alone goes with its encodings, and least-recently-used entries are
+    /// evicted past the budget. Returns how many tables and encodings were
+    /// extended, and how many tables were evicted.
+    #[allow(clippy::too_many_arguments)]
+    fn extend(
+        &mut self,
+        table: &str,
+        from: u64,
+        to: u64,
+        delta: &[Tuple],
+        pages: u64,
+        budget: u64,
+        page_bytes: u64,
+    ) -> (u64, u64) {
+        let old = (table.to_owned(), from);
+        if pages > budget {
+            let evicted = u64::from(self.remove_table(&old));
+            return (0, evicted + self.drop_older(table, to));
+        }
+        let Some(mut entry) = self.entries.remove(&old) else {
+            return (0, 0);
+        };
+        let moved: Vec<PairKey> = self
+            .encodings
+            .keys()
+            .filter(|(o, ov, i, iv)| (*o == old.0 && *ov == from) || (*i == old.0 && *iv == from))
+            .cloned()
+            .collect();
+        let rel = Arc::make_mut(&mut entry.rel);
+        for t in delta {
+            rel.push_unchecked(t.clone());
+        }
+        self.total_pages = self.total_pages - entry.pages + pages;
+        entry.pages = pages;
+        self.entries.insert((table.to_owned(), to), entry);
+        let mut extended = 1;
+        let mut evicted = self.drop_older(table, to);
+        let bump = |t: &String, v: u64| if *t == old.0 && v == from { to } else { v };
+        for key in moved {
+            let Some(mut e) = self.encodings.remove(&key) else {
+                continue;
+            };
+            self.total_pages -= e.pages;
+            let key = (
+                key.0.clone(),
+                bump(&key.0, key.1),
+                key.2.clone(),
+                bump(&key.2, key.3),
+            );
+            let sides = [(key.0.clone(), key.1), (key.2.clone(), key.3)];
+            let (Some(r), Some(s)) = (self.entries.get(&sides[0]), self.entries.get(&sides[1]))
+            else {
+                continue;
+            };
+            let Ok(spec) = JoinSpec::natural(r.rel.schema(), s.rel.schema()) else {
+                continue;
+            };
+            Arc::make_mut(&mut e.enc).extend(&spec, r.rel.tuples(), s.rel.tuples());
+            e.pages = e.enc.heap_bytes().div_ceil(page_bytes);
+            let mut pair_pages = e.pages + r.pages;
+            if sides[1] != sides[0] {
+                pair_pages += s.pages;
+            }
+            if pair_pages <= budget {
+                extended += 1;
+                self.total_pages += e.pages;
+                self.encodings.insert(key, e);
+            }
+        }
+        evicted += self.evict_past(budget, &[]);
+        (extended, evicted)
     }
 
     /// Removes one resident table and every encoding that involves it;
@@ -826,12 +918,35 @@ impl JoinService {
         self.db.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Appends tuples to a table (convenience write-lock wrapper). The
-    /// table's version stamp bumps, so cached plans over it revalidate
-    /// against the fresh statistics — and the stale resident copy is
-    /// dropped — on the next request.
+    /// Appends tuples to a table ([`Database::append`]). The table's
+    /// version stamp moves, so cached plans over it revalidate against
+    /// the fresh statistics on the next request. Its resident copy and
+    /// every kept pair encoding over it are not dropped but extended by
+    /// the appended tuples and re-keyed to the new version, while the db
+    /// write lock is still held: the next request on the table hits both
+    /// caches, and no request sees the new version without them.
     pub fn append(&self, table: &str, tuples: &[Tuple]) -> Result<(), DbError> {
-        self.write_db().append(table, tuples)
+        let mut db = self.write_db();
+        let from = db.table_stats(table)?.version;
+        db.append(table, tuples)?;
+        if self.cfg.residency_pages == 0 {
+            return Ok(());
+        }
+        let now = db.table_stats(table)?;
+        let (extended, evicted) = self.lock_residency().extend(
+            table,
+            from,
+            now.version,
+            tuples,
+            now.pages,
+            self.cfg.residency_pages,
+            self.page_bytes,
+        );
+        drop(db);
+        let mut c = self.lock_counters();
+        c.residency_extensions += extended;
+        c.residency_evictions += evicted;
+        Ok(())
     }
 
     /// Reserves `pages` of the shared pool out-of-band, at interactive
@@ -1236,7 +1351,7 @@ impl JoinService {
             Flight::Claimed(claim) => claim,
         };
         let spec = JoinSpec::natural(r.schema(), s.schema()).map_err(ServiceError::Join)?;
-        let enc = Arc::new(EncodedPair::encode(&spec, r.iter(), s.iter()));
+        let enc = Arc::new(EncodedPair::encode(&spec, r.tuples(), s.tuples()));
         let pages = enc.heap_bytes().div_ceil(self.page_bytes);
         let evicted = self.lock_residency().insert_encoding(
             key,
@@ -1598,6 +1713,10 @@ impl JoinService {
                     name: "encoding_misses".into(),
                     value: c.encoding_misses as i64,
                 },
+                Counter {
+                    name: "residency_extensions".into(),
+                    value: c.residency_extensions as i64,
+                },
             ],
             buffer_pool: None,
             plan: None,
@@ -1618,6 +1737,7 @@ impl JoinService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
     use vtjoin_core::algebra::natural_join;
     use vtjoin_core::{AttrDef, AttrType, Schema, Value};
 
@@ -2062,23 +2182,135 @@ mod tests {
         assert_eq!(svc.resident_tables(), 2);
     }
 
+    /// Asserts the residency's page total is the sum of its entries and
+    /// every kept encoding's tables are resident.
+    fn assert_residency_consistent(svc: &JoinService) {
+        let res = svc.lock_residency();
+        let tables: u64 = res.entries.values().map(|e| e.pages).sum();
+        let encodings: u64 = res.encodings.values().map(|e| e.pages).sum();
+        assert_eq!(res.total_pages, tables + encodings);
+        for (o, ov, i, iv) in res.encodings.keys() {
+            assert!(res.entries.contains_key(&(o.clone(), *ov)));
+            assert!(res.entries.contains_key(&(i.clone(), *iv)));
+        }
+    }
+
+    fn extensions(svc: &JoinService) -> i64 {
+        let report = svc.execution_report();
+        let c = report
+            .counters
+            .iter()
+            .find(|c| c.name == "residency_extensions");
+        c.map_or(0, |c| c.value)
+    }
+
     #[test]
-    fn residency_drops_stale_versions_on_append() {
+    fn append_extends_the_resident_copy() {
         let svc = service(4096);
         svc.submit("r", "s").unwrap();
+        // The first append moves r out of its exact-sized bulk-load
+        // extent; the second writes only r's tail.
         svc.append("r", &rel("b", 10, 5).into_tuples()).unwrap();
+        assert_eq!(extensions(&svc), 2, "the resident r and the pair encoding");
+        assert_residency_consistent(&svc);
+        let io_before = svc.database().read().unwrap().io_stats();
+        svc.append("r", &rel("b", 3, 5).into_tuples()).unwrap();
+        assert_eq!(extensions(&svc), 4);
         let resp = svc.submit("r", "s").unwrap();
-        // The appended table re-faults (new version), the other stays hot.
+        // The appended table is a residency hit at its new version, and
+        // the request read no heap page.
         let sec = svc.service_section();
-        assert_eq!(sec.residency_misses, 3);
-        assert_eq!(sec.residency_hits, 1);
-        assert_eq!(svc.resident_tables(), 2, "stale r copy was dropped");
-        // And the result reflects the append, not the stale copy.
+        assert_eq!(sec.residency_misses, 2);
+        assert_eq!(sec.residency_hits, 2);
+        assert_eq!(svc.resident_tables(), 2, "one copy per table");
+        let io = svc.database().read().unwrap().io_stats() - io_before;
+        assert!(io.total_ios() <= 3, "{io:?}");
+        // And the result reflects the appends.
         let mut want_tuples = rel("b", 600, 5).into_tuples();
         want_tuples.extend(rel("b", 10, 5).into_tuples());
+        want_tuples.extend(rel("b", 3, 5).into_tuples());
         let want_r =
             Relation::from_parts_unchecked(Arc::clone(rel("b", 1, 1).schema()), want_tuples);
         let want = natural_join(&want_r, &rel("c", 600, 7)).unwrap();
+        assert!(resp.result.multiset_eq(&want));
+    }
+
+    #[test]
+    fn an_in_flight_copy_keeps_its_snapshot_while_the_resident_one_grows() {
+        let svc = service(4096);
+        svc.submit("r", "s").unwrap();
+        let stats = svc.database().read().unwrap().table_stats("r").unwrap();
+        let held = svc.lock_residency().get("r", stats.version).unwrap();
+        svc.append("r", &rel("b", 10, 5).into_tuples()).unwrap();
+        assert_eq!(held.len(), 600, "copy-on-write: the held copy is unchanged");
+        let now = svc.database().read().unwrap().table_stats("r").unwrap();
+        let resident = svc.lock_residency().get("r", now.version).unwrap();
+        assert_eq!(resident.len(), 610);
+        assert_eq!(&resident.tuples()[..600], held.tuples());
+    }
+
+    #[test]
+    fn a_late_reader_never_evicts_the_extended_copy() {
+        let svc = service(4096);
+        svc.submit("r", "s").unwrap();
+        let (snapshot, appended) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                // A request that took its catalog snapshot before the
+                // append and reads the table only after it.
+                let (heap, stats) = {
+                    let db = svc.database().read().unwrap();
+                    (db.table("r").unwrap().clone(), db.table_stats("r").unwrap())
+                };
+                snapshot.wait();
+                appended.wait();
+                svc.resident_relation("r", &heap, &stats).unwrap()
+            });
+            snapshot.wait();
+            svc.append("r", &rel("b", 10, 5).into_tuples()).unwrap();
+            appended.wait();
+            let late = reader.join().unwrap();
+            assert_eq!(late.len(), 600, "the reader gets its own snapshot");
+        });
+        // The extended copy stays resident: the next request hits it.
+        let misses = svc.service_section().residency_misses;
+        svc.submit("r", "s").unwrap();
+        assert_eq!(svc.service_section().residency_misses, misses);
+        assert_eq!(svc.resident_tables(), 2);
+        assert_residency_consistent(&svc);
+    }
+
+    #[test]
+    fn an_encoding_that_outgrows_the_budget_is_dropped() {
+        // A budget that holds both tables with room to grow, and the
+        // pair encoding only until r doubles.
+        let mut db = Database::new(256);
+        db.create_table("r", &rel("b", 600, 5)).unwrap();
+        db.create_table("s", &rel("c", 600, 7)).unwrap();
+        let pages = |t: &str| db.table_stats(t).unwrap().pages;
+        let enc_pages = (28u64 * 1_200).div_ceil(256);
+        let budget = 2 * pages("r") + pages("s") + enc_pages + 4;
+        let mut cfg = ServiceConfig::new(JoinConfig::with_buffer(128), 4096);
+        cfg.residency_pages = budget;
+        let svc = JoinService::new(db, cfg);
+        svc.submit("r", "s").unwrap();
+        assert_eq!(svc.cached_encodings(), 1);
+        svc.append("r", &rel("b", 20, 5).into_tuples()).unwrap();
+        assert_eq!(svc.cached_encodings(), 1, "a small append still fits");
+        assert_residency_consistent(&svc);
+        svc.append("r", &rel("b", 600, 5).into_tuples()).unwrap();
+        assert_eq!(svc.cached_encodings(), 0, "the doubled encoding does not");
+        assert_eq!(svc.resident_tables(), 2, "both tables still fit");
+        assert_residency_consistent(&svc);
+        // A table that outgrows the budget on its own goes too.
+        svc.append("r", &rel("b", 3_000, 5).into_tuples()).unwrap();
+        assert_eq!(svc.resident_tables(), 1);
+        assert_residency_consistent(&svc);
+        let resp = svc.submit("r", "s").unwrap();
+        let want = {
+            let db = svc.database().read().unwrap();
+            natural_join(&db.scan("r").unwrap(), &db.scan("s").unwrap()).unwrap()
+        };
         assert!(resp.result.multiset_eq(&want));
     }
 

@@ -69,7 +69,7 @@ pub enum Layout {
 /// encoding can outlive the request that built it: the service keeps one
 /// per resident table pair and pairs it with the resident tuples again on
 /// every request ([`EncodedPair::view`]).
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct SideColumns {
     starts: Vec<Chronon>,
     ends: Vec<Chronon>,
@@ -88,6 +88,22 @@ impl SideColumns {
         self.starts.is_empty()
     }
 
+    /// Room for `additional` more rows: exactly that much on a fresh
+    /// side, amortized (geometric) growth on one being extended.
+    fn reserve(&mut self, additional: usize) {
+        if self.is_empty() {
+            self.starts.reserve_exact(additional);
+            self.ends.reserve_exact(additional);
+            self.hashes.reserve_exact(additional);
+            self.key_ids.reserve_exact(additional);
+        } else {
+            self.starts.reserve(additional);
+            self.ends.reserve(additional);
+            self.hashes.reserve(additional);
+            self.key_ids.reserve(additional);
+        }
+    }
+
     /// Heap bytes the columns occupy (28 per row).
     pub fn heap_bytes(&self) -> u64 {
         (self.starts.capacity() * std::mem::size_of::<Chronon>()
@@ -103,6 +119,42 @@ impl SideColumns {
 enum Rows<'a> {
     Slice(&'a [Tuple]),
     Refs(&'a [&'a Tuple]),
+}
+
+impl<'a> Rows<'a> {
+    #[inline]
+    fn get(self, row: u32) -> &'a Tuple {
+        match self {
+            Rows::Slice(t) => &t[row as usize],
+            Rows::Refs(t) => t[row as usize],
+        }
+    }
+
+    fn len(self) -> usize {
+        match self {
+            Rows::Slice(t) => t.len(),
+            Rows::Refs(t) => t.len(),
+        }
+    }
+}
+
+/// The tuples behind both sides' row ids while an encode runs: the
+/// dictionary compares a new key with its representative through them.
+#[derive(Debug, Clone, Copy)]
+struct PairRows<'a> {
+    outer: Rows<'a>,
+    inner: Rows<'a>,
+}
+
+impl<'a> PairRows<'a> {
+    #[inline]
+    fn get(self, outer: bool, row: u32) -> &'a Tuple {
+        if outer {
+            self.outer.get(row)
+        } else {
+            self.inner.get(row)
+        }
+    }
 }
 
 /// A borrowed view of one encoded join side: its [`SideColumns`] plus the
@@ -129,10 +181,7 @@ impl<'a> ColumnarSide<'a> {
     /// kernels never call this).
     #[inline]
     pub fn tuple(&self, row: u32) -> &'a Tuple {
-        match self.rows {
-            Rows::Slice(t) => &t[row as usize],
-            Rows::Refs(t) => t[row as usize],
-        }
+        self.rows.get(row)
     }
 
     /// Inclusive valid-start chronon of `row`.
@@ -170,30 +219,36 @@ impl<'a> ColumnarSide<'a> {
 }
 
 /// Interns distinct join keys across **both** sides of a join, assigning
-/// each a dense `u32` id. Built once per encode; the kernels then test key
-/// equality by id, so hash-equal-but-key-unequal collisions cost nothing
-/// per probe (the one full compare happened at intern time).
+/// each a dense `u32` id. Built with the encode and kept with it; the
+/// kernels then test key equality by id, so hash-equal-but-key-unequal
+/// collisions cost nothing per probe (the one full compare happened at
+/// intern time).
 ///
 /// The table is flat open-addressing with linear probing, sized by the
 /// number of **distinct keys seen** (growing geometrically), not by the
 /// tuple count: real join sides carry orders of magnitude more rows than
 /// keys, so the hot table stays L1/L2-resident and each intern is one or
 /// two contiguous slot reads — no per-bucket heap `Vec`s to chase.
-#[derive(Debug)]
-pub struct KeyDictionary<'a> {
+///
+/// A key's representative is stored as (side, row id), not as a borrowed
+/// tuple, so the dictionary owns nothing of the relations: an extension
+/// ([`EncodedPair::extend`]) compares new keys against the relations it
+/// is handed, of which the encoded rows are a prefix.
+#[derive(Debug, Clone)]
+pub struct KeyDictionary {
     /// `(key hash, key id)` slots; `id == EMPTY` marks a free slot.
     /// Power-of-two length, rebuilt at 7/8 load.
     slots: Vec<(u64, u32)>,
     mask: usize,
-    /// `key id → (representative tuple, representative is outer-side)`.
-    reps: Vec<(&'a Tuple, bool)>,
+    /// `key id → (representative is outer-side, representative row id)`.
+    reps: Vec<(bool, u32)>,
 }
 
-impl<'a> KeyDictionary<'a> {
+impl KeyDictionary {
     const EMPTY: u32 = u32::MAX;
     const INITIAL_SLOTS: usize = 1024;
 
-    fn new() -> KeyDictionary<'a> {
+    fn new() -> KeyDictionary {
         KeyDictionary {
             slots: vec![(0, Self::EMPTY); Self::INITIAL_SLOTS],
             mask: Self::INITIAL_SLOTS - 1,
@@ -201,8 +256,17 @@ impl<'a> KeyDictionary<'a> {
         }
     }
 
-    /// Returns the key id for `t`'s join key, interning it if new.
-    fn intern(&mut self, spec: &JoinSpec, t: &'a Tuple, outer: bool, hash: u64) -> u32 {
+    /// Returns the key id for the join key of `rows`' tuple `(outer,
+    /// row)`, interning it if new.
+    fn intern(
+        &mut self,
+        spec: &JoinSpec,
+        rows: PairRows<'_>,
+        outer: bool,
+        row: u32,
+        hash: u64,
+    ) -> u32 {
+        let t = rows.get(outer, row);
         let mut idx = (hash as usize) & self.mask;
         loop {
             let (h, id) = self.slots[idx];
@@ -210,8 +274,8 @@ impl<'a> KeyDictionary<'a> {
                 break;
             }
             if h == hash {
-                let (rep, rep_outer) = self.reps[id as usize];
-                if spec.sided_keys_equal(rep, rep_outer, t, outer) {
+                let (rep_outer, rep_row) = self.reps[id as usize];
+                if spec.sided_keys_equal(rows.get(rep_outer, rep_row), rep_outer, t, outer) {
                     return id;
                 }
             }
@@ -219,7 +283,7 @@ impl<'a> KeyDictionary<'a> {
         }
         let id = u32::try_from(self.reps.len()).expect("dictionary exceeds u32 key ids");
         assert!(id != Self::EMPTY, "dictionary exceeds u32 key ids");
-        self.reps.push((t, outer));
+        self.reps.push((outer, row));
         self.slots[idx] = (hash, id);
         if self.reps.len() * 8 >= self.slots.len() * 7 {
             self.grow();
@@ -252,16 +316,15 @@ impl<'a> KeyDictionary<'a> {
 
 /// Both sides of a join encoded columnar, plus what the encode measured.
 /// Owned and lifetime-free; the key ids of both sides come from one
-/// shared [`KeyDictionary`], whose interned representatives (borrowed
-/// tuples) are dropped once the encode ends — only its size is kept.
-#[derive(Debug)]
+/// shared [`KeyDictionary`], kept with the columns so the encoding can be
+/// extended when its relations grow.
+#[derive(Debug, Clone)]
 pub struct EncodedPair {
     /// The outer (left / `r`) side.
     pub outer: SideColumns,
     /// The inner (right / `s`) side.
     pub inner: SideColumns,
-    /// Distinct join keys interned across both sides.
-    pub dict_size: u64,
+    dict: KeyDictionary,
     /// Wall-clock microseconds the encode pass took (profiling only —
     /// never compared by the bench regression gate).
     pub encode_micros: u64,
@@ -270,27 +333,86 @@ pub struct EncodedPair {
 impl EncodedPair {
     /// Encodes both join sides in one pass each: extracts the chronon and
     /// key-hash columns and interns every key in a shared
-    /// [`KeyDictionary`]. Row ids are assigned in iteration order, so the
-    /// columnar kernels see rows in exactly the order the row kernels see
-    /// tuples.
-    pub fn encode<'a, R, S>(spec: &JoinSpec, r: R, s: S) -> EncodedPair
-    where
-        R: IntoIterator<Item = &'a Tuple>,
-        S: IntoIterator<Item = &'a Tuple>,
-    {
+    /// [`KeyDictionary`]. Row ids are tuple positions, so the columnar
+    /// kernels see rows in exactly the relations' order.
+    pub fn encode(spec: &JoinSpec, r: &[Tuple], s: &[Tuple]) -> EncodedPair {
+        Self::encode_rows(
+            spec,
+            PairRows {
+                outer: Rows::Slice(r),
+                inner: Rows::Slice(s),
+            },
+        )
+    }
+
+    fn encode_rows(spec: &JoinSpec, rows: PairRows<'_>) -> EncodedPair {
         let t0 = Instant::now();
-        let mut dict = KeyDictionary::new();
-        let outer = encode_side(spec, r, true, &mut dict);
-        let inner = encode_side(spec, s, false, &mut dict);
-        EncodedPair {
-            outer,
-            inner,
-            dict_size: dict.len() as u64,
-            encode_micros: t0.elapsed().as_micros() as u64,
+        let mut pair = EncodedPair {
+            outer: SideColumns::default(),
+            inner: SideColumns::default(),
+            dict: KeyDictionary::new(),
+            encode_micros: 0,
+        };
+        pair.push_rows(spec, rows);
+        pair.encode_micros = t0.elapsed().as_micros() as u64;
+        pair
+    }
+
+    /// Extends the encoding to relations that grew by appends: `r` and
+    /// `s` must hold the encoded rows as their prefix. Only the rows past
+    /// the encoded ones are read; their columns are pushed and only keys
+    /// new to the dictionary are interned. Afterwards the encoding
+    /// answers exactly like a fresh encode of `r` and `s` (key ids may be
+    /// numbered otherwise; only their equality is meaningful). A side
+    /// with no new rows is not touched.
+    pub fn extend(&mut self, spec: &JoinSpec, r: &[Tuple], s: &[Tuple]) {
+        assert!(
+            r.len() >= self.outer.len() && s.len() >= self.inner.len(),
+            "an encoding extends only to relations that grew"
+        );
+        self.push_rows(
+            spec,
+            PairRows {
+                outer: Rows::Slice(r),
+                inner: Rows::Slice(s),
+            },
+        );
+    }
+
+    /// Encodes the rows of `rows` past the encoded ones, outer side first.
+    fn push_rows(&mut self, spec: &JoinSpec, rows: PairRows<'_>) {
+        for outer in [true, false] {
+            let (side, n) = if outer {
+                (&mut self.outer, rows.outer.len())
+            } else {
+                (&mut self.inner, rows.inner.len())
+            };
+            assert!(n <= u32::MAX as usize, "columnar row ids are u32");
+            let from = side.len();
+            side.reserve(n - from);
+            for row in from as u32..n as u32 {
+                let t = rows.get(outer, row);
+                let hash = if outer {
+                    spec.outer_key_hash(t)
+                } else {
+                    spec.inner_key_hash(t)
+                };
+                side.starts.push(t.valid().start());
+                side.ends.push(t.valid().end());
+                side.hashes.push(hash);
+                side.key_ids
+                    .push(self.dict.intern(spec, rows, outer, row, hash));
+            }
         }
     }
 
-    /// Heap bytes both sides' columns occupy.
+    /// Distinct join keys interned across both sides.
+    pub fn dict_size(&self) -> u64 {
+        self.dict.len() as u64
+    }
+
+    /// Heap bytes both sides' columns occupy (the dictionary, bounded by
+    /// the distinct keys, is not counted).
     pub fn heap_bytes(&self) -> u64 {
         self.outer.heap_bytes() + self.inner.heap_bytes()
     }
@@ -357,44 +479,18 @@ where
 {
     let outer_rows: Vec<&'a Tuple> = r.into_iter().collect();
     let inner_rows: Vec<&'a Tuple> = s.into_iter().collect();
-    let columns = EncodedPair::encode(spec, outer_rows.iter().copied(), inner_rows.iter().copied());
+    let columns = EncodedPair::encode_rows(
+        spec,
+        PairRows {
+            outer: Rows::Refs(&outer_rows),
+            inner: Rows::Refs(&inner_rows),
+        },
+    );
     ColumnarPair {
         outer_rows,
         inner_rows,
         columns,
     }
-}
-
-fn encode_side<'a, I>(
-    spec: &JoinSpec,
-    tuples: I,
-    outer: bool,
-    dict: &mut KeyDictionary<'a>,
-) -> SideColumns
-where
-    I: IntoIterator<Item = &'a Tuple>,
-{
-    let tuples = tuples.into_iter();
-    let n = tuples.size_hint().0;
-    let mut side = SideColumns {
-        starts: Vec::with_capacity(n),
-        ends: Vec::with_capacity(n),
-        hashes: Vec::with_capacity(n),
-        key_ids: Vec::with_capacity(n),
-    };
-    for t in tuples {
-        let hash = if outer {
-            spec.outer_key_hash(t)
-        } else {
-            spec.inner_key_hash(t)
-        };
-        side.starts.push(t.valid().start());
-        side.ends.push(t.valid().end());
-        side.hashes.push(hash);
-        side.key_ids.push(dict.intern(spec, t, outer, hash));
-    }
-    assert!(side.len() <= u32::MAX as usize, "columnar row ids are u32");
-    side
 }
 
 /// Maps a chronon to a `u64` whose unsigned byte-wise order equals the
@@ -630,7 +726,7 @@ mod tests {
 
         assert_eq!(pair.outer().len(), 3);
         assert_eq!(pair.inner().len(), 3);
-        assert_eq!(pair.columns.dict_size, 3); // keys {1, 2, 3}
+        assert_eq!(pair.columns.dict_size(), 3); // keys {1, 2, 3}
         assert_eq!(pair.outer().start(0), Chronon::new(0));
         assert_eq!(pair.outer().end(1), Chronon::new(9));
         assert_eq!(pair.outer().interval(2), Interval::from_raw(7, 8).unwrap());
@@ -655,7 +751,7 @@ mod tests {
         let r = rel(rs, &[(1, 10, 0, 5), (2, 11, 3, 9), (1, 12, 7, 8)]);
         let s = rel(ss, &[(2, 20, 0, 1), (3, 21, 2, 4)]);
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-        let owned = EncodedPair::encode(&spec, r.iter(), s.iter());
+        let owned = EncodedPair::encode(&spec, r.tuples(), s.tuples());
         assert_eq!(owned.heap_bytes(), 28 * 5, "8 + 8 + 8 + 4 bytes per row");
         let pair = encode_pair(&spec, r.iter(), s.iter());
         let (outer, inner) = owned.view(&r, &s).unwrap();
@@ -676,10 +772,89 @@ mod tests {
         let r = rel(rs, &[(1, 10, 0, 5)]);
         let s = rel(ss, &[(2, 20, 0, 1), (3, 21, 2, 4)]);
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-        let owned = EncodedPair::encode(&spec, r.iter(), s.iter());
+        let owned = EncodedPair::encode(&spec, r.tuples(), s.tuples());
         assert!(owned.view(&r, &s).is_some());
         assert!(owned.view(&s, &s).is_none());
         assert!(owned.view(&r, &r).is_none());
+    }
+
+    /// Asserts `a` answers like `b`: same columns, same dictionary size,
+    /// and key ids equal exactly where `b`'s are (ids may be numbered
+    /// otherwise).
+    fn assert_same_encoding(a: &EncodedPair, b: &EncodedPair) {
+        assert_eq!(a.dict_size(), b.dict_size());
+        let ids = |p: &EncodedPair| {
+            let mut v: Vec<u32> = p.outer.key_ids.clone();
+            v.extend(&p.inner.key_ids);
+            v
+        };
+        let (ia, ib) = (ids(a), ids(b));
+        for (x, y) in [(&a.outer, &b.outer), (&a.inner, &b.inner)] {
+            assert_eq!(
+                (&x.starts, &x.ends, &x.hashes),
+                (&y.starts, &y.ends, &y.hashes)
+            );
+        }
+        for i in 0..ia.len() {
+            for j in 0..ia.len() {
+                assert_eq!(ia[i] == ia[j], ib[i] == ib[j], "rows {i}, {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_extended_encoding_answers_like_a_fresh_one() {
+        let (rs, ss) = schemas();
+        // Base rows: outer keys 0..6, inner keys 10..13. The outer delta
+        // carries keys only the inner side interned, the inner delta keys
+        // only the outer side interned, the last rows keys new to both.
+        let mut r_rows: Vec<_> = (0..40)
+            .map(|i| (if i < 25 { i % 6 } else { 10 + i % 3 }, i, i, i + 3))
+            .collect();
+        let mut s_rows: Vec<_> = (0..30)
+            .map(|i| (if i < 20 { 10 + i % 3 } else { i % 6 }, i, i, i + 1))
+            .collect();
+        let r = rel(Arc::clone(&rs), &r_rows[..25]);
+        let s = rel(Arc::clone(&ss), &s_rows[..20]);
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let mut enc = EncodedPair::encode(&spec, r.tuples(), s.tuples());
+        r_rows.push((77, 0, 5, 6));
+        s_rows.push((78, 1, 2, 2));
+        for (nr, ns) in [(30, 20), (30, 27), (40, 30), (41, 31)] {
+            let r = rel(Arc::clone(&rs), &r_rows[..nr]);
+            let s = rel(Arc::clone(&ss), &s_rows[..ns]);
+            enc.extend(&spec, r.tuples(), s.tuples());
+            let fresh = EncodedPair::encode(&spec, r.tuples(), s.tuples());
+            assert_same_encoding(&enc, &fresh);
+        }
+        assert_eq!(enc.dict_size(), 11, "keys 0..6, 10..13, 77 and 78");
+    }
+
+    #[test]
+    fn a_self_join_encoding_extends_both_sides() {
+        let (rs, _) = schemas();
+        let rows: Vec<_> = (0..30).map(|i| (i % 4, i, i, i + 2)).collect();
+        let r = rel(Arc::clone(&rs), &rows[..10]);
+        let spec = JoinSpec::natural(r.schema(), r.schema()).unwrap();
+        let mut enc = EncodedPair::encode(&spec, r.tuples(), r.tuples());
+        let mut more = rows.clone();
+        more.push((9, 0, 3, 4));
+        let r = rel(rs, &more);
+        enc.extend(&spec, r.tuples(), r.tuples());
+        assert_same_encoding(&enc, &EncodedPair::encode(&spec, r.tuples(), r.tuples()));
+        let (outer, inner) = enc.view(&r, &r).unwrap();
+        assert_eq!((outer.len(), inner.len()), (31, 31));
+    }
+
+    #[test]
+    #[should_panic(expected = "extends only to relations that grew")]
+    fn an_encoding_does_not_extend_to_shrunk_relations() {
+        let (rs, ss) = schemas();
+        let r = rel(rs, &[(1, 10, 0, 5), (2, 11, 3, 9)]);
+        let s = rel(ss, &[(2, 20, 0, 1)]);
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let mut enc = EncodedPair::encode(&spec, r.tuples(), s.tuples());
+        enc.extend(&spec, &r.tuples()[..1], s.tuples());
     }
 
     #[test]

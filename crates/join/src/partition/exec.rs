@@ -336,7 +336,7 @@ pub fn join_partitions(
             let materialized =
                 id_batch.materialize_each(spec, &enc.outer(), &enc.inner(), |z| batch.emit(z));
             notes.columnar.encode_micros += enc.columns.encode_micros;
-            notes.columnar.dict_size = notes.columnar.dict_size.max(enc.columns.dict_size);
+            notes.columnar.dict_size = notes.columnar.dict_size.max(enc.columns.dict_size());
             notes.columnar.materialized_rows += materialized;
             // Migration (first chunk only): flushed-cache tuples then
             // stored inner tuples overlapping p_{i-1}, deferred past the

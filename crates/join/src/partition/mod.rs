@@ -146,7 +146,7 @@ impl PartitionJoin {
             let columnar = ColumnarCounters {
                 encode_micros: enc.columns.encode_micros,
                 radix_passes: 0,
-                dict_size: enc.columns.dict_size,
+                dict_size: enc.columns.dict_size(),
                 materialized_rows: materialized,
             };
             tracker.phase("join");

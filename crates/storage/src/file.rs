@@ -131,6 +131,24 @@ impl FileHandle {
         self.len = 0;
     }
 
+    /// Truncates the file to its first `len` pages (a no-op when it holds
+    /// no more); the next append writes page `len`. Address space stays
+    /// reserved and the pages past `len` keep their bytes.
+    pub fn truncate(&mut self, len: u64) {
+        self.len = self.len.min(len);
+    }
+
+    /// A copy of this file's pages in a fresh extent of `capacity` pages
+    /// (at least the file's length), charging one read and one write per
+    /// page. This file and its extent are left as they are.
+    pub fn relocated(&self, capacity: u64) -> Result<FileHandle> {
+        let mut moved = FileHandle::create(&self.disk, capacity.max(self.len));
+        for i in 0..self.len {
+            moved.append(self.read(i)?)?;
+        }
+        Ok(moved)
+    }
+
     /// The shared disk this file lives on.
     pub fn disk(&self) -> &SharedDisk {
         &self.disk
@@ -222,6 +240,41 @@ mod tests {
         assert_eq!(f.capacity(), 2);
         f.append(vec![2; 64]).unwrap();
         assert_eq!(f.read(0).unwrap()[0], 2);
+    }
+
+    #[test]
+    fn truncate_rewinds_the_append_position() {
+        let disk = SharedDisk::new(64);
+        let mut f = FileHandle::create(&disk, 3);
+        f.append(vec![1; 64]).unwrap();
+        f.append(vec![2; 64]).unwrap();
+        f.truncate(5);
+        assert_eq!(f.len(), 2, "never grows");
+        f.truncate(1);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f.append(vec![3; 64]).unwrap(), f.extent().page(1));
+        assert_eq!(f.read(1).unwrap()[0], 3);
+    }
+
+    #[test]
+    fn relocation_copies_pages_and_leaves_the_original() {
+        let disk = SharedDisk::new(64);
+        let mut f = FileHandle::create(&disk, 2);
+        f.append(vec![1; 64]).unwrap();
+        f.append(vec![2; 64]).unwrap();
+        disk.reset_stats();
+        let mut moved = f.relocated(4).unwrap();
+        let s = disk.stats();
+        assert_eq!((s.random_reads, s.seq_reads), (1, 1));
+        // The new extent follows the old one, so the write stream runs on.
+        assert_eq!((s.random_writes, s.seq_writes), (0, 2));
+        assert_eq!((moved.len(), moved.capacity()), (2, 4));
+        assert_ne!(moved.extent().start(), f.extent().start());
+        moved.append(vec![3; 64]).unwrap();
+        moved.overwrite(0, vec![9; 64]).unwrap();
+        assert_eq!(f.read(0).unwrap()[0], 1, "the original is untouched");
+        assert_eq!(moved.read(1).unwrap()[0], 2);
+        assert_eq!(f.relocated(0).unwrap().capacity(), 2, "never below len");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! granularity, which is what makes their I/O statistics meaningful.
 
 use crate::disk::{PageId, SharedDisk};
-use crate::error::Result;
+use crate::error::{Result, StorageError};
 use crate::file::FileHandle;
 use crate::page::PageBuf;
 use std::sync::Arc;
@@ -26,6 +26,11 @@ pub struct PageZone {
 }
 
 /// A valid-time relation stored on the simulated disk.
+///
+/// A clone is a snapshot: it keeps reading exactly the tuples the file
+/// held when it was taken, whatever [`HeapFile::append`] later does to
+/// the original (see there). Only one lineage of a file may be appended
+/// to; appends to two clones of one file overwrite each other's pages.
 #[derive(Debug, Clone)]
 pub struct HeapFile {
     schema: Arc<Schema>,
@@ -95,10 +100,87 @@ impl HeapFile {
         self.file.page_id(i)
     }
 
-    /// Reads and decodes the `i`-th page (charging one read).
+    /// Reads and decodes the `i`-th page (charging one read). Only the
+    /// page's cataloged tuples are decoded: a later append may have
+    /// rewritten the page with more records after them.
     pub fn read_page(&self, i: u64) -> Result<Vec<Tuple>> {
         let bytes = self.file.read(i)?;
-        PageBuf::decode_page(&bytes)
+        let cataloged = self.page_counts[i as usize] as usize;
+        let tuples = PageBuf::decode_prefix(&bytes, cataloged)?;
+        if tuples.len() < cataloged {
+            return Err(StorageError::Corrupt(format!(
+                "page {i} holds {} of its {cataloged} cataloged tuples",
+                tuples.len()
+            )));
+        }
+        Ok(tuples)
+    }
+
+    /// Appends `tuples` after the stored ones, in place. The partly
+    /// filled tail page is read back and rewritten with the first new
+    /// tuples (left as it is when none fits); the rest go onto fresh
+    /// pages in the extent's unused tail. When the extent cannot hold
+    /// them, the file moves once into an extent twice the size (or as
+    /// large as needed, if that is more), copying its pages; the old
+    /// extent is left as it is. Pages, per-page counts and zone maps end
+    /// up exactly as a bulk load of the concatenated tuples would leave
+    /// them.
+    ///
+    /// `self` changes only once every write has succeeded; on an error it
+    /// still describes the tuples it held before. A clone taken earlier
+    /// keeps reading its own snapshot either way: pages are written only
+    /// past its cataloged length, or rewritten as a page that keeps its
+    /// cataloged records as a prefix, and [`HeapFile::read_page`] decodes
+    /// only those. A torn write of the rewritten tail page is the one
+    /// fault an earlier snapshot also sees (as a checksum error).
+    pub fn append(&mut self, tuples: &[Tuple]) -> Result<()> {
+        if tuples.is_empty() {
+            return Ok(());
+        }
+        // Pack the tail page's tuples and the new ones in memory first
+        // (the writer flushes nothing), so the page count is known before
+        // the first write.
+        let mut w = HeapWriter {
+            flush_batch: usize::MAX,
+            ..HeapWriter::over(Arc::clone(&self.schema), self.file.clone())
+        };
+        let start = match self.pages().checked_sub(1) {
+            Some(tail) => {
+                for t in self.read_page(tail)? {
+                    w.push(&t)?;
+                }
+                tail
+            }
+            None => 0,
+        };
+        for t in tuples {
+            w.push(t)?;
+        }
+        w.seal_page();
+        let HeapWriter {
+            mut file,
+            pending,
+            page_counts,
+            page_zones,
+            ..
+        } = w;
+        let tail_unchanged = self.page_counts.get(start as usize) == page_counts.first();
+        let skip = usize::from(tail_unchanged);
+        let end = start + pending.len() as u64;
+        file.truncate(start + skip as u64);
+        if end > file.capacity() {
+            file = file.relocated((2 * file.capacity()).max(end))?;
+        }
+        for bytes in pending.into_iter().skip(skip) {
+            file.append(bytes)?;
+        }
+        self.file = file;
+        self.page_counts.truncate(start as usize);
+        self.page_counts.extend(page_counts);
+        self.page_zones.truncate(start as usize);
+        self.page_zones.extend(page_zones);
+        self.tuple_count += tuples.len() as u64;
+        Ok(())
     }
 
     /// A page-granular sequential reader.
@@ -202,8 +284,12 @@ pub struct HeapWriter {
 impl HeapWriter {
     /// Starts a writer over a fresh extent of `capacity_pages`.
     pub fn create(disk: &SharedDisk, schema: Arc<Schema>, capacity_pages: u64) -> HeapWriter {
-        let file = FileHandle::create(disk, capacity_pages);
-        let page = PageBuf::new(disk.page_size());
+        HeapWriter::over(schema, FileHandle::create(disk, capacity_pages))
+    }
+
+    /// A writer that appends its pages to `file`.
+    fn over(schema: Arc<Schema>, file: FileHandle) -> HeapWriter {
+        let page = PageBuf::new(file.disk().page_size());
         HeapWriter {
             schema,
             file,
@@ -238,16 +324,24 @@ impl HeapWriter {
         Ok(())
     }
 
-    /// Appends one tuple, completing a page when full and flushing
-    /// completed pages per the flush batch.
-    pub fn push(&mut self, t: &Tuple) -> Result<()> {
-        if !self.page.try_push(t)? {
+    /// Moves the page being filled, if it holds any tuple, to the
+    /// completed pages.
+    fn seal_page(&mut self) {
+        if !self.page.is_empty() {
             let count = self.page.count() as u32;
             let bytes = self.page.take();
             self.pending.push(bytes);
             self.page_counts.push(count);
             self.page_zones.push(self.current_zone);
             self.current_zone = EMPTY_ZONE;
+        }
+    }
+
+    /// Appends one tuple, completing a page when full and flushing
+    /// completed pages per the flush batch.
+    pub fn push(&mut self, t: &Tuple) -> Result<()> {
+        if !self.page.try_push(t)? {
+            self.seal_page();
             if self.pending.len() >= self.flush_batch {
                 self.flush_pending()?;
             }
@@ -263,13 +357,7 @@ impl HeapWriter {
     /// Flushes buffered and partial pages and returns the finished heap
     /// file.
     pub fn finish(mut self) -> Result<HeapFile> {
-        if !self.page.is_empty() {
-            let count = self.page.count() as u32;
-            let bytes = self.page.take();
-            self.pending.push(bytes);
-            self.page_counts.push(count);
-            self.page_zones.push(self.current_zone);
-        }
+        self.seal_page();
         self.flush_pending()?;
         Ok(HeapFile {
             schema: self.schema,
@@ -483,6 +571,147 @@ mod tests {
         let (p, slot) = heap.locate_tuple(7).unwrap();
         let page = heap.read_page(p).unwrap();
         assert_eq!(page[slot as usize], relation(10).tuples()[7]);
+    }
+
+    /// Each physical page of `heap`, as stored, with its catalog entry.
+    fn pages_of(heap: &HeapFile) -> Vec<(Vec<u8>, u32, PageZone)> {
+        (0..heap.pages())
+            .map(|i| {
+                let bytes = heap
+                    .disk()
+                    .with(|d| d.peek(heap.page_id(i).unwrap()).unwrap().to_vec());
+                (bytes, heap.tuples_on_page(i), heap.page_zone(i))
+            })
+            .collect()
+    }
+
+    /// Tuples `from..to` of a relation whose zones vary page by page.
+    fn tuples(from: i64, to: i64) -> Vec<Tuple> {
+        (from..to)
+            .map(|k| {
+                let start = (k * 37) % 101;
+                Tuple::new(
+                    vec![Value::Int(k)],
+                    Interval::from_raw(start, start + k % 7).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tail_append_matches_a_bulk_load_of_the_concatenation() {
+        // 4 tuples a page: deltas that stay on the tail page, fill it
+        // exactly, cross one or several page boundaries, and one that
+        // outgrows the exact-sized extent (the first append relocates).
+        for (base, deltas) in [
+            (0i64, &[1i64, 3, 4, 9][..]),
+            (6, &[1, 1, 2, 5, 17]),
+            (8, &[4, 4, 1]),
+            (3, &[40]),
+        ] {
+            let disk = SharedDisk::new(128);
+            let mut heap = HeapFile::bulk_load(&disk, &rel_of(tuples(0, base))).unwrap();
+            let mut n = base;
+            for &d in deltas {
+                heap.append(&tuples(n, n + d)).unwrap();
+                n += d;
+                let fresh = HeapFile::bulk_load(&disk, &rel_of(tuples(0, n))).unwrap();
+                assert_eq!(pages_of(&heap), pages_of(&fresh), "base {base}, n {n}");
+                assert_eq!(heap.tuples(), fresh.tuples());
+                assert_eq!(heap.time_hull(), fresh.time_hull());
+                assert_eq!(heap.read_all().unwrap().tuples(), &tuples(0, n)[..]);
+            }
+        }
+    }
+
+    fn rel_of(tuples: Vec<Tuple>) -> Relation {
+        Relation::from_parts_unchecked(schema(), tuples)
+    }
+
+    #[test]
+    fn appends_fill_the_extent_then_double_it() {
+        let disk = SharedDisk::new(128);
+        let mut heap = HeapFile::bulk_load(&disk, &rel_of(tuples(0, 8))).unwrap();
+        assert_eq!(heap.file.capacity(), 2, "bulk loads stay exact-sized");
+        // The first append relocates: 2 pages copied (read + write each)
+        // into an extent of 4, then one fresh page.
+        disk.reset_stats();
+        heap.append(&tuples(8, 9)).unwrap();
+        let s = disk.stats();
+        assert_eq!(heap.file.capacity(), 4);
+        assert_eq!(
+            (s.random_reads + s.seq_reads, s.random_writes + s.seq_writes),
+            (3, 3)
+        );
+        // The next one rewrites the partly filled tail page in place:
+        // one read and one write, no relocation.
+        let extent = heap.file.extent();
+        disk.reset_stats();
+        heap.append(&tuples(9, 11)).unwrap();
+        let s = disk.stats();
+        assert_eq!(heap.file.extent(), extent);
+        assert_eq!((s.random_reads, s.random_writes, s.seq_writes), (1, 1, 0));
+        // A full tail page is read but not rewritten.
+        heap.append(&tuples(11, 12)).unwrap();
+        disk.reset_stats();
+        heap.append(&tuples(12, 13)).unwrap();
+        let s = disk.stats();
+        assert_eq!((s.random_reads, s.random_writes + s.seq_writes), (1, 1));
+        assert_eq!(heap.pages(), 4);
+        assert_eq!(heap.read_all().unwrap().tuples(), &tuples(0, 13)[..]);
+    }
+
+    #[test]
+    fn a_clone_taken_before_an_append_reads_its_own_snapshot() {
+        let disk = SharedDisk::new(128);
+        let mut heap = HeapFile::bulk_load(&disk, &rel_of(tuples(0, 6))).unwrap();
+        let before = heap.clone();
+        heap.append(&tuples(6, 7)).unwrap(); // relocates
+        let middle = heap.clone();
+        heap.append(&tuples(7, 8)).unwrap(); // rewrites the shared tail page
+        heap.append(&tuples(8, 15)).unwrap();
+        assert_eq!(before.read_all().unwrap().tuples(), &tuples(0, 6)[..]);
+        assert_eq!(middle.read_all().unwrap().tuples(), &tuples(0, 7)[..]);
+        assert_eq!(heap.read_all().unwrap().tuples(), &tuples(0, 15)[..]);
+        assert_eq!(middle.tuples_on_page(1), 3);
+        assert_eq!(middle.read_page(1).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn a_fault_mid_append_leaves_the_file_as_it_was() {
+        use crate::faults::{FaultConfig, RetryPolicy};
+        let mut mid_append = 0;
+        for seed in 0..64 {
+            let disk = SharedDisk::new(128);
+            let mut heap = HeapFile::bulk_load(&disk, &rel_of(tuples(0, 10))).unwrap();
+            heap.append(&tuples(10, 11)).unwrap(); // room for in-place appends
+            let catalog = (heap.page_counts.clone(), heap.page_zones.clone());
+            disk.set_retry_policy(RetryPolicy::NONE);
+            disk.set_fault_config(Some(FaultConfig {
+                seed,
+                read_fail_permille: 0,
+                write_fail_permille: 300,
+                torn_write_permille: 0,
+            }));
+            disk.reset_stats();
+            let result = heap.append(&tuples(11, 30));
+            disk.set_fault_config(None);
+            if result.is_err() {
+                let s = disk.stats();
+                if s.random_writes + s.seq_writes > 1 {
+                    mid_append += 1;
+                }
+                assert_eq!(heap.tuples(), 11, "seed {seed}");
+                assert_eq!((heap.page_counts.clone(), heap.page_zones.clone()), catalog);
+                assert_eq!(heap.read_all().unwrap().tuples(), &tuples(0, 11)[..]);
+                // Whatever landed, a retried append ends as a bulk load
+                // would.
+                heap.append(&tuples(11, 30)).unwrap();
+            }
+            let fresh = HeapFile::bulk_load(&disk, &rel_of(tuples(0, 30))).unwrap();
+            assert_eq!(pages_of(&heap), pages_of(&fresh), "seed {seed}");
+        }
+        assert!(mid_append > 0, "some seed must fail after a write landed");
     }
 
     #[test]

@@ -95,6 +95,14 @@ impl PageBuf {
 
     /// Decodes every tuple in a page image, verifying the checksum first.
     pub fn decode_page(bytes: &[u8]) -> Result<Vec<Tuple>> {
+        Self::decode_prefix(bytes, usize::MAX)
+    }
+
+    /// Decodes the first `limit` tuples of a page image (all of them when
+    /// it holds fewer), verifying the checksum of the whole image first.
+    /// A heap file's tail page may hold records appended after the
+    /// catalog snapshot a reader holds; the reader decodes only its own.
+    pub fn decode_prefix(bytes: &[u8], limit: usize) -> Result<Vec<Tuple>> {
         if bytes.len() < PAGE_HEADER_BYTES {
             return Err(StorageError::Corrupt("page shorter than header".into()));
         }
@@ -106,7 +114,7 @@ impl PageBuf {
             )));
         }
         let mut cursor: &[u8] = bytes;
-        let count = cursor.get_u16_le() as usize;
+        let count = (cursor.get_u16_le() as usize).min(limit);
         let _checksum = cursor.get_u32_le();
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {

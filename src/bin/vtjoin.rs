@@ -12,6 +12,7 @@
 //!
 //! Relations travel in the portable text format of `vtjoin::workload::io`.
 
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use vtjoin::model::algebra;
@@ -22,15 +23,38 @@ use vtjoin::workload::generate::{
 };
 use vtjoin::workload::{from_text, to_text};
 
+/// `println!` that returns the write error to the caller (`?`) instead
+/// of panicking, so a reader that closed the pipe (`vtjoin … | head -1`)
+/// ends the command quietly (see `main`).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*)?
+    };
+}
+
+/// `print!` counterpart of [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(io::stdout(), $($arg)*)?
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader wants no more output: stop without a word.
+        Err(e) if is_broken_pipe(&*e) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
     }
+}
+
+fn is_broken_pipe(e: &(dyn std::error::Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
 }
 
 type AnyError = Box<dyn std::error::Error>;
@@ -48,7 +72,7 @@ fn run(args: &[String]) -> Result<(), AnyError> {
         "slice" => cmd_slice(rest),
         "coalesce" => cmd_coalesce(rest),
         "help" | "--help" | "-h" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{}", usage()).into()),
@@ -329,7 +353,7 @@ fn cmd_gen(args: &[String]) -> Result<(), AnyError> {
     let rel = generate(schema, &cfg);
     let out = flags.get("out").ok_or("gen needs -o FILE")?;
     save(&rel, out)?;
-    println!("wrote {} tuples to {out}", rel.len());
+    outln!("wrote {} tuples to {out}", rel.len());
     Ok(())
 }
 
@@ -337,16 +361,16 @@ fn cmd_info(args: &[String]) -> Result<(), AnyError> {
     let flags = Flags::parse(args, "info", INFO_FLAGS)?;
     let path = flags.positional.first().ok_or("info needs a FILE")?;
     let rel = load(path)?;
-    println!("schema    {}", rel.schema());
-    println!("tuples    {}", rel.len());
+    outln!("schema    {}", rel.schema());
+    outln!("tuples    {}", rel.len());
     if let Some(lifespan) = rel.lifespan() {
-        println!("lifespan  {lifespan}");
+        outln!("lifespan  {lifespan}");
     }
     let long = rel.iter().filter(|t| t.lifespan() > 1).count();
-    println!("long-lived (≥2 chronons)  {long}");
+    outln!("long-lived (≥2 chronons)  {long}");
     let segs = algebra::count_over_time(&rel);
     if let Some(peak) = segs.iter().max_by_key(|s| s.value) {
-        println!("peak concurrency  {} during {}", peak.value, peak.interval);
+        outln!("peak concurrency  {} during {}", peak.value, peak.interval);
     }
     Ok(())
 }
@@ -444,9 +468,9 @@ fn cmd_join(args: &[String]) -> Result<(), AnyError> {
     };
 
     if flags.get("explain").is_some() {
-        print!("{}", exec_report.render_explain());
+        out!("{}", exec_report.render_explain());
     } else {
-        println!(
+        outln!(
             "{}: {} result tuples, {} random + {} sequential I/Os, cost {} @ {ratio}",
             report.algorithm,
             report.result_tuples,
@@ -455,20 +479,20 @@ fn cmd_join(args: &[String]) -> Result<(), AnyError> {
             report.cost(ratio),
         );
         for phase in &report.phases {
-            println!("  {:<12} {}", phase.name, phase.io);
+            outln!("  {:<12} {}", phase.name, phase.io);
         }
         for (k, v) in &report.notes {
-            println!("  {k:<24} {v}");
+            outln!("  {k:<24} {v}");
         }
     }
     if let Some(path) = flags.get("stats-json") {
         std::fs::write(PathBuf::from(path), exec_report.to_json_string())
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote stats to {path}");
+        outln!("wrote stats to {path}");
     }
     if let Some(out) = flags.get("out") {
         save(&report.result.expect("collected"), out)?;
-        println!("wrote result to {out}");
+        outln!("wrote result to {out}");
     }
     Ok(())
 }
@@ -570,9 +594,9 @@ fn join_in_memory(
     let (result, exec_report) = (out.relation, out.report);
 
     if flags.get("explain").is_some() {
-        print!("{}", exec_report.render_explain());
+        out!("{}", exec_report.render_explain());
     } else if let Some(o) = &exec_report.operator {
-        println!(
+        outln!(
             "{op}: {} result tuples, {} cells on {} workers{}",
             result.len(),
             o.cells,
@@ -583,25 +607,31 @@ fn join_in_memory(
                 ""
             },
         );
-        println!(
+        outln!(
             "  pairs {} | dangling outer {} ({} stitched), inner {} ({} stitched)",
-            o.pairs_logged, o.outer_dangling, o.stitched_outer, o.inner_dangling, o.stitched_inner,
+            o.pairs_logged,
+            o.outer_dangling,
+            o.stitched_outer,
+            o.inner_dangling,
+            o.stitched_inner,
         );
         if o.timeline_events > 0 || o.agg_segments > 0 {
-            println!(
+            outln!(
                 "  timeline: {} events, {} checkpoints, {} segments",
-                o.timeline_events, o.timeline_checkpoints, o.agg_segments,
+                o.timeline_events,
+                o.timeline_checkpoints,
+                o.agg_segments,
             );
         }
     } else {
-        println!(
+        outln!(
             "parallel: {} result tuples, {} partitions on {} workers",
             result.len(),
             intervals.len(),
             exec_report.workers.len(),
         );
         if let Some(g) = exec_report.grid {
-            println!(
+            outln!(
                 "  grid ({grid_name}): {}x{} = {} cells ({} occupied), \
                  max cell {}% of est cost, replication {}.{:02}x",
                 g.key_buckets,
@@ -614,22 +644,25 @@ fn join_in_memory(
             );
         }
         for phase in &exec_report.phases {
-            println!("  {:<12} {} µs", phase.name, phase.wall_micros);
+            outln!("  {:<12} {} µs", phase.name, phase.wall_micros);
         }
         if let Some(k) = exec_report.kernel {
-            println!(
+            outln!(
                 "  kernel ({kernel_name}): {} hash / {} sweep partitions, {} batches",
-                k.hash_partitions, k.sweep_partitions, k.batches_flushed
+                k.hash_partitions,
+                k.sweep_partitions,
+                k.batches_flushed
             );
         }
         if let Some(sk) = &exec_report.skew {
-            println!(
+            outln!(
                 "  skew: heaviest partition {}% of est cost, utilization {}%",
-                sk.max_partition_share_percent, sk.utilization_percent
+                sk.max_partition_share_percent,
+                sk.utilization_percent
             );
         }
         if let Some(pd) = &exec_report.predicate {
-            println!(
+            outln!(
                 "  predicate {} (template {}): {} filter hits / {} checks, \
                  {} / {} merge pairs emitted",
                 pd.predicate,
@@ -644,11 +677,11 @@ fn join_in_memory(
     if let Some(path) = flags.get("stats-json") {
         std::fs::write(PathBuf::from(path), exec_report.to_json_string())
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote stats to {path}");
+        outln!("wrote stats to {path}");
     }
     if let Some(out) = flags.get("out") {
         save(&result, out)?;
-        println!("wrote result to {out}");
+        outln!("wrote result to {out}");
     }
     Ok(())
 }
@@ -849,7 +882,10 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
                     let mut batches = 0u64;
                     let mut sink = |batch: Vec<vtjoin::model::Tuple>| {
                         batches += 1;
-                        println!(
+                        // Best effort: a closed stdout surfaces at the
+                        // next summary line, which ends the command.
+                        let _ = writeln!(
+                            io::stdout(),
                             "  stream {outer} {inner}{tag}: batch {batches}, {} tuples",
                             batch.len()
                         );
@@ -900,31 +936,40 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         }
     });
     for slot in &outcomes {
-        println!("{}", slot.lock().unwrap_or_else(|e| e.into_inner()));
+        outln!("{}", slot.lock().unwrap_or_else(|e| e.into_inner()));
     }
 
     let report = svc.execution_report();
     if flags.get("explain").is_some() {
-        print!("{}", report.render_explain());
+        out!("{}", report.render_explain());
     } else {
         let sec = report
             .service
             .as_ref()
             .expect("service report carries its section");
-        println!(
+        outln!(
             "service: {} requests ({} admitted, {} queued, {} rejected), \
              {} completed, {} failed",
-            sec.requests, sec.admitted, sec.queued, sec.rejected, sec.completed, sec.failed,
+            sec.requests,
+            sec.admitted,
+            sec.queued,
+            sec.rejected,
+            sec.completed,
+            sec.failed,
         );
-        println!(
+        outln!(
             "  plan cache: {} hits / {} misses ({} invalidations)",
-            sec.cache_hits, sec.cache_misses, sec.cache_invalidations,
+            sec.cache_hits,
+            sec.cache_misses,
+            sec.cache_invalidations,
         );
-        println!(
+        outln!(
             "  pool: {} pages, high water {} pages / {} queued requests",
-            sec.pool_pages, sec.pool_pages_high_water, sec.queue_depth_high_water,
+            sec.pool_pages,
+            sec.pool_pages_high_water,
+            sec.queue_depth_high_water,
         );
-        println!(
+        outln!(
             "  priorities: {} interactive / {} batch / {} background, \
              shed {} deadline / {} retry-after",
             sec.interactive_requests,
@@ -934,16 +979,17 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
             sec.shed_retry_after,
         );
         if stream {
-            println!(
+            outln!(
                 "  streamed: {} batches, {} tuples",
-                sec.streamed_batches, sec.streamed_tuples,
+                sec.streamed_batches,
+                sec.streamed_tuples,
             );
         }
     }
     if let Some(path) = flags.get("stats-json") {
         std::fs::write(PathBuf::from(path), report.to_json_string())
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote stats to {path}");
+        outln!("wrote stats to {path}");
     }
     Ok(())
 }
@@ -958,12 +1004,12 @@ fn cmd_slice(args: &[String]) -> Result<(), AnyError> {
         .map_err(|_| "--at: bad chronon")?;
     let rel = load(path)?;
     let snap = rel.timeslice(Chronon::new(at));
-    println!("{} rows valid at {at}:", snap.len());
+    outln!("{} rows valid at {at}:", snap.len());
     for t in snap.iter().take(50) {
-        println!("  {t}");
+        outln!("  {t}");
     }
     if snap.len() > 50 {
-        println!("  … and {} more", snap.len() - 50);
+        outln!("  … and {} more", snap.len() - 50);
     }
     Ok(())
 }
@@ -973,10 +1019,10 @@ fn cmd_coalesce(args: &[String]) -> Result<(), AnyError> {
     let path = flags.positional.first().ok_or("coalesce needs a FILE")?;
     let rel = load(path)?;
     let out = algebra::coalesce(&rel);
-    println!("{} tuples → {} coalesced", rel.len(), out.len());
+    outln!("{} tuples → {} coalesced", rel.len(), out.len());
     if let Some(dest) = flags.get("out") {
         save(&out, dest)?;
-        println!("wrote {dest}");
+        outln!("wrote {dest}");
     }
     Ok(())
 }

@@ -17,6 +17,7 @@ use vtjoin::engine::{
     SubmitOptions,
 };
 use vtjoin::model::algebra::natural_join;
+use vtjoin::model::Operator;
 use vtjoin::prelude::*;
 use vtjoin::workload::generate::{
     generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
@@ -357,26 +358,175 @@ fn second_submit_on_unchanged_tables_reuses_the_pair_encoding() {
 }
 
 #[test]
-fn append_re_encodes_and_never_serves_the_stale_encoding() {
+fn append_extends_the_kept_encoding_and_never_serves_a_stale_one() {
     let svc = service_with(&[("r", 2_000, true), ("s", 2_000, false)]);
     svc.submit("r", "s").unwrap();
     svc.submit("r", "s").unwrap();
     assert_eq!(report_counter(&svc, "encoding_hits"), 1);
 
-    // A small append: the plan stays a cache hit, but the outer table's
-    // catalog version moves, so its encoding must be rebuilt.
+    // A small append: the plan stays a cache hit, and the outer table's
+    // resident copy and the pair encoding are extended by the appended
+    // rows and re-keyed to its new version instead of being rebuilt.
     svc.append("r", &workload(50, 0xA99, true).into_tuples())
         .unwrap();
+    assert_eq!(
+        report_counter(&svc, "residency_extensions"),
+        2,
+        "the resident r and the pair encoding"
+    );
     let resp = svc.submit("r", "s").unwrap();
-    assert_eq!(report_counter(&svc, "encoding_misses"), 2, "re-encoded");
-    assert_eq!(report_counter(&svc, "encoding_hits"), 1);
-    assert_eq!(svc.cached_encodings(), 1, "the stale entry is gone");
+    assert_eq!(report_counter(&svc, "encoding_misses"), 1, "not re-encoded");
+    assert_eq!(report_counter(&svc, "encoding_hits"), 2);
+    assert_eq!(svc.cached_encodings(), 1, "no stale entry is left");
+    let section = svc.service_section();
+    assert_eq!((section.residency_hits, section.residency_misses), (4, 2));
     assert_eq!(sorted_encoding(&resp.result), oracle_now(&svc, "r", "s"));
 
-    // And the rebuilt encoding serves the next request.
+    // And the extended encoding keeps serving.
     let again = svc.submit("r", "s").unwrap();
-    assert_eq!(report_counter(&svc, "encoding_hits"), 2);
+    assert_eq!(report_counter(&svc, "encoding_hits"), 3);
     assert_eq!(again.result.tuples(), resp.result.tuples());
+}
+
+/// Tuples of the generated schema with keys `from..from + n`, one per
+/// key, spread over the generated lifespan.
+fn keyed(from: i64, n: i64, outer: bool) -> Vec<Tuple> {
+    let schema = if outer {
+        outer_schema(0)
+    } else {
+        inner_schema(0)
+    };
+    let tuples = (from..from + n)
+        .map(|k| {
+            let start = (k * 7_919) % 20_000;
+            Tuple::new(
+                vec![Value::Int(k), Value::Bytes(Vec::new().into())],
+                Interval::from_raw(start, start + 250).unwrap(),
+            )
+        })
+        .collect();
+    Relation::new(schema, tuples).unwrap().into_tuples()
+}
+
+/// Every reply shape a request on `(outer, inner)` can take, in the
+/// service's own order: inner materialized, inner streamed (the batches
+/// concatenated), left, full and anti. Asserts the service served the
+/// tables and their pair encoding from its caches when `warm`.
+fn replies(svc: &JoinService, outer: &str, inner: &str, warm: bool) -> Vec<Vec<Tuple>> {
+    let before = (
+        svc.service_section().residency_misses,
+        report_counter(svc, "encoding_misses"),
+    );
+    let pred = JoinPredicate::intersects();
+    let mut out = vec![svc.submit(outer, inner).unwrap().result.into_tuples()];
+    let mut streamed = Vec::new();
+    svc.submit_streamed(outer, inner, &pred, &SubmitOptions::default(), &mut |b| {
+        streamed.extend(b)
+    })
+    .unwrap();
+    out.push(streamed);
+    for op in [Operator::Left, Operator::Full, Operator::Anti] {
+        let opts = SubmitOptions {
+            op,
+            ..SubmitOptions::default()
+        };
+        let resp = svc.submit_opts(outer, inner, &pred, &opts).unwrap();
+        out.push(resp.result.into_tuples());
+    }
+    if warm {
+        let after = (
+            svc.service_section().residency_misses,
+            report_counter(svc, "encoding_misses"),
+        );
+        assert_eq!(after, before, "{outer} ⋈ {inner} missed a cache");
+    }
+    out
+}
+
+/// The oracles of [`replies`], over the tables as the catalog holds them.
+fn oracle_replies(svc: &JoinService, outer: &str, inner: &str) -> Vec<Vec<Tuple>> {
+    use vtjoin::model::algebra::{antijoin, full_outerjoin, outerjoin, JoinSide};
+    let db = svc.database().read().unwrap();
+    let (r, s) = (db.scan(outer).unwrap(), db.scan(inner).unwrap());
+    let inner_join = natural_join(&r, &s).unwrap().into_tuples();
+    vec![
+        inner_join.clone(),
+        inner_join,
+        outerjoin(&r, &s, JoinSide::Left).unwrap().into_tuples(),
+        full_outerjoin(&r, &s).unwrap().into_tuples(),
+        antijoin(&r, &s).unwrap().into_tuples(),
+    ]
+}
+
+#[test]
+fn appends_to_either_side_extend_the_caches_and_keep_replies_exact() {
+    let tables = [("r", 1_200, true), ("s", 1_500, false)];
+    let svc = service_with(&tables);
+    let cold = {
+        let mut db = Database::new(1024);
+        for (name, tuples, outer) in tables {
+            let seed = 0x5EED ^ (tuples << 1) ^ u64::from(outer);
+            db.create_table(name, &workload(tuples, seed, outer))
+                .unwrap();
+        }
+        let mut cfg = ServiceConfig::new(JoinConfig::with_buffer(16).seed(7), 16_384);
+        cfg.threads_per_query = 2;
+        cfg.residency_pages = 0;
+        JoinService::new(db, cfg)
+    };
+    // Both services see the same requests, so they plan alike.
+    let pairs = [("r", "s"), ("r", "r")];
+    for (outer, inner) in pairs {
+        assert_eq!(
+            replies(&svc, outer, inner, false),
+            replies(&cold, outer, inner, false)
+        );
+    }
+    // Keys 0..128 are interned already; 128..160 are new.
+    let steps: [(&str, Vec<Tuple>, Vec<Tuple>); 4] = [
+        (
+            "outer, interned keys",
+            workload(40, 0xA1, true).into_tuples(),
+            vec![],
+        ),
+        ("inner, new keys", vec![], keyed(128, 20, false)),
+        (
+            "both, new and interned keys",
+            keyed(140, 20, true),
+            keyed(100, 40, false),
+        ),
+        ("outer, one tuple", keyed(159, 1, true), vec![]),
+    ];
+    let mut extensions = 0;
+    for (step, r_delta, s_delta) in steps {
+        for svc in [&svc, &cold] {
+            svc.append("r", &r_delta).unwrap();
+            svc.append("s", &s_delta).unwrap();
+        }
+        for (outer, inner) in pairs {
+            let warm = replies(&svc, outer, inner, true);
+            let uncached = replies(&cold, outer, inner, false);
+            assert_eq!(warm, uncached, "{step}: {outer} ⋈ {inner} vs residency off");
+            let oracles = oracle_replies(&svc, outer, inner);
+            let multiset = |t: &[Tuple]| {
+                let mut bytes: Vec<Vec<u8>> =
+                    t.iter().map(vtjoin::storage::codec::encode).collect();
+                bytes.sort_unstable();
+                bytes
+            };
+            for (i, (got, want)) in warm.iter().zip(&oracles).enumerate() {
+                if i < 2 {
+                    assert_eq!(multiset(got), multiset(want), "{step}: inner reply {i}");
+                } else {
+                    assert_eq!(got, want, "{step}: operator reply {i}, byte for byte");
+                }
+            }
+        }
+        let now = report_counter(&svc, "residency_extensions");
+        assert!(now > extensions, "{step}: nothing was extended");
+        extensions = now;
+    }
+    assert_eq!(report_counter(&cold, "residency_extensions"), 0);
 }
 
 #[test]
@@ -583,11 +733,11 @@ fn operator_requests_reuse_the_kept_encoding() {
     assert_eq!(counts(), (1, 1), "the second reuses the kept encoding");
     assert_eq!(ordered(&second.result), oracle(), "byte for byte");
 
-    // An append moves the outer table's version: the next request
-    // re-encodes and still matches the oracle.
+    // An append moves the outer table's version and extends the kept
+    // encoding: the next request reuses it and still matches the oracle.
     svc.append("r", &workload(50, 0xA99, true).into_tuples())
         .unwrap();
     let third = submit();
-    assert_eq!(counts(), (1, 2), "re-encoded after the append");
+    assert_eq!(counts(), (2, 1), "extended, not re-encoded, by the append");
     assert_eq!(ordered(&third.result), oracle(), "byte for byte");
 }
