@@ -210,10 +210,11 @@ impl Database {
         self.tables.keys().map(String::as_str).collect()
     }
 
-    /// Drops a table from the catalog. Its extent is abandoned, not
-    /// reclaimed (the simulated disk frees no address space), so heap-file
-    /// clones taken before the drop keep reading their snapshot. A table
-    /// later created under the same name takes a new version stamp.
+    /// Drops a table from the catalog. Its extent is released, and its
+    /// pages' memory given back, once no heap-file clone taken before the
+    /// drop holds it; such clones keep reading their snapshot until then.
+    /// The addresses are never reused. A table later created under the
+    /// same name takes a new version stamp.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         self.meta.remove(name);
         self.tables
@@ -330,6 +331,45 @@ mod tests {
         let extra: Vec<Tuple> = rel(3).into_tuples();
         db.append("t", &extra).unwrap();
         assert_eq!(db.table("t").unwrap().tuples(), 8);
+    }
+
+    #[test]
+    fn drop_and_create_cycles_keep_committed_pages_flat() {
+        let mut db = Database::new(256);
+        db.create_table("keep", &rel(30)).unwrap();
+        let kept = db.table("keep").unwrap().pages();
+        for _ in 0..5 {
+            db.create_table("t", &rel(50)).unwrap();
+            let t = db.table("t").unwrap().pages();
+            assert_eq!(db.disk().committed_pages(), kept + t);
+            db.drop_table("t").unwrap();
+            assert_eq!(db.disk().committed_pages(), kept);
+        }
+        assert_eq!(db.scan("keep").unwrap().tuples(), rel(30).tuples());
+    }
+
+    #[test]
+    fn a_relocating_append_releases_the_old_extent_once_no_snapshot_holds_it() {
+        let mut db = Database::new(256);
+        db.create_table("t", &rel(20)).unwrap();
+        let old_pages = db.table("t").unwrap().pages();
+        let snapshot = db.table("t").unwrap().clone();
+        // A bulk-loaded extent is exact-sized: an append that needs a new
+        // page relocates.
+        db.append("t", &mixed(20, 30, 0)).unwrap();
+        let new_pages = db.table("t").unwrap().pages();
+        assert_ne!(db.table("t").unwrap().page_id(0), snapshot.page_id(0));
+        assert_eq!(db.disk().committed_pages(), old_pages + new_pages);
+        assert_eq!(snapshot.read_all().unwrap().tuples(), rel(20).tuples());
+        drop(snapshot);
+        assert_eq!(db.disk().committed_pages(), new_pages);
+        // With no snapshot held, every later append (relocating or not)
+        // leaves exactly the table's pages committed.
+        for k in 0..6 {
+            db.append("t", &mixed(50 + 7 * k, 7, 0)).unwrap();
+            assert_eq!(db.disk().committed_pages(), db.table("t").unwrap().pages());
+        }
+        assert_eq!(db.table("t").unwrap().tuples(), 92);
     }
 
     /// `n` tuples from `from` on: instants, short and long lifespans.

@@ -2288,7 +2288,13 @@ mod tests {
         db.create_table("r", &rel("b", 600, 5)).unwrap();
         db.create_table("s", &rel("c", 600, 7)).unwrap();
         let pages = |t: &str| db.table_stats(t).unwrap().pages;
-        let enc_pages = (28u64 * 1_200).div_ceil(256);
+        let enc_pages = {
+            let (r, s) = (db.scan("r").unwrap(), db.scan("s").unwrap());
+            let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+            EncodedPair::encode(&spec, r.tuples(), s.tuples())
+                .heap_bytes()
+                .div_ceil(256)
+        };
         let budget = 2 * pages("r") + pages("s") + enc_pages + 4;
         let mut cfg = ServiceConfig::new(JoinConfig::with_buffer(128), 4096);
         cfg.residency_pages = budget;

@@ -312,6 +312,12 @@ impl KeyDictionary {
     fn len(&self) -> usize {
         self.reps.len()
     }
+
+    /// Heap bytes of the slot table and the representatives.
+    fn heap_bytes(&self) -> u64 {
+        (self.slots.capacity() * std::mem::size_of::<(u64, u32)>()
+            + self.reps.capacity() * std::mem::size_of::<(bool, u32)>()) as u64
+    }
 }
 
 /// Both sides of a join encoded columnar, plus what the encode measured.
@@ -411,10 +417,10 @@ impl EncodedPair {
         self.dict.len() as u64
     }
 
-    /// Heap bytes both sides' columns occupy (the dictionary, bounded by
-    /// the distinct keys, is not counted).
+    /// Heap bytes the encoding occupies: both sides' columns and the key
+    /// dictionary.
     pub fn heap_bytes(&self) -> u64 {
-        self.outer.heap_bytes() + self.inner.heap_bytes()
+        self.outer.heap_bytes() + self.inner.heap_bytes() + self.dict.heap_bytes()
     }
 
     /// Views the encoding over the relations it was built from (in
@@ -752,7 +758,11 @@ mod tests {
         let s = rel(ss, &[(2, 20, 0, 1), (3, 21, 2, 4)]);
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
         let owned = EncodedPair::encode(&spec, r.tuples(), s.tuples());
-        assert_eq!(owned.heap_bytes(), 28 * 5, "8 + 8 + 8 + 4 bytes per row");
+        // 8 + 8 + 8 + 4 bytes per row, plus the dictionary's 16-byte
+        // slots and 8-byte representatives.
+        let dict = owned.dict.heap_bytes();
+        assert!(dict >= 1024 * 16 + 3 * 8, "{dict}");
+        assert_eq!(owned.heap_bytes(), 28 * 5 + dict);
         let pair = encode_pair(&spec, r.iter(), s.iter());
         let (outer, inner) = owned.view(&r, &s).unwrap();
         for (a, b) in [(outer, pair.outer()), (inner, pair.inner())] {

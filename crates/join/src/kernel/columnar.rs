@@ -91,12 +91,16 @@ struct ActiveLists {
 }
 
 impl ActiveLists {
+    /// Readies the lists for a cell of `expected` rows, clearing only the
+    /// `mask + 1` buckets the cell addresses: the cost follows the cell,
+    /// not the largest bucket table the scratch ever grew. Buckets past
+    /// the mask may keep an earlier cell's entries; nothing reads them.
     fn reset(&mut self, expected: usize) {
         let want = expected.max(1).next_power_of_two();
         if want > self.buckets.len() {
             self.buckets.resize_with(want, Vec::new);
         }
-        for b in &mut self.buckets {
+        for b in &mut self.buckets[..want] {
             b.clear();
         }
         self.mask = want - 1;
@@ -715,6 +719,37 @@ mod tests {
             estimate_dups_per_key_x100_ids(&enc.outer(), &[], &enc.inner(), &[]),
             100
         );
+    }
+
+    #[test]
+    fn a_reused_scratch_sweeps_like_a_fresh_one() {
+        // Cells of falling then rising size through one scratch: a reset
+        // clears only the current cell's buckets, and a large cell's
+        // leftovers must never reach a later cell.
+        let (r, s) = pair(500, 400);
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let enc = encode_pair(&spec, r.iter(), s.iter());
+        let sweep = |n: usize, cs: &mut ColumnarScratch| {
+            let mut out = IdBatch::new();
+            let (stats, _) = columnar_sweep_join(
+                &enc.outer(),
+                &all_rows(n),
+                &enc.inner(),
+                &all_rows(n),
+                Interval::ALL,
+                cs,
+                &mut out,
+            );
+            let mut tuples = Vec::new();
+            out.materialize_each(&spec, &enc.outer(), &enc.inner(), |t| tuples.push(t));
+            (stats, tuples)
+        };
+        let mut reused = ColumnarScratch::default();
+        for n in [400, 9, 1, 130, 400, 2] {
+            let want = sweep(n, &mut ColumnarScratch::default());
+            assert!(n < 9 || !want.1.is_empty(), "n = {n} joins nothing");
+            assert_eq!(sweep(n, &mut reused), want, "n = {n}");
+        }
     }
 
     #[test]

@@ -16,11 +16,20 @@
 //! flushes across partition files makes those *writes* random (the §4.2
 //! small-memory effect), and backing up over scattered pages makes those
 //! *reads* random.
+//!
+//! Page images live in a sparse map keyed by page id, so reserved but
+//! unwritten address space costs nothing. [`DiskSim::release`] drops an
+//! extent's images once its file is gone (partition files, tuple caches
+//! and sorted runs are scratch space for one join). Addresses are never
+//! reused: `alloc` keeps handing out fresh ones, so which accesses are
+//! adjacent, and therefore sequential, is the same whether or not
+//! anything was released.
 
 use crate::error::{Result, StorageError};
 use crate::faults::{FaultConfig, FaultInjector, FaultStats, RetryPolicy};
 use crate::file::PageRange;
 use crate::stats::IoStats;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -57,9 +66,11 @@ pub struct TraceEntry {
 /// A simulated linear-addressed disk with I/O cost accounting.
 ///
 /// Pages are lazily materialized: allocating an extent only reserves
-/// address space, memory is committed on first write. This lets callers
-/// over-reserve contiguous extents (the simulator's analogue of
-/// preallocating a file) at no cost.
+/// address space, memory is committed on first write and given back when
+/// the extent is released. This lets callers over-reserve contiguous
+/// extents (the simulator's analogue of preallocating a file) at no cost.
+/// A released extent's addresses are never handed out again; accessing
+/// one is a [`StorageError::ReleasedPage`].
 ///
 /// ```
 /// use vtjoin_storage::{DiskSim, PageId};
@@ -70,11 +81,18 @@ pub struct TraceEntry {
 /// let s = disk.stats();
 /// assert_eq!(s.random_writes, 1);
 /// assert_eq!(s.seq_writes, 1);
+/// assert_eq!(disk.release(extent).unwrap(), 2); // images dropped
+/// assert_eq!(disk.committed_pages(), 0);
 /// ```
 #[derive(Debug)]
 pub struct DiskSim {
     page_size: usize,
-    pages: Vec<Option<Box<[u8]>>>,
+    /// Written page images by page id, until their extent is released.
+    images: BTreeMap<u64, Box<[u8]>>,
+    /// Live (allocated, not yet released) non-empty extents: start → length.
+    extents: BTreeMap<u64, u64>,
+    /// The next extent starts here; addresses below it are never reused.
+    next_page: u64,
     read_head: Option<PageId>,
     write_head: Option<PageId>,
     stats: IoStats,
@@ -90,7 +108,9 @@ impl DiskSim {
         assert!(page_size >= 64, "page size must be at least 64 bytes");
         DiskSim {
             page_size,
-            pages: Vec::new(),
+            images: BTreeMap::new(),
+            extents: BTreeMap::new(),
+            next_page: 0,
             read_head: None,
             write_head: None,
             stats: IoStats::ZERO,
@@ -106,22 +126,55 @@ impl DiskSim {
         self.page_size
     }
 
-    /// Number of allocated pages (committed or not).
+    /// Number of page addresses handed out so far, released extents
+    /// included (the next extent starts here).
     pub fn capacity_pages(&self) -> u64 {
-        self.pages.len() as u64
+        self.next_page
     }
 
-    /// Number of pages that have actually been written.
+    /// Number of page images held: pages written and not yet released.
     pub fn committed_pages(&self) -> u64 {
-        self.pages.iter().filter(|p| p.is_some()).count() as u64
+        self.images.len() as u64
     }
 
-    /// Reserves a contiguous extent of `n` pages and returns its range.
+    /// Reserves a contiguous extent of `n` fresh pages and returns its
+    /// range. It follows the previous extent, released or not.
     pub fn alloc(&mut self, n: u64) -> PageRange {
-        let start = self.pages.len() as u64;
-        self.pages
-            .resize_with(self.pages.len() + n as usize, || None);
+        let start = self.next_page;
+        self.next_page += n;
+        if n > 0 {
+            self.extents.insert(start, n);
+        }
         PageRange::new(PageId(start), n)
+    }
+
+    /// Releases an extent `alloc` returned, dropping its page images, and
+    /// returns how many there were. Its addresses are not reused: a later
+    /// access to one of its pages is a [`StorageError::ReleasedPage`].
+    /// Releasing an empty range does nothing; anything other than a live
+    /// extent (a part of one, or one already released) is refused with
+    /// [`StorageError::NotAnExtent`]. Charges no I/O.
+    pub fn release(&mut self, extent: PageRange) -> Result<u64> {
+        if extent.is_empty() {
+            return Ok(0);
+        }
+        let start = extent.start().0;
+        if self.extents.get(&start) != Some(&extent.len()) {
+            return Err(StorageError::NotAnExtent {
+                start,
+                pages: extent.len(),
+            });
+        }
+        self.extents.remove(&start);
+        let written: Vec<u64> = self
+            .images
+            .range(start..start + extent.len())
+            .map(|(&p, _)| p)
+            .collect();
+        for p in &written {
+            self.images.remove(p);
+        }
+        Ok(written.len() as u64)
     }
 
     /// Enables access tracing (for tests); returns previously traced
@@ -207,15 +260,28 @@ impl DiskSim {
         kind
     }
 
+    /// Checks that `page` lies in a live extent.
     fn check_bounds(&self, page: PageId) -> Result<()> {
-        if (page.0 as usize) < self.pages.len() {
-            Ok(())
-        } else {
-            Err(StorageError::PageOutOfBounds {
+        if page.0 >= self.next_page {
+            return Err(StorageError::PageOutOfBounds {
                 page: page.0,
-                device_pages: self.pages.len() as u64,
-            })
+                device_pages: self.next_page,
+            });
         }
+        // Every address below `next_page` belongs to exactly one extent;
+        // if no live one holds it, its extent was released.
+        match self.extents.range(..=page.0).next_back() {
+            Some((&start, &len)) if page.0 - start < len => Ok(()),
+            _ => Err(StorageError::ReleasedPage(page.0)),
+        }
+    }
+
+    /// The stored image of `page`, which `check_bounds` accepted.
+    fn image(&self, page: PageId) -> Result<&[u8]> {
+        self.images
+            .get(&page.0)
+            .map(|b| &b[..])
+            .ok_or(StorageError::UnwrittenPage(page.0))
     }
 
     fn charge(&mut self, page: PageId, write: bool) {
@@ -290,9 +356,7 @@ impl DiskSim {
     pub fn read(&mut self, page: PageId) -> Result<&[u8]> {
         self.check_bounds(page)?;
         self.attempt(page, false)?;
-        self.pages[page.0 as usize]
-            .as_deref()
-            .ok_or(StorageError::UnwrittenPage(page.0))
+        self.image(page)
     }
 
     /// Writes a page, charging one random or sequential write per
@@ -326,7 +390,7 @@ impl DiskSim {
                 }
             }
         }
-        self.pages[page.0 as usize] = Some(buf.into_boxed_slice());
+        self.images.insert(page.0, buf.into_boxed_slice());
         Ok(())
     }
 
@@ -334,9 +398,7 @@ impl DiskSim {
     /// assertions and debugging; algorithms must use [`DiskSim::read`].
     pub fn peek(&self, page: PageId) -> Result<&[u8]> {
         self.check_bounds(page)?;
-        self.pages[page.0 as usize]
-            .as_deref()
-            .ok_or(StorageError::UnwrittenPage(page.0))
+        self.image(page)
     }
 }
 
@@ -368,6 +430,17 @@ impl SharedDisk {
     /// Reserves a contiguous extent.
     pub fn alloc(&self, n: u64) -> PageRange {
         self.lock().alloc(n)
+    }
+
+    /// Releases an extent, dropping its page images (see
+    /// [`DiskSim::release`]).
+    pub fn release(&self, extent: PageRange) -> Result<u64> {
+        self.lock().release(extent)
+    }
+
+    /// Number of page images held (see [`DiskSim::committed_pages`]).
+    pub fn committed_pages(&self) -> u64 {
+        self.lock().committed_pages()
     }
 
     /// Reads a page into an owned buffer, charging one read.
@@ -416,6 +489,10 @@ impl SharedDisk {
     }
 
     /// Runs `f` with exclusive access to the underlying simulator.
+    ///
+    /// `f` holds the disk lock, so it must not drop a [`crate::FileHandle`]
+    /// (or a heap file) whose last clone releases its extent: the release
+    /// takes the same lock.
     pub fn with<R>(&self, f: impl FnOnce(&mut DiskSim) -> R) -> R {
         f(&mut self.lock())
     }
@@ -739,5 +816,89 @@ mod tests {
         assert_eq!(d.committed_pages(), 0);
         d.write(r.page(7), page(&d)).unwrap();
         assert_eq!(d.committed_pages(), 1);
+    }
+
+    #[test]
+    fn release_drops_the_images_and_lowers_committed_pages() {
+        let mut d = DiskSim::new(64);
+        let a = d.alloc(4);
+        let b = d.alloc(3);
+        for i in 0..3 {
+            d.write(a.page(i), page(&d)).unwrap();
+            d.write(b.page(i), page(&d)).unwrap();
+        }
+        assert_eq!(d.committed_pages(), 6);
+        let before = d.stats();
+        assert_eq!(d.release(a).unwrap(), 3, "a's unwritten page holds nothing");
+        assert_eq!(d.committed_pages(), 3);
+        assert_eq!(d.stats(), before, "a release charges no I/O");
+        assert_eq!(d.peek(b.page(2)).unwrap(), &page(&d)[..], "b is untouched");
+        assert_eq!(d.release(b).unwrap(), 3);
+        assert_eq!(d.committed_pages(), 0);
+        assert_eq!(d.capacity_pages(), 7, "address space is never handed back");
+    }
+
+    #[test]
+    fn an_alloc_after_a_release_returns_a_fresh_address() {
+        let mut d = DiskSim::new(64);
+        let a = d.alloc(2);
+        d.write(a.page(0), page(&d)).unwrap();
+        d.write(a.page(1), page(&d)).unwrap();
+        d.release(a).unwrap();
+        let b = d.alloc(2);
+        assert_eq!(b.start(), PageId(2), "released addresses are not reused");
+        // So the write stream runs on exactly as without the release.
+        d.write(b.page(0), page(&d)).unwrap();
+        assert_eq!((d.stats().random_writes, d.stats().seq_writes), (1, 2));
+    }
+
+    #[test]
+    fn a_released_page_is_a_typed_error() {
+        let mut d = DiskSim::new(64);
+        let a = d.alloc(2);
+        let b = d.alloc(1);
+        d.write(a.page(0), page(&d)).unwrap();
+        d.release(a).unwrap();
+        let before = d.stats();
+        for p in [a.page(0), a.page(1)] {
+            assert_eq!(d.read(p).unwrap_err(), StorageError::ReleasedPage(p.0));
+            assert_eq!(d.peek(p).unwrap_err(), StorageError::ReleasedPage(p.0));
+            assert_eq!(
+                d.write(p, page(&d)).unwrap_err(),
+                StorageError::ReleasedPage(p.0)
+            );
+        }
+        assert_eq!(d.stats(), before, "refused accesses charge nothing");
+        assert_eq!(d.committed_pages(), 0, "a refused write stores nothing");
+        // A neighbouring live extent and the frontier keep their errors.
+        assert_eq!(
+            d.read(b.page(0)).unwrap_err(),
+            StorageError::UnwrittenPage(2)
+        );
+        assert!(matches!(
+            d.read(PageId(3)),
+            Err(StorageError::PageOutOfBounds { page: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn only_a_live_extent_can_be_released() {
+        let mut d = DiskSim::new(64);
+        let a = d.alloc(3);
+        let part = PageRange::new(a.start(), 2);
+        let not_an_extent = StorageError::NotAnExtent { start: 0, pages: 2 };
+        assert_eq!(d.release(part).unwrap_err(), not_an_extent);
+        d.release(a).unwrap();
+        assert!(matches!(
+            d.release(a),
+            Err(StorageError::NotAnExtent { .. })
+        ));
+        // An empty range holds nothing to release, wherever it points.
+        let empty = d.alloc(0);
+        let next = d.alloc(1);
+        assert_eq!(empty.start(), next.start());
+        assert_eq!(d.release(empty).unwrap(), 0);
+        d.write(next.page(0), page(&d)).unwrap();
+        assert_eq!(d.committed_pages(), 1, "the empty release freed nothing");
     }
 }

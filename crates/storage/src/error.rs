@@ -17,6 +17,17 @@ pub enum StorageError {
     },
     /// A page was read before ever being written.
     UnwrittenPage(u64),
+    /// A page of a released extent was accessed (its image is gone, and
+    /// its address is never handed out again).
+    ReleasedPage(u64),
+    /// A release named a range that is not a live extent (a part of one,
+    /// or one already released).
+    NotAnExtent {
+        /// First page of the range.
+        start: u64,
+        /// Length of the range in pages.
+        pages: u64,
+    },
     /// A record is too large to fit even an empty page.
     RecordTooLarge {
         /// Encoded record size.
@@ -66,6 +77,10 @@ impl fmt::Display for StorageError {
                 )
             }
             StorageError::UnwrittenPage(p) => write!(f, "page {p} read before write"),
+            StorageError::ReleasedPage(p) => write!(f, "page {p} belongs to a released extent"),
+            StorageError::NotAnExtent { start, pages } => {
+                write!(f, "pages {start}..{} are not a live extent", start + pages)
+            }
             StorageError::RecordTooLarge { record, capacity } => {
                 write!(
                     f,

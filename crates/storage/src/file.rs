@@ -2,6 +2,7 @@
 
 use crate::disk::{PageId, SharedDisk};
 use crate::error::{Result, StorageError};
+use std::sync::Arc;
 
 /// A contiguous range of pages `[start, start + len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,20 +54,41 @@ impl PageRange {
 /// physical order, so a full scan costs one random access plus
 /// `len − 1` sequential accesses — the paper's model of reading a
 /// partition, a sorted run, or a base relation.
+///
+/// Clones share the extent (a clone is how a heap-file snapshot keeps
+/// its pages), and the last one to drop releases it on the disk
+/// ([`DiskSim::release`](crate::DiskSim::release)). The release takes the
+/// disk lock, so no handle may drop inside [`SharedDisk::with`].
 #[derive(Debug, Clone)]
 pub struct FileHandle {
-    disk: SharedDisk,
-    extent: PageRange,
+    extent: Arc<Extent>,
     len: u64,
+}
+
+/// An allocated extent, released when dropped.
+#[derive(Debug)]
+struct Extent {
+    disk: SharedDisk,
+    range: PageRange,
+}
+
+impl Drop for Extent {
+    fn drop(&mut self) {
+        // Cannot fail: the extent came from `alloc`, and only this guard
+        // releases it, once.
+        let _ = self.disk.release(self.range);
+    }
 }
 
 impl FileHandle {
     /// Creates a file by reserving `capacity` contiguous pages.
     pub fn create(disk: &SharedDisk, capacity: u64) -> FileHandle {
-        let extent = disk.alloc(capacity);
+        let range = disk.alloc(capacity);
         FileHandle {
-            disk: disk.clone(),
-            extent,
+            extent: Arc::new(Extent {
+                disk: disk.clone(),
+                range,
+            }),
             len: 0,
         }
     }
@@ -83,18 +105,18 @@ impl FileHandle {
 
     /// Reserved capacity in pages.
     pub fn capacity(&self) -> u64 {
-        self.extent.len()
+        self.extent.range.len()
     }
 
     /// The file's extent.
     pub fn extent(&self) -> PageRange {
-        self.extent
+        self.extent.range
     }
 
     /// The `i`-th written page id.
     pub fn page_id(&self, i: u64) -> Result<PageId> {
         if i < self.len {
-            Ok(self.extent.page(i))
+            Ok(self.extent.range.page(i))
         } else {
             Err(StorageError::PageOutOfBounds {
                 page: i,
@@ -105,25 +127,25 @@ impl FileHandle {
 
     /// Appends one page of data, charging one write.
     pub fn append(&mut self, data: Vec<u8>) -> Result<PageId> {
-        if self.len == self.extent.len() {
+        if self.len == self.capacity() {
             return Err(StorageError::ExtentOverflow {
-                capacity: self.extent.len(),
+                capacity: self.capacity(),
             });
         }
-        let pid = self.extent.page(self.len);
-        self.disk.write(pid, data)?;
+        let pid = self.extent.range.page(self.len);
+        self.disk().write(pid, data)?;
         self.len += 1;
         Ok(pid)
     }
 
     /// Reads the `i`-th page, charging one read.
     pub fn read(&self, i: u64) -> Result<Vec<u8>> {
-        self.disk.read(self.page_id(i)?)
+        self.disk().read(self.page_id(i)?)
     }
 
     /// Rewrites the `i`-th (already appended) page in place.
     pub fn overwrite(&mut self, i: u64, data: Vec<u8>) -> Result<()> {
-        self.disk.write(self.page_id(i)?, data)
+        self.disk().write(self.page_id(i)?, data)
     }
 
     /// Truncates the file to zero pages (address space stays reserved).
@@ -140,9 +162,10 @@ impl FileHandle {
 
     /// A copy of this file's pages in a fresh extent of `capacity` pages
     /// (at least the file's length), charging one read and one write per
-    /// page. This file and its extent are left as they are.
+    /// page. This file and its extent are left as they are; the old extent
+    /// is released once its last handle drops.
     pub fn relocated(&self, capacity: u64) -> Result<FileHandle> {
-        let mut moved = FileHandle::create(&self.disk, capacity.max(self.len));
+        let mut moved = FileHandle::create(self.disk(), capacity.max(self.len));
         for i in 0..self.len {
             moved.append(self.read(i)?)?;
         }
@@ -151,7 +174,7 @@ impl FileHandle {
 
     /// The shared disk this file lives on.
     pub fn disk(&self) -> &SharedDisk {
-        &self.disk
+        &self.extent.disk
     }
 }
 
@@ -275,6 +298,43 @@ mod tests {
         assert_eq!(f.read(0).unwrap()[0], 1, "the original is untouched");
         assert_eq!(moved.read(1).unwrap()[0], 2);
         assert_eq!(f.relocated(0).unwrap().capacity(), 2, "never below len");
+    }
+
+    #[test]
+    fn the_last_clone_to_drop_releases_the_extent() {
+        let disk = SharedDisk::new(64);
+        let mut f = FileHandle::create(&disk, 4);
+        f.append(vec![1; 64]).unwrap();
+        f.append(vec![2; 64]).unwrap();
+        let snapshot = f.clone();
+        let extent = f.extent();
+        drop(f);
+        assert_eq!(disk.committed_pages(), 2, "a clone keeps the extent");
+        assert_eq!(snapshot.read(1).unwrap()[0], 2);
+        drop(snapshot);
+        assert_eq!(disk.committed_pages(), 0);
+        assert_eq!(
+            disk.read(extent.page(0)).unwrap_err(),
+            StorageError::ReleasedPage(extent.page(0).0)
+        );
+        assert_eq!(
+            FileHandle::create(&disk, 1).extent().start(),
+            PageId(4),
+            "the next file gets fresh addresses"
+        );
+    }
+
+    #[test]
+    fn a_relocated_file_releases_the_old_extent_with_its_last_handle() {
+        let disk = SharedDisk::new(64);
+        let mut f = FileHandle::create(&disk, 2);
+        f.append(vec![1; 64]).unwrap();
+        f.append(vec![2; 64]).unwrap();
+        let moved = f.relocated(4).unwrap();
+        assert_eq!(disk.committed_pages(), 4);
+        drop(f);
+        assert_eq!(disk.committed_pages(), 2);
+        assert_eq!(moved.read(0).unwrap()[0], 1);
     }
 
     #[test]

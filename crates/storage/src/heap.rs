@@ -31,6 +31,8 @@ pub struct PageZone {
 /// held when it was taken, whatever [`HeapFile::append`] later does to
 /// the original (see there). Only one lineage of a file may be appended
 /// to; appends to two clones of one file overwrite each other's pages.
+/// The file's extent is released, and its pages' memory given back, when
+/// the last clone that uses it drops.
 #[derive(Debug, Clone)]
 pub struct HeapFile {
     schema: Arc<Schema>,
@@ -122,7 +124,8 @@ impl HeapFile {
     /// pages in the extent's unused tail. When the extent cannot hold
     /// them, the file moves once into an extent twice the size (or as
     /// large as needed, if that is more), copying its pages; the old
-    /// extent is left as it is. Pages, per-page counts and zone maps end
+    /// extent is left as it is and released once no clone holds it.
+    /// Pages, per-page counts and zone maps end
     /// up exactly as a bulk load of the concatenated tuples would leave
     /// them.
     ///

@@ -121,6 +121,36 @@ fn measured_io_is_deterministic() {
 }
 
 #[test]
+fn repeated_partition_joins_cost_the_same_and_give_their_pages_back() {
+    // Partition files and tuple caches are released when a join returns,
+    // but their addresses are never reused, so every later join on the
+    // same disk sees the same adjacencies and is charged the same random
+    // and sequential I/Os, phase by phase.
+    let (disk, hr, hs) = load_pair(2048, 256);
+    let stored = hr.pages() + hs.pages();
+    assert_eq!(disk.committed_pages(), stored);
+    let cfg = JoinConfig::with_buffer(24).seed(5);
+    let phase_io = || {
+        let report = PartitionJoin::default().execute(&hr, &hs, &cfg).unwrap();
+        assert!(report.io.total_ios() > 0);
+        assert_eq!(disk.committed_pages(), stored, "the join kept pages");
+        let phases: Vec<_> = report
+            .phases
+            .iter()
+            .map(|p| (p.name, p.io.random(), p.io.sequential()))
+            .collect();
+        (phases, report.result_tuples)
+    };
+    let first = phase_io();
+    // A sort-merge join in between leaves its runs behind neither.
+    SortMergeJoin.execute(&hr, &hs, &cfg).unwrap();
+    assert_eq!(disk.committed_pages(), stored);
+    for _ in 0..3 {
+        assert_eq!(phase_io(), first);
+    }
+}
+
+#[test]
 fn cpu_counters_reflect_algorithm_structure() {
     // §5 future work: "we have ignored the cost of main-memory
     // operations" — our reports expose them. Nested loop tests every

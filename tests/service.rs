@@ -16,6 +16,8 @@ use vtjoin::engine::{
     Database, JoinService, PlanOutcome, Priority, Rejected, ServiceConfig, ServiceError,
     SubmitOptions,
 };
+use vtjoin::join::columnar::EncodedPair;
+use vtjoin::join::JoinSpec;
 use vtjoin::model::algebra::natural_join;
 use vtjoin::model::Operator;
 use vtjoin::prelude::*;
@@ -543,11 +545,20 @@ fn evicting_a_resident_table_drops_its_pair_encoding() {
             .unwrap();
     }
     let pages = |t: &str| db.table_stats(t).unwrap().pages;
-    // One pair's two tables plus its encoding (28 bytes a row, in 1 KiB
-    // pages) fit the residency budget; a second pair does not.
-    let enc_pages = (28u64 * 3_000).div_ceil(1024);
-    let budget = pages("r1") + pages("s1") + enc_pages;
-    assert!(budget >= pages("r2") + pages("s2") + enc_pages);
+    // The residency charge of a pair's encoding (columns and key
+    // dictionary, in 1 KiB pages), from a real encoding of the pair.
+    let enc_pages = |r: &str, s: &str| {
+        let (r, s) = (db.scan(r).unwrap(), db.scan(s).unwrap());
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        EncodedPair::encode(&spec, r.tuples(), s.tuples())
+            .heap_bytes()
+            .div_ceil(1024)
+    };
+    let (enc_1, enc_2) = (enc_pages("r1", "s1"), enc_pages("r2", "s2"));
+    // One pair's two tables plus its encoding fit the residency budget;
+    // a second pair does not.
+    let budget = pages("r1") + pages("s1") + enc_1;
+    assert!(budget >= pages("r2") + pages("s2") + enc_2);
     let mut cfg = ServiceConfig::new(JoinConfig::with_buffer(16).seed(7), 16_384);
     cfg.threads_per_query = 2;
     cfg.residency_pages = budget;
