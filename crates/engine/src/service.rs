@@ -186,7 +186,9 @@ pub struct SubmitOptions {
     /// shared pool.
     pub page_budget: Option<u64>,
     /// Grid policy override for this one request (`None` = the service's
-    /// configured [`ServiceConfig::grid`]).
+    /// configured [`ServiceConfig::grid`]; the serve protocol's `grid=`
+    /// token). Plans are cached per grid choice, so a `1xN` request never
+    /// reuses — or poisons — an `auto` entry.
     pub grid: Option<GridChoice>,
 }
 
@@ -824,7 +826,7 @@ pub struct ServiceConfig {
     pub layout: Layout,
     /// Grid policy for the executor's key axis: cost-chosen (`Auto`, the
     /// default), forced time-only, forced key × time, or a fixed bucket
-    /// count. Overridable per request via [`JoinService::submit_grid`].
+    /// count. Overridable per request via [`SubmitOptions::grid`].
     pub grid: GridChoice,
     /// Whether the plan cache is consulted at all (disable for ablations;
     /// every request then replans).
@@ -974,49 +976,22 @@ impl JoinService {
     /// pool pages; returns typed errors for rejections, catalog problems,
     /// and join failures. Safe to call from many threads concurrently.
     pub fn submit(&self, outer: &str, inner: &str) -> Result<JoinResponse, ServiceError> {
-        self.submit_with(outer, inner, &JoinPredicate::intersects())
-    }
-
-    /// As [`JoinService::submit`], joining under an arbitrary
-    /// [`JoinPredicate`]. Intersection-template predicates go through the
-    /// plan cache (keyed per predicate) and the partitioned executor;
-    /// sequence/mixed templates skip planning entirely and run the merge
-    /// fallback ([`PlanOutcome::Unpartitioned`]). Admission control is
-    /// identical for every predicate.
-    pub fn submit_with(
-        &self,
-        outer: &str,
-        inner: &str,
-        pred: &JoinPredicate,
-    ) -> Result<JoinResponse, ServiceError> {
-        self.submit_opts(outer, inner, pred, &SubmitOptions::default())
-    }
-
-    /// As [`JoinService::submit_with`], overriding the service's configured
-    /// [`GridChoice`] for this one request (the serve protocol's `grid=`
-    /// token). Plans are cached per grid choice, so a `1xN` request never
-    /// reuses — or poisons — an `auto` entry.
-    pub fn submit_grid(
-        &self,
-        outer: &str,
-        inner: &str,
-        pred: &JoinPredicate,
-        grid: GridChoice,
-    ) -> Result<JoinResponse, ServiceError> {
         self.submit_opts(
             outer,
             inner,
-            pred,
-            &SubmitOptions {
-                grid: Some(grid),
-                ..SubmitOptions::default()
-            },
+            &JoinPredicate::intersects(),
+            &SubmitOptions::default(),
         )
     }
 
-    /// The full-contract submission: one join request under explicit
-    /// [`SubmitOptions`] (priority class, admission deadline, page-budget
-    /// cap, grid override).
+    /// The full-contract submission: one join request under an arbitrary
+    /// [`JoinPredicate`] and explicit [`SubmitOptions`] (priority class,
+    /// admission deadline, page-budget cap, grid override).
+    /// Intersection-template predicates go through the plan cache (keyed
+    /// per predicate) and the partitioned executor; sequence/mixed
+    /// templates skip planning entirely and run the merge fallback
+    /// ([`PlanOutcome::Unpartitioned`]). Admission control is identical
+    /// for every predicate.
     pub fn submit_opts(
         &self,
         outer: &str,
@@ -1855,11 +1830,17 @@ mod tests {
 
         // Distinct predicates never share a cache entry: each first
         // submission misses, each repeat hits.
-        let a = svc.submit_with("r", "s", &during).unwrap();
+        let a = svc
+            .submit_opts("r", "s", &during, &SubmitOptions::default())
+            .unwrap();
         assert_eq!(a.plan, PlanOutcome::Miss);
-        let b = svc.submit_with("r", "s", &overlaps).unwrap();
+        let b = svc
+            .submit_opts("r", "s", &overlaps, &SubmitOptions::default())
+            .unwrap();
         assert_eq!(b.plan, PlanOutcome::Miss);
-        let c = svc.submit_with("r", "s", &during).unwrap();
+        let c = svc
+            .submit_opts("r", "s", &during, &SubmitOptions::default())
+            .unwrap();
         assert_eq!(c.plan, PlanOutcome::CacheHit);
         assert_eq!(svc.cached_plans(), 2);
 
@@ -1956,7 +1937,9 @@ mod tests {
         use vtjoin_core::algebra::predicate_join;
         let svc = service(4096);
         let before: JoinPredicate = "before-within-40".parse().unwrap();
-        let resp = svc.submit_with("r", "s", &before).unwrap();
+        let resp = svc
+            .submit_opts("r", "s", &before, &SubmitOptions::default())
+            .unwrap();
         assert_eq!(resp.plan, PlanOutcome::Unpartitioned);
         assert_eq!(resp.partitions, 0);
         assert_eq!(resp.key_buckets, 0, "merge fallback runs no grid");
@@ -1979,14 +1962,14 @@ mod tests {
         assert!(a.key_buckets >= 1);
         // A forced shape plans under its own cache key: first submission
         // misses even though the auto entry exists.
-        let b = svc
-            .submit_grid("r", "s", &pred, GridChoice::Fixed(4))
-            .unwrap();
+        let fixed = SubmitOptions {
+            grid: Some(GridChoice::Fixed(4)),
+            ..SubmitOptions::default()
+        };
+        let b = svc.submit_opts("r", "s", &pred, &fixed).unwrap();
         assert_eq!(b.plan, PlanOutcome::Miss);
         assert_eq!(b.key_buckets, 4);
-        let c = svc
-            .submit_grid("r", "s", &pred, GridChoice::Fixed(4))
-            .unwrap();
+        let c = svc.submit_opts("r", "s", &pred, &fixed).unwrap();
         assert_eq!(c.plan, PlanOutcome::CacheHit);
         assert_eq!(c.key_buckets, 4, "hit reuses the cached bucket count");
         assert_eq!(svc.cached_plans(), 2);
@@ -1995,9 +1978,11 @@ mod tests {
         assert!(a.result.multiset_eq(&b.result));
         assert_eq!(b.result.tuples(), c.result.tuples());
         // Forced time-only reports exactly one bucket.
-        let t = svc
-            .submit_grid("r", "s", &pred, GridChoice::TimeOnly)
-            .unwrap();
+        let time_only = SubmitOptions {
+            grid: Some(GridChoice::TimeOnly),
+            ..SubmitOptions::default()
+        };
+        let t = svc.submit_opts("r", "s", &pred, &time_only).unwrap();
         assert_eq!(t.key_buckets, 1);
         assert!(t.result.multiset_eq(&a.result));
     }

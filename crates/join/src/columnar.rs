@@ -1,9 +1,9 @@
 //! Columnar (struct-of-arrays) join-side layout with late materialization.
 //!
-//! The row-oriented kernels walk `Tuple { Vec<Value>, Interval }` values:
-//! every probe chases a pointer per tuple, every key test may fall through
-//! to an O(width) `Vec<Value>` compare, and every emitted pair clones whole
-//! value vectors *inside* the kernel loop. Piatov et al.
+//! A kernel that walks `Tuple { Vec<Value>, Interval }` values chases a
+//! pointer per tuple on every probe, may fall through to an O(width)
+//! `Vec<Value>` compare on every key test, and clones whole value vectors
+//! *inside* the kernel loop for every emitted pair. Piatov et al.
 //! (*Cache-Efficient Sweeping-Based Interval Joins*, PAPERS.md) attribute
 //! the sweep's advantage precisely to sequential, cache-resident layouts —
 //! a property the row representation throws away.
@@ -28,12 +28,10 @@
 //!    are spliced in a single pass per batch flush, after the emit filter
 //!    and the Allen predicate filter have already run on inline chronons.
 //!
-//! The columnar kernels in [`crate::kernel::columnar`] are literal
-//! mirrors of the row kernels — same tie-breaks, same bucket masks, same
-//! counter semantics. Every executor runs the columnar kernels; the row
-//! kernels stay as the reference the kernel tests compare emission order
-//! and counters against, and `tests/columnar_roundtrip.rs` pins every
-//! executor's output to the oracles across predicates.
+//! Every executor runs the kernels in [`crate::kernel::columnar`]; their
+//! unit tests pin results to the oracles and every counter to a nested
+//! loop, and `tests/columnar_roundtrip.rs` pins every executor's output
+//! to the oracles across predicates.
 
 use crate::common::JoinSpec;
 use std::time::Instant;
@@ -512,10 +510,10 @@ pub fn biased_chronon(c: Chronon) -> u64 {
 /// concentrate starts in a narrow band, so high bytes rarely vary).
 /// Returns the number of counting passes actually executed.
 ///
-/// Stability is what makes this a drop-in replacement for the row sweep's
-/// `sort_unstable_by_key(|e| (e.start, e.idx))`: pairs are pushed in
-/// ascending payload order, and a stable sort preserves that order within
-/// equal keys, so the result is exactly the `(start, idx)` total order.
+/// Stability is what makes the sweep's event order total: pairs are
+/// pushed in ascending payload order, and a stable sort preserves that
+/// order within equal keys, so the result is exactly the `(start, idx)`
+/// total order.
 pub fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>, tmp: &mut Vec<(u64, u32)>) -> u64 {
     let n = pairs.len();
     if n <= 1 {
@@ -606,8 +604,7 @@ impl IdBatch {
     /// times, re-read from the inline chronon columns. Returns the number
     /// of rows materialized.
     ///
-    /// Unlike the row kernels — whose splice runs right after `keys_equal`
-    /// already pulled both tuples into cache — this pass visits tuples
+    /// The kernels never touched the tuples, so this pass visits them
     /// cold, in row-id order dictated by the emission stream. The batch
     /// knows every upcoming (outer, inner) pair, so it software-prefetches
     /// two stages ahead: the `Tuple` structs far out, their value arrays

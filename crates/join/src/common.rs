@@ -410,21 +410,10 @@ pub struct BlockTable<'a> {
 impl<'a> BlockTable<'a> {
     /// Builds the table over a contiguous `block`.
     pub fn build(spec: &'a JoinSpec, block: &'a [Tuple]) -> BlockTable<'a> {
-        Self::build_from(spec, block)
-    }
-
-    /// Builds the table from any iterator of tuple references — the
-    /// parallel executor feeds replicated partition buckets
-    /// (`Vec<&Tuple>`) without copying them into a contiguous block.
-    pub fn build_from<I>(spec: &'a JoinSpec, tuples: I) -> BlockTable<'a>
-    where
-        I: IntoIterator<Item = &'a Tuple>,
-    {
-        let tuples = tuples.into_iter();
-        let nbuckets = tuples.size_hint().0.max(1).next_power_of_two();
+        let nbuckets = block.len().max(1).next_power_of_two();
         let mask = nbuckets - 1;
         let mut buckets: Vec<Vec<(u64, &'a Tuple)>> = vec![Vec::new(); nbuckets];
-        for x in tuples {
+        for x in block {
             let h = spec.outer_key_hash(x);
             buckets[(h as usize) & mask].push((h, x));
         }

@@ -1,31 +1,42 @@
-//! Columnar mirrors of the sweep and hash kernels.
+//! The sweep and hash join kernels over columnar sides.
 //!
 //! These kernels run on [`ColumnarSide`] column slices and emit
-//! `(outer row, inner row)` pairs into an [`IdBatch`] — no
-//! tuple is dereferenced and no `Vec<Value>` is compared or cloned
-//! anywhere on the hot path. Each is a **literal mirror** of its row
-//! twin ([`super::sweep_join`] / [`super::hash_join`] and their
-//! predicate forms):
+//! `(outer row, inner row)` pairs into an [`IdBatch`] — no tuple is
+//! dereferenced and no `Vec<Value>` is compared or cloned anywhere on the
+//! hot path. The encode pass interned every key in a shared dictionary,
+//! so key equality is a `u32` compare against the `key_id` column; the
+//! 64-bit key hash only picks buckets and candidates.
 //!
-//! * the same bucket masks (`len.max(1).next_power_of_two()`), insertion
-//!   orders, and swap-remove expiry, so active-list and bucket scan
-//!   orders are identical;
-//! * the same tie-breaks (outer-first on equal starts, ascending event
-//!   index within a start — the stable radix sort reproduces the row
-//!   sweep's `(start, idx)` total order);
-//! * the same counter semantics (`comparisons`/`match_tests` count
-//!   hash-equal candidates, `filter_checks` counts key-equal pairs).
+//! **Sweep** ([`columnar_sweep_join`]). Piatov, Helmer & Dignös
+//! (*Cache-Efficient Sweeping-Based Interval Joins*, PAPERS.md) observe
+//! that on duplicate-heavy temporal workloads an endpoint-sorted sweep
+//! with **gapless active lists** beats hash-probe-plus-bucket-scan by
+//! large factors: the sweep only ever touches rows whose intervals are
+//! *currently open*, so every hash-equal candidate it inspects is already
+//! known to overlap in time. Both sides are radix-sorted by interval
+//! start and consumed in merge order. An arriving row (1) probes the
+//! **other** side's active list for its key hash — every live entry there
+//! started no later and has not ended, so the overlap is exactly
+//! `[arrival.start, min(ends)]` — and (2) enters its own side's active
+//! list. Expired entries (end before the arrival's start) are
+//! swap-removed lazily during the probe, keeping the per-bucket lists
+//! gapless and the amortized cost per discovered pair O(1).
 //!
-//! Every executor runs these kernels; the row twins stay as the reference
-//! the tests below compare emission order and counters against.
+//! Ties: on equal starts the outer side goes first, so equal-start pairs
+//! are discovered exactly once — by the inner arrival probing the outer
+//! active list. Closed-interval semantics fall out of the `end < start`
+//! expiry test: boundary-touching intervals (`[0,5]` and `[5,9]`) share
+//! chronon 5 and match; abutting-but-disjoint ones (`[0,4]` and `[5,9]`)
+//! do not.
 //!
-//! The one semantic substitution: the row kernels reject hash-collisions
-//! with a borrowed `Vec<Value>` compare per candidate; here the encode
-//! pass interned every key in a shared dictionary, so key equality is a
-//! `u32` compare against the `key_id` column. The gate estimator
-//! [`estimate_dups_per_key_x100_ids`] reads the same strided hash sample
-//! off the hash column, so `KernelChoice::Auto` resolves exactly as the
-//! row gate does.
+//! **Hash** ([`columnar_hash_join`]): a count-then-fill table over the
+//! outer slice, probed by every inner row; the overlap and emit-window
+//! tests run on inline chronons before the key test.
+//!
+//! Output order is a pure function of the cell: bucket masks come from
+//! the cell's size (never from the grow-only scratch), the radix sort is
+//! stable over ascending slice index, and buckets keep insertion order,
+//! so a cell emits the same pairs in the same order on any worker.
 
 use super::{HashStats, KernelChoice, KernelKind, SweepStats, SWEEP_DUP_THRESHOLD_X100};
 use crate::columnar::{biased_chronon, radix_sort_pairs, ColumnarSide, IdBatch};
@@ -70,8 +81,7 @@ impl SideSlice {
     }
 }
 
-/// A currently-open row in one side's active list (mirrors the row
-/// sweep's `ActiveEntry`, with the dictionary id in place of the tuple).
+/// A currently-open row in one side's active list.
 #[derive(Debug, Clone, Copy)]
 struct ActiveEntry {
     hash: u64,
@@ -80,10 +90,10 @@ struct ActiveEntry {
     idx: u32,
 }
 
-/// Gapless active lists keyed by join-key hash — the columnar twin of the
-/// row sweep's `ActiveLists`, with the identical grow-only bucket table
-/// and partition-pure mask so co-residency and swap-remove order match
-/// the row kernel bucket-for-bucket.
+/// Gapless active lists keyed by join-key hash: power-of-two buckets of
+/// open rows, compacted by swap-remove as entries expire. The bucket
+/// table only grows; the mask covers exactly the current cell's buckets,
+/// so co-residency and swap-remove order depend on the cell alone.
 #[derive(Debug, Default)]
 struct ActiveLists {
     buckets: Vec<Vec<ActiveEntry>>,
@@ -116,9 +126,10 @@ impl ActiveLists {
         });
     }
 
-    /// Visits every live hash-equal entry, swap-removing expired ones;
-    /// returns the number of hash-equal candidates inspected (the
-    /// `comparisons` counter, identical to the row kernel's).
+    /// Visits every live hash-equal entry, swap-removing entries that
+    /// ended before `alive_from` (arrival starts never decrease, so an
+    /// expired entry can never match again); returns the number of
+    /// hash-equal candidates inspected (the `comparisons` counter).
     #[inline]
     fn probe(
         &mut self,
@@ -165,8 +176,7 @@ pub struct ColumnarScratch {
 /// bucket, and `buckets + 1` offsets, bucket `b` spanning
 /// `entries[offsets[b]..offsets[b + 1]]`. Built count-then-fill, so a
 /// build allocates nothing once the arrays have grown to the largest
-/// cell, and entries within a bucket keep build-row order — the order the
-/// row `BlockTable` pushes them in.
+/// cell, and entries within a bucket keep build-row order.
 #[derive(Debug, Default)]
 struct FlatHashTable {
     offsets: Vec<u32>,
@@ -212,10 +222,15 @@ impl FlatHashTable {
     }
 }
 
-/// Mirrors [`super::estimate_dups_per_key_x100`] over the pre-hashed key
-/// column: identical strides, identical sample, identical fixed-point
-/// arithmetic — so the `Auto` gate picks the same kernel per partition
-/// as the row gate.
+/// Estimates duplicates-per-key (×100, fixed point) over both sides of a
+/// partition from a strided sample of the join-key hash column.
+///
+/// Two regimes: when the sample's distinct count is well below the sample
+/// size, the key space is *saturated* — the sample has seen (nearly) all
+/// keys, so dups ≈ `total / distinct` extrapolated over the full
+/// partition. Otherwise keys are mostly unique in the sample and the
+/// in-sample ratio `sample / distinct` (≈ 1.0) is the honest estimate —
+/// extrapolating would fabricate duplication a small sample cannot see.
 pub fn estimate_dups_per_key_x100_ids(
     r: &ColumnarSide<'_>,
     r_rows: &[u32],
@@ -243,7 +258,9 @@ pub fn estimate_dups_per_key_x100_ids(
     }
 }
 
-/// Columnar twin of [`super::choose_kernel`].
+/// Resolves the kernel for one partition. Deterministic: depends only on
+/// the partition's data (never on thread count or scheduling), so
+/// parallel output stays identical across worker counts.
 pub fn choose_kernel_ids(
     choice: KernelChoice,
     r: &ColumnarSide<'_>,
@@ -265,8 +282,10 @@ pub fn choose_kernel_ids(
 }
 
 /// Columnar forward-sweep join over per-cell column slices, emitting
-/// row-id pairs; returns the sweep stats plus the number of radix
-/// counting passes executed. Mirrors [`super::sweep_join`].
+/// every matching row-id pair whose overlap **ends** inside `emit_within`
+/// (the canonical-partition de-duplication rule shared with the hash
+/// kernel); returns the sweep stats plus the number of radix counting
+/// passes executed.
 pub fn columnar_sweep_join(
     r: &ColumnarSide<'_>,
     r_rows: &[u32],
@@ -279,8 +298,17 @@ pub fn columnar_sweep_join(
     sweep_ids(r, r_rows, s, s_rows, None, emit_within, scratch, out)
 }
 
-/// Predicate-parameterized columnar sweep; mirrors
-/// [`super::sweep_join_pred`] (intersection templates only).
+/// Predicate-parameterized columnar sweep: discovers the same key-equal
+/// overlapping pairs as [`columnar_sweep_join`], then filters each
+/// through `pred` before emitting.
+///
+/// Only **intersection-template** predicates (see
+/// [`JoinPredicate::template`]) may run here: the active lists can only
+/// discover pairs whose intervals intersect, and the `emit_within` rule
+/// de-duplicates by overlap end. For such predicates
+/// [`JoinPredicate::stamp`] *is* the overlap, so materialization stamps
+/// the surviving pairs correctly. Callers route sequence and mixed
+/// templates to [`super::merge_join_pred`] instead.
 #[allow(clippy::too_many_arguments)]
 pub fn columnar_sweep_join_pred(
     pred: &JoinPredicate,
@@ -324,8 +352,8 @@ fn sweep_ids(
     s_slice.gather(s, s_rows);
 
     // Event order = (start, slice index): pairs are pushed in ascending
-    // index order and the radix sort is stable, reproducing the row
-    // sweep's `sort_unstable_by_key(|e| (e.start, e.idx))` exactly.
+    // index order and the radix sort is stable, so the order is total and
+    // deterministic.
     r_order.clear();
     r_order.extend(
         r_slice
@@ -404,9 +432,10 @@ fn sweep_ids(
     (stats, radix_passes)
 }
 
-/// Columnar hash join over per-cell column slices, emitting row-id
-/// pairs; mirrors [`super::hash_join`] (same bucket count, insertion
-/// order, probe order, and counter semantics). The overlap test and the
+/// Columnar hash join over per-cell column slices, emitting every
+/// matching row-id pair whose overlap ends inside `emit_within`, as
+/// [`columnar_sweep_join`] does, so the executor can swap kernels per
+/// partition. The overlap test and the
 /// canonical-partition emit filter run on inline chronons *before* the
 /// key test, so temporally-disjoint hash-equal candidates cost one `u64`
 /// compare and two chronon compares — no pointer chase, no splice.
@@ -422,8 +451,10 @@ pub fn columnar_hash_join(
     hash_ids(r, r_rows, s, s_rows, None, emit_within, scratch, out)
 }
 
-/// Predicate-parameterized columnar hash join; mirrors
-/// [`super::hash_join_pred`] (intersection templates only).
+/// Predicate-parameterized columnar hash join: each key-equal candidate
+/// is filtered through `pred`, then the emit rule runs on its stamp's
+/// end. Intersection templates only, as for
+/// [`columnar_sweep_join_pred`].
 #[allow(clippy::too_many_arguments)]
 pub fn columnar_hash_join_pred(
     pred: &JoinPredicate,
@@ -462,7 +493,7 @@ fn hash_ids(
     } = scratch;
     r_slice.gather(r, r_rows);
     s_slice.gather(s, s_rows);
-    // The row `BlockTable`'s bucket count, so buckets hold the same rows.
+    // One bucket per build row, rounded up to a power of two.
     hash_table.build(&r_slice.hashes, r_slice.len().max(1).next_power_of_two());
     for j in 0..s_slice.len() {
         stats.probes += 1;
@@ -478,9 +509,7 @@ fn hash_ids(
             match filter {
                 None => {
                     // Natural join: overlap + emit filter from inline
-                    // chronons, key id last (commutes with the row
-                    // kernel's keys-first order — same survivors, same
-                    // emission order).
+                    // chronons, key id last.
                     let os = r_slice.starts[i].max(y_start);
                     let oe = r_slice.ends[i].min(y_end);
                     if os <= oe && emit_within.contains_chronon(oe) && r_slice.key_ids[i] == y_key {
@@ -489,8 +518,7 @@ fn hash_ids(
                     }
                 }
                 Some(pred) => {
-                    // Mirror `probe_each_pred`'s counter semantics: a
-                    // check per key-equal candidate, a hit per filter
+                    // A check per key-equal candidate, a hit per filter
                     // pass, then the canonical-partition rule on the
                     // stamp's end.
                     if r_slice.key_ids[i] != y_key {
@@ -523,166 +551,205 @@ mod tests {
     use super::*;
     use crate::columnar::encode_pair;
     use crate::common::JoinSpec;
-    use crate::kernel::{
-        choose_kernel, estimate_dups_per_key_x100, hash_join, hash_join_pred, sweep_join,
-        sweep_join_pred, OutputBatch, SweepScratch,
-    };
     use std::sync::Arc;
+    use vtjoin_core::algebra::{natural_join, predicate_join};
     use vtjoin_core::{AttrDef, AttrType, Relation, Schema, Tuple, Value};
 
-    fn pair(keys: i64, n: i64) -> (Relation, Relation) {
-        let rs = Schema::new(vec![
-            AttrDef::new("k", AttrType::Int),
-            AttrDef::new("b", AttrType::Int),
-        ])
-        .unwrap()
-        .into_shared();
-        let ss = Schema::new(vec![
-            AttrDef::new("k", AttrType::Int),
-            AttrDef::new("c", AttrType::Int),
-        ])
-        .unwrap()
-        .into_shared();
-        let mk = |schema: Arc<Schema>, salt: i64| {
-            let tuples = (0..n)
-                .map(|i| {
+    /// A `(k, b)` outer and a `(k, c)` inner relation from `(key, start,
+    /// end)` rows; the second column holds the row's index.
+    fn rel_pair(
+        r: impl IntoIterator<Item = (i64, i64, i64)>,
+        s: impl IntoIterator<Item = (i64, i64, i64)>,
+    ) -> (Relation, Relation) {
+        let rel = |other: &str, rows: Vec<(i64, i64, i64)>| {
+            let schema = Schema::new(vec![
+                AttrDef::new("k", AttrType::Int),
+                AttrDef::new(other, AttrType::Int),
+            ])
+            .unwrap()
+            .into_shared();
+            let tuples = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (k, st, end))| {
                     Tuple::new(
-                        vec![Value::Int((i * salt) % keys), Value::Int(i)],
-                        Interval::from_raw((i * 7) % 50, (i * 7) % 50 + 1 + i % 13).unwrap(),
+                        vec![Value::Int(k), Value::Int(i as i64)],
+                        Interval::from_raw(st, end).unwrap(),
                     )
                 })
                 .collect();
             Relation::from_parts_unchecked(schema, tuples)
         };
-        (mk(rs, 1), mk(ss, 3))
+        (
+            rel("b", r.into_iter().collect()),
+            rel("c", s.into_iter().collect()),
+        )
+    }
+
+    fn pair(keys: i64, n: i64) -> (Relation, Relation) {
+        let rows = |salt: i64| {
+            (0..n).map(move |i| {
+                let st = (i * 7) % 50;
+                ((i * salt) % keys, st, st + 1 + i % 13)
+            })
+        };
+        rel_pair(rows(1), rows(3))
     }
 
     fn all_rows(n: usize) -> Vec<u32> {
         (0..n as u32).collect()
     }
 
-    /// Runs both layouts over the same partition and asserts identical
-    /// emitted tuples (order included) and identical counters.
-    fn assert_mirrors(keys: i64, n: i64, window: Interval, pred: Option<&str>) {
-        let (r, s) = pair(keys, n);
-        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-        let rr: Vec<&Tuple> = r.iter().collect();
-        let sr: Vec<&Tuple> = s.iter().collect();
-        let enc = encode_pair(&spec, r.iter(), s.iter());
-        let (r_rows, s_rows) = (all_rows(rr.len()), all_rows(sr.len()));
-        let mut cs = ColumnarScratch::default();
-        let pred: Option<JoinPredicate> = pred.map(|p| p.parse().unwrap());
-
-        // Sweep.
-        let mut row_out = OutputBatch::new();
-        let mut sws = SweepScratch::default();
-        let row_stats = match &pred {
-            None => sweep_join(&spec, &rr, &sr, window, &mut sws, &mut row_out),
-            Some(p) => sweep_join_pred(&spec, p, &rr, &sr, window, &mut sws, &mut row_out),
+    /// The counters both kernels must report over all of `r × s`, counted
+    /// by a nested loop over the same rows (`pairs_emitted` is left to the
+    /// oracle): `probes` is the inner row count, `match_tests` the
+    /// hash-equal pairs, the sweep's `comparisons` the hash-equal pairs
+    /// that intersect. The hash kernel filters every key-equal pair,
+    /// window or not; the sweep filters the key-equal intersecting pairs
+    /// whose overlap ends inside `window`.
+    fn nested_loop_counts(
+        spec: &JoinSpec,
+        r: &Relation,
+        s: &Relation,
+        pred: Option<&JoinPredicate>,
+        window: Interval,
+    ) -> (SweepStats, HashStats) {
+        let s_hashes: Vec<u64> = s.iter().map(|y| spec.inner_key_hash(y)).collect();
+        let mut sweep = SweepStats::default();
+        let mut hash = HashStats {
+            probes: s.len() as u64,
+            ..HashStats::default()
         };
-        let mut col_out = IdBatch::new();
-        let (col_stats, _) = match &pred {
-            None => columnar_sweep_join(
-                &enc.outer(),
-                &r_rows,
-                &enc.inner(),
-                &s_rows,
-                window,
-                &mut cs,
-                &mut col_out,
-            ),
-            Some(p) => columnar_sweep_join_pred(
-                p,
-                &enc.outer(),
-                &r_rows,
-                &enc.inner(),
-                &s_rows,
-                window,
-                &mut cs,
-                &mut col_out,
-            ),
-        };
-        assert_eq!(row_stats, col_stats, "sweep stats diverge");
-        let mut col_tuples = Vec::new();
-        col_out.materialize_each(&spec, &enc.outer(), &enc.inner(), |t| col_tuples.push(t));
-        assert_eq!(row_out.take(), col_tuples, "sweep output diverges");
-
-        // Hash.
-        let mut row_out = OutputBatch::new();
-        let row_stats = match &pred {
-            None => hash_join(&spec, &rr, &sr, window, &mut row_out),
-            Some(p) => hash_join_pred(&spec, p, &rr, &sr, window, &mut row_out),
-        };
-        let mut col_out = IdBatch::new();
-        let col_stats = match &pred {
-            None => columnar_hash_join(
-                &enc.outer(),
-                &r_rows,
-                &enc.inner(),
-                &s_rows,
-                window,
-                &mut cs,
-                &mut col_out,
-            ),
-            Some(p) => columnar_hash_join_pred(
-                p,
-                &enc.outer(),
-                &r_rows,
-                &enc.inner(),
-                &s_rows,
-                window,
-                &mut cs,
-                &mut col_out,
-            ),
-        };
-        assert_eq!(row_stats, col_stats, "hash stats diverge");
-        let mut col_tuples = Vec::new();
-        col_out.materialize_each(&spec, &enc.outer(), &enc.inner(), |t| col_tuples.push(t));
-        assert_eq!(row_out.take(), col_tuples, "hash output diverges");
-    }
-
-    #[test]
-    fn kernels_mirror_row_path_on_duplicate_heavy_data() {
-        assert_mirrors(4, 300, Interval::ALL, None);
-    }
-
-    #[test]
-    fn kernels_mirror_row_path_on_unique_keys() {
-        assert_mirrors(1000, 300, Interval::ALL, None);
-    }
-
-    #[test]
-    fn kernels_mirror_row_path_under_emit_window() {
-        assert_mirrors(8, 200, Interval::from_raw(10, 40).unwrap(), None);
-    }
-
-    #[test]
-    fn predicate_kernels_mirror_row_path() {
-        for p in ["overlaps", "contains", "during-or-equals", "intersects"] {
-            assert_mirrors(6, 200, Interval::ALL, Some(p));
-            assert_mirrors(6, 200, Interval::from_raw(5, 45).unwrap(), Some(p));
+        for x in r.iter() {
+            let hx = spec.outer_key_hash(x);
+            for (y, &hy) in s.iter().zip(&s_hashes) {
+                if hx != hy {
+                    continue;
+                }
+                hash.match_tests += 1;
+                let overlap = x.valid().overlap(y.valid());
+                sweep.comparisons += u64::from(overlap.is_some());
+                let Some(p) = pred.filter(|_| spec.keys_equal(x, y)) else {
+                    continue;
+                };
+                let accepted = u64::from(p.matches(x.valid(), y.valid()));
+                hash.filter_checks += 1;
+                hash.filter_hits += accepted;
+                if overlap.is_some_and(|o| window.contains_chronon(o.end())) {
+                    sweep.filter_checks += 1;
+                    sweep.filter_hits += accepted;
+                }
+            }
         }
+        (sweep, hash)
     }
 
+    /// Both kernels, with and without a predicate, over every fixture and
+    /// emit window: the emitted rows equal the oracle's pairs whose stamp
+    /// ends inside the window, and every counter equals its nested-loop
+    /// count.
     #[test]
-    fn gate_estimate_matches_row_estimator() {
-        for keys in [2i64, 16, 500] {
-            let (r, s) = pair(keys, 400);
+    fn kernels_match_the_oracles_and_nested_loop_counters() {
+        let mut fixtures = vec![pair(4, 300), pair(1000, 300), pair(8, 200), pair(6, 200)];
+        fixtures.extend([
+            // A 4-row build side (4 buckets) probed by 1,000 distinct keys:
+            // every bucket is visited by hundreds of distinct keys.
+            rel_pair(
+                (0..4).map(|i| (i * 5, i * 3, i * 3 + 40)),
+                (0..2000).map(|i| (i % 1000, i % 50, i % 50 + 5)),
+            ),
+            // Duplicate-heavy build side: 3 keys over 600 rows, so each
+            // occupied bucket holds ~200 entries; the probe side mixes
+            // those keys with 400 absent ones.
+            rel_pair(
+                (0..600).map(|i| (i % 3, i % 97, i % 97 + 3)),
+                (0..800).map(|i| (i % 403, i % 89, i % 89 + 4)),
+            ),
+            // Mixed long, short and instant intervals over three keys.
+            rel_pair(
+                [(1, 0, 10), (1, 5, 20), (2, 3, 3), (1, 30, 40)],
+                [(1, 8, 12), (2, 0, 3), (1, 40, 50), (3, 0, 100)],
+            ),
+            // Equal starts on both sides: each pair is found exactly once.
+            rel_pair([(1, 5, 10), (1, 5, 7)], [(1, 5, 6), (1, 5, 12)]),
+            // `[0,5]` shares chronon 5 with `[5,9]`; `[0,4]` only abuts it.
+            rel_pair([(1, 0, 5), (2, 0, 4)], [(1, 5, 9), (2, 5, 9)]),
+            // Overlaps ending at 4 and 10, on either side of the windows'
+            // starts; `[0,10]` contains `[2,4]` but only overlaps `[3,20]`.
+            rel_pair([(1, 0, 10)], [(1, 2, 4), (1, 3, 20)]),
+        ]);
+        let preds: Vec<Option<JoinPredicate>> = std::iter::once(None)
+            .chain(
+                ["overlaps", "contains", "during-or-equals", "intersects"]
+                    .map(|p| Some(p.parse().unwrap())),
+            )
+            .collect();
+        let windows = [
+            Interval::ALL,
+            Interval::from_raw(10, 40).unwrap(),
+            Interval::from_raw(5, 45).unwrap(),
+        ];
+        for (fi, (r, s)) in fixtures.iter().enumerate() {
             let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-            let rr: Vec<&Tuple> = r.iter().collect();
-            let sr: Vec<&Tuple> = s.iter().collect();
             let enc = encode_pair(&spec, r.iter(), s.iter());
-            let (r_rows, s_rows) = (all_rows(rr.len()), all_rows(sr.len()));
-            assert_eq!(
-                estimate_dups_per_key_x100(&spec, &rr, &sr),
-                estimate_dups_per_key_x100_ids(&enc.outer(), &r_rows, &enc.inner(), &s_rows),
-                "keys={keys}"
-            );
-            for choice in [KernelChoice::Auto, KernelChoice::Hash, KernelChoice::Sweep] {
-                assert_eq!(
-                    choose_kernel(choice, &spec, &rr, &sr),
-                    choose_kernel_ids(choice, &enc.outer(), &r_rows, &enc.inner(), &s_rows)
+            let (outer, inner) = (enc.outer(), enc.inner());
+            let (r_rows, s_rows) = (all_rows(r.len()), all_rows(s.len()));
+            let mut cs = ColumnarScratch::default();
+            for pred in &preds {
+                let oracle = match pred {
+                    None => natural_join(r, s),
+                    Some(p) => predicate_join(r, s, p),
+                }
+                .unwrap();
+                assert!(
+                    pred.is_some() || !oracle.is_empty(),
+                    "fixture {fi} joins nothing"
                 );
+                let name = pred.as_ref().map_or("natural".into(), |p| p.to_string());
+                for window in windows {
+                    let ctx = format!("fixture {fi}, {name}, window {window}");
+                    let want = Relation::from_parts_unchecked(
+                        Arc::clone(spec.out_schema()),
+                        oracle
+                            .iter()
+                            .filter(|t| window.contains_chronon(t.valid().end()))
+                            .cloned()
+                            .collect(),
+                    );
+                    let (mut want_sweep, mut want_hash) =
+                        nested_loop_counts(&spec, r, s, pred.as_ref(), window);
+                    want_sweep.pairs_emitted = want.len() as u64;
+                    want_hash.pairs_emitted = want.len() as u64;
+                    let got = |out: &mut IdBatch| {
+                        let mut tuples = Vec::new();
+                        out.materialize_each(&spec, &outer, &inner, |t| tuples.push(t));
+                        Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples)
+                    };
+
+                    let mut out = IdBatch::new();
+                    let (stats, _) = match pred {
+                        None => columnar_sweep_join(
+                            &outer, &r_rows, &inner, &s_rows, window, &mut cs, &mut out,
+                        ),
+                        Some(p) => columnar_sweep_join_pred(
+                            p, &outer, &r_rows, &inner, &s_rows, window, &mut cs, &mut out,
+                        ),
+                    };
+                    assert_eq!(stats, want_sweep, "sweep counters, {ctx}");
+                    assert!(got(&mut out).multiset_eq(&want), "sweep rows, {ctx}");
+
+                    let mut out = IdBatch::new();
+                    let stats = match pred {
+                        None => columnar_hash_join(
+                            &outer, &r_rows, &inner, &s_rows, window, &mut cs, &mut out,
+                        ),
+                        Some(p) => columnar_hash_join_pred(
+                            p, &outer, &r_rows, &inner, &s_rows, window, &mut cs, &mut out,
+                        ),
+                    };
+                    assert_eq!(stats, want_hash, "hash counters, {ctx}");
+                    assert!(got(&mut out).multiset_eq(&want), "hash rows, {ctx}");
+                }
             }
         }
     }
@@ -715,10 +782,41 @@ mod tests {
             &mut out,
         );
         assert_eq!(hstats.pairs_emitted, 0);
-        assert_eq!(
-            estimate_dups_per_key_x100_ids(&enc.outer(), &[], &enc.inner(), &[]),
-            100
-        );
+    }
+
+    /// The gate's estimate and choice over every row of `pair(keys, n)`.
+    fn gate(choice: KernelChoice, keys: i64, n: i64) -> (u64, KernelKind) {
+        let (r, s) = pair(keys, n);
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let enc = encode_pair(&spec, r.iter(), s.iter());
+        let (outer, inner) = (enc.outer(), enc.inner());
+        let (r_rows, s_rows) = (all_rows(r.len()), all_rows(s.len()));
+        (
+            estimate_dups_per_key_x100_ids(&outer, &r_rows, &inner, &s_rows),
+            choose_kernel_ids(choice, &outer, &r_rows, &inner, &s_rows),
+        )
+    }
+
+    #[test]
+    fn gate_picks_sweep_on_duplicate_heavy_and_hash_on_unique() {
+        let (dups, kind) = gate(KernelChoice::Auto, 4, 512);
+        assert!(dups > SWEEP_DUP_THRESHOLD_X100);
+        assert_eq!(kind, KernelKind::Sweep);
+        let (dups, kind) = gate(KernelChoice::Auto, 100_000, 512);
+        assert!(dups <= SWEEP_DUP_THRESHOLD_X100);
+        assert_eq!(kind, KernelKind::Hash);
+    }
+
+    #[test]
+    fn forced_choices_override_the_gate() {
+        assert_eq!(gate(KernelChoice::Hash, 4, 64).1, KernelKind::Hash);
+        assert_eq!(gate(KernelChoice::Sweep, 4, 64).1, KernelKind::Sweep);
+        assert_eq!(gate(KernelChoice::Sweep, 100_000, 64).1, KernelKind::Sweep);
+    }
+
+    #[test]
+    fn empty_partition_estimates_one_dup_per_key() {
+        assert_eq!(gate(KernelChoice::Auto, 4, 0), (100, KernelKind::Hash));
     }
 
     #[test]
@@ -775,77 +873,5 @@ mod tests {
         table.build(&hashes[..3], 4);
         let total: usize = (0..4u64).map(|b| table.bucket(b).len()).sum();
         assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn flat_hash_kernel_mirrors_row_hash_join_on_crowded_buckets() {
-        let rs = Schema::new(vec![
-            AttrDef::new("k", AttrType::Int),
-            AttrDef::new("b", AttrType::Int),
-        ])
-        .unwrap()
-        .into_shared();
-        let ss = Schema::new(vec![
-            AttrDef::new("k", AttrType::Int),
-            AttrDef::new("c", AttrType::Int),
-        ])
-        .unwrap()
-        .into_shared();
-        let rel = |schema: &Arc<Schema>, rows: Vec<(i64, i64, i64)>| {
-            let tuples = rows
-                .into_iter()
-                .enumerate()
-                .map(|(i, (k, st, len))| {
-                    Tuple::new(
-                        vec![Value::Int(k), Value::Int(i as i64)],
-                        Interval::from_raw(st, st + len).unwrap(),
-                    )
-                })
-                .collect();
-            Relation::from_parts_unchecked(Arc::clone(schema), tuples)
-        };
-        let cases = [
-            // A 4-row build side (4 buckets) probed by 1,000 distinct keys:
-            // every bucket is visited by hundreds of distinct keys.
-            (
-                (0..4).map(|i| (i * 5, i * 3, 40)).collect::<Vec<_>>(),
-                (0..2000).map(|i| (i % 1000, i % 50, 5)).collect::<Vec<_>>(),
-            ),
-            // Duplicate-heavy build side: 3 keys over 600 rows, so each
-            // occupied bucket holds ~200 entries; the probe side mixes
-            // those keys with 400 absent ones.
-            (
-                (0..600).map(|i| (i % 3, i % 97, 3)).collect(),
-                (0..800).map(|i| (i % 403, i % 89, 4)).collect(),
-            ),
-        ];
-        for (ci, (r_rows, s_rows)) in cases.into_iter().enumerate() {
-            let (r, s) = (rel(&rs, r_rows), rel(&ss, s_rows));
-            let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-            let rr: Vec<&Tuple> = r.iter().collect();
-            let sr: Vec<&Tuple> = s.iter().collect();
-            let enc = encode_pair(&spec, r.iter(), s.iter());
-            let (r_ids, s_ids) = (all_rows(rr.len()), all_rows(sr.len()));
-            let mut cs = ColumnarScratch::default();
-            for window in [Interval::ALL, Interval::from_raw(10, 60).unwrap()] {
-                let mut row_out = OutputBatch::new();
-                let row_stats = hash_join(&spec, &rr, &sr, window, &mut row_out);
-                let mut col_out = IdBatch::new();
-                let col_stats = columnar_hash_join(
-                    &enc.outer(),
-                    &r_ids,
-                    &enc.inner(),
-                    &s_ids,
-                    window,
-                    &mut cs,
-                    &mut col_out,
-                );
-                assert_eq!(row_stats, col_stats, "case {ci}: counters diverge");
-                assert!(row_stats.pairs_emitted > 0, "case {ci}: fixture matches");
-                let mut col_tuples = Vec::new();
-                col_out.materialize_each(&spec, &enc.outer(), &enc.inner(), |t| col_tuples.push(t));
-                assert_eq!(row_out.take(), col_tuples, "case {ci}: output diverges");
-            }
-        }
     }
 }

@@ -1,39 +1,45 @@
 //! Intra-partition join kernels and the cost-model gate that picks
 //! between them.
 //!
-//! A *kernel* joins one partition's two in-memory tuple sets. Two are
-//! provided:
+//! A *kernel* joins one partition's two sides, encoded as
+//! [`ColumnarSide`](crate::columnar::ColumnarSide) columns, and emits
+//! `(outer row, inner row)` pairs into an [`IdBatch`](crate::IdBatch)
+//! for late materialization. Two are provided:
 //!
-//! * [`hash_join`] — the PR-2 path: build a [`BlockTable`] over the outer
-//!   bucket, probe every inner tuple through it. Each probe rescans the
-//!   whole hash-equal bucket and rejects most candidates on the temporal
+//! * [`columnar_hash_join`] — build a gapless hash table over the outer
+//!   side, probe it with every inner row. Each probe rescans the whole
+//!   hash-equal bucket and rejects most candidates on the temporal
 //!   predicate, so its cost grows with duplicates-per-key.
-//! * [`sweep_join`] — the forward-sweep interval join (Piatov et al.):
-//!   endpoint-sorted merge sweep with gapless active lists, where every
-//!   hash-equal candidate inspected is already known to overlap in time.
+//! * [`columnar_sweep_join`] — the forward-sweep interval join (Piatov et
+//!   al.): endpoint-sorted merge sweep with gapless active lists, where
+//!   every hash-equal candidate inspected is already known to overlap in
+//!   time.
 //!
-//! Both emit into a reusable [`OutputBatch`] and filter by the
-//! canonical-partition rule (emit iff the overlap *ends* inside the
-//! partition's interval), so they produce the same result multiset — the
-//! `kernel_equivalence` proptest pins this against a nested-loop oracle.
+//! Both filter by the canonical-partition rule (emit iff the overlap
+//! *ends* inside the partition's interval), so they produce the same
+//! result multiset; the `kernel_equivalence` proptest pins both against
+//! the `natural_join` oracle, and the kernels' unit tests pin every
+//! counter against a nested loop over the same rows.
 //!
-//! [`choose_kernel`] gates per partition on estimated duplicates-per-key:
-//! a strided sample of join-key hashes estimates how many tuples share a
-//! key, and the sweep takes over above
+//! [`choose_kernel_ids`] gates per partition on estimated
+//! duplicates-per-key: a strided sample of join-key hashes estimates how
+//! many rows share a key, and the sweep takes over above
 //! [`SWEEP_DUP_THRESHOLD_X100`] (4 duplicates per key). The CLI's
 //! `--kernel hash|sweep|auto` forces either side of the gate.
 //!
 //! Both kernels also come in predicate-parameterized forms
-//! ([`hash_join_pred`], [`sweep::sweep_join_pred`]) that filter each
-//! key-equal candidate through a [`vtjoin_core::JoinPredicate`]
-//! compiled from a set of Allen relations; predicates whose matches
-//! need not intersect in time fall back to [`merge::merge_join_pred`].
+//! ([`columnar_hash_join_pred`], [`columnar_sweep_join_pred`]) that
+//! filter each key-equal candidate through a
+//! [`vtjoin_core::JoinPredicate`] compiled from a set of Allen relations;
+//! predicates whose matches need not intersect in time fall back to
+//! [`merge::merge_join_pred`].
 //!
 //! ```
-//! use std::sync::Arc;
 //! use vtjoin_core::{AttrDef, AttrType, Interval, Relation, Schema, Tuple, Value};
+//! use vtjoin_join::columnar::encode_pair;
 //! use vtjoin_join::common::JoinSpec;
-//! use vtjoin_join::kernel::{hash_join, hash_join_pred, OutputBatch};
+//! use vtjoin_join::kernel::{columnar_hash_join, columnar_sweep_join_pred, ColumnarScratch};
+//! use vtjoin_join::IdBatch;
 //!
 //! let mk = |other: &str, vals: &[(i64, i64, i64, i64)]| {
 //!     let schema = Schema::new(vec![
@@ -56,29 +62,33 @@
 //! let r = mk("b", &[(1, 10, 0, 5)]);
 //! let s = mk("c", &[(1, 20, 3, 9), (1, 30, 1, 4)]);
 //! let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-//! let rr: Vec<&Tuple> = r.iter().collect();
-//! let sr: Vec<&Tuple> = s.iter().collect();
+//! let enc = encode_pair(&spec, r.iter(), s.iter());
+//! let (outer, inner) = (enc.outer(), enc.inner());
+//! let mut scratch = ColumnarScratch::default();
 //!
 //! // Natural join: both inner tuples overlap [0,5], stamped with the overlap.
-//! let mut out = OutputBatch::new();
-//! out.begin(4);
-//! let stats = hash_join(&spec, &rr, &sr, Interval::ALL, &mut out);
+//! let mut out = IdBatch::new();
+//! let stats = columnar_hash_join(
+//!     &outer, &[0], &inner, &[0, 1], Interval::ALL, &mut scratch, &mut out,
+//! );
 //! assert_eq!(stats.pairs_emitted, 2);
 //!
 //! // Same partition under an Allen predicate: [0,5] `overlaps` [3,9]
 //! // but `contains` [1,4], so the filter rejects the second pair.
 //! let pred = "overlaps".parse().unwrap();
-//! let mut out_p = OutputBatch::new();
-//! out_p.begin(4);
-//! let pstats = hash_join_pred(&spec, &pred, &rr, &sr, Interval::ALL, &mut out_p);
+//! let mut out_p = IdBatch::new();
+//! let (pstats, _) = columnar_sweep_join_pred(
+//!     &pred, &outer, &[0], &inner, &[0, 1], Interval::ALL, &mut scratch, &mut out_p,
+//! );
 //! assert_eq!((pstats.filter_checks, pstats.filter_hits), (2, 1));
-//! assert_eq!(out_p.take()[0].valid(), Interval::from_raw(3, 5).unwrap());
+//! let mut rows = Vec::new();
+//! out_p.materialize_each(&spec, &outer, &inner, |t| rows.push(t));
+//! assert_eq!(rows[0].valid(), Interval::from_raw(3, 5).unwrap());
 //! ```
 
 pub mod batch;
 pub mod columnar;
 pub mod merge;
-pub mod sweep;
 pub mod tracked;
 
 pub use batch::OutputBatch;
@@ -87,18 +97,14 @@ pub use columnar::{
     columnar_sweep_join_pred, estimate_dups_per_key_x100_ids, ColumnarScratch,
 };
 pub use merge::{merge_join_pred, MergeStats};
-pub use sweep::{sweep_join, sweep_join_pred, SweepScratch, SweepStats};
 pub use tracked::{
     tracked_sweep, Fragment, OperatorLog, TrackedInput, TrackedScratch, TrackedStats,
 };
 
-use crate::common::{BlockTable, JoinSpec};
-use vtjoin_core::{Interval, JoinPredicate, Tuple};
-
 /// Which kernel actually ran on a partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// BlockTable build + probe.
+    /// Hash table build + probe.
     Hash,
     /// Forward-sweep with active lists.
     Sweep,
@@ -154,62 +160,7 @@ impl KernelChoice {
 /// the sweep's "only inspect currently-open tuples" property dominates.
 pub const SWEEP_DUP_THRESHOLD_X100: u64 = 400;
 
-/// Upper bound on sampled hashes per side in the gate estimator.
-const GATE_SAMPLE_PER_SIDE: usize = 1024;
-
-/// Estimates duplicates-per-key (×100, fixed point) over both sides of a
-/// partition from a strided sample of join-key hashes.
-///
-/// Two regimes: when the sample's distinct count is well below the sample
-/// size, the key space is *saturated* — the sample has seen (nearly) all
-/// keys, so dups ≈ `total / distinct` extrapolated over the full
-/// partition. Otherwise keys are mostly unique in the sample and the
-/// in-sample ratio `sample / distinct` (≈ 1.0) is the honest estimate —
-/// extrapolating would fabricate duplication a small sample cannot see.
-pub fn estimate_dups_per_key_x100(spec: &JoinSpec, r: &[&Tuple], s: &[&Tuple]) -> u64 {
-    let total = r.len() + s.len();
-    if total == 0 {
-        return 100;
-    }
-    let mut hashes: Vec<u64> = Vec::with_capacity(GATE_SAMPLE_PER_SIDE * 2);
-    let r_stride = r.len().div_ceil(GATE_SAMPLE_PER_SIDE).max(1);
-    hashes.extend(r.iter().step_by(r_stride).map(|x| spec.outer_key_hash(x)));
-    let s_stride = s.len().div_ceil(GATE_SAMPLE_PER_SIDE).max(1);
-    hashes.extend(s.iter().step_by(s_stride).map(|y| spec.inner_key_hash(y)));
-    let m = hashes.len();
-    hashes.sort_unstable();
-    hashes.dedup();
-    let distinct = hashes.len().max(1);
-    if distinct < m * 4 / 5 {
-        (100 * total as u64) / distinct as u64
-    } else {
-        (100 * m as u64) / distinct as u64
-    }
-}
-
-/// Resolves the kernel for one partition. Deterministic: depends only on
-/// the partition's data (never on thread count or scheduling), so
-/// parallel output stays identical across worker counts.
-pub fn choose_kernel(
-    choice: KernelChoice,
-    spec: &JoinSpec,
-    r: &[&Tuple],
-    s: &[&Tuple],
-) -> KernelKind {
-    match choice {
-        KernelChoice::Hash => KernelKind::Hash,
-        KernelChoice::Sweep => KernelKind::Sweep,
-        KernelChoice::Auto => {
-            if estimate_dups_per_key_x100(spec, r, s) > SWEEP_DUP_THRESHOLD_X100 {
-                KernelKind::Sweep
-            } else {
-                KernelKind::Hash
-            }
-        }
-    }
-}
-
-/// What one hash-kernel invocation measured (mirrors [`SweepStats`]).
+/// What one hash-kernel invocation measured (see [`SweepStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HashStats {
     /// Inner tuples probed.
@@ -226,79 +177,20 @@ pub struct HashStats {
     pub filter_hits: u64,
 }
 
-/// Joins `r ⋈ᵛ s` with the PR-2 hash kernel (BlockTable build + probe),
-/// emitting into `out` every match whose overlap ends inside
-/// `emit_within` — the same contract as [`sweep_join`], so the executor
-/// can swap kernels per partition.
-pub fn hash_join(
-    spec: &JoinSpec,
-    r: &[&Tuple],
-    s: &[&Tuple],
-    emit_within: Interval,
-    out: &mut OutputBatch,
-) -> HashStats {
-    let table = BlockTable::build_from(spec, r.iter().copied());
-    let mut pairs = 0u64;
-    for y in s {
-        table.probe_each(y, |z| {
-            if emit_within.contains_chronon(z.valid().end()) {
-                out.emit(z);
-                pairs += 1;
-            }
-        });
-    }
-    let (probes, match_tests) = table.cpu_counters();
-    HashStats {
-        probes,
-        match_tests,
-        pairs_emitted: pairs,
-        ..HashStats::default()
-    }
-}
-
-/// Predicate-parameterized hash kernel: the same BlockTable build +
-/// probe as [`hash_join`], with each key-equal candidate filtered
-/// through `pred` and stamped by [`JoinPredicate::stamp`].
-///
-/// Restricted to **intersection-template** predicates, for the same
-/// reason as [`sweep::sweep_join_pred`]: the `emit_within`
-/// canonical-partition rule de-duplicates by the emitted tuple's valid
-/// end, which is the overlap end exactly when every surviving match
-/// intersects in time. Sequence and mixed templates take
-/// [`merge::merge_join_pred`] instead.
-pub fn hash_join_pred(
-    spec: &JoinSpec,
-    pred: &JoinPredicate,
-    r: &[&Tuple],
-    s: &[&Tuple],
-    emit_within: Interval,
-    out: &mut OutputBatch,
-) -> HashStats {
-    debug_assert!(
-        pred.partitioning_eligible(),
-        "hash_join_pred requires an intersection-template predicate"
-    );
-    let table = BlockTable::build_from(spec, r.iter().copied());
-    let mut pairs = 0u64;
-    let (mut checks, mut hits) = (0u64, 0u64);
-    for y in s {
-        let (c, h) = table.probe_each_pred(pred, y, |z| {
-            if emit_within.contains_chronon(z.valid().end()) {
-                out.emit(z);
-                pairs += 1;
-            }
-        });
-        checks += c;
-        hits += h;
-    }
-    let (probes, match_tests) = table.cpu_counters();
-    HashStats {
-        probes,
-        match_tests,
-        pairs_emitted: pairs,
-        filter_checks: checks,
-        filter_hits: hits,
-    }
+/// What one sweep-kernel invocation measured.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    /// Hash-equal candidate pairs inspected (every one already overlaps
+    /// in time — compare with the hash kernel's `match_tests`, most of
+    /// which fail the temporal predicate on duplicate-heavy data).
+    pub comparisons: u64,
+    /// Result tuples emitted.
+    pub pairs_emitted: u64,
+    /// Key-equal pairs tested against a generalized predicate filter
+    /// (zero for the natural join, which has no filter to run).
+    pub filter_checks: u64,
+    /// Filter tests that passed.
+    pub filter_hits: u64,
 }
 
 /// Run-level kernel accounting, folded across partitions and workers and
@@ -353,74 +245,6 @@ impl PredicateCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use vtjoin_core::{AttrDef, AttrType, Relation, Schema, Value};
-
-    fn pair(keys: i64, n: i64) -> (Relation, Relation) {
-        let rs = Schema::new(vec![
-            AttrDef::new("k", AttrType::Int),
-            AttrDef::new("b", AttrType::Int),
-        ])
-        .unwrap()
-        .into_shared();
-        let ss = Schema::new(vec![
-            AttrDef::new("k", AttrType::Int),
-            AttrDef::new("c", AttrType::Int),
-        ])
-        .unwrap()
-        .into_shared();
-        let mk = |schema: Arc<Schema>| {
-            let tuples = (0..n)
-                .map(|i| {
-                    Tuple::new(
-                        vec![Value::Int(i % keys), Value::Int(i)],
-                        Interval::from_raw(i, i + 10).unwrap(),
-                    )
-                })
-                .collect();
-            Relation::from_parts_unchecked(schema, tuples)
-        };
-        (mk(rs), mk(ss))
-    }
-
-    #[test]
-    fn gate_picks_sweep_on_duplicate_heavy_and_hash_on_unique() {
-        let (r, s) = pair(4, 512);
-        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-        let rr: Vec<&Tuple> = r.iter().collect();
-        let sr: Vec<&Tuple> = s.iter().collect();
-        assert!(estimate_dups_per_key_x100(&spec, &rr, &sr) > SWEEP_DUP_THRESHOLD_X100);
-        assert_eq!(
-            choose_kernel(KernelChoice::Auto, &spec, &rr, &sr),
-            KernelKind::Sweep
-        );
-
-        let (ru, su) = pair(100_000, 512);
-        let spec_u = JoinSpec::natural(ru.schema(), su.schema()).unwrap();
-        let rru: Vec<&Tuple> = ru.iter().collect();
-        let sru: Vec<&Tuple> = su.iter().collect();
-        assert!(estimate_dups_per_key_x100(&spec_u, &rru, &sru) <= SWEEP_DUP_THRESHOLD_X100);
-        assert_eq!(
-            choose_kernel(KernelChoice::Auto, &spec_u, &rru, &sru),
-            KernelKind::Hash
-        );
-    }
-
-    #[test]
-    fn forced_choices_override_the_gate() {
-        let (r, s) = pair(4, 64);
-        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-        let rr: Vec<&Tuple> = r.iter().collect();
-        let sr: Vec<&Tuple> = s.iter().collect();
-        assert_eq!(
-            choose_kernel(KernelChoice::Hash, &spec, &rr, &sr),
-            KernelKind::Hash
-        );
-        assert_eq!(
-            choose_kernel(KernelChoice::Sweep, &spec, &rr, &sr),
-            KernelKind::Sweep
-        );
-    }
 
     #[test]
     fn choice_parses_and_round_trips() {
@@ -429,66 +253,6 @@ mod tests {
         }
         assert_eq!(KernelChoice::parse("nested-loop"), None);
         assert_eq!(KernelChoice::default(), KernelChoice::Auto);
-    }
-
-    #[test]
-    fn hash_and_sweep_kernels_agree() {
-        let (r, s) = pair(8, 200);
-        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-        let rr: Vec<&Tuple> = r.iter().collect();
-        let sr: Vec<&Tuple> = s.iter().collect();
-
-        let mut out_h = OutputBatch::new();
-        let hs = hash_join(&spec, &rr, &sr, Interval::ALL, &mut out_h);
-        let mut out_s = OutputBatch::new();
-        let mut scratch = SweepScratch::default();
-        let ss = sweep_join(&spec, &rr, &sr, Interval::ALL, &mut scratch, &mut out_s);
-
-        assert_eq!(hs.pairs_emitted, ss.pairs_emitted);
-        let schema = Arc::clone(spec.out_schema());
-        let rel_h = Relation::from_parts_unchecked(Arc::clone(&schema), out_h.take());
-        let rel_s = Relation::from_parts_unchecked(schema, out_s.take());
-        assert!(rel_h.multiset_eq(&rel_s));
-        // Every sweep comparison overlaps in time; hash match tests include
-        // temporal rejects, so the sweep never inspects more candidates.
-        assert!(ss.comparisons <= hs.match_tests);
-    }
-
-    #[test]
-    fn predicate_kernels_agree_on_intersection_templates() {
-        let (r, s) = pair(8, 200);
-        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-        let rr: Vec<&Tuple> = r.iter().collect();
-        let sr: Vec<&Tuple> = s.iter().collect();
-        for p in ["overlaps", "during-or-starts-or-equals", "intersects"] {
-            let pred: JoinPredicate = p.parse().unwrap();
-            let mut out_h = OutputBatch::new();
-            let hs = hash_join_pred(&spec, &pred, &rr, &sr, Interval::ALL, &mut out_h);
-            let mut out_s = OutputBatch::new();
-            let mut scratch = SweepScratch::default();
-            let ss = sweep_join_pred(
-                &spec,
-                &pred,
-                &rr,
-                &sr,
-                Interval::ALL,
-                &mut scratch,
-                &mut out_s,
-            );
-            assert_eq!(hs.pairs_emitted, ss.pairs_emitted, "{p}");
-            assert_eq!(hs.filter_hits, ss.filter_hits, "{p}");
-            let schema = Arc::clone(spec.out_schema());
-            let rel_h = Relation::from_parts_unchecked(Arc::clone(&schema), out_h.take());
-            let rel_s = Relation::from_parts_unchecked(schema, out_s.take());
-            assert!(rel_h.multiset_eq(&rel_s), "{p}");
-        }
-    }
-
-    #[test]
-    fn empty_partition_estimates_one_dup_per_key() {
-        let (r, s) = pair(4, 8);
-        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-        assert_eq!(estimate_dups_per_key_x100(&spec, &[], &[]), 100);
     }
 
     #[test]

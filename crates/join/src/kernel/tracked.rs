@@ -3,11 +3,11 @@
 //! The outer/semi/anti/full operators need, beyond the matched pairs,
 //! each tuple's **dangling window**: the sub-intervals of its valid time
 //! covered by *no* matching partner. This sweep discovers the same
-//! key-equal overlapping pairs as `sweep.rs`, but keeps a per-entry
-//! **coverage frontier** — the earliest chronon of the tuple's
-//! (window-clipped) interval not yet known to be matched — and emits an
-//! unmatched fragment whenever a match arrives strictly past the
-//! frontier, when an entry expires from its active list, and for the
+//! key-equal overlapping pairs as [`super::columnar_sweep_join`], but
+//! keeps a per-entry **coverage frontier** — the earliest chronon of the
+//! tuple's (window-clipped) interval not yet known to be matched — and
+//! emits an unmatched fragment whenever a match arrives strictly past
+//! the frontier, when an entry expires from its active list, and for the
 //! survivors at end of sweep.
 //!
 //! The frontier trick relies on an ordering invariant of the sweep: the
@@ -136,7 +136,7 @@ struct TrackedEntry {
     done: bool,
 }
 
-/// Gapless hash-bucketed active lists, as in `sweep.rs`, but with
+/// Gapless hash-bucketed active lists, as in the columnar sweep, but with
 /// mutable entries (the frontier advances in place) and an expiry
 /// callback so a removed entry can surrender its trailing fragment.
 #[derive(Debug, Default)]
@@ -159,8 +159,10 @@ impl TrackedActive {
         for b in &mut self.buckets[..want] {
             b.clear();
         }
-        // Pure function of this cell's size — see sweep.rs on why the
-        // mask must not depend on scratch history.
+        // Pure function of this cell's size: bucket co-residency, and with
+        // it the swap-remove order, must not depend on which cells this
+        // scratch served before, or output order would vary with thread
+        // scheduling.
         self.mask = want - 1;
     }
 
@@ -296,9 +298,9 @@ fn finish(
 ///
 /// `keys_equal(outer_local, inner_local)` resolves hash collisions; only
 /// intersection-template predicates may be passed (as for
-/// `sweep_join_pred` — sequence/mixed predicates cannot run on an
-/// overlap sweep). Pairs obey the canonical-partition `emit_within`
-/// rule; coverage and fragments are clipped to `emit_within`, which for
+/// [`super::columnar_sweep_join_pred`] — sequence/mixed predicates cannot
+/// run on an overlap sweep). Pairs obey the canonical-partition
+/// `emit_within` rule; coverage and fragments are clipped to `emit_within`, which for
 /// the inner (key-bucketed) dimension of a grid is sound because
 /// key-equal tuples always land in the same bucket, so each cell sees
 /// its window's *entire* coverage.

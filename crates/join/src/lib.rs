@@ -46,7 +46,7 @@ pub use columnar::{ColumnarCounters, ColumnarPair, ColumnarSide, IdBatch, Layout
 pub use common::{JoinAlgorithm, JoinConfig, JoinError, JoinReport, JoinSpec, PhaseStats, Result};
 pub use kernel::{
     tracked_sweep, Fragment, KernelChoice, KernelCounters, KernelKind, OperatorLog, OutputBatch,
-    PredicateCounters, SweepScratch, TrackedInput, TrackedScratch, TrackedStats,
+    PredicateCounters, TrackedInput, TrackedScratch, TrackedStats,
 };
 pub use nested_loop::NestedLoopJoin;
 pub use partition::{PartitionJoin, ReplicatedPartitionJoin};

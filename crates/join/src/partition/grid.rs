@@ -44,6 +44,13 @@ use vtjoin_core::{Interval, Relation};
 /// thread counts a single host offers.
 pub const MAX_KEY_BUCKETS: u64 = 64;
 
+/// Upper bound on the time-axis partition count a caller may ask
+/// [`super::intervals::equal_width`] for (the CLI's `--partitions`). The
+/// partition list and the grid built on it are sized by this count, so a
+/// count that comes from outside the program is checked against it
+/// before anything is allocated.
+pub const MAX_TIME_PARTITIONS: u64 = 1 << 16;
+
 /// How the grid's key axis is chosen (CLI `--grid`, serve `grid=`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridChoice {

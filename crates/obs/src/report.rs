@@ -436,7 +436,7 @@ impl FaultsSection {
 /// output chunks handed over once per partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelSection {
-    /// Partitions joined by the hash kernel (BlockTable build + probe).
+    /// Partitions joined by the hash kernel (hash table build + probe).
     pub hash_partitions: u64,
     /// Partitions joined by the forward-sweep kernel.
     pub sweep_partitions: u64,

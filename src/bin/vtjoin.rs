@@ -153,6 +153,27 @@ impl std::fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
+/// A numeric flag whose value the command cannot run with, refused
+/// before any file is read or anything is sized by it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RangeError {
+    flag: &'static str,
+    value: u64,
+    max: u64,
+}
+
+impl std::fmt::Display for RangeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} {} is out of range: at most {}",
+            self.flag, self.value, self.max
+        )
+    }
+}
+
+impl std::error::Error for RangeError {}
+
 /// Tiny flag parser: `--name value` pairs plus positionals.
 struct Flags {
     positional: Vec<String>,
@@ -384,13 +405,32 @@ fn cmd_join(args: &[String]) -> Result<(), AnyError> {
     let op = parse_op(&flags)?;
     let threads = flags.get_u64("threads", 0)?;
     check_join_path(&flags, &op, threads)?;
+    // The time-partition count (by default four per thread) sizes the
+    // in-memory plan, so it is checked before any file is read.
+    let max = vtjoin::join::partition::grid::MAX_TIME_PARTITIONS;
+    let partitions = flags.get_u64("partitions", threads.saturating_mul(4).max(16))?;
+    if partitions > max {
+        let e = match flags.get("partitions") {
+            Some(_) => RangeError {
+                flag: "--partitions",
+                value: partitions,
+                max,
+            },
+            None => RangeError {
+                flag: "--threads",
+                value: threads,
+                max: max / 4,
+            },
+        };
+        return Err(e.into());
+    }
     let [outer_path, inner_path] = flags.positional.as_slice() else {
         return Err("join needs OUTER and INNER files".into());
     };
     let r = load(outer_path)?;
     let s = load(inner_path)?;
     if threads > 0 || !op.is_inner() {
-        return join_in_memory(&flags, &r, &s, &op, threads.max(1) as usize);
+        return join_in_memory(&flags, &r, &s, &op, threads.max(1) as usize, partitions);
     }
 
     let buffer = flags.get_u64("buffer", 256)?;
@@ -549,11 +589,11 @@ fn join_in_memory(
     s: &Relation,
     op: &vtjoin::model::Operator,
     threads: usize,
+    partitions: u64,
 ) -> Result<(), AnyError> {
     use vtjoin::engine::{run, ExecRequest};
     use vtjoin::join::partition::{plan_grid, GridChoice};
 
-    let partitions = flags.get_u64("partitions", (threads as u64 * 4).max(16))?;
     // Kernel policy: `auto` gates per partition on estimated
     // duplicates-per-key; `hash`/`sweep` force one kernel everywhere.
     let kernel_name = flags.get("kernel").unwrap_or("auto");
@@ -1132,6 +1172,42 @@ mod tests {
             ],
             "the disk algorithms",
         );
+    }
+
+    #[test]
+    fn join_refuses_an_out_of_range_partition_count() {
+        let max = vtjoin::join::partition::grid::MAX_TIME_PARTITIONS;
+        for value in [u64::MAX, 100_000_000_000, max + 1] {
+            let n = value.to_string();
+            for path in [&["--threads", "1"], &["--op", "left"]] {
+                let line = [&["join", "r.vt", "s.vt", "--partitions", &n][..], path].concat();
+                let err = run(&args(&line)).expect_err("must be refused");
+                let e = err
+                    .downcast::<RangeError>()
+                    .unwrap_or_else(|e| panic!("untyped refusal: {e}"));
+                assert_eq!((e.flag, e.value, e.max), ("--partitions", value, max));
+                assert!(e.to_string().contains("out of range"), "{e}");
+            }
+        }
+        // Without `--partitions`, four per thread must stay in range.
+        let n = (max / 4 + 1).to_string();
+        let err = run(&args(&["join", "r.vt", "s.vt", "--threads", &n])).expect_err("refused");
+        let e = err.downcast::<RangeError>().expect("a typed refusal");
+        assert_eq!((e.flag, e.max), ("--threads", max / 4));
+        // The bound itself passes the check and fails only on the missing
+        // input file, before any partition is made.
+        let n = max.to_string();
+        let err = run(&args(&[
+            "join",
+            "r.vt",
+            "s.vt",
+            "--threads",
+            "1",
+            "--partitions",
+            &n,
+        ]))
+        .expect_err("the input files do not exist");
+        assert!(!err.is::<RangeError>(), "{err}");
     }
 
     #[test]

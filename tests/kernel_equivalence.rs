@@ -1,5 +1,6 @@
-//! Property-based kernel equivalence: the forward-sweep kernel, the
-//! hash kernel, and the nested-loop oracle must agree on every workload
+//! Property-based kernel equivalence: the columnar forward-sweep kernel,
+//! the columnar hash kernel, and the `natural_join` oracle must agree on
+//! every workload
 //! — across duplicate ratios (1 key shared by everything up to mostly
 //! distinct keys) and grid-aligned intervals that make boundary-touching
 //! and abutting-but-disjoint pairs common, the closed-interval semantics'
@@ -8,10 +9,14 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use vtjoin::engine::{run, ExecRequest};
+use vtjoin::join::columnar::encode_pair;
 use vtjoin::join::common::JoinSpec;
-use vtjoin::join::kernel::{hash_join, sweep_join, KernelChoice, OutputBatch, SweepScratch};
+use vtjoin::join::kernel::{
+    columnar_hash_join, columnar_sweep_join, ColumnarScratch, KernelChoice,
+};
 use vtjoin::join::partition::intervals::equal_width;
 use vtjoin::join::partition::GridPlan;
+use vtjoin::join::IdBatch;
 use vtjoin::model::algebra::natural_join;
 use vtjoin::prelude::*;
 
@@ -60,22 +65,44 @@ fn arb_rel(schema: Arc<Schema>, keys: i64, n: usize) -> impl Strategy<Value = Re
     })
 }
 
-/// Runs both kernels directly over the same borrowed sides and emit
-/// window, returning `(hash result, sweep result)`.
+/// Runs both kernels directly over every row of the same encoded sides
+/// and emit window, returning `(hash result, sweep result)`.
 fn run_both_kernels(r: &Relation, s: &Relation, emit_within: Interval) -> (Relation, Relation) {
     let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
-    let rr: Vec<&Tuple> = r.iter().collect();
-    let ss: Vec<&Tuple> = s.iter().collect();
-    let mut batch = OutputBatch::new();
+    let enc = encode_pair(&spec, r.iter(), s.iter());
+    let (outer, inner) = (enc.outer(), enc.inner());
+    let r_rows: Vec<u32> = (0..r.len() as u32).collect();
+    let s_rows: Vec<u32> = (0..s.len() as u32).collect();
+    let mut scratch = ColumnarScratch::default();
+    let materialize = |batch: &mut IdBatch| {
+        let mut tuples = Vec::new();
+        batch.materialize_each(&spec, &outer, &inner, |t| tuples.push(t));
+        Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), tuples)
+    };
 
-    batch.begin(16);
-    hash_join(&spec, &rr, &ss, emit_within, &mut batch);
-    let hash = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), batch.take());
+    let mut batch = IdBatch::new();
+    columnar_hash_join(
+        &outer,
+        &r_rows,
+        &inner,
+        &s_rows,
+        emit_within,
+        &mut scratch,
+        &mut batch,
+    );
+    let hash = materialize(&mut batch);
 
-    let mut scratch = SweepScratch::default();
-    batch.begin(16);
-    sweep_join(&spec, &rr, &ss, emit_within, &mut scratch, &mut batch);
-    let sweep = Relation::from_parts_unchecked(Arc::clone(spec.out_schema()), batch.take());
+    let mut batch = IdBatch::new();
+    columnar_sweep_join(
+        &outer,
+        &r_rows,
+        &inner,
+        &s_rows,
+        emit_within,
+        &mut scratch,
+        &mut batch,
+    );
+    let sweep = materialize(&mut batch);
     (hash, sweep)
 }
 
