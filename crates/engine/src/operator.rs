@@ -14,6 +14,9 @@
 //!   tuples replicate only along the time axis), from the same columnar
 //!   encoding — the one `JoinService` keeps for a resident pair, when
 //!   given;
+//! * the scatter walks the encoding's kept start order, so each cell
+//!   lists its rows in `(start, row id)` order and its sweep sorts
+//!   nothing;
 //! * the **tracked-sweep cell** body runs the dangling-fragment-tracking
 //!   sweep ([`vtjoin_join::kernel::tracked`]), which logs matched pairs
 //!   under the canonical-partition rule and per-tuple **unmatched
@@ -187,18 +190,19 @@ pub(crate) fn execute(
     counters.outer_fragments = outer_frags.len() as u64;
     let (outer_dangling, stitched_outer) = stitch(&outer_frags, r.len());
     counters.stitched_outer = stitched_outer;
-    let inner_dangling = if counters.fallback_nested {
+    // Only the full outer join reads inner dangling periods; for the rest
+    // there is nothing to stitch or count.
+    let inner_dangling = if !op.tracks_inner() {
+        Vec::new()
+    } else if counters.fallback_nested {
         // The nested chunks log inner *coverage*, not dangling: the inner
         // side is shared across chunks, so its dangling is the complement
         // of the merged coverage.
-        let mut dangling: Vec<Period> = std::iter::repeat_with(Period::new).take(s.len()).collect();
-        if op.tracks_inner() {
-            let (matched, _) = stitch(&inner_frags, s.len());
-            for (yi, y) in s.iter().enumerate() {
-                dangling[yi] = Period::from_interval(y.valid()).difference(&matched[yi]);
-            }
-        }
-        dangling
+        let (matched, _) = stitch(&inner_frags, s.len());
+        s.iter()
+            .zip(&matched)
+            .map(|(y, m)| Period::from_interval(y.valid()).difference(m))
+            .collect()
     } else {
         let (dangling, stitched_inner) = stitch(&inner_frags, s.len());
         counters.stitched_inner = stitched_inner;
@@ -235,7 +239,8 @@ pub(crate) fn execute(
 type Logged = (OperatorLog, TrackedStats);
 
 /// A cell's interval and hash columns, gathered from the encoded side
-/// into worker-reused buffers so the sweep reads contiguous slices.
+/// into worker-reused buffers so the sweep reads contiguous slices, in
+/// the cell's `(start, row id)` order.
 #[derive(Debug, Default)]
 struct CellCols {
     starts: Vec<Chronon>,
@@ -330,7 +335,7 @@ fn run_tracked(
     counters: &mut OperatorCounters,
 ) -> Result<(Vec<Logged>, ExecDetail), JoinError> {
     let mut fresh = None;
-    let grid = scatter(cx, &mut fresh)?;
+    let grid = scatter(cx, &mut fresh, true)?;
     let (track_outer, track_inner) = (op.tracks_outer(), op.tracks_inner());
     let n_cells = grid.r_cells.len();
     let units: Vec<usize> = (0..n_cells)
@@ -516,6 +521,8 @@ fn run_nested(
 ///   period itself, under `r`'s own schema;
 /// * AGGREGATE feeds the pairs' stamped windows through the
 ///   [`TimelineIndex`] and materializes the maximal constant segments.
+///
+/// `inner_dangling` is read (and built) only for FULL.
 #[allow(clippy::too_many_arguments)]
 fn materialize(
     r: &Relation,
@@ -724,6 +731,17 @@ mod tests {
         assert_eq!(got.tuples(), want.tuples(), "{ctx}: tuples");
     }
 
+    /// Only the full outer join tracks, stitches and counts inner
+    /// dangling windows (the workload has some: depts 7 and 8).
+    fn assert_inner_counters(op: &Operator, c: &OperatorCounters) {
+        let inner = (c.inner_fragments, c.stitched_inner, c.inner_dangling);
+        if op.tracks_inner() {
+            assert!(c.inner_dangling > 0, "{op}: {inner:?}");
+        } else {
+            assert_eq!(inner, (0, 0, 0), "{op}");
+        }
+    }
+
     #[test]
     fn operators_match_oracles_across_partitions_and_threads() {
         let (r, s) = workload();
@@ -749,6 +767,7 @@ mod tests {
                             .unwrap();
                     assert_identical(&got, &want, &ctx(&op.to_string()));
                     assert!(!counters.fallback_nested);
+                    assert_inner_counters(&op, &counters);
                 }
             }
         }
@@ -866,6 +885,7 @@ mod tests {
                         .unwrap();
                 assert!(counters.fallback_nested);
                 assert_identical(&got, &want, &format!("{op} fallback threads={threads}"));
+                assert_inner_counters(&op, &counters);
             }
         }
     }

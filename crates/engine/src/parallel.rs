@@ -80,6 +80,7 @@ use vtjoin_join::kernel::{
     columnar_sweep_join_pred, merge_join_pred, ColumnarScratch, KernelChoice, KernelCounters,
     KernelKind, OutputBatch, PredicateCounters,
 };
+use vtjoin_join::partition::grid::MAX_WORKERS;
 use vtjoin_join::partition::intervals::{is_partitioning, replica_range};
 use vtjoin_join::partition::GridPlan;
 use vtjoin_join::JoinError;
@@ -111,7 +112,8 @@ pub struct ExecRequest<'a> {
     /// of valid time; the bucket count is rounded up to a power of two.
     /// Sequence/mixed predicates ignore the plan beyond validating it.
     pub plan: &'a GridPlan,
-    /// Worker threads; exactly `min(threads, units)` are spawned.
+    /// Worker threads; exactly `min(threads, units)` are spawned. More
+    /// than [`MAX_WORKERS`] is refused.
     pub threads: usize,
     /// Intra-cell kernel policy of the inner join (operator runs always
     /// sweep).
@@ -175,9 +177,10 @@ pub struct StreamSummary {
     pub tuples: u64,
 }
 
-/// Runs one request. Errors are typed: a malformed partitioning or a
-/// side past `u32::MAX` rows is a precondition failure, a panicking
-/// worker an internal error — never a process abort.
+/// Runs one request. Errors are typed: a malformed partitioning, more
+/// than [`MAX_WORKERS`] threads or a side past `u32::MAX` rows is a
+/// precondition failure, a panicking worker an internal error — never a
+/// process abort.
 pub fn run(r: &Relation, s: &Relation, req: ExecRequest<'_>) -> Result<ExecOutput, JoinError> {
     let ExecRequest {
         plan,
@@ -195,6 +198,11 @@ pub fn run(r: &Relation, s: &Relation, req: ExecRequest<'_>) -> Result<ExecOutpu
     if !is_partitioning(&plan.intervals) {
         return Err(JoinError::Precondition(
             "intervals must partition all of valid time (sorted, gapless, ending at forever)",
+        ));
+    }
+    if threads as u64 > MAX_WORKERS {
+        return Err(JoinError::Precondition(
+            "a run spawns at most MAX_WORKERS (1,024) worker threads",
         ));
     }
     if r.len() > u32::MAX as usize || s.len() > u32::MAX as usize {
@@ -519,9 +527,15 @@ impl Scattered<'_> {
 /// pre-hashed column), partitions = the Leung–Muntz `replica_range` over
 /// the inline chronon columns, so a row replicates only along the time
 /// axis, landing in `i * k + b` for each overlapped time range `i`.
+///
+/// Rows are walked in row order, or with `by_start` in the encoding's
+/// start order (built on first use and kept with the encoding), so that
+/// every cell lists its rows in `(start, row id)` order — what the
+/// tracked sweep takes.
 pub(crate) fn scatter<'a>(
     cx: &Ctx<'a>,
     fresh: &'a mut Option<EncodedPair>,
+    by_start: bool,
 ) -> Result<Scattered<'a>, JoinError> {
     let started = Instant::now();
     let (pair, encode_micros) = match cx.encoding {
@@ -535,20 +549,11 @@ pub(crate) fn scatter<'a>(
         "columnar encoding does not match the relations it is joined over",
     ))?;
     let scatter_rows = |side: &ColumnarSide<'_>| {
-        let mut cells: Vec<Vec<u32>> = vec![Vec::new(); cx.intervals.len() * cx.k];
-        let mask = cx.k as u64 - 1;
-        for row in 0..side.len() as u32 {
-            // With one bucket the hash is not read.
-            let b = if cx.k == 1 {
-                0
-            } else {
-                (side.hash(row) & mask) as usize
-            };
-            for i in replica_range(cx.intervals, side.interval(row)) {
-                cells[i * cx.k + b].push(row);
-            }
+        if by_start {
+            place_rows(cx, side, side.by_start().iter().copied())
+        } else {
+            place_rows(cx, side, 0..side.len() as u32)
         }
-        cells
     };
     let (r_cells, s_cells) = (scatter_rows(&outer), scatter_rows(&inner));
     Ok(Scattered {
@@ -560,6 +565,29 @@ pub(crate) fn scatter<'a>(
         dict_size: pair.dict_size(),
         replicate_micros: started.elapsed().as_micros() as u64,
     })
+}
+
+/// Pushes each of `rows`, in the order given, into the grid cells of its
+/// key bucket and overlapped time ranges.
+fn place_rows(
+    cx: &Ctx<'_>,
+    side: &ColumnarSide<'_>,
+    rows: impl Iterator<Item = u32>,
+) -> Vec<Vec<u32>> {
+    let mut cells: Vec<Vec<u32>> = vec![Vec::new(); cx.intervals.len() * cx.k];
+    let mask = cx.k as u64 - 1;
+    for row in rows {
+        // With one bucket the hash is not read.
+        let b = if cx.k == 1 {
+            0
+        } else {
+            (side.hash(row) & mask) as usize
+        };
+        for i in replica_range(cx.intervals, side.interval(row)) {
+            cells[i * cx.k + b].push(row);
+        }
+    }
+    cells
 }
 
 /// The grid inner-join cell body.
@@ -666,7 +694,7 @@ fn run_cells(
     sink: Option<&mut dyn FnMut(Vec<Tuple>)>,
 ) -> Result<(Vec<Tuple>, ExecDetail, StreamSummary), JoinError> {
     let mut fresh = None;
-    let grid = scatter(cx, &mut fresh)?;
+    let grid = scatter(cx, &mut fresh, false)?;
     let body = GridCell {
         spec: cx.spec,
         pred: cx.pred,
@@ -1692,5 +1720,27 @@ mod tests {
         let gappy = GridPlan::time_only(vec![Interval::from_raw(0, 10).unwrap()]);
         let err = run(&r, &s, ExecRequest::new(&gappy));
         assert!(matches!(err, Err(JoinError::Precondition(_))));
+    }
+
+    #[test]
+    fn more_workers_than_the_bound_are_refused_before_any_spawn() {
+        // Refusals only: the check runs before the scheduler, so no
+        // thread is started for these counts.
+        let (r, s) = (rel("b", 20, 4), rel("c", 20, 3));
+        let plan = GridPlan::time_only(parts(2));
+        for threads in [MAX_WORKERS as usize + 1, usize::MAX] {
+            for op in [None, Some(&Operator::Left)] {
+                let req = ExecRequest {
+                    threads,
+                    operator: op,
+                    ..ExecRequest::new(&plan)
+                };
+                let err = run(&r, &s, req).expect_err("refused");
+                assert!(
+                    matches!(err, JoinError::Precondition(m) if m.contains("MAX_WORKERS")),
+                    "{threads}"
+                );
+            }
+        }
     }
 }

@@ -34,6 +34,7 @@
 //! to the oracles across predicates.
 
 use crate::common::JoinSpec;
+use std::sync::OnceLock;
 use std::time::Instant;
 use vtjoin_core::{Chronon, Interval, Relation, Tuple};
 
@@ -67,12 +68,23 @@ pub enum Layout {
 /// encoding can outlive the request that built it: the service keeps one
 /// per resident table pair and pairs it with the resident tuples again on
 /// every request ([`EncodedPair::view`]).
+///
+/// A side also keeps its **start order**: every row id, in `(start, row
+/// id)` order ([`ColumnarSide::by_start`]). The operator family's grid
+/// scatter walks it, so every tracked-sweep cell receives its rows
+/// already sorted. It is built with the stable [`radix_sort_pairs`] on
+/// first use, not by the encode: the inner join never reads it, and
+/// building it in every encode made a service's first (encoding)
+/// inner-join request measurably slower. Once built,
+/// [`EncodedPair::extend`] merges appended rows into it instead of
+/// sorting again.
 #[derive(Debug, Clone, Default)]
 pub struct SideColumns {
     starts: Vec<Chronon>,
     ends: Vec<Chronon>,
     hashes: Vec<u64>,
     key_ids: Vec<u32>,
+    by_start: OnceLock<Vec<u32>>,
 }
 
 impl SideColumns {
@@ -102,13 +114,66 @@ impl SideColumns {
         }
     }
 
-    /// Heap bytes the columns occupy (28 per row).
+    /// Heap bytes the columns occupy: 28 per row, plus 4 per row for the
+    /// start order. The order is charged before it is built, so building
+    /// it never takes an encoding past a budget it was admitted under.
     pub fn heap_bytes(&self) -> u64 {
+        let order = self.by_start.get().map_or(self.len(), Vec::capacity);
         (self.starts.capacity() * std::mem::size_of::<Chronon>()
             + self.ends.capacity() * std::mem::size_of::<Chronon>()
             + self.hashes.capacity() * std::mem::size_of::<u64>()
-            + self.key_ids.capacity() * std::mem::size_of::<u32>()) as u64
+            + self.key_ids.capacity() * std::mem::size_of::<u32>()
+            + order * std::mem::size_of::<u32>()) as u64
     }
+
+    /// The start order, built on the first call.
+    fn by_start(&self) -> &[u32] {
+        self.by_start.get_or_init(|| {
+            sorted_from(&self.starts, 0)
+                .iter()
+                .map(|&(_, row)| row)
+                .collect()
+        })
+    }
+
+    /// Brings a built start order up to date with rows `from..` just
+    /// pushed: the new rows are radix-sorted alone and merged in from
+    /// the back, so appends past the last start cost only the new rows.
+    /// On equal starts the older rows stay first, which is row-id order.
+    /// An order not built yet stays so; its first use sorts every row.
+    fn order_rows_from(&mut self, from: usize) {
+        let Some(order) = self.by_start.get_mut() else {
+            return;
+        };
+        let starts = &self.starts;
+        let mut delta = sorted_from(starts, from);
+        let mut kept = order.len();
+        order.resize(kept + delta.len(), 0);
+        for slot in (0..order.len()).rev() {
+            let Some(&(_, new)) = delta.last() else {
+                break;
+            };
+            if kept > 0 && starts[order[kept - 1] as usize] > starts[new as usize] {
+                kept -= 1;
+                order[slot] = order[kept];
+            } else {
+                order[slot] = new;
+                delta.pop();
+            }
+        }
+    }
+}
+
+/// Rows `from..` of `starts` as `(biased start, row id)` pairs in
+/// `(start, row id)` order.
+fn sorted_from(starts: &[Chronon], from: usize) -> Vec<(u64, u32)> {
+    let mut pairs: Vec<(u64, u32)> = starts[from..]
+        .iter()
+        .zip(from as u32..)
+        .map(|(&c, row)| (biased_chronon(c), row))
+        .collect();
+    radix_sort_pairs(&mut pairs, &mut Vec::new());
+    pairs
 }
 
 /// Where a [`ColumnarSide`] finds the tuple behind a row id: a relation's
@@ -213,6 +278,12 @@ impl<'a> ColumnarSide<'a> {
     pub fn interval(&self, row: u32) -> Interval {
         Interval::new(self.start(row), self.end(row))
             .expect("columnar columns encode a valid interval")
+    }
+
+    /// Every row id in `(start, row id)` order, built on the first call
+    /// and kept with the encoding (see [`SideColumns`]).
+    pub fn by_start(&self) -> &'a [u32] {
+        self.cols.by_start()
     }
 }
 
@@ -365,8 +436,10 @@ impl EncodedPair {
     /// Extends the encoding to relations that grew by appends: `r` and
     /// `s` must hold the encoded rows as their prefix. Only the rows past
     /// the encoded ones are read; their columns are pushed and only keys
-    /// new to the dictionary are interned. Afterwards the encoding
-    /// answers exactly like a fresh encode of `r` and `s` (key ids may be
+    /// new to the dictionary are interned. A built start order sorts only
+    /// the new rows and merges them in, in one pass over the order (older
+    /// rows first on equal starts). Afterwards the encoding answers
+    /// exactly like a fresh encode of `r` and `s` (key ids may be
     /// numbered otherwise; only their equality is meaningful). A side
     /// with no new rows is not touched.
     pub fn extend(&mut self, spec: &JoinSpec, r: &[Tuple], s: &[Tuple]) {
@@ -406,6 +479,9 @@ impl EncodedPair {
                 side.hashes.push(hash);
                 side.key_ids
                     .push(self.dict.intern(spec, rows, outer, row, hash));
+            }
+            if n > from {
+                side.order_rows_from(from);
             }
         }
     }
@@ -755,14 +831,16 @@ mod tests {
         let s = rel(ss, &[(2, 20, 0, 1), (3, 21, 2, 4)]);
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
         let owned = EncodedPair::encode(&spec, r.tuples(), s.tuples());
-        // 8 + 8 + 8 + 4 bytes per row, plus the dictionary's 16-byte
-        // slots and 8-byte representatives.
+        // 8 + 8 + 8 + 4 bytes per row and 4 for the start order (built
+        // or not), plus the dictionary's 16-byte slots and 8-byte
+        // representatives.
         let dict = owned.dict.heap_bytes();
         assert!(dict >= 1024 * 16 + 3 * 8, "{dict}");
-        assert_eq!(owned.heap_bytes(), 28 * 5 + dict);
+        assert_eq!(owned.heap_bytes(), 32 * 5 + dict);
         let pair = encode_pair(&spec, r.iter(), s.iter());
         let (outer, inner) = owned.view(&r, &s).unwrap();
         for (a, b) in [(outer, pair.outer()), (inner, pair.inner())] {
+            assert_eq!(a.by_start(), b.by_start());
             assert_eq!(a.len(), b.len());
             for row in 0..a.len() as u32 {
                 assert_eq!(a.interval(row), b.interval(row));
@@ -771,6 +849,7 @@ mod tests {
                 assert!(std::ptr::eq(a.tuple(row), b.tuple(row)));
             }
         }
+        assert_eq!(owned.heap_bytes(), 32 * 5 + dict);
     }
 
     #[test]
@@ -785,9 +864,9 @@ mod tests {
         assert!(owned.view(&r, &r).is_none());
     }
 
-    /// Asserts `a` answers like `b`: same columns, same dictionary size,
-    /// and key ids equal exactly where `b`'s are (ids may be numbered
-    /// otherwise).
+    /// Asserts `a` answers like `b`: same columns and start orders (built
+    /// here if they were not), same dictionary size, and key ids equal
+    /// exactly where `b`'s are (ids may be numbered otherwise).
     fn assert_same_encoding(a: &EncodedPair, b: &EncodedPair) {
         assert_eq!(a.dict_size(), b.dict_size());
         let ids = |p: &EncodedPair| {
@@ -798,8 +877,8 @@ mod tests {
         let (ia, ib) = (ids(a), ids(b));
         for (x, y) in [(&a.outer, &b.outer), (&a.inner, &b.inner)] {
             assert_eq!(
-                (&x.starts, &x.ends, &x.hashes),
-                (&y.starts, &y.ends, &y.hashes)
+                (&x.starts, &x.ends, &x.hashes, x.by_start()),
+                (&y.starts, &y.ends, &y.hashes, y.by_start())
             );
         }
         for i in 0..ia.len() {
@@ -835,6 +914,62 @@ mod tests {
             assert_same_encoding(&enc, &fresh);
         }
         assert_eq!(enc.dict_size(), 11, "keys 0..6, 10..13, 77 and 78");
+    }
+
+    /// Row ids of `starts` sorted stably by start: `(start, row)` order.
+    fn stable_start_order(starts: &[Chronon]) -> Vec<u32> {
+        let mut rows: Vec<u32> = (0..starts.len() as u32).collect();
+        rows.sort_by_key(|&i| starts[i as usize]);
+        rows
+    }
+
+    #[test]
+    fn the_start_order_is_a_stable_sort_built_on_first_use() {
+        let (rs, ss) = schemas();
+        // Starts out of row order, repeated, negative and far apart (so
+        // the radix sort runs several passes).
+        let starts = [9, -4, 9, 0, 1 << 40, 3, -4, 9, 0, -(1 << 33)];
+        let rows: Vec<_> = starts.iter().map(|&t| (t % 5, 0, t, t + 2)).collect();
+        let r = rel(rs, &rows);
+        let s = rel(ss, &rows[..3]);
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let enc = EncodedPair::encode(&spec, r.tuples(), s.tuples());
+        for side in [&enc.outer, &enc.inner] {
+            assert!(side.by_start.get().is_none(), "the encode sorts nothing");
+            assert_eq!(side.by_start(), stable_start_order(&side.starts));
+        }
+        assert_eq!(enc.outer.by_start(), [9, 1, 6, 3, 8, 5, 0, 2, 7, 4]);
+    }
+
+    #[test]
+    fn an_extended_start_order_equals_a_fresh_one() {
+        let (rs, ss) = schemas();
+        // Base starts 10..40 step 3 (each twice); the deltas land before
+        // every kept start, among them, on equal starts, and after them.
+        let base: Vec<_> = (0..20).map(|i| (i % 3, i, 10 + (i / 2) * 3, 50)).collect();
+        let deltas: [&[(i64, i64, i64, i64)]; 5] = [
+            &[(0, 0, 2, 5), (1, 1, 0, 0)],
+            &[(2, 0, 13, 14), (0, 0, 20, 22), (1, 0, 11, 11)],
+            &[(0, 0, 10, 12), (1, 0, 37, 40), (1, 0, 10, 10)],
+            &[(2, 0, 90, 91), (0, 0, 60, 60), (2, 0, 60, 61)],
+            &[(0, 0, 60, 60), (1, 0, -5, 3), (0, 0, 25, 25)],
+        ];
+        let s = rel(Arc::clone(&ss), &[(0, 0, 12, 13)]);
+        let mut rows = base.clone();
+        let r = rel(Arc::clone(&rs), &rows);
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let mut enc = EncodedPair::encode(&spec, r.tuples(), s.tuples());
+        for (i, delta) in deltas.into_iter().enumerate() {
+            rows.extend_from_slice(delta);
+            let r = rel(Arc::clone(&rs), &rows);
+            // The first extension meets an order not built yet, which
+            // stays unbuilt; every later one merges into a built order.
+            assert_eq!(enc.outer.by_start.get().is_some(), i > 0);
+            enc.extend(&spec, r.tuples(), s.tuples());
+            assert_eq!(enc.outer.by_start.get().is_some(), i > 0);
+            assert_same_encoding(&enc, &EncodedPair::encode(&spec, r.tuples(), s.tuples()));
+            assert_eq!(enc.outer.by_start(), stable_start_order(&enc.outer.starts));
+        }
     }
 
     #[test]

@@ -30,10 +30,23 @@
 //! partition boundary back together (`Period::insert` merges adjacent
 //! intervals). See `docs/OPERATORS.md`.
 //!
-//! Unlike the untracked sweep, entries are inserted into their active
-//! list even when the other side's events are exhausted: an entry that
-//! could never match again still owes its trailing dangling fragment at
-//! the end-of-sweep drain.
+//! ## Only live entries are stored
+//!
+//! The sweep takes each side's rows already in `(start, id)` order (the
+//! operator executor's scatter walks the encoding's kept start order),
+//! so it sorts nothing. After an arriving entry has probed the other
+//! side's active list, its end is compared with the start of the other
+//! side's next unprocessed event. Every later probe of its list comes
+//! from an event starting there or later, and outer events go first on
+//! start ties, so an entry that ends **strictly before** that start (or
+//! whose other side has no events left) can never be seen live again. It
+//! is finished on the spot — its trailing fragment, if its side is
+//! tracked — and never inserted. Its coverage, fragments and pairs, and
+//! the `comparisons` count, are exactly those of a sweep that stores
+//! every entry and expires it later; only the log order differs, and the
+//! gather sorts pairs and merges fragments per tuple. Where one-chronon
+//! tuples dominate, most entries die this way, and the active lists stay
+//! small.
 
 use vtjoin_core::{Chronon, Interval, JoinPredicate, Operator};
 
@@ -41,8 +54,9 @@ use vtjoin_core::{Chronon, Interval, JoinPredicate, Operator};
 /// `ids` carries caller-chosen (typically relation-global) tuple ids so
 /// fragments from different cells can be stitched per tuple; the
 /// remaining columns are the interval endpoints and the join-key hash.
-/// Works unchanged over row storage (columns gathered from `&[&Tuple]`)
-/// and columnar storage (columns borrowed from a `ColumnarSide`).
+///
+/// Rows must come in `(start, id)` order: the sweep visits them as they
+/// are, and a debug build asserts the order.
 #[derive(Debug, Clone, Copy)]
 pub struct TrackedInput<'a> {
     /// Caller-chosen tuple id per local row.
@@ -58,6 +72,12 @@ pub struct TrackedInput<'a> {
 impl TrackedInput<'_> {
     fn len(&self) -> usize {
         self.ids.len()
+    }
+
+    /// Whether the rows are in `(start, id)` order.
+    fn is_start_ordered(&self) -> bool {
+        (1..self.len())
+            .all(|i| (self.starts[i - 1], self.ids[i - 1]) <= (self.starts[i], self.ids[i]))
     }
 }
 
@@ -216,8 +236,6 @@ impl TrackedActive {
 /// Reusable per-worker tracked-sweep state.
 #[derive(Debug, Default)]
 pub struct TrackedScratch {
-    r_order: Vec<u32>,
-    s_order: Vec<u32>,
     r_active: TrackedActive,
     s_active: TrackedActive,
     expired: Vec<TrackedEntry>,
@@ -273,8 +291,9 @@ fn cover(
     }
 }
 
-/// Emits `e`'s trailing fragment `[frontier, clipped end]` on expiry or
-/// drain.
+/// Emits `e`'s trailing fragment `[frontier, clipped end]` once it can
+/// match no more: on arrival past the other side's remaining events, on
+/// expiry, or at the drain.
 #[inline]
 fn finish(
     e: &TrackedEntry,
@@ -294,7 +313,8 @@ fn finish(
     }
 }
 
-/// Runs one cell's tracked sweep.
+/// Runs one cell's tracked sweep over rows in `(start, id)` order (see
+/// [`TrackedInput`]).
 ///
 /// `keys_equal(outer_local, inner_local)` resolves hash collisions; only
 /// intersection-template predicates may be passed (as for
@@ -328,35 +348,29 @@ pub fn tracked_sweep(
     );
     let (need_pairs, track_outer, track_inner) =
         (op.needs_pairs(), op.tracks_outer(), op.tracks_inner());
+    debug_assert!(
+        outer.is_start_ordered() && inner.is_start_ordered(),
+        "tracked_sweep requires rows in (start, id) order"
+    );
     let TrackedScratch {
-        r_order,
-        s_order,
         r_active,
         s_active,
         expired,
     } = scratch;
     expired.clear();
 
-    r_order.clear();
-    r_order.extend(0..outer.len() as u32);
-    r_order.sort_unstable_by_key(|&i| (outer.starts[i as usize], i));
-    s_order.clear();
-    s_order.extend(0..inner.len() as u32);
-    s_order.sort_unstable_by_key(|&i| (inner.starts[i as usize], i));
-
     r_active.reset(outer.len());
     s_active.reset(inner.len());
 
     let win_end = emit_within.end();
     let mut stats = TrackedStats::default();
+    let (n_r, n_s) = (outer.len(), inner.len());
     let (mut ai, mut bi) = (0usize, 0usize);
-    while ai < r_order.len() || bi < s_order.len() {
+    while ai < n_r || bi < n_s {
         // Outer first on start ties, as in the untracked sweep.
-        let take_r = bi >= s_order.len()
-            || (ai < r_order.len()
-                && outer.starts[r_order[ai] as usize] <= inner.starts[s_order[bi] as usize]);
+        let take_r = bi >= n_s || (ai < n_r && outer.starts[ai] <= inner.starts[bi]);
         if take_r {
-            let xi = r_order[ai] as usize;
+            let xi = ai;
             ai += 1;
             let (x_start, x_end) = (outer.starts[xi], outer.ends[xi]);
             let x_iv = Interval::new(x_start, x_end).expect("input interval is valid");
@@ -421,9 +435,20 @@ pub fn tracked_sweep(
             } else {
                 expired.clear();
             }
-            r_active.insert(me);
+            // Stored only if a later inner event can still find it live.
+            if inner.starts.get(bi).is_some_and(|&next| x_end >= next) {
+                r_active.insert(me);
+            } else if track_outer {
+                finish(
+                    &me,
+                    win_end,
+                    outer.ids[xi],
+                    &mut log.outer_frags,
+                    &mut stats.outer_fragments,
+                );
+            }
         } else {
-            let yi = s_order[bi] as usize;
+            let yi = bi;
             bi += 1;
             let (y_start, y_end) = (inner.starts[yi], inner.ends[yi]);
             let y_iv = Interval::new(y_start, y_end).expect("input interval is valid");
@@ -486,7 +511,19 @@ pub fn tracked_sweep(
             } else {
                 expired.clear();
             }
-            s_active.insert(me);
+            // Every outer event starting at or before `y_start` has gone,
+            // so the next one starts strictly later.
+            if outer.starts.get(ai).is_some_and(|&next| y_end >= next) {
+                s_active.insert(me);
+            } else if track_inner {
+                finish(
+                    &me,
+                    win_end,
+                    inner.ids[yi],
+                    &mut log.inner_frags,
+                    &mut stats.inner_fragments,
+                );
+            }
         }
     }
     if track_outer {
@@ -518,11 +555,15 @@ pub fn tracked_sweep(
 mod tests {
     use super::*;
 
+    /// One side's columns with its rows in `(start, id)` order, as the
+    /// sweep takes them; the ids are the rows' positions in `rows`.
     fn side(rows: &[(i64, i64, u64)]) -> (Vec<u32>, Vec<Chronon>, Vec<Chronon>, Vec<u64>) {
-        let ids = (0..rows.len() as u32).collect();
-        let starts = rows.iter().map(|&(s, _, _)| Chronon::new(s)).collect();
-        let ends = rows.iter().map(|&(_, e, _)| Chronon::new(e)).collect();
-        let hashes = rows.iter().map(|&(_, _, h)| h).collect();
+        let mut ids: Vec<u32> = (0..rows.len() as u32).collect();
+        ids.sort_by_key(|&i| (rows[i as usize].0, i));
+        let at = |i: &u32| rows[*i as usize];
+        let starts = ids.iter().map(|i| Chronon::new(at(i).0)).collect();
+        let ends = ids.iter().map(|i| Chronon::new(at(i).1)).collect();
+        let hashes = ids.iter().map(|i| at(i).2).collect();
         (ids, starts, ends, hashes)
     }
 
@@ -563,7 +604,7 @@ mod tests {
             outer,
             inner,
             window,
-            |xi, yi| r[xi].2 == s[yi].2,
+            |xi, yi| rh[xi] == sh[yi],
             scratch,
             &mut log,
         );
@@ -687,6 +728,205 @@ mod tests {
             assert_eq!(got.pairs, want.pairs, "n = {n}");
             assert_eq!(got.outer_frags, want.outer_frags, "n = {n}");
             assert_eq!(got.inner_frags, want.inner_frags, "n = {n}");
+        }
+    }
+
+    /// `(start, end, key)` rows as a relation `(k, id)`, the id being the
+    /// row's position, so oracle output names its source row.
+    fn relation(id_attr: &str, rows: &[(i64, i64, i64)]) -> vtjoin_core::Relation {
+        use vtjoin_core::{AttrDef, AttrType, Relation, Schema, Tuple, Value};
+        let schema = Schema::new(vec![
+            AttrDef::new("k", AttrType::Int),
+            AttrDef::new(id_attr, AttrType::Int),
+        ])
+        .unwrap()
+        .into_shared();
+        let tuples = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, e, k))| Tuple::new(vec![Value::Int(k), Value::Int(i as i64)], iv(s, e)))
+            .collect();
+        Relation::from_parts_unchecked(schema, tuples)
+    }
+
+    /// Per-row dangling periods from an antijoin oracle's output.
+    fn dangling(oracle: &vtjoin_core::Relation, n: usize) -> Vec<vtjoin_core::Period> {
+        let mut out = vec![vtjoin_core::Period::new(); n];
+        for t in oracle.iter() {
+            let vtjoin_core::Value::Int(id) = *t.value(1) else {
+                unreachable!("ids are ints")
+            };
+            out[id as usize].insert(t.valid());
+        }
+        out
+    }
+
+    #[test]
+    fn entries_that_die_early_keep_fragments_pairs_and_comparisons_exact() {
+        use vtjoin_core::algebra::antijoin;
+        use vtjoin_core::Period;
+        // `(start, end, key)` fixtures in which many entries end before
+        // the other side's next event. The hash is `key % 3`, so keys 1
+        // and 4 collide: such pairs count as comparisons, never as
+        // matches.
+        type Rows = &'static [(i64, i64, i64)];
+        let fixtures: [(&str, Rows, Rows); 7] = [
+            (
+                "one-chronon tuples",
+                &[(0, 0, 1), (2, 2, 1), (4, 4, 1), (5, 5, 2), (7, 7, 1)],
+                &[(1, 1, 1), (2, 2, 1), (3, 3, 4), (4, 4, 4), (6, 6, 2)],
+            ),
+            (
+                "gaps between tuples",
+                &[(0, 3, 1), (10, 12, 1), (20, 25, 2), (27, 28, 4)],
+                &[(5, 8, 1), (11, 11, 1), (14, 16, 1), (26, 31, 2)],
+            ),
+            (
+                // An outer entry ending exactly where the next inner one
+                // starts, an inner entry ending where the next outer one
+                // starts, and ties between the sides.
+                "equal starts and touching ends",
+                &[(0, 5, 1), (5, 5, 1), (5, 9, 2), (8, 8, 1), (12, 14, 1)],
+                &[(5, 8, 1), (5, 5, 2), (6, 6, 4), (9, 12, 1), (14, 14, 1)],
+            ),
+            (
+                "inner side exhausted early",
+                &[(0, 2, 1), (3, 4, 1), (8, 20, 1), (9, 9, 4), (30, 30, 1)],
+                &[(1, 1, 1), (2, 3, 1)],
+            ),
+            (
+                "outer side exhausted early",
+                &[(1, 1, 1), (2, 4, 4)],
+                &[(0, 2, 1), (3, 4, 1), (4, 20, 4), (9, 9, 1), (30, 30, 1)],
+            ),
+            (
+                // Long tuples crossing the 10 and 20 window boundaries
+                // with one-chronon partners on either side of them.
+                "window-clipped entries",
+                &[(8, 12, 1), (15, 22, 1), (19, 19, 1), (5, 30, 2)],
+                &[
+                    (9, 9, 1),
+                    (12, 12, 1),
+                    (19, 19, 1),
+                    (21, 21, 1),
+                    (10, 10, 2),
+                ],
+            ),
+            ("empty inner side", &[(0, 3, 1), (5, 5, 1)], &[]),
+        ];
+        let split = [
+            Interval::new(Chronon::MIN, Chronon::new(9)).unwrap(),
+            iv(10, 19),
+            Interval::new(Chronon::new(20), Chronon::MAX).unwrap(),
+        ];
+        let intersect = |a: (i64, i64, i64), b: (i64, i64, i64)| a.0 <= b.1 && b.0 <= a.1;
+        for (name, r, s) in fixtures {
+            let (rel_r, rel_s) = (relation("a", r), relation("b", s));
+            let want_outer = dangling(&antijoin(&rel_r, &rel_s).unwrap(), r.len());
+            let want_inner = dangling(&antijoin(&rel_s, &rel_r).unwrap(), s.len());
+            let mut want_pairs: Vec<(u32, u32)> = Vec::new();
+            for (xi, &x) in r.iter().enumerate() {
+                for (yi, &y) in s.iter().enumerate() {
+                    if x.2 == y.2 && intersect(x, y) {
+                        want_pairs.push((xi as u32, yi as u32));
+                    }
+                }
+            }
+            for op in [
+                Operator::Left,
+                Operator::Full,
+                Operator::Semi,
+                Operator::Anti,
+            ] {
+                for windows in [&[Interval::ALL][..], &split[..]] {
+                    let mut scratch = TrackedScratch::default();
+                    let mut log = OperatorLog::default();
+                    let mut comparisons = 0;
+                    let mut want_comparisons = 0;
+                    for &w in windows {
+                        // A cell holds the rows overlapping its window, in
+                        // (start, id) order, as the grid scatter leaves them.
+                        let cell = |rows: Rows| -> Vec<u32> {
+                            let mut ids: Vec<u32> = (0..rows.len() as u32)
+                                .filter(|&i| {
+                                    let (a, b, _) = rows[i as usize];
+                                    iv(a, b).overlap(w).is_some()
+                                })
+                                .collect();
+                            ids.sort_by_key(|&i| (rows[i as usize].0, i));
+                            ids
+                        };
+                        let (rc, sc) = (cell(r), cell(s));
+                        let cols = |rows: Rows, ids: &[u32]| {
+                            let at = |i: &u32| rows[*i as usize];
+                            let starts: Vec<Chronon> =
+                                ids.iter().map(|i| Chronon::new(at(i).0)).collect();
+                            let ends: Vec<Chronon> =
+                                ids.iter().map(|i| Chronon::new(at(i).1)).collect();
+                            let hashes: Vec<u64> = ids.iter().map(|i| at(i).2 as u64 % 3).collect();
+                            (starts, ends, hashes)
+                        };
+                        let ((rs, re, rh), (ss, se, sh)) = (cols(r, &rc), cols(s, &sc));
+                        let st = tracked_sweep(
+                            &op,
+                            None,
+                            TrackedInput {
+                                ids: &rc,
+                                starts: &rs,
+                                ends: &re,
+                                hashes: &rh,
+                            },
+                            TrackedInput {
+                                ids: &sc,
+                                starts: &ss,
+                                ends: &se,
+                                hashes: &sh,
+                            },
+                            w,
+                            |xi, yi| r[rc[xi] as usize].2 == s[sc[yi] as usize].2,
+                            &mut scratch,
+                            &mut log,
+                        );
+                        comparisons += st.comparisons;
+                        for &xi in &rc {
+                            for &yi in &sc {
+                                let (x, y) = (r[xi as usize], s[yi as usize]);
+                                if x.2 % 3 == y.2 % 3 && intersect(x, y) {
+                                    want_comparisons += 1;
+                                }
+                            }
+                        }
+                    }
+                    let at = format!("{name}, {op}, {} window(s)", windows.len());
+                    assert_eq!(comparisons, want_comparisons, "comparisons: {at}");
+                    log.pairs.sort_unstable();
+                    if op.needs_pairs() {
+                        assert_eq!(log.pairs, want_pairs, "pairs: {at}");
+                    } else {
+                        assert!(log.pairs.is_empty(), "pairs: {at}");
+                    }
+                    let stitched = |frags: &[Fragment], n: usize| {
+                        let mut periods = vec![Period::new(); n];
+                        for f in frags {
+                            periods[f.id as usize].insert(f.iv);
+                        }
+                        periods
+                    };
+                    let none = |n: usize| vec![Period::new(); n];
+                    let got_outer = stitched(&log.outer_frags, r.len());
+                    let got_inner = stitched(&log.inner_frags, s.len());
+                    if op.tracks_outer() {
+                        assert_eq!(got_outer, want_outer, "outer dangling: {at}");
+                    } else {
+                        assert_eq!(got_outer, none(r.len()), "outer dangling: {at}");
+                    }
+                    if op.tracks_inner() {
+                        assert_eq!(got_inner, want_inner, "inner dangling: {at}");
+                    } else {
+                        assert_eq!(got_inner, none(s.len()), "inner dangling: {at}");
+                    }
+                }
+            }
         }
     }
 

@@ -51,6 +51,13 @@ pub const MAX_KEY_BUCKETS: u64 = 64;
 /// before anything is allocated.
 pub const MAX_TIME_PARTITIONS: u64 = 1 << 16;
 
+/// Upper bound on the worker threads one in-memory run may spawn (the
+/// CLI's `join --threads`, `serve --threads-per-query`, and `serve
+/// --concurrency` submitter threads). A run spawns `min(threads, cells)`
+/// workers, so a count from outside the program is checked against this
+/// before any thread starts.
+pub const MAX_WORKERS: u64 = 1 << 10;
+
 /// How the grid's key axis is chosen (CLI `--grid`, serve `grid=`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridChoice {

@@ -174,6 +174,15 @@ impl std::fmt::Display for RangeError {
 
 impl std::error::Error for RangeError {}
 
+/// Refuses a thread count above `MAX_WORKERS` before any thread starts.
+fn check_workers(flag: &'static str, value: u64) -> Result<(), RangeError> {
+    let max = vtjoin::join::partition::grid::MAX_WORKERS;
+    if value > max {
+        return Err(RangeError { flag, value, max });
+    }
+    Ok(())
+}
+
 /// Tiny flag parser: `--name value` pairs plus positionals.
 struct Flags {
     positional: Vec<String>,
@@ -424,6 +433,7 @@ fn cmd_join(args: &[String]) -> Result<(), AnyError> {
         };
         return Err(e.into());
     }
+    check_workers("--threads", threads)?;
     let [outer_path, inner_path] = flags.positional.as_slice() else {
         return Err("join needs OUTER and INNER files".into());
     };
@@ -756,6 +766,39 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     use vtjoin::join::partition::GridChoice;
 
     let flags = Flags::parse(args, "serve", SERVE_FLAGS)?;
+    // The service settings, thread counts included, are checked before
+    // any file is read.
+    let concurrency = flags.get_u64("concurrency", 4)?;
+    if concurrency == 0 {
+        return Err(
+            "--concurrency must be at least 1 (0 submitter threads can serve nothing)"
+                .to_string()
+                .into(),
+        );
+    }
+    check_workers("--concurrency", concurrency)?;
+    let kernel_name = flags.get("kernel").unwrap_or("auto");
+    let kernel = vtjoin::join::KernelChoice::parse(kernel_name)
+        .ok_or_else(|| format!("--kernel must be auto|hash|sweep, got `{kernel_name}`"))?;
+    let mut cfg = ServiceConfig::new(
+        JoinConfig::with_buffer(flags.get_u64("buffer", 256)?),
+        flags.get_u64("pool-pages", 4096)?,
+    );
+    cfg.max_queue = flags.get_u64("max-queue", cfg.max_queue)?;
+    let threads_per_query = flags.get_u64("threads-per-query", cfg.threads_per_query as u64)?;
+    if threads_per_query == 0 {
+        return Err(
+            "--threads-per-query must be at least 1 (0 worker threads can run no join)"
+                .to_string()
+                .into(),
+        );
+    }
+    check_workers("--threads-per-query", threads_per_query)?;
+    cfg.threads_per_query = threads_per_query as usize;
+    cfg.kernel = kernel;
+    let grid_name = flags.get("grid").unwrap_or("auto");
+    cfg.grid = GridChoice::parse(grid_name)
+        .ok_or_else(|| format!("--grid must be auto|1xN|KxN|<k>xN, got `{grid_name}`"))?;
     let requests_path = flags.get("requests").ok_or("serve needs --requests FILE")?;
     let text = std::fs::read_to_string(Path::new(requests_path))
         .map_err(|e| format!("reading {requests_path}: {e}"))?;
@@ -857,35 +900,6 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         }
     }
 
-    let concurrency = flags.get_u64("concurrency", 4)? as usize;
-    if concurrency == 0 {
-        return Err(
-            "--concurrency must be at least 1 (0 submitter threads can serve nothing)"
-                .to_string()
-                .into(),
-        );
-    }
-    let kernel_name = flags.get("kernel").unwrap_or("auto");
-    let kernel = vtjoin::join::KernelChoice::parse(kernel_name)
-        .ok_or_else(|| format!("--kernel must be auto|hash|sweep, got `{kernel_name}`"))?;
-    let mut cfg = ServiceConfig::new(
-        JoinConfig::with_buffer(flags.get_u64("buffer", 256)?),
-        flags.get_u64("pool-pages", 4096)?,
-    );
-    cfg.max_queue = flags.get_u64("max-queue", cfg.max_queue)?;
-    let threads_per_query = flags.get_u64("threads-per-query", cfg.threads_per_query as u64)?;
-    if threads_per_query == 0 {
-        return Err(
-            "--threads-per-query must be at least 1 (0 worker threads can run no join)"
-                .to_string()
-                .into(),
-        );
-    }
-    cfg.threads_per_query = threads_per_query as usize;
-    cfg.kernel = kernel;
-    let grid_name = flags.get("grid").unwrap_or("auto");
-    cfg.grid = GridChoice::parse(grid_name)
-        .ok_or_else(|| format!("--grid must be auto|1xN|KxN|<k>xN, got `{grid_name}`"))?;
     let svc = JoinService::new(db, cfg);
 
     // Fixed-size outcome slots keep the printed order deterministic (the
@@ -893,7 +907,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     let outcomes: Vec<Mutex<String>> = joins.iter().map(|_| Mutex::new(String::new())).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..concurrency.min(joins.len().max(1)) {
+        for _ in 0..(concurrency as usize).min(joins.len().max(1)) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some((outer, inner, pred, submit)) = joins.get(i) else {
@@ -1208,6 +1222,75 @@ mod tests {
         ]))
         .expect_err("the input files do not exist");
         assert!(!err.is::<RangeError>(), "{err}");
+    }
+
+    #[test]
+    fn thread_counts_past_the_worker_bound_are_refused() {
+        // Refusals only: each check runs before any file is read, and the
+        // counts at the bound fail on the missing files, so no test here
+        // starts a thread.
+        let max = vtjoin::join::partition::grid::MAX_WORKERS;
+        let over = (max + 1).to_string();
+        let at = max.to_string();
+        let refused: [(&[&str], &str); 4] = [
+            (&["join", "r.vt", "s.vt", "--threads", &over], "--threads"),
+            (
+                &[
+                    "join",
+                    "r.vt",
+                    "s.vt",
+                    "--threads",
+                    &over,
+                    "--partitions",
+                    "8",
+                ],
+                "--threads",
+            ),
+            (
+                &[
+                    "serve",
+                    "--requests",
+                    "reqs.txt",
+                    "--threads-per-query",
+                    &over,
+                ],
+                "--threads-per-query",
+            ),
+            (
+                &["serve", "--requests", "reqs.txt", "--concurrency", &over],
+                "--concurrency",
+            ),
+        ];
+        for (line, flag) in refused {
+            let err = run(&args(line)).expect_err("must be refused");
+            let e = err
+                .downcast::<RangeError>()
+                .unwrap_or_else(|e| panic!("untyped refusal of {line:?}: {e}"));
+            assert_eq!((e.flag, e.value, e.max), (flag, max + 1, max));
+        }
+        let accepted: [&[&str]; 3] = [
+            &[
+                "join",
+                "r.vt",
+                "s.vt",
+                "--threads",
+                &at,
+                "--partitions",
+                "8",
+            ],
+            &[
+                "serve",
+                "--requests",
+                "reqs.txt",
+                "--threads-per-query",
+                &at,
+            ],
+            &["serve", "--requests", "reqs.txt", "--concurrency", &at],
+        ];
+        for line in accepted {
+            let err = run(&args(line)).expect_err("the input files do not exist");
+            assert!(!err.is::<RangeError>(), "{line:?}: {err}");
+        }
     }
 
     #[test]
