@@ -21,8 +21,10 @@
 //! sink and operator.
 //!
 //! **One scheduler, four bodies.** [`run`] picks a per-unit body and
-//! hands it to the one scheduler, which owns worker spawn (exactly
-//! `min(threads, units)` workers), the cost-sorted atomic claim queue
+//! hands it to the one scheduler, which owns the workers (exactly
+//! `min(threads, units)`; the calling thread is worker 0 and spawns the
+//! rest), the
+//! cost-sorted atomic claim queue
 //! (heaviest unit first, so one skewed unit occupies one worker while the
 //! rest drain the remainder), per-shard page reservations (a worker pins
 //! its share of a [`PagePool`] for its whole lifetime — the service's
@@ -50,10 +52,11 @@
 //! ids** into grid cells.
 //!
 //! **Sinks.** A materializing run keeps each unit's output in its slot
-//! and flattens the slots after the last worker; a streaming run sends
-//! each finished unit over a channel to a reorder window that hands it to
-//! the caller's sink in unit order as soon as it is complete. Both see
-//! the same output, order and counters. Operator runs stream their
+//! and flattens the slots after the last worker; a streaming run hands
+//! each finished unit to a reorder window that passes it to the caller's
+//! sink in unit order. The calling thread releases what is complete
+//! between its own units; the helpers' units reach it over a channel.
+//! Both see the same output, order and counters. Operator runs stream their
 //! gathered result as one batch: dangling output is final only once every
 //! cell has run.
 //!
@@ -68,6 +71,7 @@
 //! baseline `bench_parallel` measures against.
 
 use std::cmp::Reverse;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -100,8 +104,9 @@ pub enum Sink<'a> {
     /// Hand the result to the closure in deterministic order, one
     /// non-empty batch per finished grid cell or merge chunk (operator
     /// runs: one batch). The concatenated batches equal the materialized
-    /// relation. The closure runs on the calling thread, so a slow sink
-    /// backpressures the coordinator, not the workers. An `Err` from
+    /// relation. The closure runs on the calling thread, between its own
+    /// units and after its last, so a slow sink delays the caller's units
+    /// but no helper's; a panic in it unwinds out of [`run`]. An `Err` from
     /// [`run`] after some batches means the stream was truncated.
     Stream(&'a mut dyn FnMut(Vec<Tuple>)),
 }
@@ -112,8 +117,8 @@ pub struct ExecRequest<'a> {
     /// of valid time; the bucket count is rounded up to a power of two.
     /// Sequence/mixed predicates ignore the plan beyond validating it.
     pub plan: &'a GridPlan,
-    /// Worker threads; exactly `min(threads, units)` are spawned. More
-    /// than [`MAX_WORKERS`] is refused.
+    /// Workers; exactly `min(threads, units)` run, the calling thread
+    /// among them. More than [`MAX_WORKERS`] is refused.
     pub threads: usize,
     /// Intra-cell kernel policy of the inner join (operator runs always
     /// sweep).
@@ -314,7 +319,8 @@ pub(crate) struct ExecDetail {
     pub(crate) replicate_micros: u64,
     pub(crate) join_micros: u64,
     pub(crate) gather_micros: u64,
-    /// Wall-clock the coordinator spent gathering worker results.
+    /// Wall-clock the caller spent waiting for helpers after its own last
+    /// unit (0 with one worker).
     pub(crate) coordinator_wait_micros: u64,
     /// Columnar-path accounting; `None` where the report carries no
     /// `columnar` section.
@@ -352,140 +358,177 @@ pub(crate) struct Scheduled<L> {
 /// (ties in unit order), each worker pinning its `shard_pool` share for
 /// its lifetime. With a `sink`, finished slots go to it in slot order,
 /// so `units` must then cover every slot.
+///
+/// The calling thread is worker 0 and spawns only the helpers. On a
+/// stream it also passes the helpers' finished slots to the reorder
+/// window: between its own units, then until the last helper is done.
+/// A panicking unit becomes a typed error; a panicking sink is the
+/// caller's own code and unwinds out of this call.
 pub(crate) fn schedule<B: Body>(
     body: &B,
     mut units: Vec<usize>,
     n_slots: usize,
     threads: usize,
     shard_pool: Option<(&PagePool, u64)>,
-    sink: Option<&mut dyn FnMut(Vec<Tuple>)>,
+    mut sink: Option<&mut dyn FnMut(Vec<Tuple>)>,
 ) -> Result<Scheduled<B::Local>, JoinError> {
     units.sort_by_key(|&u| Reverse(body.cost(u)));
     let num_workers = threads.max(1).min(units.len());
-    let next = AtomicUsize::new(0);
+    let (units, next) = (&units[..], &AtomicUsize::new(0));
     let started = Instant::now();
     let mut outputs: Vec<Vec<Tuple>> = vec![Vec::new(); n_slots];
     let mut locals = Vec::with_capacity(num_workers);
     let mut workers = Vec::with_capacity(num_workers);
-    let mut stream = StreamSummary::default();
+    let mut window = ReorderWindow::new(n_slots);
     let mut coordinator_wait_micros = 0u64;
+    let mut panicked = false;
     thread::scope(|scope| {
         let (tx, rx) = sink.is_some().then(mpsc::channel).unzip();
-        let handles: Vec<_> = (0..num_workers)
+        let helpers: Vec<_> = (1..num_workers)
             .map(|w| {
-                let (units, next, tx) = (&units, &next, tx.clone());
+                let tx = tx.clone();
                 scope.spawn(move || {
-                    // Pinned until the worker returns (RAII release).
-                    let _reservation = shard_pool.and_then(|(pool, pages)| pool.try_reserve(pages));
-                    let started = Instant::now();
-                    let mut local = B::Local::default();
-                    let (mut claimed, mut tuples, mut busy) = (0u64, 0u64, Duration::ZERO);
                     let mut produced: Vec<(usize, Vec<Tuple>)> = Vec::new();
-                    while let Some(&u) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let t = Instant::now();
-                        let (out, emitted) = body.run(u, &mut local);
-                        busy += t.elapsed();
-                        claimed += 1;
-                        tuples += emitted;
-                        // Empty slots are delivered too: a streaming
-                        // reorder window needs their marker to advance.
-                        if !deliver(&tx, &mut produced, u, out) {
-                            break;
+                    let done = work(body, w, units, next, shard_pool, |u, out| match &tx {
+                        Some(tx) => tx.send((u, out)).is_ok(),
+                        None => {
+                            produced.push((u, out));
+                            true
                         }
-                    }
-                    let section = WorkerSection {
-                        worker: w as u64,
-                        partitions: claimed,
-                        tuples,
-                        wall_micros: started.elapsed().as_micros() as u64,
-                        busy_micros: busy.as_micros() as u64,
-                    };
-                    (section, produced, local)
+                    });
+                    (done, produced)
                 })
             })
             .collect();
         drop(tx);
-        let gather_started = Instant::now();
-        let released = match (rx, sink) {
-            (Some(rx), Some(sink)) => release_in_order(rx, n_slots, &mut stream, sink),
-            _ => n_slots,
+        let mut keep = |u, out| match sink.as_mut() {
+            Some(f) => window.release(u, out, &mut **f),
+            None => outputs[u] = out,
         };
-        let mut worker_panicked = false;
-        for h in handles {
-            // A panicking worker (a bug, not a data error) must surface as
-            // a typed error on this one request, not abort the service.
-            match h.join() {
-                Ok((section, produced, local)) => {
-                    workers.push(section);
-                    locals.push(local);
-                    for (u, out) in produced {
-                        outputs[u] = out;
-                    }
-                }
-                Err(_) => worker_panicked = true,
+        let mut finished = |done: Option<(WorkerSection, B::Local)>| match done {
+            Some((section, local)) => {
+                workers.push(section);
+                locals.push(local);
             }
+            None => panicked = true,
+        };
+        if num_workers > 0 {
+            finished(work(body, 0, units, next, shard_pool, |u, out| {
+                keep(u, out);
+                for (u, out) in rx.iter().flat_map(|rx| rx.try_iter()) {
+                    keep(u, out);
+                }
+                true
+            }));
         }
-        coordinator_wait_micros = gather_started.elapsed().as_micros() as u64;
-        if worker_panicked || released < n_slots {
-            return Err(JoinError::Internal("executor worker panicked"));
+        let waiting = Instant::now();
+        // Ends when the last helper drops its sender.
+        for (u, out) in rx.into_iter().flatten() {
+            keep(u, out);
         }
-        Ok(())
-    })?;
+        for h in helpers {
+            // A helper that died outside a unit counts as a panic too.
+            let (done, produced) = h.join().unwrap_or_default();
+            for (u, out) in produced {
+                keep(u, out);
+            }
+            finished(done);
+        }
+        if num_workers > 1 {
+            coordinator_wait_micros = waiting.elapsed().as_micros() as u64;
+        }
+    });
+    if panicked || (sink.is_some() && window.next < n_slots) {
+        return Err(JoinError::Internal("executor worker panicked"));
+    }
     Ok(Scheduled {
         outputs,
         locals,
         workers,
         join_micros: started.elapsed().as_micros() as u64,
         coordinator_wait_micros,
-        stream,
+        stream: window.summary,
     })
 }
 
-/// The streaming coordinator's reorder window: receives `(slot, batch)`
-/// pairs in completion order and releases them to `sink` strictly in slot
-/// order (empty batches advance the window silently). Returns how many
-/// slots were released — fewer than `n_slots` means a worker died before
-/// sending its marker.
-fn release_in_order(
-    rx: mpsc::Receiver<(usize, Vec<Tuple>)>,
-    n_slots: usize,
-    summary: &mut StreamSummary,
-    sink: &mut dyn FnMut(Vec<Tuple>),
-) -> usize {
-    let mut pending: Vec<Option<Vec<Tuple>>> = (0..n_slots).map(|_| None).collect();
-    let mut next_out = 0usize;
-    for (c, out) in rx {
-        pending[c] = Some(out);
-        while next_out < n_slots {
-            let Some(out) = pending[next_out].take() else {
-                break;
-            };
-            next_out += 1;
-            if !out.is_empty() {
-                summary.batches += 1;
-                summary.tuples += out.len() as u64;
-                sink(out);
-            }
+/// The one worker loop, on the caller and on every helper: claim the next
+/// unit off the shared queue, run it, `deliver` its slot (empty slots
+/// too: a streaming reorder window needs their marker to advance), until
+/// the queue is empty or `deliver` returns `false` (the caller is gone).
+/// The worker's `shard_pool` share is pinned until it returns or unwinds.
+/// `None` means a unit panicked (a bug, not a data error): the claim queue
+/// is then stopped, so the other workers return after their current unit.
+/// The section's wall time leaves out the time spent in `deliver`.
+fn work<B: Body>(
+    body: &B,
+    w: usize,
+    units: &[usize],
+    next: &AtomicUsize,
+    shard_pool: Option<(&PagePool, u64)>,
+    mut deliver: impl FnMut(usize, Vec<Tuple>) -> bool,
+) -> Option<(WorkerSection, B::Local)> {
+    let _reservation = shard_pool.and_then(|(pool, pages)| pool.try_reserve(pages));
+    let started = Instant::now();
+    let mut local = B::Local::default();
+    let (mut claimed, mut tuples) = (0u64, 0u64);
+    let (mut busy, mut delivering) = (Duration::ZERO, Duration::ZERO);
+    while let Some(&u) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+        let t = Instant::now();
+        let Ok((out, emitted)) = panic::catch_unwind(AssertUnwindSafe(|| body.run(u, &mut local)))
+        else {
+            next.store(units.len(), Ordering::Relaxed);
+            return None;
+        };
+        let t_deliver = Instant::now();
+        busy += t_deliver - t;
+        claimed += 1;
+        tuples += emitted;
+        let more = deliver(u, out);
+        delivering += t_deliver.elapsed();
+        if !more {
+            break;
         }
     }
-    next_out
+    let section = WorkerSection {
+        worker: w as u64,
+        partitions: claimed,
+        tuples,
+        wall_micros: started.elapsed().saturating_sub(delivering).as_micros() as u64,
+        busy_micros: busy.as_micros() as u64,
+    };
+    Some((section, local))
 }
 
-/// Hands one finished slot to the coordinator: into the worker's
-/// `produced` list when materializing, over the channel when streaming.
-/// Returns `false` when the streaming coordinator is gone (the worker
-/// then stops).
-fn deliver(
-    tx: &Option<mpsc::Sender<(usize, Vec<Tuple>)>>,
-    produced: &mut Vec<(usize, Vec<Tuple>)>,
-    slot: usize,
-    out: Vec<Tuple>,
-) -> bool {
-    match tx {
-        Some(tx) => tx.send((slot, out)).is_ok(),
-        None => {
-            produced.push((slot, out));
-            true
+/// A streaming run's reorder window: takes finished slots in completion
+/// order and releases them to the sink strictly in slot order (empty
+/// slots advance the window silently).
+struct ReorderWindow {
+    pending: Vec<Option<Vec<Tuple>>>,
+    /// Slots released so far; fewer than all at the end means a worker
+    /// died before delivering its slot.
+    next: usize,
+    summary: StreamSummary,
+}
+
+impl ReorderWindow {
+    fn new(n_slots: usize) -> ReorderWindow {
+        ReorderWindow {
+            pending: (0..n_slots).map(|_| None).collect(),
+            next: 0,
+            summary: StreamSummary::default(),
+        }
+    }
+
+    /// Holds `slot`, then releases every slot now complete in order.
+    fn release(&mut self, slot: usize, out: Vec<Tuple>, sink: &mut dyn FnMut(Vec<Tuple>)) {
+        self.pending[slot] = Some(out);
+        while let Some(out) = self.pending.get_mut(self.next).and_then(Option::take) {
+            self.next += 1;
+            if !out.is_empty() {
+                self.summary.batches += 1;
+                self.summary.tuples += out.len() as u64;
+                sink(out);
+            }
         }
     }
 }
@@ -1130,6 +1173,8 @@ pub fn parallel_partition_join_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Barrier, Mutex};
+    use std::thread::ThreadId;
     use vtjoin_core::algebra::{natural_join, predicate_join};
     use vtjoin_core::{AttrDef, AttrType, Schema, Value};
     use vtjoin_join::kernel::KernelChoice::{Auto, Hash, Sweep};
@@ -1741,6 +1786,199 @@ mod tests {
                     "{threads}"
                 );
             }
+        }
+    }
+
+    /// Where a [`Probe`] panics: never, on one unit, or on whichever
+    /// unit runs on (or off) the calling thread.
+    #[derive(Clone, Copy, Debug)]
+    enum PanicAt {
+        Never,
+        Unit(usize),
+        Caller,
+        Helper,
+    }
+
+    /// A scheduler body that records the thread of every unit, emits one
+    /// tuple carrying the unit's number, and panics where `panic_at`
+    /// says. With `meet`, every unit first waits for another worker's
+    /// unit, so two workers run one unit each. Costs rise with the unit,
+    /// so the queue runs them last to first.
+    struct Probe {
+        caller: ThreadId,
+        ran: Mutex<Vec<(usize, ThreadId)>>,
+        meet: Option<Barrier>,
+        panic_at: PanicAt,
+    }
+
+    impl Probe {
+        fn new(panic_at: PanicAt, meet: bool) -> Probe {
+            Probe {
+                caller: thread::current().id(),
+                ran: Mutex::new(Vec::new()),
+                meet: meet.then(|| Barrier::new(2)),
+                panic_at,
+            }
+        }
+    }
+
+    impl Body for Probe {
+        type Local = ();
+
+        fn cost(&self, u: usize) -> u64 {
+            u as u64
+        }
+
+        fn run(&self, u: usize, _: &mut ()) -> (Vec<Tuple>, u64) {
+            let me = thread::current().id();
+            self.ran.lock().unwrap().push((u, me));
+            if let Some(b) = &self.meet {
+                b.wait();
+            }
+            let on_caller = me == self.caller;
+            match self.panic_at {
+                PanicAt::Unit(p) if p == u => panic!("probe panics on unit {u}"),
+                PanicAt::Caller if on_caller => panic!("probe panics on the caller"),
+                PanicAt::Helper if !on_caller => panic!("probe panics on a helper"),
+                _ => {}
+            }
+            let iv = Interval::from_raw(0, 0).unwrap();
+            (vec![Tuple::new(vec![Value::Int(u as i64)], iv)], 1)
+        }
+    }
+
+    /// `probe` over `n` units on `threads` workers, streamed when
+    /// `streamed`, with 4 pages of `pool` per worker. Returns what reached
+    /// the sink (or the materialized slots, flattened).
+    fn drive(
+        probe: &Probe,
+        n: usize,
+        threads: usize,
+        streamed: bool,
+        pool: &PagePool,
+    ) -> Result<(Vec<Tuple>, Scheduled<()>), JoinError> {
+        let mut batches: Vec<Tuple> = Vec::new();
+        let mut sink = |b: Vec<Tuple>| batches.extend(b);
+        let sink: Option<&mut dyn FnMut(Vec<Tuple>)> = streamed.then_some(&mut sink);
+        let mut done = schedule(probe, (0..n).collect(), n, threads, Some((pool, 4)), sink)?;
+        let outputs = std::mem::take(&mut done.outputs);
+        Ok((if streamed { batches } else { outputs.concat() }, done))
+    }
+
+    #[test]
+    fn one_worker_runs_every_unit_on_the_caller() {
+        let want: Vec<Tuple> = (0..6)
+            .map(|u| Tuple::new(vec![Value::Int(u)], Interval::from_raw(0, 0).unwrap()))
+            .collect();
+        for streamed in [false, true] {
+            let (probe, pool) = (Probe::new(PanicAt::Never, false), PagePool::new(64));
+            let (out, done) = drive(&probe, 6, 1, streamed, &pool).unwrap();
+            let ran = probe.ran.into_inner().unwrap();
+            // Heaviest first, all on the calling thread.
+            let order: Vec<usize> = ran.iter().map(|&(u, _)| u).collect();
+            assert_eq!(order, [5, 4, 3, 2, 1, 0], "streamed = {streamed}");
+            assert!(ran.iter().all(|&(_, t)| t == probe.caller));
+            // Slot order, although slot 0 finished last.
+            assert_eq!(out, want, "streamed = {streamed}");
+            assert_eq!(done.stream.batches, if streamed { 6 } else { 0 });
+            assert_eq!(done.workers.len(), 1);
+            assert_eq!((done.workers[0].worker, done.workers[0].partitions), (0, 6));
+            assert_eq!(done.coordinator_wait_micros, 0, "no helper to wait for");
+            assert_eq!(pool.stats().granted, 1);
+            assert_eq!(pool.in_flight(), 0);
+        }
+    }
+
+    #[test]
+    fn two_workers_are_the_caller_and_one_helper() {
+        for streamed in [false, true] {
+            let (probe, pool) = (Probe::new(PanicAt::Never, true), PagePool::new(64));
+            let (out, done) = drive(&probe, 2, 2, streamed, &pool).unwrap();
+            assert_eq!(out.len(), 2, "streamed = {streamed}");
+            assert_eq!(done.stream.batches, if streamed { 2 } else { 0 });
+            let ran = probe.ran.into_inner().unwrap();
+            let mut threads: Vec<ThreadId> = ran.iter().map(|&(_, t)| t).collect();
+            threads.dedup();
+            // The barrier makes each worker run one unit: the caller is one.
+            assert_eq!(threads.len(), 2, "streamed = {streamed}");
+            assert!(threads.contains(&probe.caller));
+            let workers: Vec<(u64, u64)> = done
+                .workers
+                .iter()
+                .map(|w| (w.worker, w.partitions))
+                .collect();
+            assert_eq!(workers, [(0, 1), (1, 1)], "streamed = {streamed}");
+            assert_eq!(pool.stats().granted, 2);
+            assert_eq!(pool.in_flight(), 0);
+
+            // Without the barrier the caller may run every unit; at most
+            // one other thread runs any, and the output keeps slot order.
+            let probe = Probe::new(PanicAt::Never, false);
+            let (out, _) = drive(&probe, 8, 2, streamed, &pool).unwrap();
+            let want: Vec<Tuple> = (0..8)
+                .map(|u| Tuple::new(vec![Value::Int(u)], Interval::from_raw(0, 0).unwrap()))
+                .collect();
+            assert_eq!(out, want, "streamed = {streamed}");
+            let mut others: Vec<ThreadId> = (probe.ran.into_inner().unwrap().into_iter())
+                .map(|(_, t)| t)
+                .filter(|&t| t != probe.caller)
+                .collect();
+            others.dedup();
+            assert!(others.len() <= 1, "{others:?}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_unit_is_a_typed_error_on_either_thread_and_sink() {
+        // (threads, streamed, where, meet): one worker is the caller; two
+        // workers are the caller and a helper, one unit each.
+        for (threads, streamed, panic_at, meet) in [
+            (1, false, PanicAt::Unit(2), false),
+            (1, true, PanicAt::Unit(2), false),
+            (2, false, PanicAt::Caller, true),
+            (2, false, PanicAt::Helper, true),
+            (2, true, PanicAt::Caller, true),
+            (2, true, PanicAt::Helper, true),
+        ] {
+            let ctx = format!("threads = {threads}, streamed = {streamed}, {panic_at:?}");
+            let (probe, pool) = (Probe::new(panic_at, meet), PagePool::new(64));
+            let n = if meet { 2 } else { 4 };
+            let err = drive(&probe, n, threads, streamed, &pool)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(matches!(err, JoinError::Internal(_)), "{ctx}: {err:?}");
+            assert_eq!(pool.in_flight(), 0, "{ctx}: reservations released");
+            assert_eq!(pool.stats().granted, threads as u64, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_sink_unwinds_to_the_caller() {
+        // The sink is the caller's code, not the executor's: its panic
+        // propagates unchanged instead of becoming `JoinError::Internal`.
+        for threads in [1, 2] {
+            let (probe, pool) = (Probe::new(PanicAt::Never, false), PagePool::new(64));
+            let mut sink = |_: Vec<Tuple>| panic!("sink panics");
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                let sink: &mut dyn FnMut(Vec<Tuple>) = &mut sink;
+                schedule(
+                    &probe,
+                    (0..4).collect(),
+                    4,
+                    threads,
+                    Some((&pool, 4)),
+                    Some(sink),
+                )
+                .map(|_| ())
+            }));
+            let payload = run.expect_err("the sink's panic must reach the caller");
+            let msg = payload.downcast::<&str>().expect("the sink's own payload");
+            assert_eq!(*msg, "sink panics", "threads = {threads}");
+            assert_eq!(
+                pool.in_flight(),
+                0,
+                "threads = {threads}: reservations released"
+            );
         }
     }
 }

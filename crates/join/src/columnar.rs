@@ -581,10 +581,12 @@ pub fn biased_chronon(c: Chronon) -> u64 {
 }
 
 /// Stable LSD radix sort of `(biased key, payload)` pairs by key, least
-/// significant byte first, ping-ponging through `tmp`. Passes whose byte
-/// is constant across all keys are skipped (clustered workloads
-/// concentrate starts in a narrow band, so high bytes rarely vary).
-/// Returns the number of counting passes actually executed.
+/// significant byte first, ping-ponging through `tmp`. One read of the
+/// keys builds all eight byte histograms; passes whose byte is constant
+/// across all keys are skipped (clustered workloads concentrate starts in
+/// a narrow band, so high bytes rarely vary). `tmp` is sized once, since
+/// every executed pass overwrites all of it. Returns the number of
+/// byte passes actually executed.
 ///
 /// Stability is what makes the sweep's event order total: pairs are
 /// pushed in ascending payload order, and a stable sort preserves that
@@ -595,26 +597,28 @@ pub fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>, tmp: &mut Vec<(u64, u32)>) 
     if n <= 1 {
         return 0;
     }
-    let mut passes = 0u64;
-    for byte in 0..8u32 {
-        let shift = byte * 8;
-        let mut counts = [0usize; 256];
-        for &(k, _) in pairs.iter() {
-            counts[((k >> shift) & 0xff) as usize] += 1;
+    let mut counts = [[0usize; 256]; 8];
+    for &(k, _) in pairs.iter() {
+        for (byte, c) in counts.iter_mut().enumerate() {
+            c[((k >> (byte * 8)) & 0xff) as usize] += 1;
         }
+    }
+    let first = pairs[0].0;
+    tmp.resize(n, (0, 0));
+    let mut passes = 0u64;
+    for (byte, c) in counts.iter().enumerate() {
+        let shift = byte * 8;
         // All keys share this byte: the pass would be the identity.
-        if counts.contains(&n) {
+        if c[((first >> shift) & 0xff) as usize] == n {
             continue;
         }
         passes += 1;
         let mut offsets = [0usize; 256];
         let mut acc = 0usize;
-        for (o, &c) in offsets.iter_mut().zip(counts.iter()) {
+        for (o, &count) in offsets.iter_mut().zip(c.iter()) {
             *o = acc;
-            acc += c;
+            acc += count;
         }
-        tmp.clear();
-        tmp.resize(n, (0, 0));
         for &(k, v) in pairs.iter() {
             let d = ((k >> shift) & 0xff) as usize;
             tmp[offsets[d]] = (k, v);
@@ -1036,6 +1040,50 @@ mod tests {
             .collect();
         expect.sort_by_key(|&(k, i)| (k, i)); // stable ≡ sort by (key, idx)
         assert_eq!(pairs, expect);
+    }
+
+    #[test]
+    fn radix_sort_equals_a_stable_sort_and_counts_varying_bytes() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let keyed = |keys: &[i64]| -> Vec<(u64, u32)> {
+            (keys.iter().zip(0u32..))
+                .map(|(&k, i)| (biased_chronon(Chronon::new(k)), i))
+                .collect()
+        };
+        let random: Vec<i64> = (0..5000)
+            .map(|_| rng.gen_range(-1_000_000..1_000_000))
+            .collect();
+        let wide: Vec<i64> = (0..500)
+            .map(|_| rng.gen_range(i64::MIN..i64::MAX))
+            .collect();
+        let top_byte: Vec<i64> = (0..300).map(|i| ((i * 37) % 256) << 56).collect();
+        let cases: [(&str, Vec<i64>); 7] = [
+            ("random, negative chronons", random),
+            ("full range", wide),
+            ("all equal", vec![-7; 64]),
+            ("n = 0", vec![]),
+            ("n = 1", vec![-3]),
+            ("n = 2", vec![9, -9]),
+            ("top byte only", top_byte),
+        ];
+        // One scratch across every case, as a worker reuses it.
+        let mut tmp = Vec::new();
+        for (name, keys) in cases {
+            let mut pairs = keyed(&keys);
+            let mut want = pairs.clone();
+            want.sort_by_key(|&(k, _)| k);
+            // A pass runs for each byte that is not constant over the keys.
+            let varying = (0..8)
+                .filter(|b| {
+                    want.iter()
+                        .any(|&(k, _)| (k ^ want[0].0) >> (b * 8) & 0xff != 0)
+                })
+                .count() as u64;
+            let passes = radix_sort_pairs(&mut pairs, &mut tmp);
+            assert_eq!(pairs, want, "{name}");
+            assert_eq!(passes, varying, "{name}");
+        }
     }
 
     #[test]

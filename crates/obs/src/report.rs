@@ -332,7 +332,8 @@ pub struct WorkerSection {
     /// Result tuples the worker emitted.
     pub tuples: u64,
     /// Wall-clock from worker start to worker exit, in microseconds
-    /// (includes time spent waiting on the work queue).
+    /// (includes time spent waiting on the work queue, not time spent
+    /// handing finished units on).
     pub wall_micros: u64,
     /// Microseconds actually spent joining partitions (build + probe);
     /// `busy_micros / wall_micros` is the worker's utilization.
