@@ -43,7 +43,7 @@ pub use database::{Database, TableStats};
 pub use operator::{operator_join, OperatorCounters};
 pub use parallel::{
     grid_execution_report_sharded, grid_join_streamed, parallel_partition_join_naive, run,
-    ExecOutput, ExecRequest, Sink, StreamSummary,
+    CellSetUse, ExecOutput, ExecRequest, Sink, StreamSummary,
 };
 pub use planner::{choose_algorithm, partition_feasible, Algorithm};
 pub use query::{Predicate, Query};

@@ -49,7 +49,12 @@
 //! start/end chronon columns, a pre-hashed key column, and a
 //! dictionary-compressed key-id column shared across sides — or take the
 //! encoding `JoinService` keeps for a resident pair) and scatter **row
-//! ids** into grid cells.
+//! ids** into grid cells. Each inner-join cell is then gated and
+//! gathered into the two dense slices its kernel reads. Over a kept
+//! encoding the cells are gathered into slices of their own and handed
+//! back as a [`CellSet`] for the caller to keep with the encoding; a
+//! later run with the same grid shape and kernel policy runs every cell
+//! from it, with no scatter, gate, gather or sort.
 //!
 //! **Sinks.** A materializing run keeps each unit's output in its slot
 //! and flattens the slots after the last worker; a streaming run hands
@@ -73,16 +78,18 @@
 use std::cmp::Reverse;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 use vtjoin_core::{Interval, JoinPredicate, Operator, Relation, Tuple};
-use vtjoin_join::columnar::{ColumnarCounters, ColumnarSide, EncodedPair, IdBatch, Layout};
+use vtjoin_join::columnar::{
+    check_row_ids, ColumnarCounters, ColumnarSide, EncodedPair, IdBatch, Layout,
+};
 use vtjoin_join::common::JoinSpec;
 use vtjoin_join::kernel::{
     choose_kernel_ids, columnar_hash_join, columnar_hash_join_pred, columnar_sweep_join,
-    columnar_sweep_join_pred, merge_join_pred, ColumnarScratch, KernelChoice, KernelCounters,
-    KernelKind, OutputBatch, PredicateCounters,
+    columnar_sweep_join_pred, merge_join_pred, CellSet, ColumnarScratch, KeptCell, KernelChoice,
+    KernelCounters, KernelKind, OutputBatch, PredicateCounters,
 };
 use vtjoin_join::partition::grid::MAX_WORKERS;
 use vtjoin_join::partition::intervals::{is_partitioning, replica_range};
@@ -134,7 +141,12 @@ pub struct ExecRequest<'a> {
     /// a share the pool cannot grant does not block or fail the run.
     pub shard_pool: Option<(&'a PagePool, u64)>,
     /// A columnar encoding of exactly `r` and `s`, skipping the encode
-    /// pass of grid runs (the service keeps one per resident pair).
+    /// pass of grid runs (the service keeps one per resident pair). A
+    /// grid inner join over it also reuses the encoding's
+    /// [`CellSet`] when that was built for the same intervals, key
+    /// buckets and kernel policy, skipping the scatter, the kernel gate,
+    /// the gather and the sort; otherwise it builds one and hands it
+    /// back in [`ExecOutput::cell_set`].
     pub encoding: Option<&'a EncodedPair>,
     /// Where the result goes.
     pub sink: Sink<'a>,
@@ -170,6 +182,24 @@ pub struct ExecOutput {
     /// The operator executor's counters; `Some` exactly when the request
     /// named an operator.
     pub operator: Option<OperatorCounters>,
+    /// What the run did with the kept encoding's cell set.
+    pub cell_set: CellSetUse,
+}
+
+/// What a grid inner join over a kept encoding did with its
+/// [`CellSet`].
+#[derive(Debug, Clone, Default)]
+pub enum CellSetUse {
+    /// No kept encoding, or not a grid inner join: nothing to keep.
+    #[default]
+    None,
+    /// The encoding's kept set matched the grid shape and kernel policy,
+    /// and every cell ran from it.
+    Reused,
+    /// The run built this set, one cell per worker that ran it. The
+    /// caller decides whether to keep it
+    /// ([`EncodedPair::keep_cell_set`]).
+    Built(Arc<CellSet>),
 }
 
 /// What a streamed run delivered: how many wire batches the sink saw and
@@ -210,11 +240,7 @@ pub fn run(r: &Relation, s: &Relation, req: ExecRequest<'_>) -> Result<ExecOutpu
             "a run spawns at most MAX_WORKERS (1,024) worker threads",
         ));
     }
-    if r.len() > u32::MAX as usize || s.len() > u32::MAX as usize {
-        return Err(JoinError::Precondition(
-            "the in-memory executor addresses rows by u32 ids; a side exceeds u32::MAX tuples",
-        ));
-    }
+    check_row_ids(r.len(), s.len())?;
     let spec = JoinSpec::natural(r.schema(), s.schema())?;
     let cx = Ctx {
         spec: &spec,
@@ -227,6 +253,7 @@ pub fn run(r: &Relation, s: &Relation, req: ExecRequest<'_>) -> Result<ExecOutpu
         shard_pool,
         encoding,
     };
+    let mut cell_set = CellSetUse::None;
     let (relation, mut detail, stream, counters) = match operator {
         None => {
             let sink: Option<&mut dyn FnMut(Vec<Tuple>)> = match sink {
@@ -234,7 +261,9 @@ pub fn run(r: &Relation, s: &Relation, req: ExecRequest<'_>) -> Result<ExecOutpu
                 Sink::Stream(f) => Some(f),
             };
             let (tuples, detail, stream) = if predicate.partitioning_eligible() {
-                run_cells(&cx, kernel, sink)?
+                let (tuples, detail, stream, used) = run_cells(&cx, kernel, sink)?;
+                cell_set = used;
+                (tuples, detail, stream)
             } else {
                 run_merge(&cx, sink)?
             };
@@ -274,6 +303,7 @@ pub fn run(r: &Relation, s: &Relation, req: ExecRequest<'_>) -> Result<ExecOutpu
         stream,
         report,
         operator: counters,
+        cell_set,
     })
 }
 
@@ -564,7 +594,8 @@ impl Scattered<'_> {
     }
 }
 
-/// The replicate phase of every grid run: encode both sides (or take the
+/// The replicate phase of every grid run that has no kept cell set to
+/// run from: encode both sides (or take the
 /// kept encoding, `fresh` then stays empty) and scatter their **row
 /// ids** over the grid — bucket = masked join-key hash (read from the
 /// pre-hashed column), partitions = the Leung–Muntz `replica_range` over
@@ -581,16 +612,7 @@ pub(crate) fn scatter<'a>(
     by_start: bool,
 ) -> Result<Scattered<'a>, JoinError> {
     let started = Instant::now();
-    let (pair, encode_micros) = match cx.encoding {
-        Some(e) => (e, 0),
-        None => {
-            let e = fresh.insert(EncodedPair::encode(cx.spec, cx.r.tuples(), cx.s.tuples()));
-            (&*e, e.encode_micros)
-        }
-    };
-    let (outer, inner) = pair.view(cx.r, cx.s).ok_or(JoinError::Precondition(
-        "columnar encoding does not match the relations it is joined over",
-    ))?;
+    let (pair, outer, inner, encode_micros) = encoded(cx, fresh)?;
     let scatter_rows = |side: &ColumnarSide<'_>| {
         if by_start {
             place_rows(cx, side, side.by_start().iter().copied())
@@ -608,6 +630,27 @@ pub(crate) fn scatter<'a>(
         dict_size: pair.dict_size(),
         replicate_micros: started.elapsed().as_micros() as u64,
     })
+}
+
+/// Both sides' columnar view: over the kept encoding, or over a fresh
+/// encode into `fresh`. Also returns the encoding and this run's encode
+/// time (0 for a kept one).
+#[allow(clippy::type_complexity)]
+fn encoded<'a>(
+    cx: &Ctx<'a>,
+    fresh: &'a mut Option<EncodedPair>,
+) -> Result<(&'a EncodedPair, ColumnarSide<'a>, ColumnarSide<'a>, u64), JoinError> {
+    let (pair, encode_micros) = match cx.encoding {
+        Some(e) => (e, 0),
+        None => {
+            let e = fresh.insert(EncodedPair::encode(cx.spec, cx.r.tuples(), cx.s.tuples()));
+            (&*e, e.encode_micros)
+        }
+    };
+    let (outer, inner) = pair.view(cx.r, cx.s).ok_or(JoinError::Precondition(
+        "columnar encoding does not match the relations it is joined over",
+    ))?;
+    Ok((pair, outer, inner, encode_micros))
 }
 
 /// Pushes each of `rows`, in the order given, into the grid cells of its
@@ -640,14 +683,30 @@ struct GridCell<'a> {
     choice: KernelChoice,
     intervals: &'a [Interval],
     k: usize,
-    grid: &'a Scattered<'a>,
+    outer: ColumnarSide<'a>,
+    inner: ColumnarSide<'a>,
+    input: CellInput<'a>,
+}
+
+/// Where a grid cell finds its kernel input.
+enum CellInput<'a> {
+    /// Row ids scattered by this run: the cell is gated and gathered
+    /// into the worker's scratch, or — with `build` — into a kept cell of
+    /// its own, one slot per cell, filled by the worker that runs it.
+    Scattered {
+        r_cells: &'a [Vec<u32>],
+        s_cells: &'a [Vec<u32>],
+        build: Option<Vec<OnceLock<KeptCell>>>,
+    },
+    /// A kept cell set of this grid shape: gated, gathered and sorted.
+    Kept(&'a CellSet),
 }
 
 /// A grid inner-join worker's reusable buffers and counters.
 #[derive(Default)]
 struct CellLocal {
-    /// Radix pair/scratch buffers and the id-pair batch grow to the
-    /// workload's high-water mark once, then never again.
+    /// Slices, sort buffers, kernel state and the id-pair batch grow to
+    /// the workload's high-water mark once, then never again.
     scratch: ColumnarScratch,
     batch: IdBatch,
     /// Running emitted-pairs-per-estimated-cost ratio, used to reserve
@@ -661,41 +720,83 @@ struct CellLocal {
     columnar: ColumnarCounters,
 }
 
+impl GridCell<'_> {
+    /// Rows of cell `c` per side.
+    fn sides(&self, c: usize) -> (usize, usize) {
+        match &self.input {
+            CellInput::Scattered {
+                r_cells, s_cells, ..
+            } => (r_cells[c].len(), s_cells[c].len()),
+            CellInput::Kept(set) => set.cells()[c]
+                .as_ref()
+                .map_or((0, 0), |k| (k.outer.len(), k.inner.len())),
+        }
+    }
+}
+
 impl Body for GridCell<'_> {
     type Local = CellLocal;
 
     fn cost(&self, c: usize) -> u64 {
-        self.grid.r_cells[c].len() as u64 * self.grid.s_cells[c].len() as u64
+        let (nr, ns) = self.sides(c);
+        nr as u64 * ns as u64
     }
 
     fn run(&self, c: usize, l: &mut CellLocal) -> (Vec<Tuple>, u64) {
-        let (outer, inner) = (&self.grid.outer, &self.grid.inner);
-        let (rc, sc) = (&self.grid.r_cells[c], &self.grid.s_cells[c]);
         let mut out: Vec<Tuple> = Vec::new();
-        if rc.is_empty() || sc.is_empty() {
+        let (nr, ns) = self.sides(c);
+        if nr == 0 || ns == 0 {
             return (out, 0);
         }
-        let cost = self.cost(c);
+        let cost = nr as u64 * ns as u64;
         let est = if l.cost_total > 0 {
             ((l.emitted_total as u128 * cost as u128 / l.cost_total as u128) as usize).max(16)
         } else {
             // First cell: no ratio yet; a side's size is the output floor
             // for a key-dense join.
-            rc.len().max(sc.len())
+            nr.max(ns)
         };
         l.batch.begin(est);
+        let (outer, inner) = (&self.outer, &self.inner);
+        let (kind, r, s) = match &self.input {
+            CellInput::Kept(set) => {
+                let cell = set.cells()[c].as_ref().expect("a joinable cell is kept");
+                (cell.kind, &cell.outer, &cell.inner)
+            }
+            CellInput::Scattered {
+                r_cells,
+                s_cells,
+                build,
+            } => {
+                let (rc, sc) = (&r_cells[c], &s_cells[c]);
+                let kind = choose_kernel_ids(self.choice, outer, rc, inner, sc);
+                match build {
+                    None => {
+                        l.columnar.radix_passes += l.scratch.gather(kind, outer, rc, inner, sc);
+                        (kind, &l.scratch.outer, &l.scratch.inner)
+                    }
+                    Some(slots) => {
+                        let (cell, passes) =
+                            KeptCell::gather(kind, outer, rc, inner, sc, &mut l.scratch.sort);
+                        l.columnar.radix_passes += passes;
+                        let cell = slots[c].get_or_init(|| cell);
+                        (kind, &cell.outer, &cell.inner)
+                    }
+                }
+            }
+        };
         // The cell's canonical emit window is its time range: a pair
         // co-resident in several cells of its bucket row is emitted only
         // where the overlap's endpoint falls (the canonical-cell rule).
         let p_c = self.intervals[c / self.k];
         let natural = self.pred.is_natural();
-        let (scratch, batch) = (&mut l.scratch, &mut l.batch);
-        match choose_kernel_ids(self.choice, outer, rc, inner, sc) {
+        let (ks, batch) = (&mut l.scratch.kernel, &mut l.batch);
+        match kind {
             KernelKind::Hash => {
                 let hs = if natural {
-                    columnar_hash_join(outer, rc, inner, sc, p_c, scratch, batch)
+                    columnar_hash_join(r, s, p_c, ks, batch)
                 } else {
-                    columnar_hash_join_pred(self.pred, outer, rc, inner, sc, p_c, scratch, batch)
+                    columnar_hash_join_pred(self.pred, r, s, p_c, ks, batch)
                 };
                 l.probes += hs.probes;
                 l.match_tests += hs.match_tests;
@@ -704,16 +805,15 @@ impl Body for GridCell<'_> {
                 l.kernel.hash_partitions += 1;
             }
             KernelKind::Sweep => {
-                let (ss, radix_passes) = if natural {
-                    columnar_sweep_join(outer, rc, inner, sc, p_c, scratch, batch)
+                let ss = if natural {
+                    columnar_sweep_join(r, s, p_c, ks, batch)
                 } else {
-                    columnar_sweep_join_pred(self.pred, outer, rc, inner, sc, p_c, scratch, batch)
+                    columnar_sweep_join_pred(self.pred, r, s, p_c, ks, batch)
                 };
                 l.kernel.sweep_partitions += 1;
                 l.kernel.sweep_comparisons += ss.comparisons;
                 l.predicate.filter_checks += ss.filter_checks;
                 l.predicate.filter_hits += ss.filter_hits;
-                l.columnar.radix_passes += radix_passes;
             }
         }
         l.emitted_total += l.batch.len() as u64;
@@ -729,24 +829,55 @@ impl Body for GridCell<'_> {
     }
 }
 
-/// The grid inner join: scatter, then every cell on the scheduler.
-/// Output, output order and every counter are the same for both sinks.
+/// The grid inner join: every cell on the scheduler, its kernel input
+/// taken from the kept encoding's [`CellSet`] when that matches the grid
+/// shape and kernel policy, else scattered, gated and gathered by this
+/// run (into a new set when the encoding is a kept one). Output, output
+/// order and every counter but `radix_passes` are the same either way,
+/// and for both sinks.
 fn run_cells(
     cx: &Ctx<'_>,
     choice: KernelChoice,
     sink: Option<&mut dyn FnMut(Vec<Tuple>)>,
-) -> Result<(Vec<Tuple>, ExecDetail, StreamSummary), JoinError> {
-    let mut fresh = None;
-    let grid = scatter(cx, &mut fresh, false)?;
-    let body = GridCell {
+) -> Result<(Vec<Tuple>, ExecDetail, StreamSummary, CellSetUse), JoinError> {
+    let started = Instant::now();
+    let kept = cx
+        .encoding
+        .and_then(EncodedPair::cell_set)
+        .filter(|set| set.is_for(cx.intervals, cx.k, choice));
+    let (mut fresh, mut grid) = (None, None);
+    let cell = |outer, inner, input| GridCell {
         spec: cx.spec,
         pred: cx.pred,
         choice,
         intervals: cx.intervals,
         k: cx.k,
-        grid: &grid,
+        outer,
+        inner,
+        input,
     };
-    let n_cells = grid.r_cells.len();
+    let (body, replicated, dict_size, encode_micros) = match &kept {
+        Some(set) => {
+            let (pair, outer, inner, _) = encoded(cx, &mut fresh)?;
+            let body = cell(outer, inner, CellInput::Kept(set));
+            (body, set.replicated(), pair.dict_size(), 0)
+        }
+        None => {
+            let g: &Scattered = grid.insert(scatter(cx, &mut fresh, false)?);
+            let build = cx
+                .encoding
+                .map(|_| g.r_cells.iter().map(|_| OnceLock::new()).collect());
+            let input = CellInput::Scattered {
+                r_cells: &g.r_cells,
+                s_cells: &g.s_cells,
+                build,
+            };
+            let body = cell(g.outer, g.inner, input);
+            (body, g.replicated(), g.dict_size, g.encode_micros)
+        }
+    };
+    let replicate_micros = started.elapsed().as_micros() as u64;
+    let n_cells = cx.intervals.len() * cx.k;
     let done = schedule(
         &body,
         (0..n_cells).collect(),
@@ -756,19 +887,38 @@ fn run_cells(
         sink,
     )?;
 
+    let est_costs: Vec<u64> = (0..n_cells).map(|c| body.cost(c)).collect();
+    let used = match body.input {
+        CellInput::Kept(_) => CellSetUse::Reused,
+        CellInput::Scattered { build: None, .. } => CellSetUse::None,
+        CellInput::Scattered {
+            build: Some(slots), ..
+        } => {
+            // Every unit ran, so every joinable cell holds its input.
+            let cells: Vec<Option<KeptCell>> =
+                slots.into_iter().map(OnceLock::into_inner).collect();
+            debug_assert!(cells
+                .iter()
+                .zip(&est_costs)
+                .all(|(k, &c)| c == 0 || k.is_some()));
+            let set = CellSet::new(cx.intervals, cx.k, choice, cells, replicated);
+            CellSetUse::Built(Arc::new(set))
+        }
+    };
     let mut detail = ExecDetail {
-        est_costs: grid.pair_costs(),
+        est_costs,
         key_buckets: cx.k as u64,
-        replicate_micros: grid.replicate_micros,
+        replicate_micros,
+        replicated_r: replicated.0,
+        replicated_s: replicated.1,
         ..ExecDetail::default()
     };
-    (detail.replicated_r, detail.replicated_s) = grid.replicated();
     let mut kernel = KernelCounters::default();
     // Encode-time figures live on the pair, not the workers; a reused
     // encoding cost this run nothing.
     let mut columnar = ColumnarCounters {
-        encode_micros: grid.encode_micros,
-        dict_size: grid.dict_size,
+        encode_micros,
+        dict_size,
         ..ColumnarCounters::default()
     };
     for l in done.locals {
@@ -787,7 +937,7 @@ fn run_cells(
     detail.join_micros = done.join_micros;
     detail.coordinator_wait_micros = done.coordinator_wait_micros;
     let tuples = done.outputs.into_iter().flatten().collect();
-    Ok((tuples, detail, done.stream))
+    Ok((tuples, detail, done.stream, used))
 }
 
 /// The merge-chunk body: one contiguous outer chunk merged against the
@@ -1754,9 +1904,227 @@ mod tests {
         assert_eq!(back, er);
         assert_eq!(back.columnar, er.columnar);
 
+        // Over a kept encoding the first run sorts as much and builds the
+        // cell set; a warm run on the kept set sorts nothing.
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let enc = EncodedPair::encode(&spec, r.tuples(), s.tuples());
+        let kept = |enc| {
+            let req = ExecRequest {
+                threads: 2,
+                kernel: Sweep,
+                encoding: Some(enc),
+                ..ExecRequest::new(&plan)
+            };
+            run(&r, &s, req).unwrap()
+        };
+        let cold = kept(&enc);
+        assert_eq!(
+            cold.report.columnar.as_ref().unwrap().radix_passes,
+            c.radix_passes
+        );
+        let CellSetUse::Built(set) = cold.cell_set else {
+            panic!("a run over a kept encoding builds its cell set")
+        };
+        enc.keep_cell_set(Some(set));
+        let warm = kept(&enc);
+        assert!(matches!(warm.cell_set, CellSetUse::Reused));
+        let w = warm.report.columnar.expect("columnar section");
+        assert_eq!(w.radix_passes, 0);
+        assert_eq!(
+            (w.dict_size, w.materialized_rows),
+            (c.dict_size, c.materialized_rows)
+        );
+
         // Merge-fallback runs encode nothing and carry no columnar section.
         let before = exec((&r, &s), &plan, 2, Auto, "before").report;
         assert!(before.columnar.is_none());
+    }
+
+    /// Keys drawn from 6 values on the first half of the time line and
+    /// unique on the second: the gate sweeps early cells and hashes late
+    /// ones.
+    fn mixed(attr: &str, n: i64) -> Relation {
+        let schema = Schema::new(vec![
+            AttrDef::new("k", AttrType::Int),
+            AttrDef::new(attr, AttrType::Int),
+        ])
+        .unwrap()
+        .into_shared();
+        let tuples = (0..n)
+            .map(|i| {
+                let start = (i * 23) % 400;
+                let key = if start < 200 { i % 6 } else { i % 97 };
+                let end = if i % 9 == 0 {
+                    start + 150
+                } else {
+                    start + i % 4
+                };
+                let iv = Interval::from_raw(start, end).unwrap();
+                Tuple::new(vec![Value::Int(key), Value::Int(i)], iv)
+            })
+            .collect();
+        Relation::from_parts_unchecked(schema, tuples)
+    }
+
+    /// Every field of a run's report that does not hold a wall-clock
+    /// time, except `radix_passes`.
+    fn deterministic(er: &ExecutionReport) -> String {
+        let grid = er.grid.as_ref().map(|g| GridSection {
+            coordinator_wait_micros: 0,
+            ..*g
+        });
+        let skew = er.skew.as_ref().map(|k| {
+            (
+                k.partitions,
+                k.est_cost_total,
+                k.est_cost_max,
+                k.max_partition_share_percent,
+            )
+        });
+        let columnar = er
+            .columnar
+            .as_ref()
+            .map(|c| (c.dict_size, c.materialized_rows));
+        let tuples: u64 = er.workers.iter().map(|w| w.tuples).sum();
+        format!(
+            "{:?} {:?} {:?} {:?} {grid:?} {skew:?} {columnar:?} {tuples} {}",
+            er.result,
+            er.counters,
+            er.kernel,
+            er.predicate,
+            er.workers.len()
+        )
+    }
+
+    /// A warm run, every cell from the kept encoding's cell set, equals a
+    /// run without an encoding in rows, order, streamed batches and every
+    /// deterministic counter but `radix_passes`, which is 0 on the warm
+    /// run. So does the cold run that built the set, `radix_passes`
+    /// included.
+    #[test]
+    fn a_warm_run_on_a_kept_cell_set_equals_a_fresh_run() {
+        let (r, s) = (mixed("b", 300), mixed("c", 260));
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let grids = [
+            ("1x1", GridPlan::time_only(vec![Interval::ALL])),
+            ("4x1", GridPlan::with_buckets(4, vec![Interval::ALL])),
+            ("1xN", GridPlan::time_only(parts(5))),
+            ("KxN", GridPlan::with_buckets(4, parts(6))),
+        ];
+        let mut both_kernels = false;
+        for (name, plan) in &grids {
+            for kernel in [Auto, Hash, Sweep] {
+                for pred in ["intersects", "overlaps"] {
+                    for threads in [1, 2, 4] {
+                        for stream in [false, true] {
+                            let ctx =
+                                format!("{name} {kernel:?} {pred} x{threads} stream {stream}");
+                            let go = |encoding: Option<&EncodedPair>| {
+                                let mut batches: Vec<Vec<Tuple>> = Vec::new();
+                                let mut push = |b| batches.push(b);
+                                let req = ExecRequest {
+                                    threads,
+                                    kernel,
+                                    predicate: pred.parse().unwrap(),
+                                    encoding,
+                                    sink: if stream {
+                                        Sink::Stream(&mut push)
+                                    } else {
+                                        Sink::Materialize
+                                    },
+                                    ..ExecRequest::new(plan)
+                                };
+                                let out = run(&r, &s, req).unwrap();
+                                (out, batches)
+                            };
+                            let enc = EncodedPair::encode(&spec, r.tuples(), s.tuples());
+                            let fresh = go(None);
+                            assert!(matches!(fresh.0.cell_set, CellSetUse::None), "{ctx}");
+                            let cold = go(Some(&enc));
+                            let CellSetUse::Built(set) = &cold.0.cell_set else {
+                                panic!("{ctx}: the cold run builds the set")
+                            };
+                            enc.keep_cell_set(Some(Arc::clone(set)));
+                            let warm = go(Some(&enc));
+                            assert!(matches!(warm.0.cell_set, CellSetUse::Reused), "{ctx}");
+                            assert_eq!(stream, !fresh.1.is_empty(), "{ctx}");
+                            for (label, got) in [("cold", &cold), ("warm", &warm)] {
+                                let (out, batches) = got;
+                                assert_eq!(
+                                    out.relation.tuples(),
+                                    fresh.0.relation.tuples(),
+                                    "{ctx}, {label}"
+                                );
+                                assert_eq!(batches, &fresh.1, "{ctx}, {label}");
+                                assert_eq!(out.stream, fresh.0.stream, "{ctx}, {label}");
+                                assert_eq!(
+                                    deterministic(&out.report),
+                                    deterministic(&fresh.0.report),
+                                    "{ctx}, {label}"
+                                );
+                            }
+                            let radix =
+                                |o: &ExecOutput| o.report.columnar.as_ref().unwrap().radix_passes;
+                            assert_eq!(radix(&cold.0), radix(&fresh.0), "{ctx}");
+                            assert_eq!(radix(&warm.0), 0, "{ctx}");
+                            let k = fresh.0.report.kernel.as_ref().unwrap();
+                            both_kernels |= k.hash_partitions > 0 && k.sweep_partitions > 0;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(both_kernels, "the gate picks both kernels somewhere");
+    }
+
+    #[test]
+    fn a_cell_set_serves_only_its_own_shape_and_policy() {
+        let (r, s) = (mixed("b", 120), mixed("c", 120));
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let enc = EncodedPair::encode(&spec, r.tuples(), s.tuples());
+        let plan = GridPlan::with_buckets(2, parts(4));
+        let go = |plan: &GridPlan, kernel| {
+            let req = ExecRequest {
+                kernel,
+                encoding: Some(&enc),
+                ..ExecRequest::new(plan)
+            };
+            run(&r, &s, req).unwrap().cell_set
+        };
+        let CellSetUse::Built(set) = go(&plan, Auto) else {
+            panic!("built")
+        };
+        enc.keep_cell_set(Some(set));
+        assert!(matches!(go(&plan, Auto), CellSetUse::Reused));
+        // Another policy, bucket count or partitioning builds afresh.
+        assert!(matches!(go(&plan, Sweep), CellSetUse::Built(_)));
+        assert!(matches!(
+            go(&GridPlan::with_buckets(4, parts(4)), Auto),
+            CellSetUse::Built(_)
+        ));
+        assert!(matches!(
+            go(&GridPlan::with_buckets(2, parts(5)), Auto),
+            CellSetUse::Built(_)
+        ));
+        // Operator runs and the merge fallback neither use nor build one.
+        let req = ExecRequest {
+            operator: Some(&Operator::Left),
+            encoding: Some(&enc),
+            ..ExecRequest::new(&plan)
+        };
+        assert!(matches!(
+            run(&r, &s, req).unwrap().cell_set,
+            CellSetUse::None
+        ));
+        let req = ExecRequest {
+            predicate: "before".parse().unwrap(),
+            encoding: Some(&enc),
+            ..ExecRequest::new(&plan)
+        };
+        assert!(matches!(
+            run(&r, &s, req).unwrap().cell_set,
+            CellSetUse::None
+        ));
     }
 
     #[test]

@@ -63,14 +63,15 @@
 
 use crate::database::{Database, DbError, TableStats};
 use crate::operator::OperatorCounters;
-use crate::parallel::{run, ExecOutput, ExecRequest, Sink};
+use crate::parallel::{run, CellSetUse, ExecOutput, ExecRequest, Sink};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 use vtjoin_core::{Interval, JoinPredicate, Operator, Relation, Tuple};
-use vtjoin_join::columnar::{EncodedPair, Layout};
+use vtjoin_join::columnar::{check_row_ids, EncodedPair, Layout};
 use vtjoin_join::common::JoinSpec;
+use vtjoin_join::kernel::CellSet;
 use vtjoin_join::kernel::KernelChoice;
 use vtjoin_join::partition::planner::{determine_part_intervals, plan_error_size};
 use vtjoin_join::partition::{plan_grid, GridChoice, GridPlan};
@@ -327,6 +328,11 @@ pub struct JoinResponse {
     /// `Some` exactly when the request asked for a non-inner
     /// [`Operator`].
     pub operator: Option<OperatorCounters>,
+    /// The executor's report of this request: its phases, and its
+    /// kernel, grid and columnar sections. A request whose cells came
+    /// from a kept cell set shows a replicate phase without the scatter
+    /// and 0 `radix_passes`.
+    pub report: ExecutionReport,
 }
 
 /// One completed **streamed** join request: everything the sink was not
@@ -352,6 +358,9 @@ pub struct StreamedResponse {
     pub batches: u64,
     /// Total tuples across all delivered batches.
     pub tuples: u64,
+    /// The executor's report of this request, as
+    /// [`JoinResponse::report`].
+    pub report: ExecutionReport,
 }
 
 /// The statistics fingerprint of one relation at plan time — everything
@@ -511,6 +520,10 @@ struct Counters {
     /// encoded afresh.
     encoding_hits: u64,
     encoding_misses: u64,
+    /// Grid inner joins over a kept encoding that ran from its kept cell
+    /// set / scattered, gated and gathered afresh.
+    cell_set_hits: u64,
+    cell_set_misses: u64,
 }
 
 /// One resident (decoded, in-memory) relation, keyed by table name and
@@ -526,20 +539,47 @@ struct ResidentEntry {
 /// table and catalog version.
 type PairKey = (String, u64, String, u64);
 
+fn pair_key(outer: &str, r_stats: &TableStats, inner: &str, s_stats: &TableStats) -> PairKey {
+    (
+        outer.to_owned(),
+        r_stats.version,
+        inner.to_owned(),
+        s_stats.version,
+    )
+}
+
 /// The columnar encoding of one resident table pair, kept so a request on
-/// the pair skips the encode pass.
+/// the pair skips the encode pass, and what its kept [`CellSet`] is
+/// charged (0 without one).
 #[derive(Debug)]
 struct EncodingEntry {
     enc: Arc<EncodedPair>,
     pages: u64,
+    cell_pages: u64,
     last_used: u64,
+}
+
+impl EncodingEntry {
+    /// Pages the encoding and its cell set hold together.
+    fn total_pages(&self) -> u64 {
+        self.pages + self.cell_pages
+    }
+
+    /// Drops the kept cell set; returns the pages it freed.
+    fn drop_cell_set(&mut self) -> u64 {
+        self.enc.keep_cell_set(None);
+        std::mem::take(&mut self.cell_pages)
+    }
 }
 
 /// LRU residency cache: hot relations stay decoded across requests under
 /// a dedicated page budget, so a plan-cache hit on a hot pair performs no
 /// heap I/O at all. Beside them it keeps the columnar encoding of each
 /// resident pair that was joined, under the same budget: an encoding
-/// lives only as long as both its relations stay resident.
+/// lives only as long as both its relations stay resident. An encoding
+/// may in turn keep one cell set, charged only in free budget: it never
+/// evicts a table or an encoding, and it is the first thing to go when
+/// the budget is short.
 #[derive(Debug, Default)]
 struct Residency {
     tick: u64,
@@ -660,7 +700,8 @@ impl Residency {
             let Some(mut e) = self.encodings.remove(&key) else {
                 continue;
             };
-            self.total_pages -= e.pages;
+            self.total_pages -= e.total_pages();
+            e.cell_pages = 0;
             let key = (
                 key.0.clone(),
                 bump(&key.0, key.1),
@@ -675,6 +716,12 @@ impl Residency {
             let Ok(spec) = JoinSpec::natural(r.rel.schema(), s.rel.schema()) else {
                 continue;
             };
+            // A pair past the row-id limit loses its encoding; the next
+            // request on it gets the executor's typed refusal.
+            if check_row_ids(r.rel.len(), s.rel.len()).is_err() {
+                continue;
+            }
+            // Drops the cell set, in place or with the old copy.
             Arc::make_mut(&mut e.enc).extend(&spec, r.rel.tuples(), s.rel.tuples());
             e.pages = e.enc.heap_bytes().div_ceil(page_bytes);
             let mut pair_pages = e.pages + r.pages;
@@ -702,7 +749,7 @@ impl Residency {
         self.encodings.retain(|(o, ov, i, iv), e| {
             let involved = (o == &key.0 && *ov == key.1) || (i == &key.0 && *iv == key.1);
             if involved {
-                *total -= e.pages;
+                *total -= e.total_pages();
             }
             !involved
         });
@@ -711,8 +758,19 @@ impl Residency {
 
     /// Evicts least-recently-used tables and encodings, except the tables
     /// in `keep`, until the budget holds; returns how many tables were
-    /// evicted.
+    /// evicted. Cell sets go first, least recently used first.
     fn evict_past(&mut self, budget: u64, keep: &[(String, u64)]) -> u64 {
+        while self.total_pages > budget {
+            let Some(e) = self
+                .encodings
+                .values_mut()
+                .filter(|e| e.cell_pages > 0)
+                .min_by_key(|e| e.last_used)
+            else {
+                break;
+            };
+            self.total_pages -= e.drop_cell_set();
+        }
         let mut evicted = 0;
         while self.total_pages > budget {
             let tables = self
@@ -734,7 +792,7 @@ impl Residency {
                 }
                 Victim::Encoding(k) => {
                     if let Some(e) = self.encodings.remove(&k) {
-                        self.total_pages -= e.pages;
+                        self.total_pages -= e.total_pages();
                     }
                 }
             }
@@ -794,13 +852,42 @@ impl Residency {
         let entry = EncodingEntry {
             enc,
             pages,
+            cell_pages: 0,
             last_used: self.tick,
         };
         if let Some(old) = self.encodings.insert(key, entry) {
-            self.total_pages -= old.pages;
+            self.total_pages -= old.total_pages();
         }
         self.total_pages += pages;
         self.evict_past(budget, &sides)
+    }
+
+    /// Keeps `set` with `enc`, in place of the set it held, if `enc` is
+    /// still the kept encoding of `key` and the set fits the budget's
+    /// free room (what the replaced set held counts as free). It evicts
+    /// nothing: when it does not fit, the encoding keeps no set at all,
+    /// since a set of another shape would only be replaced by the next
+    /// request.
+    fn keep_cell_set(
+        &mut self,
+        key: &PairKey,
+        enc: &Arc<EncodedPair>,
+        set: Arc<CellSet>,
+        pages: u64,
+        budget: u64,
+    ) {
+        let Some(e) = self.encodings.get_mut(key) else {
+            return;
+        };
+        if !Arc::ptr_eq(&e.enc, enc) {
+            return;
+        }
+        self.total_pages -= e.drop_cell_set();
+        if self.total_pages + pages <= budget {
+            e.enc.keep_cell_set(Some(set));
+            e.cell_pages = pages;
+            self.total_pages += pages;
+        }
     }
 }
 
@@ -1029,6 +1116,7 @@ impl JoinService {
                     reserved_pages: pages,
                     wait_micros: admit.wait_micros,
                     operator: out.operator,
+                    report: out.report,
                 })
             }
             Err(e) => {
@@ -1090,7 +1178,9 @@ impl JoinService {
         match outcome {
             Ok((
                 ExecOutput {
-                    stream: summary, ..
+                    stream: summary,
+                    report,
+                    ..
                 },
                 plan,
                 partitions,
@@ -1111,6 +1201,7 @@ impl JoinService {
                     wait_micros: admit.wait_micros,
                     batches: summary.batches,
                     tuples: summary.tuples,
+                    report,
                 })
             }
             Err(e) => {
@@ -1308,12 +1399,7 @@ impl JoinService {
         if self.cfg.residency_pages == 0 {
             return Ok(None);
         }
-        let key = (
-            outer.to_owned(),
-            r_stats.version,
-            inner.to_owned(),
-            s_stats.version,
-        );
+        let key = pair_key(outer, r_stats, inner, s_stats);
         // Single-flight, like a relation read: a concurrent cold request
         // on the pair waits for this encode and takes the kept one.
         let _claim = match self.single_flight(FlightKey::Pair(key.clone()), || {
@@ -1326,6 +1412,7 @@ impl JoinService {
             Flight::Claimed(claim) => claim,
         };
         let spec = JoinSpec::natural(r.schema(), s.schema()).map_err(ServiceError::Join)?;
+        check_row_ids(r.len(), s.len()).map_err(ServiceError::Join)?;
         let enc = Arc::new(EncodedPair::encode(&spec, r.tuples(), s.tuples()));
         let pages = enc.heap_bytes().div_ceil(self.page_bytes);
         let evicted = self.lock_residency().insert_encoding(
@@ -1339,6 +1426,19 @@ impl JoinService {
         c.encoding_misses += 1;
         c.residency_evictions += evicted;
         Ok(Some(enc))
+    }
+
+    /// Keeps the cell set a run built over the kept encoding `enc` of the
+    /// pair, if it fits the residency budget's free room.
+    fn keep_cell_set(&self, key: &PairKey, enc: &Arc<EncodedPair>, set: &Arc<CellSet>) {
+        let pages = set.heap_bytes().div_ceil(self.page_bytes);
+        self.lock_residency().keep_cell_set(
+            key,
+            enc,
+            Arc::clone(set),
+            pages,
+            self.cfg.residency_pages,
+        );
     }
 
     /// Returns what `probe` finds, or — when it finds nothing — a claim
@@ -1426,6 +1526,16 @@ impl JoinService {
             },
         )
         .map_err(ServiceError::Join)?;
+        match &out.cell_set {
+            CellSetUse::None => {}
+            CellSetUse::Reused => self.lock_counters().cell_set_hits += 1,
+            CellSetUse::Built(set) => {
+                if let Some(enc) = &enc {
+                    self.keep_cell_set(&pair_key(outer, r_stats, inner, s_stats), enc, set);
+                }
+                self.lock_counters().cell_set_misses += 1;
+            }
+        }
         Ok((out, outcome, partitions, key_buckets))
     }
 
@@ -1687,6 +1797,14 @@ impl JoinService {
                 Counter {
                     name: "encoding_misses".into(),
                     value: c.encoding_misses as i64,
+                },
+                Counter {
+                    name: "cell_set_hits".into(),
+                    value: c.cell_set_hits as i64,
+                },
+                Counter {
+                    name: "cell_set_misses".into(),
+                    value: c.cell_set_misses as i64,
                 },
                 Counter {
                     name: "residency_extensions".into(),
@@ -2167,26 +2285,197 @@ mod tests {
         assert_eq!(svc.resident_tables(), 2);
     }
 
-    /// Asserts the residency's page total is the sum of its entries and
-    /// every kept encoding's tables are resident.
+    /// Asserts the residency's page total is the sum of its entries (an
+    /// encoding's with its cell set's), an encoding is charged for a cell
+    /// set exactly when it keeps one, and every kept encoding's tables
+    /// are resident.
     fn assert_residency_consistent(svc: &JoinService) {
         let res = svc.lock_residency();
         let tables: u64 = res.entries.values().map(|e| e.pages).sum();
-        let encodings: u64 = res.encodings.values().map(|e| e.pages).sum();
+        let encodings: u64 = res.encodings.values().map(|e| e.total_pages()).sum();
         assert_eq!(res.total_pages, tables + encodings);
+        for e in res.encodings.values() {
+            assert_eq!(e.cell_pages > 0, e.enc.cell_set().is_some());
+        }
         for (o, ov, i, iv) in res.encodings.keys() {
             assert!(res.entries.contains_key(&(o.clone(), *ov)));
             assert!(res.entries.contains_key(&(i.clone(), *iv)));
         }
     }
 
-    fn extensions(svc: &JoinService) -> i64 {
+    /// The service report's counter `name`.
+    fn counter(svc: &JoinService, name: &str) -> i64 {
         let report = svc.execution_report();
-        let c = report
-            .counters
-            .iter()
-            .find(|c| c.name == "residency_extensions");
+        let c = report.counters.iter().find(|c| c.name == name);
         c.map_or(0, |c| c.value)
+    }
+
+    fn extensions(svc: &JoinService) -> i64 {
+        counter(svc, "residency_extensions")
+    }
+
+    /// Cell-set hits and misses so far.
+    fn cell_sets(svc: &JoinService) -> (i64, i64) {
+        (
+            counter(svc, "cell_set_hits"),
+            counter(svc, "cell_set_misses"),
+        )
+    }
+
+    /// The cell set kept with the service's one pair encoding.
+    fn kept_cell_set(svc: &JoinService) -> Option<Arc<CellSet>> {
+        let res = svc.lock_residency();
+        assert!(res.encodings.len() <= 1);
+        res.encodings.values().next().and_then(|e| e.enc.cell_set())
+    }
+
+    /// The natural join of the service's tables as they stand.
+    fn oracle(svc: &JoinService) -> Relation {
+        let db = svc.database().read().unwrap();
+        natural_join(&db.scan("r").unwrap(), &db.scan("s").unwrap()).unwrap()
+    }
+
+    #[test]
+    fn an_append_rebuilds_the_cell_set_and_the_reply_equals_the_oracle() {
+        let svc = service(4096);
+        let first = svc.submit("r", "s").unwrap();
+        let warm = svc.submit("r", "s").unwrap();
+        assert_eq!(cell_sets(&svc), (1, 1));
+        assert_eq!(warm.result.tuples(), first.result.tuples());
+        // The warm reply's own report: the kernels ran as on the cold
+        // request, over cells that needed no sort.
+        let (c, w) = (&first.report, &warm.report);
+        assert_eq!(w.kernel, c.kernel);
+        assert!(c.kernel.as_ref().unwrap().sweep_partitions > 0);
+        let columnar = |r: &ExecutionReport| r.columnar.unwrap();
+        assert!(columnar(c).radix_passes > 0);
+        assert_eq!(columnar(w).radix_passes, 0);
+        assert_eq!(columnar(w).materialized_rows, columnar(c).materialized_rows);
+        let before = kept_cell_set(&svc).expect("the first request's set is kept");
+        assert_residency_consistent(&svc);
+        svc.append("r", &rel("b", 10, 5).into_tuples()).unwrap();
+        assert!(kept_cell_set(&svc).is_none(), "an append drops the set");
+        assert_residency_consistent(&svc);
+        let resp = svc.submit("r", "s").unwrap();
+        assert_eq!(cell_sets(&svc), (1, 2), "the request after it rebuilds");
+        let after = kept_cell_set(&svc).expect("the rebuilt set is kept");
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert!(resp.result.multiset_eq(&oracle(&svc)));
+        let again = svc.submit("r", "s").unwrap();
+        assert_eq!(cell_sets(&svc), (2, 2));
+        assert_eq!(again.result.tuples(), resp.result.tuples());
+        assert_residency_consistent(&svc);
+    }
+
+    #[test]
+    fn a_replan_to_another_shape_rebuilds_the_cell_set() {
+        let svc = service(4096);
+        let pred = JoinPredicate::intersects();
+        let grid = |g| SubmitOptions {
+            grid: Some(g),
+            ..SubmitOptions::default()
+        };
+        let (four, time_only) = (grid(GridChoice::Fixed(4)), grid(GridChoice::TimeOnly));
+        let a = svc.submit_opts("r", "s", &pred, &four).unwrap();
+        svc.submit_opts("r", "s", &pred, &four).unwrap();
+        assert_eq!(cell_sets(&svc), (1, 1));
+        let set_four = kept_cell_set(&svc).unwrap();
+        let t = svc.submit_opts("r", "s", &pred, &time_only).unwrap();
+        assert_eq!(cell_sets(&svc), (1, 2), "another shape misses");
+        let set_time = kept_cell_set(&svc).unwrap();
+        assert!(!Arc::ptr_eq(&set_four, &set_time));
+        assert_eq!(set_time.cells().len() as u64, t.partitions);
+        let t2 = svc.submit_opts("r", "s", &pred, &time_only).unwrap();
+        assert_eq!(cell_sets(&svc), (2, 2));
+        // One set per encoding: the four-bucket shape is gone.
+        let a2 = svc.submit_opts("r", "s", &pred, &four).unwrap();
+        assert_eq!(cell_sets(&svc), (2, 3));
+        assert_eq!(a2.result.tuples(), a.result.tuples());
+        assert_eq!(t2.result.tuples(), t.result.tuples());
+        assert!(a.result.multiset_eq(&t.result));
+        assert!(t.result.multiset_eq(&oracle(&svc)));
+        assert_residency_consistent(&svc);
+    }
+
+    #[test]
+    fn a_budget_without_free_room_keeps_no_cell_set_and_evicts_nothing() {
+        // What the tables and the pair encoding take, measured on a
+        // service with room to spare (which keeps a set beside them).
+        let roomy = service(4096);
+        roomy.submit("r", "s").unwrap();
+        let held = {
+            let res = roomy.lock_residency();
+            let cells: u64 = res.encodings.values().map(|e| e.cell_pages).sum();
+            assert!(cells > 0, "a roomy budget keeps the set");
+            res.total_pages - cells
+        };
+        let mut db = Database::new(256);
+        db.create_table("r", &rel("b", 600, 5)).unwrap();
+        db.create_table("s", &rel("c", 600, 7)).unwrap();
+        let mut cfg = ServiceConfig::new(JoinConfig::with_buffer(24), 4096);
+        cfg.residency_pages = held;
+        let svc = JoinService::new(db, cfg);
+        let first = svc.submit("r", "s").unwrap();
+        for _ in 0..2 {
+            let resp = svc.submit("r", "s").unwrap();
+            assert_eq!(resp.result.tuples(), first.result.tuples());
+        }
+        assert_eq!(svc.resident_tables(), 2);
+        assert_eq!(svc.cached_encodings(), 1);
+        assert!(kept_cell_set(&svc).is_none());
+        assert_eq!(svc.service_section().residency_evictions, 0);
+        assert_eq!(cell_sets(&svc), (0, 3), "every request builds, none keeps");
+        assert!(first.result.multiset_eq(&oracle(&svc)));
+        assert_residency_consistent(&svc);
+    }
+
+    #[test]
+    fn under_pressure_a_cell_set_goes_before_any_table_or_encoding() {
+        let svc = service(4096);
+        svc.submit("r", "s").unwrap();
+        let budget = svc.cfg.residency_pages;
+        {
+            let mut res = svc.lock_residency();
+            let cells: u64 = res.encodings.values().map(|e| e.cell_pages).sum();
+            assert!(cells > 0);
+            // A table that fits only once the set is gone.
+            let pages = budget - res.total_pages + 1;
+            let evicted = res.insert("t", 1, Arc::new(rel("c", 10, 0)), pages, budget);
+            assert_eq!(evicted, 0, "no table goes");
+            assert_eq!((res.entries.len(), res.encodings.len()), (3, 1));
+            assert!(res.total_pages <= budget);
+        }
+        assert!(kept_cell_set(&svc).is_none());
+        assert_residency_consistent(&svc);
+    }
+
+    #[test]
+    fn concurrent_first_requests_on_one_pair_agree() {
+        let svc = service(1 << 16);
+        let barrier = Barrier::new(4);
+        let results: Vec<Relation> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        svc.submit("r", "s").unwrap().result
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for r in &results {
+            assert_eq!(r.tuples(), results[0].tuples());
+        }
+        assert!(results[0].multiset_eq(&oracle(&svc)));
+        let (hits, misses) = cell_sets(&svc);
+        assert_eq!(hits + misses, 4);
+        assert!(misses >= 1);
+        assert!(kept_cell_set(&svc).is_some());
+        let warm = svc.submit("r", "s").unwrap();
+        assert_eq!(cell_sets(&svc), (hits + 1, misses));
+        assert_eq!(warm.result.tuples(), results[0].tuples());
+        assert_residency_consistent(&svc);
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //!    each distinct join key once, shared by both sides, so the kernels'
 //!    key test collapses to a `u32` compare — `Vec<Value>` payloads are
 //!    never touched on the hot path, not even on hash collisions).
-//! 2. **Index-permutation LSD radix sort** ([`radix_sort_pairs`]): the
-//!    sweep's endpoint sort orders `(biased start, event index)` pairs
-//!    with a stable byte-wise radix — no comparator at all — skipping
-//!    passes whose byte is constant across the partition (real workloads
-//!    cluster starts, so most of the 8 passes are skipped).
+//! 2. **Index-permutation LSD radix sort** ([`radix_sort_pairs`]): a
+//!    sweep cell's gather orders `(biased start, row id)` pairs with a
+//!    stable byte-wise radix — no comparator at all — skipping passes
+//!    whose byte is constant across the cell (real workloads cluster
+//!    starts, so most of the 8 passes are skipped).
 //! 3. **Late materialization** ([`IdBatch`]): kernels emit
 //!    `(left row-id, right row-id)` pairs — the result timestamp is
 //!    recomputed from the chronon columns at flush time; result tuples
@@ -33,8 +33,9 @@
 //! loop, and `tests/columnar_roundtrip.rs` pins every executor's output
 //! to the oracles across predicates.
 
-use crate::common::JoinSpec;
-use std::sync::OnceLock;
+use crate::common::{JoinError, JoinSpec};
+use crate::kernel::CellSet;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use vtjoin_core::{Chronon, Interval, Relation, Tuple};
 
@@ -389,10 +390,46 @@ impl KeyDictionary {
     }
 }
 
+/// Refuses a pair whose sides cannot be addressed by `u32` row ids: the
+/// one row-count check every caller runs before it encodes, extends or
+/// joins a pair, so a pair past the limit is a typed error, never the
+/// encode's assert.
+pub fn check_row_ids(outer_rows: usize, inner_rows: usize) -> Result<(), JoinError> {
+    if outer_rows > u32::MAX as usize || inner_rows > u32::MAX as usize {
+        return Err(JoinError::Precondition(
+            "the in-memory executor addresses rows by u32 ids; a side exceeds u32::MAX tuples",
+        ));
+    }
+    Ok(())
+}
+
+/// Where an [`EncodedPair`] keeps its [`CellSet`]. A clone starts empty:
+/// a copy exists to be extended, which drops the set anyway.
+#[derive(Debug, Default)]
+struct CellSlot(Mutex<Option<Arc<CellSet>>>);
+
+impl Clone for CellSlot {
+    fn clone(&self) -> CellSlot {
+        CellSlot::default()
+    }
+}
+
+impl CellSlot {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Arc<CellSet>>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 /// Both sides of a join encoded columnar, plus what the encode measured.
 /// Owned and lifetime-free; the key ids of both sides come from one
 /// shared [`KeyDictionary`], kept with the columns so the encoding can be
 /// extended when its relations grow.
+///
+/// An encoding kept across requests may also hold one [`CellSet`]: the
+/// kernel input of every cell of the last grid shape it ran, so a later
+/// run over the same shape skips the scatter, the kernel gate, the gather
+/// and the sort. Its owner puts it there ([`EncodedPair::keep_cell_set`]);
+/// [`EncodedPair::extend`] drops it.
 #[derive(Debug, Clone)]
 pub struct EncodedPair {
     /// The outer (left / `r`) side.
@@ -403,6 +440,7 @@ pub struct EncodedPair {
     /// Wall-clock microseconds the encode pass took (profiling only —
     /// never compared by the bench regression gate).
     pub encode_micros: u64,
+    cells: CellSlot,
 }
 
 impl EncodedPair {
@@ -427,6 +465,7 @@ impl EncodedPair {
             inner: SideColumns::default(),
             dict: KeyDictionary::new(),
             encode_micros: 0,
+            cells: CellSlot::default(),
         };
         pair.push_rows(spec, rows);
         pair.encode_micros = t0.elapsed().as_micros() as u64;
@@ -441,12 +480,18 @@ impl EncodedPair {
     /// rows first on equal starts). Afterwards the encoding answers
     /// exactly like a fresh encode of `r` and `s` (key ids may be
     /// numbered otherwise; only their equality is meaningful). A side
-    /// with no new rows is not touched.
+    /// with no new rows is not touched. The kept [`CellSet`], if any, is
+    /// dropped: its cells no longer hold every row.
+    ///
+    /// # Panics
+    /// When a relation shrank, or a side passes `u32::MAX` rows (callers
+    /// refuse that first with [`check_row_ids`]).
     pub fn extend(&mut self, spec: &JoinSpec, r: &[Tuple], s: &[Tuple]) {
         assert!(
             r.len() >= self.outer.len() && s.len() >= self.inner.len(),
             "an encoding extends only to relations that grew"
         );
+        *self.cells.0.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
         self.push_rows(
             spec,
             PairRows {
@@ -457,6 +502,8 @@ impl EncodedPair {
     }
 
     /// Encodes the rows of `rows` past the encoded ones, outer side first.
+    /// A side past `u32::MAX` rows is a caller's bug: every caller runs
+    /// [`check_row_ids`] first.
     fn push_rows(&mut self, spec: &JoinSpec, rows: PairRows<'_>) {
         for outer in [true, false] {
             let (side, n) = if outer {
@@ -492,9 +539,21 @@ impl EncodedPair {
     }
 
     /// Heap bytes the encoding occupies: both sides' columns and the key
-    /// dictionary.
+    /// dictionary. A kept [`CellSet`] is not counted; its owner charges
+    /// it on its own ([`CellSet::heap_bytes`]).
     pub fn heap_bytes(&self) -> u64 {
         self.outer.heap_bytes() + self.inner.heap_bytes() + self.dict.heap_bytes()
+    }
+
+    /// The cell set kept with this encoding, if any.
+    pub fn cell_set(&self) -> Option<Arc<CellSet>> {
+        self.cells.lock().clone()
+    }
+
+    /// Keeps `set` with this encoding in place of the one it held
+    /// (`None` drops that one); returns the replaced set.
+    pub fn keep_cell_set(&self, set: Option<Arc<CellSet>>) -> Option<Arc<CellSet>> {
+        std::mem::replace(&mut *self.cells.lock(), set)
     }
 
     /// Views the encoding over the relations it was built from (in
@@ -743,8 +802,9 @@ impl IdBatch {
 pub struct ColumnarCounters {
     /// Wall-clock microseconds spent encoding sides (profiling only).
     pub encode_micros: u64,
-    /// Radix counting passes actually executed (skipped constant-byte
-    /// passes are not counted).
+    /// Radix counting passes this run executed (skipped constant-byte
+    /// passes are not counted); 0 when every sweep cell came sorted from
+    /// a kept [`CellSet`].
     pub radix_passes: u64,
     /// Distinct join keys interned in the shared dictionary.
     pub dict_size: u64,
@@ -1001,6 +1061,43 @@ mod tests {
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
         let mut enc = EncodedPair::encode(&spec, r.tuples(), s.tuples());
         enc.extend(&spec, &r.tuples()[..1], s.tuples());
+    }
+
+    #[test]
+    fn row_ids_stop_at_u32_max() {
+        // Lengths only: nothing of that size is allocated.
+        let max = u32::MAX as usize;
+        assert!(check_row_ids(max, max).is_ok());
+        assert!(check_row_ids(0, 0).is_ok());
+        for (r, s) in [(max + 1, 0), (0, max + 1), (max + 1, max + 1)] {
+            assert!(
+                matches!(check_row_ids(r, s), Err(JoinError::Precondition(_))),
+                "{r} x {s}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_extension_drops_the_kept_cell_set_and_a_clone_starts_without_one() {
+        use crate::kernel::KernelChoice;
+        let (rs, ss) = schemas();
+        let rows: Vec<_> = (0..6).map(|i| (i % 2, i, i, i + 1)).collect();
+        let r = rel(Arc::clone(&rs), &rows[..4]);
+        let s = rel(ss, &rows);
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let mut enc = EncodedPair::encode(&spec, r.tuples(), s.tuples());
+        let set = CellSet::new(&[Interval::ALL], 1, KernelChoice::Auto, vec![None], (4, 6));
+        assert!(enc.keep_cell_set(Some(Arc::new(set))).is_none());
+        assert!(enc.cell_set().is_some());
+        assert!(enc.clone().cell_set().is_none());
+        let before = enc.heap_bytes();
+        assert!(
+            enc.cell_set().is_some(),
+            "the set is not in the encoding's bytes"
+        );
+        enc.extend(&spec, rel(rs, &rows).tuples(), s.tuples());
+        assert!(enc.cell_set().is_none());
+        assert!(enc.heap_bytes() >= before);
     }
 
     #[test]

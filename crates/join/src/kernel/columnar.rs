@@ -1,11 +1,22 @@
-//! The sweep and hash join kernels over columnar sides.
+//! The sweep and hash join kernels over gathered cell slices.
 //!
-//! These kernels run on [`ColumnarSide`] column slices and emit
+//! A kernel joins one cell (a grid cell, or one disk partition) and emits
 //! `(outer row, inner row)` pairs into an [`IdBatch`] — no tuple is
 //! dereferenced and no `Vec<Value>` is compared or cloned anywhere on the
-//! hot path. The encode pass interned every key in a shared dictionary,
-//! so key equality is a `u32` compare against the `key_id` column; the
-//! 64-bit key hash only picks buckets and candidates.
+//! hot path. Both sides arrive as [`SideSlice`]s: the cell's rows of an
+//! encoded [`ColumnarSide`], gathered into dense columns in the order the
+//! kernel reads them. The encode pass interned every key in a shared
+//! dictionary, so key equality is a `u32` compare against the `key_id`
+//! column; the 64-bit key hash only picks buckets and candidates.
+//!
+//! **Gather.** A hash cell is gathered in row order (its emission order
+//! is the output order); a sweep cell in `(start, row id)` order, sorted
+//! by the stable [`radix_sort_pairs`] over the cell's row ids. That sort
+//! is the only one a sweep runs. [`ColumnarScratch::gather`] gathers into
+//! a worker's reused slices for one request; [`KeptCell::gather`] into
+//! slices of the cell's own, which a [`CellSet`] keeps beside a kept
+//! encoding so that later requests over the same grid shape skip the
+//! gate, the gather and the sort.
 //!
 //! **Sweep** ([`columnar_sweep_join`]). Piatov, Helmer & Dignös
 //! (*Cache-Efficient Sweeping-Based Interval Joins*, PAPERS.md) observe
@@ -13,10 +24,10 @@
 //! with **gapless active lists** beats hash-probe-plus-bucket-scan by
 //! large factors: the sweep only ever touches rows whose intervals are
 //! *currently open*, so every hash-equal candidate it inspects is already
-//! known to overlap in time. Both sides are radix-sorted by interval
-//! start and consumed in merge order. An arriving row (1) probes the
-//! **other** side's active list for its key hash — every live entry there
-//! started no later and has not ended, so the overlap is exactly
+//! known to overlap in time. Both slices arrive in start order and are
+//! consumed in merge order. An arriving row (1) probes the **other**
+//! side's active list for its key hash — every live entry there started
+//! no later and has not ended, so the overlap is exactly
 //! `[arrival.start, min(ends)]` — and (2) enters its own side's active
 //! list. Expired entries (end before the arrival's start) are
 //! swap-removed lazily during the probe, keeping the per-bucket lists
@@ -34,9 +45,10 @@
 //! tests run on inline chronons before the key test.
 //!
 //! Output order is a pure function of the cell: bucket masks come from
-//! the cell's size (never from the grow-only scratch), the radix sort is
-//! stable over ascending slice index, and buckets keep insertion order,
-//! so a cell emits the same pairs in the same order on any worker.
+//! the cell's size (never from the grow-only scratch), the start sort is
+//! stable over ascending row ids, and buckets keep insertion order, so a
+//! cell emits the same pairs in the same order on any worker, from a
+//! kept slice or a freshly gathered one.
 
 use super::{HashStats, KernelChoice, KernelKind, SweepStats, SWEEP_DUP_THRESHOLD_X100};
 use crate::columnar::{biased_chronon, radix_sort_pairs, ColumnarSide, IdBatch};
@@ -45,9 +57,9 @@ use vtjoin_core::{Chronon, Interval, JoinPredicate};
 /// One side's cell-local column slice, gathered contiguously from the
 /// relation-wide [`ColumnarSide`] so the kernel loops stream over dense
 /// arrays. Position `i` in the slice corresponds to global row
-/// `rows[i]`; the gather copies chronons and ids, never tuples.
-#[derive(Debug, Default)]
-struct SideSlice {
+/// `rows()[i]`; the gather copies chronons and ids, never tuples.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SideSlice {
     rows: Vec<u32>,
     starts: Vec<Chronon>,
     ends: Vec<Chronon>,
@@ -56,14 +68,65 @@ struct SideSlice {
 }
 
 impl SideSlice {
+    /// Gathers `rows` of `side` in the order given: what a hash cell
+    /// reads.
     fn gather(&mut self, side: &ColumnarSide<'_>, rows: &[u32]) {
+        self.refill(side, rows.iter().copied());
+    }
+
+    /// Gathers `rows` of `side`, given in ascending row-id order, in
+    /// `(start, row id)` order: what a sweep cell reads. The stable radix
+    /// sort runs in `sort`'s reused buffers; returns the byte passes it
+    /// executed.
+    fn gather_by_start(
+        &mut self,
+        side: &ColumnarSide<'_>,
+        rows: &[u32],
+        sort: &mut StartSort,
+    ) -> u64 {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows ascend");
+        let StartSort { pairs, tmp } = sort;
+        pairs.clear();
+        pairs.extend(rows.iter().map(|&r| (biased_chronon(side.start(r)), r)));
+        let passes = radix_sort_pairs(pairs, tmp);
+        self.refill(side, pairs.iter().map(|&(_, r)| r));
+        passes
+    }
+
+    /// Gathers `rows` of `side` in the order `kind`'s kernel reads;
+    /// returns the radix passes the gather ran (0 for a hash cell).
+    fn gather_for(
+        &mut self,
+        kind: KernelKind,
+        side: &ColumnarSide<'_>,
+        rows: &[u32],
+        sort: &mut StartSort,
+    ) -> u64 {
+        match kind {
+            KernelKind::Hash => {
+                self.gather(side, rows);
+                0
+            }
+            KernelKind::Sweep => self.gather_by_start(side, rows, sort),
+        }
+    }
+
+    fn refill(&mut self, side: &ColumnarSide<'_>, rows: impl ExactSizeIterator<Item = u32>) {
         self.rows.clear();
         self.starts.clear();
         self.ends.clear();
         self.hashes.clear();
         self.key_ids.clear();
-        self.rows.extend_from_slice(rows);
-        for &r in rows {
+        // Exact: a kept slice is sized to its cell, and a scratch slice
+        // grows to the largest cell once.
+        let n = rows.len();
+        self.rows.reserve_exact(n);
+        self.starts.reserve_exact(n);
+        self.ends.reserve_exact(n);
+        self.hashes.reserve_exact(n);
+        self.key_ids.reserve_exact(n);
+        for r in rows {
+            self.rows.push(r);
             self.starts.push(side.start(r));
             self.ends.push(side.end(r));
             self.hashes.push(side.hash(r));
@@ -71,14 +134,45 @@ impl SideSlice {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Rows in the slice.
+    pub fn len(&self) -> usize {
         self.rows.len()
+    }
+
+    /// Whether the slice holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The global row id behind each slice position.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// Heap bytes of the five columns: 32 per row of capacity.
+    pub fn heap_bytes(&self) -> u64 {
+        (self.rows.capacity() * std::mem::size_of::<u32>()
+            + self.starts.capacity() * std::mem::size_of::<Chronon>()
+            + self.ends.capacity() * std::mem::size_of::<Chronon>()
+            + self.hashes.capacity() * std::mem::size_of::<u64>()
+            + self.key_ids.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
     #[inline]
     fn interval(&self, i: usize) -> Interval {
         Interval::new(self.starts[i], self.ends[i]).expect("slice columns encode an interval")
     }
+
+    fn is_start_ordered(&self) -> bool {
+        self.starts.windows(2).all(|w| w[0] <= w[1])
+    }
+}
+
+/// The reused buffers of a sweep cell's `(start, row id)` sort.
+#[derive(Debug, Default)]
+pub struct StartSort {
+    pairs: Vec<(u64, u32)>,
+    tmp: Vec<(u64, u32)>,
 }
 
 /// A currently-open row in one side's active list.
@@ -156,19 +250,155 @@ impl ActiveLists {
     }
 }
 
-/// Reusable per-worker columnar-kernel state: gathered column slices,
-/// radix order/scratch buffers, active lists, and the hash kernel's
-/// bucket table. One per worker, reused across every stolen cell.
+/// The kernels' own reusable state: the sweep's active lists and the
+/// hash kernel's bucket table. One per worker, reused across every cell.
 #[derive(Debug, Default)]
-pub struct ColumnarScratch {
-    r_slice: SideSlice,
-    s_slice: SideSlice,
-    r_order: Vec<(u64, u32)>,
-    s_order: Vec<(u64, u32)>,
-    radix_tmp: Vec<(u64, u32)>,
+pub struct KernelScratch {
     r_active: ActiveLists,
     s_active: ActiveLists,
     hash_table: FlatHashTable,
+}
+
+/// Reusable per-worker state for cells gathered per request: both sides'
+/// slices, the start sort's buffers and the kernel scratch. Everything
+/// grows to the largest cell once, then never again.
+#[derive(Debug, Default)]
+pub struct ColumnarScratch {
+    /// The outer side of the cell last gathered.
+    pub outer: SideSlice,
+    /// The inner side of the cell last gathered.
+    pub inner: SideSlice,
+    /// Buffers of the sweep cells' start sort.
+    pub sort: StartSort,
+    /// Active lists and hash table.
+    pub kernel: KernelScratch,
+}
+
+impl ColumnarScratch {
+    /// Gathers a cell's two sides into [`ColumnarScratch::outer`] and
+    /// [`ColumnarScratch::inner`] in the order `kind`'s kernel reads
+    /// (`r_rows` and `s_rows` in ascending row-id order); returns the
+    /// radix passes the gather ran.
+    pub fn gather(
+        &mut self,
+        kind: KernelKind,
+        r: &ColumnarSide<'_>,
+        r_rows: &[u32],
+        s: &ColumnarSide<'_>,
+        s_rows: &[u32],
+    ) -> u64 {
+        self.outer.gather_for(kind, r, r_rows, &mut self.sort)
+            + self.inner.gather_for(kind, s, s_rows, &mut self.sort)
+    }
+}
+
+/// One cell's kernel input, kept across requests: the kernel the gate
+/// chose and both sides' slices, gathered in that kernel's order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeptCell {
+    /// The kernel the cell runs.
+    pub kind: KernelKind,
+    /// The outer side's slice.
+    pub outer: SideSlice,
+    /// The inner side's slice.
+    pub inner: SideSlice,
+}
+
+impl KeptCell {
+    /// Gathers a cell's two sides into slices of its own, in the order
+    /// `kind`'s kernel reads (`r_rows` and `s_rows` ascending); returns
+    /// the cell and the radix passes the gather ran.
+    pub fn gather(
+        kind: KernelKind,
+        r: &ColumnarSide<'_>,
+        r_rows: &[u32],
+        s: &ColumnarSide<'_>,
+        s_rows: &[u32],
+        sort: &mut StartSort,
+    ) -> (KeptCell, u64) {
+        let mut cell = KeptCell {
+            kind,
+            outer: SideSlice::default(),
+            inner: SideSlice::default(),
+        };
+        let passes = cell.outer.gather_for(kind, r, r_rows, sort)
+            + cell.inner.gather_for(kind, s, s_rows, sort);
+        (cell, passes)
+    }
+
+    /// Heap bytes of both slices.
+    pub fn heap_bytes(&self) -> u64 {
+        self.outer.heap_bytes() + self.inner.heap_bytes()
+    }
+}
+
+/// The kept kernel input of every cell of one grid shape — time
+/// intervals × key buckets under one kernel policy — over one encoded
+/// pair: per cell, the gate's kernel and both sides' slices. Cells where
+/// either side is empty join nothing and keep nothing. Built by the
+/// first grid run over a kept encoding with a given plan and reused by
+/// every later run with the same shape; it depends on nothing but the
+/// encoding and the shape, so it is never a result cache.
+#[derive(Debug)]
+pub struct CellSet {
+    intervals: Vec<Interval>,
+    key_buckets: usize,
+    choice: KernelChoice,
+    cells: Vec<Option<KeptCell>>,
+    replicated: (u64, u64),
+}
+
+impl CellSet {
+    /// A set for the grid of `intervals` × `key_buckets` under `choice`,
+    /// holding `cells` (time-major, `i * key_buckets + b`) and each
+    /// side's replicated row count.
+    ///
+    /// # Panics
+    /// When `cells` does not hold one entry per grid cell.
+    pub fn new(
+        intervals: &[Interval],
+        key_buckets: usize,
+        choice: KernelChoice,
+        cells: Vec<Option<KeptCell>>,
+        replicated: (u64, u64),
+    ) -> CellSet {
+        assert_eq!(
+            cells.len(),
+            intervals.len() * key_buckets,
+            "one entry per grid cell"
+        );
+        CellSet {
+            intervals: intervals.to_vec(),
+            key_buckets,
+            choice,
+            cells,
+            replicated,
+        }
+    }
+
+    /// Whether the set was built for this grid shape and kernel policy.
+    pub fn is_for(&self, intervals: &[Interval], key_buckets: usize, choice: KernelChoice) -> bool {
+        self.key_buckets == key_buckets && self.choice == choice && self.intervals == intervals
+    }
+
+    /// Every cell, time-major; `None` where a side is empty.
+    pub fn cells(&self) -> &[Option<KeptCell>] {
+        &self.cells
+    }
+
+    /// Row references per side after time-axis replication, over every
+    /// cell (the empty-sided ones included).
+    pub fn replicated(&self) -> (u64, u64) {
+        self.replicated
+    }
+
+    /// Heap bytes of every kept slice plus the interval list.
+    pub fn heap_bytes(&self) -> u64 {
+        let cells: u64 = self.cells.iter().flatten().map(KeptCell::heap_bytes).sum();
+        cells
+            + (self.cells.capacity() * std::mem::size_of::<Option<KeptCell>>()
+                + self.intervals.capacity() * std::mem::size_of::<Interval>()) as u64
+    }
 }
 
 /// The hash kernel's build-side table, laid out gapless (Piatov et al.,
@@ -281,21 +511,19 @@ pub fn choose_kernel_ids(
     }
 }
 
-/// Columnar forward-sweep join over per-cell column slices, emitting
-/// every matching row-id pair whose overlap **ends** inside `emit_within`
-/// (the canonical-partition de-duplication rule shared with the hash
-/// kernel); returns the sweep stats plus the number of radix counting
-/// passes executed.
+/// Columnar forward-sweep join over two cell slices gathered for
+/// [`KernelKind::Sweep`], so in `(start, row id)` order (see
+/// [`ColumnarScratch::gather`]), emitting every matching row-id pair
+/// whose overlap **ends** inside `emit_within` (the canonical-partition
+/// de-duplication rule shared with the hash kernel).
 pub fn columnar_sweep_join(
-    r: &ColumnarSide<'_>,
-    r_rows: &[u32],
-    s: &ColumnarSide<'_>,
-    s_rows: &[u32],
+    r: &SideSlice,
+    s: &SideSlice,
     emit_within: Interval,
-    scratch: &mut ColumnarScratch,
+    scratch: &mut KernelScratch,
     out: &mut IdBatch,
-) -> (SweepStats, u64) {
-    sweep_ids(r, r_rows, s, s_rows, None, emit_within, scratch, out)
+) -> SweepStats {
+    sweep_slices(r, s, None, emit_within, scratch, out)
 }
 
 /// Predicate-parameterized columnar sweep: discovers the same key-equal
@@ -309,198 +537,149 @@ pub fn columnar_sweep_join(
 /// [`JoinPredicate::stamp`] *is* the overlap, so materialization stamps
 /// the surviving pairs correctly. Callers route sequence and mixed
 /// templates to [`super::merge_join_pred`] instead.
-#[allow(clippy::too_many_arguments)]
 pub fn columnar_sweep_join_pred(
     pred: &JoinPredicate,
-    r: &ColumnarSide<'_>,
-    r_rows: &[u32],
-    s: &ColumnarSide<'_>,
-    s_rows: &[u32],
+    r: &SideSlice,
+    s: &SideSlice,
     emit_within: Interval,
-    scratch: &mut ColumnarScratch,
+    scratch: &mut KernelScratch,
     out: &mut IdBatch,
-) -> (SweepStats, u64) {
+) -> SweepStats {
     debug_assert!(
         pred.partitioning_eligible(),
         "columnar_sweep_join_pred requires an intersection-template predicate"
     );
-    sweep_ids(r, r_rows, s, s_rows, Some(pred), emit_within, scratch, out)
+    sweep_slices(r, s, Some(pred), emit_within, scratch, out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sweep_ids(
-    r: &ColumnarSide<'_>,
-    r_rows: &[u32],
-    s: &ColumnarSide<'_>,
-    s_rows: &[u32],
+fn sweep_slices(
+    r: &SideSlice,
+    s: &SideSlice,
     filter: Option<&JoinPredicate>,
     emit_within: Interval,
-    scratch: &mut ColumnarScratch,
+    scratch: &mut KernelScratch,
     out: &mut IdBatch,
-) -> (SweepStats, u64) {
-    let ColumnarScratch {
-        r_slice,
-        s_slice,
-        r_order,
-        s_order,
-        radix_tmp,
-        r_active,
-        s_active,
-        ..
+) -> SweepStats {
+    debug_assert!(
+        r.is_start_ordered() && s.is_start_ordered(),
+        "the sweep reads start-ordered slices"
+    );
+    let KernelScratch {
+        r_active, s_active, ..
     } = scratch;
-    r_slice.gather(r, r_rows);
-    s_slice.gather(s, s_rows);
+    r_active.reset(r.len());
+    s_active.reset(s.len());
 
-    // Event order = (start, slice index): pairs are pushed in ascending
-    // index order and the radix sort is stable, so the order is total and
-    // deterministic.
-    r_order.clear();
-    r_order.extend(
-        r_slice
-            .starts
-            .iter()
-            .enumerate()
-            .map(|(i, &st)| (biased_chronon(st), i as u32)),
-    );
-    s_order.clear();
-    s_order.extend(
-        s_slice
-            .starts
-            .iter()
-            .enumerate()
-            .map(|(i, &st)| (biased_chronon(st), i as u32)),
-    );
-    let mut radix_passes = radix_sort_pairs(r_order, radix_tmp);
-    radix_passes += radix_sort_pairs(s_order, radix_tmp);
-
-    r_active.reset(r_slice.len());
-    s_active.reset(s_slice.len());
-
+    // Event order = slice order, which is (start, row id) on each side.
     let mut stats = SweepStats::default();
-    let (rn, sn) = (r_order.len(), s_order.len());
-    let (mut ai, mut bi) = (0usize, 0usize);
-    while ai < rn || bi < sn {
-        // Outer first on start ties; the biased-u64 compare is
-        // order-isomorphic to the chronon compare.
-        let take_r = bi >= sn || (ai < rn && r_order[ai].0 <= s_order[bi].0);
-        if take_r {
-            let i = r_order[ai].1 as usize;
-            ai += 1;
-            let (ev_start, ev_end) = (r_slice.starts[i], r_slice.ends[i]);
-            let (ev_hash, ev_key) = (r_slice.hashes[i], r_slice.key_ids[i]);
-            stats.comparisons += s_active.probe(ev_hash, ev_start, |j, y_end, y_key| {
+    let (rn, sn) = (r.len(), s.len());
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < rn || j < sn {
+        // Outer first on start ties.
+        if j >= sn || (i < rn && r.starts[i] <= s.starts[j]) {
+            let x = i;
+            i += 1;
+            let (ev_start, ev_end) = (r.starts[x], r.ends[x]);
+            let (ev_hash, ev_key) = (r.hashes[x], r.key_ids[x]);
+            stats.comparisons += s_active.probe(ev_hash, ev_start, |y, y_end, y_key| {
                 let end = ev_end.min(y_end);
                 if emit_within.contains_chronon(end) && ev_key == y_key {
                     if let Some(p) = filter {
                         stats.filter_checks += 1;
-                        if !p.matches(r_slice.interval(i), s_slice.interval(j as usize)) {
+                        if !p.matches(r.interval(x), s.interval(y as usize)) {
                             return;
                         }
                         stats.filter_hits += 1;
                     }
-                    out.emit(r_slice.rows[i], s_slice.rows[j as usize]);
+                    out.emit(r.rows[x], s.rows[y as usize]);
                     stats.pairs_emitted += 1;
                 }
             });
-            if bi < sn {
-                r_active.insert(ev_hash, ev_end, ev_key, i as u32);
+            if j < sn {
+                r_active.insert(ev_hash, ev_end, ev_key, x as u32);
             }
         } else {
-            let j = s_order[bi].1 as usize;
-            bi += 1;
-            let (ev_start, ev_end) = (s_slice.starts[j], s_slice.ends[j]);
-            let (ev_hash, ev_key) = (s_slice.hashes[j], s_slice.key_ids[j]);
-            stats.comparisons += r_active.probe(ev_hash, ev_start, |i, x_end, x_key| {
+            let y = j;
+            j += 1;
+            let (ev_start, ev_end) = (s.starts[y], s.ends[y]);
+            let (ev_hash, ev_key) = (s.hashes[y], s.key_ids[y]);
+            stats.comparisons += r_active.probe(ev_hash, ev_start, |x, x_end, x_key| {
                 let end = ev_end.min(x_end);
                 if emit_within.contains_chronon(end) && ev_key == x_key {
                     if let Some(p) = filter {
                         stats.filter_checks += 1;
-                        if !p.matches(r_slice.interval(i as usize), s_slice.interval(j)) {
+                        if !p.matches(r.interval(x as usize), s.interval(y)) {
                             return;
                         }
                         stats.filter_hits += 1;
                     }
-                    out.emit(r_slice.rows[i as usize], s_slice.rows[j]);
+                    out.emit(r.rows[x as usize], s.rows[y]);
                     stats.pairs_emitted += 1;
                 }
             });
-            if ai < rn {
-                s_active.insert(ev_hash, ev_end, ev_key, j as u32);
+            if i < rn {
+                s_active.insert(ev_hash, ev_end, ev_key, y as u32);
             }
         }
     }
-    (stats, radix_passes)
+    stats
 }
 
-/// Columnar hash join over per-cell column slices, emitting every
-/// matching row-id pair whose overlap ends inside `emit_within`, as
+/// Columnar hash join over two cell slices, emitting every matching
+/// row-id pair whose overlap ends inside `emit_within`, as
 /// [`columnar_sweep_join`] does, so the executor can swap kernels per
-/// partition. The overlap test and the
-/// canonical-partition emit filter run on inline chronons *before* the
-/// key test, so temporally-disjoint hash-equal candidates cost one `u64`
-/// compare and two chronon compares — no pointer chase, no splice.
+/// partition. Emission follows the inner slice's order, then the outer
+/// slice's within a bucket. The overlap test and the canonical-partition
+/// emit filter run on inline chronons *before* the key test, so
+/// temporally-disjoint hash-equal candidates cost one `u64` compare and
+/// two chronon compares — no pointer chase, no splice.
 pub fn columnar_hash_join(
-    r: &ColumnarSide<'_>,
-    r_rows: &[u32],
-    s: &ColumnarSide<'_>,
-    s_rows: &[u32],
+    r: &SideSlice,
+    s: &SideSlice,
     emit_within: Interval,
-    scratch: &mut ColumnarScratch,
+    scratch: &mut KernelScratch,
     out: &mut IdBatch,
 ) -> HashStats {
-    hash_ids(r, r_rows, s, s_rows, None, emit_within, scratch, out)
+    hash_slices(r, s, None, emit_within, scratch, out)
 }
 
 /// Predicate-parameterized columnar hash join: each key-equal candidate
 /// is filtered through `pred`, then the emit rule runs on its stamp's
 /// end. Intersection templates only, as for
 /// [`columnar_sweep_join_pred`].
-#[allow(clippy::too_many_arguments)]
 pub fn columnar_hash_join_pred(
     pred: &JoinPredicate,
-    r: &ColumnarSide<'_>,
-    r_rows: &[u32],
-    s: &ColumnarSide<'_>,
-    s_rows: &[u32],
+    r: &SideSlice,
+    s: &SideSlice,
     emit_within: Interval,
-    scratch: &mut ColumnarScratch,
+    scratch: &mut KernelScratch,
     out: &mut IdBatch,
 ) -> HashStats {
     debug_assert!(
         pred.partitioning_eligible(),
         "columnar_hash_join_pred requires an intersection-template predicate"
     );
-    hash_ids(r, r_rows, s, s_rows, Some(pred), emit_within, scratch, out)
+    hash_slices(r, s, Some(pred), emit_within, scratch, out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn hash_ids(
-    r: &ColumnarSide<'_>,
-    r_rows: &[u32],
-    s: &ColumnarSide<'_>,
-    s_rows: &[u32],
+fn hash_slices(
+    r: &SideSlice,
+    s: &SideSlice,
     filter: Option<&JoinPredicate>,
     emit_within: Interval,
-    scratch: &mut ColumnarScratch,
+    scratch: &mut KernelScratch,
     out: &mut IdBatch,
 ) -> HashStats {
     let mut stats = HashStats::default();
-    let ColumnarScratch {
-        r_slice,
-        s_slice,
-        hash_table,
-        ..
-    } = scratch;
-    r_slice.gather(r, r_rows);
-    s_slice.gather(s, s_rows);
+    let table = &mut scratch.hash_table;
     // One bucket per build row, rounded up to a power of two.
-    hash_table.build(&r_slice.hashes, r_slice.len().max(1).next_power_of_two());
-    for j in 0..s_slice.len() {
+    table.build(&r.hashes, r.len().max(1).next_power_of_two());
+    for j in 0..s.len() {
         stats.probes += 1;
-        let h = s_slice.hashes[j];
-        let (y_start, y_end) = (s_slice.starts[j], s_slice.ends[j]);
-        let y_key = s_slice.key_ids[j];
-        for &(hx, pos) in hash_table.bucket(h) {
+        let h = s.hashes[j];
+        let (y_start, y_end) = (s.starts[j], s.ends[j]);
+        let y_key = s.key_ids[j];
+        for &(hx, pos) in table.bucket(h) {
             if hx != h {
                 continue;
             }
@@ -510,10 +689,10 @@ fn hash_ids(
                 None => {
                     // Natural join: overlap + emit filter from inline
                     // chronons, key id last.
-                    let os = r_slice.starts[i].max(y_start);
-                    let oe = r_slice.ends[i].min(y_end);
-                    if os <= oe && emit_within.contains_chronon(oe) && r_slice.key_ids[i] == y_key {
-                        out.emit(r_slice.rows[i], s_slice.rows[j]);
+                    let os = r.starts[i].max(y_start);
+                    let oe = r.ends[i].min(y_end);
+                    if os <= oe && emit_within.contains_chronon(oe) && r.key_ids[i] == y_key {
+                        out.emit(r.rows[i], s.rows[j]);
                         stats.pairs_emitted += 1;
                     }
                 }
@@ -521,12 +700,12 @@ fn hash_ids(
                     // A check per key-equal candidate, a hit per filter
                     // pass, then the canonical-partition rule on the
                     // stamp's end.
-                    if r_slice.key_ids[i] != y_key {
+                    if r.key_ids[i] != y_key {
                         continue;
                     }
                     stats.filter_checks += 1;
-                    let x_iv = r_slice.interval(i);
-                    let y_iv = s_slice.interval(j);
+                    let x_iv = r.interval(i);
+                    let y_iv = s.interval(j);
                     if !pred.matches(x_iv, y_iv) {
                         continue;
                     }
@@ -536,7 +715,7 @@ fn hash_ids(
                     // materialization recomputes it from the columns.
                     let stamp = pred.stamp(x_iv, y_iv);
                     if emit_within.contains_chronon(stamp.end()) {
-                        out.emit(r_slice.rows[i], s_slice.rows[j]);
+                        out.emit(r.rows[i], s.rows[j]);
                         stats.pairs_emitted += 1;
                     }
                 }
@@ -598,6 +777,18 @@ mod tests {
 
     fn all_rows(n: usize) -> Vec<u32> {
         (0..n as u32).collect()
+    }
+
+    /// Gathers rows `..nr` of `r` and `..ns` of `s` for `kind` into `cs`.
+    fn gather_all(
+        kind: KernelKind,
+        r: &ColumnarSide<'_>,
+        nr: usize,
+        s: &ColumnarSide<'_>,
+        ns: usize,
+        cs: &mut ColumnarScratch,
+    ) -> u64 {
+        cs.gather(kind, r, &all_rows(nr), s, &all_rows(ns))
     }
 
     /// The counters both kernels must report over all of `r × s`, counted
@@ -693,7 +884,6 @@ mod tests {
             let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
             let enc = encode_pair(&spec, r.iter(), s.iter());
             let (outer, inner) = (enc.outer(), enc.inner());
-            let (r_rows, s_rows) = (all_rows(r.len()), all_rows(s.len()));
             let mut cs = ColumnarScratch::default();
             for pred in &preds {
                 let oracle = match pred {
@@ -727,25 +917,21 @@ mod tests {
                     };
 
                     let mut out = IdBatch::new();
-                    let (stats, _) = match pred {
-                        None => columnar_sweep_join(
-                            &outer, &r_rows, &inner, &s_rows, window, &mut cs, &mut out,
-                        ),
-                        Some(p) => columnar_sweep_join_pred(
-                            p, &outer, &r_rows, &inner, &s_rows, window, &mut cs, &mut out,
-                        ),
+                    gather_all(KernelKind::Sweep, &outer, r.len(), &inner, s.len(), &mut cs);
+                    let (rs, ss, ks) = (&cs.outer, &cs.inner, &mut cs.kernel);
+                    let stats = match pred {
+                        None => columnar_sweep_join(rs, ss, window, ks, &mut out),
+                        Some(p) => columnar_sweep_join_pred(p, rs, ss, window, ks, &mut out),
                     };
                     assert_eq!(stats, want_sweep, "sweep counters, {ctx}");
                     assert!(got(&mut out).multiset_eq(&want), "sweep rows, {ctx}");
 
                     let mut out = IdBatch::new();
+                    gather_all(KernelKind::Hash, &outer, r.len(), &inner, s.len(), &mut cs);
+                    let (rs, ss, ks) = (&cs.outer, &cs.inner, &mut cs.kernel);
                     let stats = match pred {
-                        None => columnar_hash_join(
-                            &outer, &r_rows, &inner, &s_rows, window, &mut cs, &mut out,
-                        ),
-                        Some(p) => columnar_hash_join_pred(
-                            p, &outer, &r_rows, &inner, &s_rows, window, &mut cs, &mut out,
-                        ),
+                        None => columnar_hash_join(rs, ss, window, ks, &mut out),
+                        Some(p) => columnar_hash_join_pred(p, rs, ss, window, ks, &mut out),
                     };
                     assert_eq!(stats, want_hash, "hash counters, {ctx}");
                     assert!(got(&mut out).multiset_eq(&want), "hash rows, {ctx}");
@@ -759,26 +945,25 @@ mod tests {
         let (r, s) = pair(4, 8);
         let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
         let enc = encode_pair(&spec, r.iter(), s.iter());
+        let (outer, inner) = (enc.outer(), enc.inner());
         let mut cs = ColumnarScratch::default();
         let mut out = IdBatch::new();
-        let (stats, _) = columnar_sweep_join(
-            &enc.outer(),
-            &all_rows(enc.outer().len()),
-            &enc.inner(),
-            &[],
+        gather_all(KernelKind::Sweep, &outer, outer.len(), &inner, 0, &mut cs);
+        let stats = columnar_sweep_join(
+            &cs.outer,
+            &cs.inner,
             Interval::ALL,
-            &mut cs,
+            &mut cs.kernel,
             &mut out,
         );
         assert_eq!(stats.pairs_emitted, 0);
         assert!(out.is_empty());
+        gather_all(KernelKind::Hash, &outer, 0, &inner, inner.len(), &mut cs);
         let hstats = columnar_hash_join(
-            &enc.outer(),
-            &[],
-            &enc.inner(),
-            &all_rows(enc.inner().len()),
+            &cs.outer,
+            &cs.inner,
             Interval::ALL,
-            &mut cs,
+            &mut cs.kernel,
             &mut out,
         );
         assert_eq!(hstats.pairs_emitted, 0);
@@ -829,13 +1014,12 @@ mod tests {
         let enc = encode_pair(&spec, r.iter(), s.iter());
         let sweep = |n: usize, cs: &mut ColumnarScratch| {
             let mut out = IdBatch::new();
-            let (stats, _) = columnar_sweep_join(
-                &enc.outer(),
-                &all_rows(n),
-                &enc.inner(),
-                &all_rows(n),
+            gather_all(KernelKind::Sweep, &enc.outer(), n, &enc.inner(), n, cs);
+            let stats = columnar_sweep_join(
+                &cs.outer,
+                &cs.inner,
                 Interval::ALL,
-                cs,
+                &mut cs.kernel,
                 &mut out,
             );
             let mut tuples = Vec::new();
@@ -873,5 +1057,37 @@ mod tests {
         table.build(&hashes[..3], 4);
         let total: usize = (0..4u64).map(|b| table.bucket(b).len()).sum();
         assert_eq!(total, 3);
+    }
+
+    #[test]
+    fn a_sweep_gather_is_a_stable_start_sort_and_a_kept_cell_equals_the_scratch() {
+        let (r, s) = pair(7, 300);
+        let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
+        let enc = encode_pair(&spec, r.iter(), s.iter());
+        let (outer, inner) = (enc.outer(), enc.inner());
+        // Every third row, as a grid cell receives them: ascending ids.
+        let rows: Vec<u32> = (0..r.len() as u32).step_by(3).collect();
+        let mut cs = ColumnarScratch::default();
+        for kind in [KernelKind::Hash, KernelKind::Sweep] {
+            let passes = cs.gather(kind, &outer, &rows, &inner, &rows);
+            let mut want = rows.clone();
+            if kind == KernelKind::Sweep {
+                want.sort_by_key(|&row| outer.start(row));
+                assert!(passes > 0, "starts span more than one byte value");
+            } else {
+                assert_eq!(passes, 0);
+            }
+            assert_eq!(cs.outer.rows(), want.as_slice(), "{kind:?}");
+            let mut sort = StartSort::default();
+            let (kept, kept_passes) =
+                KeptCell::gather(kind, &outer, &rows, &inner, &rows, &mut sort);
+            assert_eq!(kept_passes, passes);
+            assert_eq!(
+                (kept.kind, &kept.outer, &kept.inner),
+                (kind, &cs.outer, &cs.inner)
+            );
+            // A fresh slice is sized to its rows: 32 bytes each.
+            assert_eq!(kept.heap_bytes(), 2 * 32 * rows.len() as u64);
+        }
     }
 }

@@ -1,19 +1,24 @@
 //! Intra-partition join kernels and the cost-model gate that picks
 //! between them.
 //!
-//! A *kernel* joins one partition's two sides, encoded as
-//! [`ColumnarSide`](crate::columnar::ColumnarSide) columns, and emits
+//! A *kernel* joins one partition's two sides, gathered from
+//! [`ColumnarSide`](crate::columnar::ColumnarSide) columns into dense
+//! [`SideSlice`]s in the order the kernel reads them, and emits
 //! `(outer row, inner row)` pairs into an [`IdBatch`](crate::IdBatch)
 //! for late materialization. Two are provided:
 //!
 //! * [`columnar_hash_join`] — build a gapless hash table over the outer
-//!   side, probe it with every inner row. Each probe rescans the whole
-//!   hash-equal bucket and rejects most candidates on the temporal
-//!   predicate, so its cost grows with duplicates-per-key.
+//!   slice (row order), probe it with every inner row. Each probe
+//!   rescans the whole hash-equal bucket and rejects most candidates on
+//!   the temporal predicate, so its cost grows with duplicates-per-key.
 //! * [`columnar_sweep_join`] — the forward-sweep interval join (Piatov et
-//!   al.): endpoint-sorted merge sweep with gapless active lists, where
-//!   every hash-equal candidate inspected is already known to overlap in
-//!   time.
+//!   al.): a merge sweep over slices gathered in `(start, row id)` order,
+//!   with gapless active lists, where every hash-equal candidate
+//!   inspected is already known to overlap in time.
+//!
+//! The gather ([`ColumnarScratch::gather`] into reused worker buffers,
+//! or [`KeptCell::gather`] into a cell's own slices, kept across requests
+//! in a [`CellSet`]) is the only place a sweep cell is sorted.
 //!
 //! Both filter by the canonical-partition rule (emit iff the overlap
 //! *ends* inside the partition's interval), so they produce the same
@@ -38,7 +43,9 @@
 //! use vtjoin_core::{AttrDef, AttrType, Interval, Relation, Schema, Tuple, Value};
 //! use vtjoin_join::columnar::encode_pair;
 //! use vtjoin_join::common::JoinSpec;
-//! use vtjoin_join::kernel::{columnar_hash_join, columnar_sweep_join_pred, ColumnarScratch};
+//! use vtjoin_join::kernel::{
+//!     columnar_hash_join, columnar_sweep_join_pred, ColumnarScratch, KernelKind,
+//! };
 //! use vtjoin_join::IdBatch;
 //!
 //! let mk = |other: &str, vals: &[(i64, i64, i64, i64)]| {
@@ -64,21 +71,22 @@
 //! let spec = JoinSpec::natural(r.schema(), s.schema()).unwrap();
 //! let enc = encode_pair(&spec, r.iter(), s.iter());
 //! let (outer, inner) = (enc.outer(), enc.inner());
-//! let mut scratch = ColumnarScratch::default();
+//! let mut cs = ColumnarScratch::default();
 //!
 //! // Natural join: both inner tuples overlap [0,5], stamped with the overlap.
 //! let mut out = IdBatch::new();
-//! let stats = columnar_hash_join(
-//!     &outer, &[0], &inner, &[0, 1], Interval::ALL, &mut scratch, &mut out,
-//! );
+//! cs.gather(KernelKind::Hash, &outer, &[0], &inner, &[0, 1]);
+//! let stats = columnar_hash_join(&cs.outer, &cs.inner, Interval::ALL, &mut cs.kernel, &mut out);
 //! assert_eq!(stats.pairs_emitted, 2);
 //!
 //! // Same partition under an Allen predicate: [0,5] `overlaps` [3,9]
-//! // but `contains` [1,4], so the filter rejects the second pair.
+//! // but `contains` [1,4], so the filter rejects the second pair. The
+//! // sweep reads both sides in start order.
 //! let pred = "overlaps".parse().unwrap();
 //! let mut out_p = IdBatch::new();
-//! let (pstats, _) = columnar_sweep_join_pred(
-//!     &pred, &outer, &[0], &inner, &[0, 1], Interval::ALL, &mut scratch, &mut out_p,
+//! cs.gather(KernelKind::Sweep, &outer, &[0], &inner, &[0, 1]);
+//! let pstats = columnar_sweep_join_pred(
+//!     &pred, &cs.outer, &cs.inner, Interval::ALL, &mut cs.kernel, &mut out_p,
 //! );
 //! assert_eq!((pstats.filter_checks, pstats.filter_hits), (2, 1));
 //! let mut rows = Vec::new();
@@ -94,7 +102,8 @@ pub mod tracked;
 pub use batch::OutputBatch;
 pub use columnar::{
     choose_kernel_ids, columnar_hash_join, columnar_hash_join_pred, columnar_sweep_join,
-    columnar_sweep_join_pred, estimate_dups_per_key_x100_ids, ColumnarScratch,
+    columnar_sweep_join_pred, estimate_dups_per_key_x100_ids, CellSet, ColumnarScratch, KeptCell,
+    KernelScratch, SideSlice, StartSort,
 };
 pub use merge::{merge_join_pred, MergeStats};
 pub use tracked::{

@@ -30,7 +30,9 @@
 use super::intervals::is_partitioning;
 use crate::columnar::{encode_pair, ColumnarCounters, IdBatch};
 use crate::common::{CpuCounters, JoinError, JoinSpec, Result, ResultSink};
-use crate::kernel::{columnar_hash_join, columnar_hash_join_pred, ColumnarScratch, OutputBatch};
+use crate::kernel::{
+    columnar_hash_join, columnar_hash_join_pred, ColumnarScratch, KernelKind, OutputBatch,
+};
 use vtjoin_core::{Interval, JoinPredicate, Tuple};
 use vtjoin_storage::{codec, FileHandle, HeapFile, PageBuf};
 
@@ -305,27 +307,25 @@ pub fn join_partitions(
             let r_rows: Vec<u32> = (0..enc.outer().len() as u32).collect();
             let s_rows: Vec<u32> = (0..enc.inner().len() as u32).collect();
             id_batch.begin(r_rows.len().max(16));
+            let cs = &mut col_scratch;
+            cs.gather(
+                KernelKind::Hash,
+                &enc.outer(),
+                &r_rows,
+                &enc.inner(),
+                &s_rows,
+            );
             let hs = if pred.is_natural() {
-                columnar_hash_join(
-                    &enc.outer(),
-                    &r_rows,
-                    &enc.inner(),
-                    &s_rows,
-                    p_i,
-                    &mut col_scratch,
-                    &mut id_batch,
-                )
+                columnar_hash_join(&cs.outer, &cs.inner, p_i, &mut cs.kernel, &mut id_batch)
             } else {
                 // Intersection-template stamps are overlaps, so the same
                 // canonical-partition rule de-duplicates.
                 columnar_hash_join_pred(
                     pred,
-                    &enc.outer(),
-                    &r_rows,
-                    &enc.inner(),
-                    &s_rows,
+                    &cs.outer,
+                    &cs.inner,
                     p_i,
-                    &mut col_scratch,
+                    &mut cs.kernel,
                     &mut id_batch,
                 )
             };

@@ -36,7 +36,7 @@ use crate::columnar::{encode_pair, ColumnarCounters, IdBatch};
 use crate::common::{
     JoinAlgorithm, JoinConfig, JoinError, JoinReport, JoinSpec, PhaseTracker, Result, ResultSink,
 };
-use crate::kernel::{columnar_hash_join, columnar_hash_join_pred, ColumnarScratch};
+use crate::kernel::{columnar_hash_join, columnar_hash_join_pred, ColumnarScratch, KernelKind};
 use std::sync::Arc;
 use vtjoin_core::{Interval, Tuple};
 use vtjoin_storage::HeapFile;
@@ -112,28 +112,31 @@ impl PartitionJoin {
             let enc = encode_pair(&spec, block.iter(), inner_buf.iter());
             let r_rows: Vec<u32> = (0..enc.outer().len() as u32).collect();
             let s_rows: Vec<u32> = (0..enc.inner().len() as u32).collect();
-            let mut scratch = ColumnarScratch::default();
+            let mut cs = ColumnarScratch::default();
             let mut id_batch = IdBatch::new();
             id_batch.begin(r_rows.len().max(16));
+            cs.gather(
+                KernelKind::Hash,
+                &enc.outer(),
+                &r_rows,
+                &enc.inner(),
+                &s_rows,
+            );
             let hs = if cfg.predicate.is_natural() {
                 columnar_hash_join(
-                    &enc.outer(),
-                    &r_rows,
-                    &enc.inner(),
-                    &s_rows,
+                    &cs.outer,
+                    &cs.inner,
                     Interval::ALL,
-                    &mut scratch,
+                    &mut cs.kernel,
                     &mut id_batch,
                 )
             } else {
                 columnar_hash_join_pred(
                     &cfg.predicate,
-                    &enc.outer(),
-                    &r_rows,
-                    &enc.inner(),
-                    &s_rows,
+                    &cs.outer,
+                    &cs.inner,
                     Interval::ALL,
-                    &mut scratch,
+                    &mut cs.kernel,
                     &mut id_batch,
                 )
             };

@@ -138,10 +138,10 @@ pub fn inner_schema(pad: usize) -> Arc<Schema> {
     .into_shared()
 }
 
-fn draw_key(rng: &mut StdRng, cfg: &GeneratorConfig) -> i64 {
-    match cfg.key_dist {
-        KeyDistribution::Uniform => rng.gen_range(0..cfg.keys) as i64,
-        KeyDistribution::Zipf(theta) => zipf(rng, cfg.keys, theta),
+fn draw_key(rng: &mut StdRng, cfg: &GeneratorConfig, zipf: Option<&ZipfWeights>) -> i64 {
+    match zipf {
+        None => rng.gen_range(0..cfg.keys) as i64,
+        Some(w) => w.draw(rng),
     }
 }
 
@@ -175,17 +175,33 @@ fn draw_start(rng: &mut StdRng, cfg: &GeneratorConfig) -> i64 {
 }
 
 /// Inverse-CDF Zipf sampler over `[0, n)` (simple and deterministic; fine
-/// for workload skew, not for statistics).
-fn zipf(rng: &mut StdRng, n: u64, theta: f64) -> i64 {
-    let h: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(theta)).sum();
-    let mut u = rng.gen_range(0.0..1.0) * h;
-    for k in 1..=n {
-        u -= 1.0 / (k as f64).powf(theta);
-        if u <= 0.0 {
-            return (k - 1) as i64;
-        }
+/// for workload skew, not for statistics): the weights `1/k^θ` and their
+/// sum, computed once per [`generate`] call. A draw scales a uniform
+/// variate by the sum and subtracts the weights in key order until it
+/// reaches zero, with no `powf` per draw.
+struct ZipfWeights {
+    weights: Vec<f64>,
+    sum: f64,
+}
+
+impl ZipfWeights {
+    fn new(n: u64, theta: f64) -> ZipfWeights {
+        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(theta)).collect();
+        // Summed in key order, as the weights are subtracted.
+        let sum = weights.iter().sum();
+        ZipfWeights { weights, sum }
     }
-    (n - 1) as i64
+
+    fn draw(&self, rng: &mut StdRng) -> i64 {
+        let mut u = rng.gen_range(0.0..1.0) * self.sum;
+        for (k, w) in self.weights.iter().enumerate() {
+            u -= w;
+            if u <= 0.0 {
+                return k as i64;
+            }
+        }
+        self.weights.len() as i64 - 1
+    }
 }
 
 /// Generates a relation per `cfg` over the given schema (outer or inner).
@@ -198,8 +214,12 @@ pub fn generate(schema: Arc<Schema>, cfg: &GeneratorConfig) -> Relation {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut tuples = Vec::with_capacity(cfg.tuples as usize);
     let half = (cfg.lifespan / 2).max(1);
+    let zipf = match cfg.key_dist {
+        KeyDistribution::Uniform => None,
+        KeyDistribution::Zipf(theta) => Some(ZipfWeights::new(cfg.keys, theta)),
+    };
     for i in 0..cfg.tuples {
-        let key = draw_key(&mut rng, cfg);
+        let key = draw_key(&mut rng, cfg, zipf.as_ref());
         let valid = if i < cfg.long_lived {
             let start = rng.gen_range(0..half);
             Interval::from_raw(start, start + half).expect("ordered")
@@ -327,6 +347,37 @@ mod tests {
             seen.len() > 150,
             "uniform keys should cover most of the domain"
         );
+    }
+
+    /// The sampler before its weights were kept: the harmonic sum and
+    /// every weight recomputed on each draw.
+    fn zipf_per_draw(rng: &mut StdRng, n: u64, theta: f64) -> i64 {
+        let h: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(theta)).sum();
+        let mut u = rng.gen_range(0.0..1.0) * h;
+        for k in 1..=n {
+            u -= 1.0 / (k as f64).powf(theta);
+            if u <= 0.0 {
+                return (k - 1) as i64;
+            }
+        }
+        (n - 1) as i64
+    }
+
+    #[test]
+    fn kept_zipf_weights_draw_exactly_what_the_per_draw_formula_drew() {
+        for theta in [0.8, 1.0, 1.2] {
+            for (seed, n) in [(1u64, 1u64), (7, 2), (42, 200), (2024, 4096)] {
+                let weights = ZipfWeights::new(n, theta);
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                for i in 0..2_000 {
+                    assert_eq!(
+                        weights.draw(&mut a),
+                        zipf_per_draw(&mut b, n, theta),
+                        "theta {theta}, seed {seed}, n {n}, draw {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

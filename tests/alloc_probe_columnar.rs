@@ -1,7 +1,7 @@
-//! Proves the columnar hash kernel's build + probe makes **O(1) heap
-//! allocations** once its scratch is warm: a counting global allocator
-//! measures the allocation delta of `columnar_hash_join` calls over build
-//! sides of growing size. The flat (count-then-fill) bucket table reuses
+//! Proves the columnar hash kernel's gather + build + probe makes **O(1)
+//! heap allocations** once its scratch is warm: a counting global
+//! allocator measures the allocation delta of a scratch gather and a
+//! `columnar_hash_join` call over build sides of growing size. The flat (count-then-fill) bucket table reuses
 //! two arrays; a table of per-bucket `Vec`s allocated once per newly
 //! occupied bucket, so its count grew with the build side.
 //!
@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vtjoin::join::columnar::{encode_pair, IdBatch};
 use vtjoin::join::common::JoinSpec;
-use vtjoin::join::kernel::{columnar_hash_join, ColumnarScratch};
+use vtjoin::join::kernel::{columnar_hash_join, ColumnarScratch, KernelKind};
 use vtjoin::prelude::*;
 
 struct CountingAlloc;
@@ -74,13 +74,13 @@ fn warm_columnar_hash_join_allocates_o1_not_on() {
         let enc = encode_pair(&spec, r.iter(), s.iter());
         let rows: Vec<u32> = (0..LARGEST as u32).collect();
         batch.begin(LARGEST as usize);
+        let cs = &mut scratch;
+        cs.gather(KernelKind::Hash, &enc.outer(), &rows, &enc.inner(), &rows);
         columnar_hash_join(
-            &enc.outer(),
-            &rows,
-            &enc.inner(),
-            &rows,
+            &cs.outer,
+            &cs.inner,
             Interval::ALL,
-            &mut scratch,
+            &mut cs.kernel,
             &mut batch,
         );
         batch.materialize_each(&spec, &enc.outer(), &enc.inner(), drop);
@@ -94,13 +94,13 @@ fn warm_columnar_hash_join_allocates_o1_not_on() {
         let rows: Vec<u32> = (0..n as u32).collect();
         batch.begin(n as usize);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let cs = &mut scratch;
+        cs.gather(KernelKind::Hash, &enc.outer(), &rows, &enc.inner(), &rows);
         let stats = columnar_hash_join(
-            &enc.outer(),
-            &rows,
-            &enc.inner(),
-            &rows,
+            &cs.outer,
+            &cs.inner,
             Interval::ALL,
-            &mut scratch,
+            &mut cs.kernel,
             &mut batch,
         );
         let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
@@ -115,7 +115,7 @@ fn warm_columnar_hash_join_allocates_o1_not_on() {
     for &(n, delta) in &deltas {
         assert!(
             delta <= 2,
-            "build + probe over {n} outer rows allocated {delta} times (all: {deltas:?})"
+            "gather + build + probe over {n} outer rows allocated {delta} times (all: {deltas:?})"
         );
     }
 }

@@ -12,7 +12,7 @@ use vtjoin::engine::{run, ExecRequest};
 use vtjoin::join::columnar::encode_pair;
 use vtjoin::join::common::JoinSpec;
 use vtjoin::join::kernel::{
-    columnar_hash_join, columnar_sweep_join, ColumnarScratch, KernelChoice,
+    columnar_hash_join, columnar_sweep_join, ColumnarScratch, KernelChoice, KernelKind,
 };
 use vtjoin::join::partition::intervals::equal_width;
 use vtjoin::join::partition::GridPlan;
@@ -81,25 +81,25 @@ fn run_both_kernels(r: &Relation, s: &Relation, emit_within: Interval) -> (Relat
     };
 
     let mut batch = IdBatch::new();
+    let cs = &mut scratch;
+    cs.gather(KernelKind::Hash, &outer, &r_rows, &inner, &s_rows);
     columnar_hash_join(
-        &outer,
-        &r_rows,
-        &inner,
-        &s_rows,
+        &cs.outer,
+        &cs.inner,
         emit_within,
-        &mut scratch,
+        &mut cs.kernel,
         &mut batch,
     );
     let hash = materialize(&mut batch);
 
+    // The sweep reads both sides in (start, row id) order.
     let mut batch = IdBatch::new();
+    cs.gather(KernelKind::Sweep, &outer, &r_rows, &inner, &s_rows);
     columnar_sweep_join(
-        &outer,
-        &r_rows,
-        &inner,
-        &s_rows,
+        &cs.outer,
+        &cs.inner,
         emit_within,
-        &mut scratch,
+        &mut cs.kernel,
         &mut batch,
     );
     let sweep = materialize(&mut batch);
