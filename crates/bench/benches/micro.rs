@@ -66,6 +66,33 @@ fn bench_codec(c: &mut Criterion) {
             black_box(page.take())
         });
     });
+    for (name, size) in [("page_checksum_1k", 1024), ("page_checksum_4k", 4096)] {
+        let mut page = PageBuf::new(size);
+        while page.try_push(&t).unwrap() {}
+        let image = page.take();
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(codec::page_checksum(black_box(&image))));
+        });
+    }
+    // The record path: verify a full 4 KiB page and walk its records
+    // without building tuples.
+    let mut page = PageBuf::new(4096);
+    while page.try_push(&t).unwrap() {}
+    let image = page.take();
+    c.bench_function("page_walk_4k", |b| {
+        b.iter(|| {
+            let (count, mut records) = PageBuf::verify(black_box(&image)).unwrap();
+            let mut ends = 0i64;
+            for _ in 0..count {
+                ends ^= codec::walk_record(&mut records)
+                    .unwrap()
+                    .valid()
+                    .end()
+                    .value();
+            }
+            black_box(ends)
+        });
+    });
 }
 
 fn rel(attr: &str, n: i64) -> Relation {

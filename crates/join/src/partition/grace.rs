@@ -48,11 +48,11 @@ pub fn do_partitioning(
         })
         .collect();
 
+    // Records move as bytes: placement needs only each record's end.
     for p in 0..heap.pages() {
-        for t in heap.read_page(p)? {
-            let idx = partition_of(intervals, t.valid().end());
-            writers[idx].push(&t)?;
-        }
+        heap.for_each_record(p, |rec| {
+            writers[partition_of(intervals, rec.valid().end())].push_record(rec)
+        })?;
     }
     let mut out = Vec::with_capacity(writers.len());
     for w in writers {
@@ -136,6 +136,107 @@ mod tests {
         let orig = heap.read_all().unwrap();
         let re = Relation::from_parts_unchecked(Arc::clone(orig.schema()), all);
         assert!(re.multiset_eq(&orig));
+    }
+
+    /// The tuple path `do_partitioning` replaced: decode every tuple and
+    /// push it through `HeapWriter::push`.
+    fn reference_partitioning(
+        heap: &HeapFile,
+        intervals: &[Interval],
+        buffer_pages: u64,
+    ) -> Vec<HeapFile> {
+        let share = ((buffer_pages - 1) / intervals.len() as u64).max(1) as usize;
+        let mut writers: Vec<HeapWriter> = intervals
+            .iter()
+            .map(|_| {
+                HeapWriter::create(heap.disk(), Arc::clone(heap.schema()), heap.pages() + 1)
+                    .with_flush_batch(share)
+            })
+            .collect();
+        for p in 0..heap.pages() {
+            for t in heap.read_page(p).unwrap() {
+                writers[partition_of(intervals, t.valid().end())]
+                    .push(&t)
+                    .unwrap();
+            }
+        }
+        writers.into_iter().map(|w| w.finish().unwrap()).collect()
+    }
+
+    /// Every page image of `heap` as stored, with its catalog entries.
+    fn stored(heap: &HeapFile) -> Vec<(Vec<u8>, u32, vtjoin_storage::heap::PageZone)> {
+        (0..heap.pages())
+            .map(|i| {
+                let id = heap.page_id(i).unwrap();
+                let bytes = heap.disk().with(|d| d.peek(id).unwrap().to_vec());
+                (bytes, heap.tuples_on_page(i), heap.page_zone(i))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn record_copies_equal_the_tuple_path_byte_for_byte() {
+        let schema = Schema::new(vec![
+            AttrDef::new("k", AttrType::Int),
+            AttrDef::new("b", AttrType::Bool),
+            AttrDef::new("s", AttrType::Str),
+            AttrDef::new("p", AttrType::Bytes(8)),
+            AttrDef::new("n", AttrType::Int),
+        ])
+        .unwrap()
+        .into_shared();
+        let tuples = |from: i64, to: i64| -> Vec<Tuple> {
+            (from..to)
+                .map(|i| {
+                    let start = (i * 37) % 500;
+                    let values = vec![
+                        Value::Int(i),
+                        Value::Bool(i % 2 == 0),
+                        Value::Str("é".repeat((i % 4) as usize).into()),
+                        Value::Bytes(vec![i as u8; (i % 9) as usize].into()),
+                        if i % 3 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Int(-i)
+                        },
+                    ];
+                    Tuple::new(values, iv(start, start + (i % 6) * 60))
+                })
+                .collect()
+        };
+        let parts_iv = equal_width(iv(0, 800), 5);
+        // A heap read through a snapshot taken before an append: the
+        // append rewrites the shared tail page with records the snapshot
+        // must not see.
+        let fixture = || {
+            let disk = SharedDisk::new(256);
+            let rel = Relation::from_parts_unchecked(Arc::clone(&schema), tuples(0, 150));
+            let mut heap = HeapFile::bulk_load(&disk, &rel).unwrap();
+            heap.append(&tuples(150, 153)).unwrap();
+            let snapshot = heap.clone();
+            heap.append(&tuples(153, 160)).unwrap();
+            let tail = snapshot.pages() - 1;
+            assert!(heap.tuples_on_page(tail) > snapshot.tuples_on_page(tail));
+            disk.reset_stats();
+            (disk, heap, snapshot)
+        };
+        for buffer_pages in [6, 16, 64] {
+            for read_snapshot in [false, true] {
+                let pick = |(d, h, s): (SharedDisk, HeapFile, HeapFile)| {
+                    (d, if read_snapshot { s } else { h })
+                };
+                let (disk_a, heap_a) = pick(fixture());
+                let (disk_b, heap_b) = pick(fixture());
+                let got = do_partitioning(&heap_a, &parts_iv, buffer_pages).unwrap();
+                let want = reference_partitioning(&heap_b, &parts_iv, buffer_pages);
+                let got_pages: Vec<_> = got.iter().map(stored).collect();
+                let want_pages: Vec<_> = want.iter().map(stored).collect();
+                assert_eq!(got_pages, want_pages, "buffer {buffer_pages}");
+                assert_eq!(disk_a.stats(), disk_b.stats(), "buffer {buffer_pages}");
+                let total: u64 = got.iter().map(HeapFile::tuples).sum();
+                assert_eq!(total, heap_a.tuples());
+            }
+        }
     }
 
     #[test]

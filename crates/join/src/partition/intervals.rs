@@ -34,26 +34,31 @@ pub struct SweepEvents {
 }
 
 impl SweepEvents {
-    /// Builds the event list for a set of sampled intervals.
+    /// Builds the event list for a set of sampled intervals: a `+1` at
+    /// each start and a `−1` one past each end. Starts and ends are sorted
+    /// apart as plain chronons and merged, equal positions coalescing into
+    /// one event; an end of [`Chronon::MAX`] puts its event past the last
+    /// chronon, which is why positions are `i128`.
     pub fn build(samples: &[Interval]) -> SweepEvents {
-        let mut raw: Vec<(i128, i64)> = Vec::with_capacity(samples.len() * 2);
-        let mut total_mass: u128 = 0;
-        for iv in samples {
-            let s = i128::from(iv.start().value());
-            let e = i128::from(iv.end().value());
-            raw.push((s, 1));
-            raw.push((e + 1, -1));
-            total_mass += iv.duration();
-        }
-        raw.sort_unstable_by_key(|&(p, _)| p);
-        // Coalesce equal positions.
-        let mut events: Vec<(i128, i64)> = Vec::with_capacity(raw.len());
-        for (p, d) in raw {
-            match events.last_mut() {
-                Some((lp, ld)) if *lp == p => *ld += d,
-                _ => events.push((p, d)),
+        let mut starts: Vec<i64> = samples.iter().map(|iv| iv.start().value()).collect();
+        let mut ends: Vec<i64> = samples.iter().map(|iv| iv.end().value()).collect();
+        starts.sort_unstable();
+        ends.sort_unstable();
+        let total_mass = samples.iter().map(Interval::duration).sum();
+        let mut events: Vec<(i128, i64)> = Vec::with_capacity(2 * samples.len());
+        let mut push = |p: i128, d: i64| match events.last_mut() {
+            Some((lp, ld)) if *lp == p => *ld += d,
+            _ => events.push((p, d)),
+        };
+        let mut next_start = starts.iter().map(|&s| i128::from(s)).peekable();
+        for past_end in ends.iter().map(|&e| i128::from(e) + 1) {
+            while let Some(s) = next_start.next_if(|&s| s <= past_end) {
+                push(s, 1);
             }
+            push(past_end, -1);
         }
+        // Every start is at most its own end, so none is left over.
+        debug_assert!(next_start.next().is_none());
         SweepEvents { events, total_mass }
     }
 
@@ -355,5 +360,62 @@ mod tests {
         let ev = SweepEvents::build(&[iv(0, 9), iv(5, 14)]);
         assert_eq!(ev.total_mass(), 20);
         assert_eq!(SweepEvents::build(&[]).total_mass(), 0);
+    }
+
+    /// The event list as built before the merge: every `(position, ±1)`
+    /// in one `(i128, i64)` sort, then equal positions coalesced.
+    fn sort_and_coalesce(samples: &[Interval]) -> Vec<(i128, i64)> {
+        let mut raw: Vec<(i128, i64)> = Vec::new();
+        for iv in samples {
+            raw.push((i128::from(iv.start().value()), 1));
+            raw.push((i128::from(iv.end().value()) + 1, -1));
+        }
+        raw.sort_unstable_by_key(|&(p, _)| p);
+        let mut events: Vec<(i128, i64)> = Vec::new();
+        for (p, d) in raw {
+            match events.last_mut() {
+                Some((lp, ld)) if *lp == p => *ld += d,
+                _ => events.push((p, d)),
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn merged_events_equal_the_sort_and_coalesce() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        for round in 0..200 {
+            let n = rng.gen_range(0..300);
+            // Few distinct endpoints, so many duplicates; some samples
+            // start at the beginning of time or end at its end.
+            let span = rng.gen_range(1..50i64);
+            let samples: Vec<Interval> = (0..n)
+                .map(|_| {
+                    let s = match rng.gen_range(0..8) {
+                        0 => Chronon::MIN,
+                        _ => Chronon::new(rng.gen_range(-span..span)),
+                    };
+                    let e = match rng.gen_range(0..8) {
+                        0 => Chronon::MAX,
+                        1 => s,
+                        _ => Chronon::new(s.value().max(-span) + rng.gen_range(0..span)),
+                    };
+                    Interval::new(s, e).unwrap()
+                })
+                .collect();
+            let ev = SweepEvents::build(&samples);
+            assert_eq!(ev.events, sort_and_coalesce(&samples), "round {round}");
+            let mass: u128 = samples.iter().map(Interval::duration).sum();
+            assert_eq!(ev.total_mass(), mass);
+        }
+        // Start and end one chronon apart: the end's event at `end + 1`
+        // meets the next start.
+        let touching = [iv(0, 4), iv(5, 9), iv(5, 5)];
+        assert_eq!(
+            SweepEvents::build(&touching).events,
+            sort_and_coalesce(&touching)
+        );
     }
 }

@@ -59,12 +59,12 @@ pub fn do_replicated_partitioning(
         })
         .collect();
     for p in 0..heap.pages() {
-        for t in heap.read_page(p)? {
-            let range = replica_range(ivs, t.valid());
-            for w in &mut writers[range] {
-                w.push(&t)?;
+        heap.for_each_record(p, |rec| {
+            for w in &mut writers[replica_range(ivs, rec.valid())] {
+                w.push_record(rec)?;
             }
-        }
+            Ok(())
+        })?;
     }
     let mut out = Vec::with_capacity(writers.len());
     for w in writers {

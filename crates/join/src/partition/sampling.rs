@@ -104,6 +104,10 @@ impl SamplePool {
 /// * otherwise scans the relation once and reservoir-samples during the
 ///   scan (the §4.2 optimization), shuffling afterwards so pool prefixes
 ///   stay uniform.
+///
+/// Either way only intervals are read: pages are walked as records
+/// (checksum and cataloged count checked, no tuple built), and a random
+/// read walks its page only up to the sampled slot.
 pub fn collect_pool(
     heap: &HeapFile,
     m_target: u64,
@@ -136,8 +140,7 @@ pub fn collect_pool(
             let (page, slot) = heap.locate_tuple(idx).ok_or(JoinError::Internal(
                 "sampled tuple index outside the heap population",
             ))?;
-            let tuples = heap.read_page(page)?;
-            intervals.push(tuples[slot as usize].valid());
+            intervals.push(heap.record_interval(page, slot)?);
         }
         intervals.shuffle(&mut rng);
         Ok(SamplePool {
@@ -150,17 +153,18 @@ pub fn collect_pool(
         let mut reservoir: Vec<Interval> = Vec::with_capacity(m_target as usize);
         let mut seen = 0u64;
         for p in 0..heap.pages() {
-            for t in heap.read_page(p)? {
+            heap.for_each_record(p, |rec| {
                 seen += 1;
                 if (reservoir.len() as u64) < m_target {
-                    reservoir.push(t.valid());
+                    reservoir.push(rec.valid());
                 } else {
                     let j = rng.gen_range(0..seen);
                     if j < m_target {
-                        reservoir[j as usize] = t.valid();
+                        reservoir[j as usize] = rec.valid();
                     }
                 }
-            }
+                Ok(())
+            })?;
         }
         reservoir.shuffle(&mut rng);
         Ok(SamplePool {

@@ -382,8 +382,8 @@ impl DiskSim {
             if inj.roll_torn_write() {
                 self.fault_stats.torn_writes += 1;
                 // Flip an 8-byte run at a stream-determined offset; the
-                // page checksum covers the whole image, so any position
-                // is detectable.
+                // page checksum covers the whole image and is checked on
+                // every read (see `codec::page_checksum`).
                 let at = (inj.next_u64() as usize) % self.page_size;
                 for b in buf.iter_mut().skip(at).take(8) {
                     *b ^= 0xA5;

@@ -9,9 +9,13 @@
 //! * **transient write faults** — the write returns an error before any
 //!   byte lands; the previous page image (if any) is untouched,
 //! * **torn writes** — the write *appears* to succeed but the stored
-//!   image is corrupted. Torn pages are persistent: no retry helps, only
-//!   the page checksum (see [`crate::codec::page_checksum`]) catches them
-//!   at read time.
+//!   image is corrupted: an 8-byte run at a drawn offset is XORed with
+//!   `0xA5`. Torn pages are persistent: no retry helps, only the page
+//!   checksum (see [`crate::codec::page_checksum`]) catches them at read
+//!   time. The checksum detects any change confined to one aligned
+//!   4-byte word; a run touches at most three consecutive words, each in
+//!   its own checksum lane, and the tests check every offset on full
+//!   1 KiB, 4 KiB and 1021-byte pages.
 //!
 //! Transient faults are absorbed by the disk's bounded
 //! retry-with-backoff policy ([`RetryPolicy`]); the backoff is an

@@ -5,12 +5,13 @@
 //! join algorithms consume relations as heap files and read them at page
 //! granularity, which is what makes their I/O statistics meaningful.
 
+use crate::codec::{self, RecordRef};
 use crate::disk::{PageId, SharedDisk};
 use crate::error::{Result, StorageError};
 use crate::file::FileHandle;
 use crate::page::PageBuf;
 use std::sync::Arc;
-use vtjoin_core::{Chronon, Relation, Schema, Tuple};
+use vtjoin_core::{Chronon, Interval, Relation, Schema, Tuple};
 
 /// Per-page valid-time zone map: the minimum starting and maximum ending
 /// chronon of the tuples on the page. Catalog metadata, maintained at
@@ -66,7 +67,7 @@ impl HeapFile {
         let mut used = 0usize;
         let cap = PageBuf::capacity_bytes(page_size);
         for t in tuples {
-            let n = crate::codec::encoded_len(t);
+            let n = codec::encoded_len(t);
             if used == 0 || used + n > cap {
                 pages += 1;
                 used = n;
@@ -106,16 +107,60 @@ impl HeapFile {
     /// page's cataloged tuples are decoded: a later append may have
     /// rewritten the page with more records after them.
     pub fn read_page(&self, i: u64) -> Result<Vec<Tuple>> {
+        self.with_page(i, |mut records, cataloged| {
+            (0..cataloged)
+                .map(|_| codec::decode(&mut records))
+                .collect()
+        })
+    }
+
+    /// Reads the `i`-th page (charging one read) and hands each of its
+    /// cataloged records to `f`, in order, without decoding a tuple: the
+    /// record path for passes that move or sample records but do not
+    /// join them. Every check [`HeapFile::read_page`] makes is made.
+    pub fn for_each_record(
+        &self,
+        i: u64,
+        mut f: impl FnMut(RecordRef<'_>) -> Result<()>,
+    ) -> Result<()> {
+        self.with_page(i, |mut records, cataloged| {
+            for _ in 0..cataloged {
+                f(codec::walk_record(&mut records)?)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// The valid-time interval of the record in `slot` of the `i`-th page
+    /// (charging one read). The page is checked as [`HeapFile::read_page`]
+    /// checks it, and its records are walked only up to the slot.
+    pub fn record_interval(&self, i: u64, slot: u32) -> Result<Interval> {
+        self.with_page(i, |mut records, cataloged| {
+            if slot as usize >= cataloged {
+                return Err(StorageError::Corrupt(format!(
+                    "slot {slot} past page {i}'s {cataloged} cataloged tuples"
+                )));
+            }
+            for _ in 0..slot {
+                codec::walk_record(&mut records)?;
+            }
+            Ok(codec::walk_record(&mut records)?.valid())
+        })
+    }
+
+    /// Reads the `i`-th page (charging one read), verifies its checksum and
+    /// that it holds at least its cataloged records, and calls `f` with the
+    /// record bytes and the cataloged count.
+    fn with_page<T>(&self, i: u64, f: impl FnOnce(&[u8], usize) -> Result<T>) -> Result<T> {
         let bytes = self.file.read(i)?;
         let cataloged = self.page_counts[i as usize] as usize;
-        let tuples = PageBuf::decode_prefix(&bytes, cataloged)?;
-        if tuples.len() < cataloged {
+        let (count, records) = PageBuf::verify(&bytes)?;
+        if count < cataloged {
             return Err(StorageError::Corrupt(format!(
-                "page {i} holds {} of its {cataloged} cataloged tuples",
-                tuples.len()
+                "page {i} holds {count} of its {cataloged} cataloged tuples"
             )));
         }
-        Ok(tuples)
+        f(records, cataloged)
     }
 
     /// Appends `tuples` after the stored ones, in place. The partly
@@ -208,10 +253,10 @@ impl HeapFile {
     /// every page's zone map. `None` for an empty file. Free to consult
     /// (no I/O), which makes it the natural seed for sampling-free
     /// equal-width partitioning when sampling I/O is unavailable.
-    pub fn time_hull(&self) -> Option<vtjoin_core::Interval> {
+    pub fn time_hull(&self) -> Option<Interval> {
         let min = self.page_zones.iter().map(|z| z.min_start).min()?;
         let max = self.page_zones.iter().map(|z| z.max_end).max()?;
-        vtjoin_core::Interval::new(min, max).ok()
+        Interval::new(min, max).ok()
     }
 
     /// Catalog metadata: the page holding the `idx`-th tuple (in load
@@ -343,16 +388,34 @@ impl HeapWriter {
     /// Appends one tuple, completing a page when full and flushing
     /// completed pages per the flush batch.
     pub fn push(&mut self, t: &Tuple) -> Result<()> {
-        if !self.page.try_push(t)? {
+        self.push_with(t.valid(), |page| page.try_push(t))
+    }
+
+    /// Appends one encoded record, byte for byte: pages, per-page counts
+    /// and zone maps end up exactly as [`HeapWriter::push`] of the
+    /// record's tuple would leave them.
+    pub fn push_record(&mut self, rec: RecordRef<'_>) -> Result<()> {
+        self.push_with(rec.valid(), |page| page.try_push_record(rec))
+    }
+
+    /// Puts one record of interval `valid` into the page being filled
+    /// with `put`, completing the page (and flushing per the flush batch)
+    /// when it is full.
+    fn push_with(
+        &mut self,
+        valid: Interval,
+        mut put: impl FnMut(&mut PageBuf) -> Result<bool>,
+    ) -> Result<()> {
+        if !put(&mut self.page)? {
             self.seal_page();
             if self.pending.len() >= self.flush_batch {
                 self.flush_pending()?;
             }
-            let fit = self.page.try_push(t)?;
-            debug_assert!(fit, "tuple must fit an empty page");
+            let fit = put(&mut self.page)?;
+            debug_assert!(fit, "record must fit an empty page");
         }
-        self.current_zone.min_start = self.current_zone.min_start.min(t.valid().start());
-        self.current_zone.max_end = self.current_zone.max_end.max(t.valid().end());
+        self.current_zone.min_start = self.current_zone.min_start.min(valid.start());
+        self.current_zone.max_end = self.current_zone.max_end.max(valid.end());
         self.tuple_count += 1;
         Ok(())
     }
@@ -406,7 +469,7 @@ impl HeapReader<'_> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use vtjoin_core::{AttrDef, AttrType, Interval, Value};
+    use vtjoin_core::{AttrDef, AttrType, Value};
 
     fn schema() -> Arc<Schema> {
         Schema::new(vec![AttrDef::new("k", AttrType::Int)])
@@ -678,6 +741,51 @@ mod tests {
         assert_eq!(heap.read_all().unwrap().tuples(), &tuples(0, 15)[..]);
         assert_eq!(middle.tuples_on_page(1), 3);
         assert_eq!(middle.read_page(1).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn the_record_path_reads_what_read_page_reads_with_the_same_checks() {
+        let disk = SharedDisk::new(128);
+        let mut heap = HeapFile::bulk_load(&disk, &rel_of(tuples(0, 6))).unwrap();
+        heap.append(&tuples(6, 7)).unwrap();
+        let snapshot = heap.clone();
+        heap.append(&tuples(7, 9)).unwrap(); // rewrites the shared tail page
+        for file in [&snapshot, &heap] {
+            for p in 0..file.pages() {
+                let tuples = file.read_page(p).unwrap();
+                let mut records = Vec::new();
+                file.for_each_record(p, |rec| {
+                    records.push((rec.valid(), rec.bytes().to_vec()));
+                    Ok(())
+                })
+                .unwrap();
+                let want: Vec<_> = tuples
+                    .iter()
+                    .map(|t| (t.valid(), codec::encode(t)))
+                    .collect();
+                assert_eq!(records, want, "page {p}");
+                for (slot, t) in tuples.iter().enumerate() {
+                    assert_eq!(file.record_interval(p, slot as u32).unwrap(), t.valid());
+                }
+                let past = file.tuples_on_page(p);
+                assert!(matches!(
+                    file.record_interval(p, past),
+                    Err(StorageError::Corrupt(_))
+                ));
+            }
+        }
+        // A torn page fails the record path as it fails `read_page`.
+        let id = heap.page_id(0).unwrap();
+        let mut image = disk.with(|d| d.peek(id).unwrap().to_vec());
+        image[40] ^= 0xA5;
+        disk.write(id, image).unwrap();
+        assert!(matches!(heap.read_page(0), Err(StorageError::Corrupt(_))));
+        let walked = heap.for_each_record(0, |_| Ok(()));
+        assert!(matches!(walked, Err(StorageError::Corrupt(_))));
+        assert!(matches!(
+            heap.record_interval(0, 0),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -3,12 +3,19 @@
 //! A page is `[u16 record-count][u32 checksum][records…]` with records
 //! packed back-to-back. Pages are the unit of I/O; the join algorithms
 //! reason about buffer budgets purely in page counts. The checksum
-//! covers the full padded page image (see [`codec::page_checksum`]) and
-//! is verified by [`PageBuf::decode_page`], so a torn write surfaces as
-//! a typed [`StorageError::Corrupt`] instead of garbage tuples.
+//! covers the full padded page image (see [`codec::page_checksum`]: a
+//! word-wide FNV-style sum that detects any change confined to one
+//! aligned word) and is verified by [`PageBuf::verify`] on every read,
+//! so a torn write surfaces as a typed [`StorageError::Corrupt`] instead
+//! of garbage tuples.
+//!
+//! Records enter a page either as tuples ([`PageBuf::try_push`] encodes
+//! them) or as already encoded records ([`PageBuf::try_push_record`]
+//! copies the bytes a [`codec::walk_record`] checked); both leave the
+//! same image.
 
 use crate::bufext::{Buf, BufMut};
-use crate::codec;
+use crate::codec::{self, RecordRef};
 use crate::error::{Result, StorageError};
 use vtjoin_core::Tuple;
 
@@ -57,24 +64,47 @@ impl PageBuf {
         self.page_size - self.data.len()
     }
 
+    /// Whether a record of `need` bytes fits; errors only if it cannot
+    /// fit even an *empty* page.
+    fn fits(&self, need: usize) -> Result<bool> {
+        let capacity = Self::capacity_bytes(self.page_size);
+        if need > capacity {
+            return Err(StorageError::RecordTooLarge {
+                record: need,
+                capacity,
+            });
+        }
+        Ok(need <= self.remaining_bytes())
+    }
+
+    /// Counts one more record in the page header.
+    fn count_pushed(&mut self) {
+        self.count += 1;
+        let count = self.count;
+        self.data[0..2].copy_from_slice(&count.to_le_bytes());
+    }
+
     /// Tries to append a tuple; returns `false` when it does not fit.
     ///
     /// Errors only if the tuple cannot fit even an *empty* page.
     pub fn try_push(&mut self, t: &Tuple) -> Result<bool> {
-        let need = codec::encoded_len(t);
-        if need > Self::capacity_bytes(self.page_size) {
-            return Err(StorageError::RecordTooLarge {
-                record: need,
-                capacity: Self::capacity_bytes(self.page_size),
-            });
-        }
-        if need > self.remaining_bytes() {
+        if !self.fits(codec::encoded_len(t))? {
             return Ok(false);
         }
         codec::encode_into(t, &mut self.data);
-        self.count += 1;
-        let count = self.count;
-        self.data[0..2].copy_from_slice(&count.to_le_bytes());
+        self.count_pushed();
+        Ok(true)
+    }
+
+    /// Tries to append an encoded record as it is, byte for byte; returns
+    /// `false` when it does not fit. The page ends up exactly as
+    /// [`PageBuf::try_push`] of the record's tuple would leave it.
+    pub fn try_push_record(&mut self, rec: RecordRef<'_>) -> Result<bool> {
+        if !self.fits(rec.bytes().len())? {
+            return Ok(false);
+        }
+        self.data.extend_from_slice(rec.bytes());
+        self.count_pushed();
         Ok(true)
     }
 
@@ -95,32 +125,26 @@ impl PageBuf {
 
     /// Decodes every tuple in a page image, verifying the checksum first.
     pub fn decode_page(bytes: &[u8]) -> Result<Vec<Tuple>> {
-        Self::decode_prefix(bytes, usize::MAX)
+        let (count, mut records) = Self::verify(bytes)?;
+        (0..count).map(|_| codec::decode(&mut records)).collect()
     }
 
-    /// Decodes the first `limit` tuples of a page image (all of them when
-    /// it holds fewer), verifying the checksum of the whole image first.
-    /// A heap file's tail page may hold records appended after the
-    /// catalog snapshot a reader holds; the reader decodes only its own.
-    pub fn decode_prefix(bytes: &[u8], limit: usize) -> Result<Vec<Tuple>> {
+    /// Verifies a page image's checksum and returns its header record
+    /// count and the bytes after the header, where the records lie.
+    pub fn verify(bytes: &[u8]) -> Result<(usize, &[u8])> {
         if bytes.len() < PAGE_HEADER_BYTES {
             return Err(StorageError::Corrupt("page shorter than header".into()));
         }
-        let stored = u32::from_le_bytes(bytes[2..6].try_into().expect("4 bytes"));
+        let mut cursor: &[u8] = bytes;
+        let count = cursor.get_u16_le() as usize;
+        let stored = cursor.get_u32_le();
         let computed = codec::page_checksum(bytes);
         if stored != computed {
             return Err(StorageError::Corrupt(format!(
                 "page checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
             )));
         }
-        let mut cursor: &[u8] = bytes;
-        let count = (cursor.get_u16_le() as usize).min(limit);
-        let _checksum = cursor.get_u32_le();
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(codec::decode(&mut cursor)?);
-        }
-        Ok(out)
+        Ok((count, cursor))
     }
 }
 
