@@ -1,6 +1,6 @@
 //! Criterion bench behind Figure 6: wall-clock of the three algorithms
 //! over the memory sweep at small scale. (The paper's metric — I/O cost —
-//! is regenerated by the `figures` binary; this bench tracks simulator
+//! is regenerated by `bench figures`; this bench tracks simulator
 //! wall-clock so performance regressions in the algorithms are caught.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,68 +1,62 @@
-//! `chaos` — fault-injection smoke harness for CI.
+//! Fault-injection smoke: `bench chaos [--seed N] [--runs N] [--tuples N]
+//! [--max-rate PERMILLE]`.
 //!
 //! Sweeps injected-fault rates against the disk-based join algorithms and
 //! checks the storage layer's core promise: under any fault rate, a join
 //! either returns the exact oracle result (multiset-equal to the
 //! in-memory `natural_join`) or surfaces a typed
 //! [`JoinError`](vtjoin_join::JoinError) — never a panic, never a
-//! silently wrong or truncated result.
-//!
-//! ```text
-//! chaos [--seed N] [--runs N] [--tuples N] [--max-rate PERMILLE]
-//! ```
-//!
-//! Exits 0 when every run upholds the invariant, 1 otherwise. The default
-//! seed is fixed so CI runs are reproducible; pass `--seed` to explore.
+//! silently wrong or truncated result. The default seed is fixed so CI
+//! runs are reproducible; pass `--seed` to explore.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::process::ExitCode;
 use vtjoin_core::algebra::natural_join;
-use vtjoin_core::Relation;
 use vtjoin_join::{JoinAlgorithm, JoinConfig, NestedLoopJoin, PartitionJoin, SortMergeJoin};
 use vtjoin_storage::{FaultConfig, HeapFile, RetryPolicy, SharedDisk};
 use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
+    DurationDistribution, GeneratorConfig, KeyDistribution, TimeDistribution,
 };
 
-fn flag(args: &[String], name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+use crate::harness::{field_flag, generate_pair, Flag};
+
+/// The sweep's geometry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChaosConfig {
+    /// Workload and fault seed.
+    pub seed: u64,
+    /// Runs per fault rate and algorithm.
+    pub runs: u64,
+    /// Tuples per side.
+    pub tuples: u64,
+    /// Highest injected fault rate swept, in permille.
+    pub max_rate: u64,
 }
 
-fn workload(tuples: u64, seed: u64) -> (Relation, Relation) {
-    let cfg = GeneratorConfig {
-        tuples,
-        long_lived: tuples / 8,
-        lifespan: 10_000,
-        keys: (tuples / 10).max(1),
-        key_dist: KeyDistribution::Uniform,
-        time_dist: TimeDistribution::Uniform,
-        duration_dist: DurationDistribution::UniformUpTo(40),
-        pad_bytes: 8,
-        seed,
-    };
-    let r = generate(outer_schema(cfg.pad_bytes), &cfg);
-    let s = generate(
-        inner_schema(cfg.pad_bytes),
-        &cfg.clone().seed(seed ^ 0xabcd_ef01),
-    );
-    (r, s)
+impl Default for ChaosConfig {
+    fn default() -> ChaosConfig {
+        ChaosConfig {
+            seed: 0xC405,
+            runs: 2,
+            tuples: 1200,
+            max_rate: 50,
+        }
+    }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = flag(&args, "--seed", 0xC405);
-    let runs = flag(&args, "--runs", 2);
-    let tuples = flag(&args, "--tuples", 1200);
-    let max_rate = flag(&args, "--max-rate", 50);
+/// The `bench chaos` flags.
+pub const FLAGS: &[Flag<ChaosConfig>] = &[
+    field_flag!("--seed", seed),
+    field_flag!("--runs", runs),
+    field_flag!("--tuples", tuples),
+    field_flag!("--max-rate", max_rate),
+];
 
+/// Runs the sweep, reports each violation on stderr and the tally on
+/// stdout, and returns the number of violations.
+pub fn run(cfg: &ChaosConfig) -> Result<u64, String> {
     let rates: Vec<u64> = [0u64, 2, 5, 10, 20, 50]
         .into_iter()
-        .filter(|&r| r <= max_rate)
+        .filter(|&r| r <= cfg.max_rate)
         .collect();
     let algos: Vec<(&str, Box<dyn JoinAlgorithm>)> = vec![
         ("partition", Box::new(PartitionJoin::default())),
@@ -70,27 +64,38 @@ fn main() -> ExitCode {
         ("nested-loop", Box::new(NestedLoopJoin)),
     ];
 
-    let (r, s) = workload(tuples, seed);
-    let oracle = natural_join(&r, &s).expect("oracle join");
+    let g = GeneratorConfig {
+        tuples: cfg.tuples,
+        long_lived: cfg.tuples / 8,
+        lifespan: 10_000,
+        keys: (cfg.tuples / 10).max(1),
+        key_dist: KeyDistribution::Uniform,
+        time_dist: TimeDistribution::Uniform,
+        duration_dist: DurationDistribution::UniformUpTo(40),
+        pad_bytes: 8,
+        seed: cfg.seed,
+    };
+    let (r, s) = generate_pair(&g, cfg.seed ^ 0xabcd_ef01);
+    let oracle = natural_join(&r, &s).map_err(|e| format!("oracle join: {e}"))?;
 
     let (mut ok, mut degraded, mut typed_errors, mut violations) = (0u64, 0u64, 0u64, 0u64);
     for rate in &rates {
-        for run in 0..runs {
+        for run in 0..cfg.runs {
             for (name, algo) in &algos {
                 let disk = SharedDisk::new(1024);
-                let hr = HeapFile::bulk_load(&disk, &r).expect("load outer");
-                let hs = HeapFile::bulk_load(&disk, &s).expect("load inner");
+                let load = |rel| HeapFile::bulk_load(&disk, rel).map_err(|e| format!("load: {e}"));
+                let (hr, hs) = (load(&r)?, load(&s)?);
                 if *rate > 0 {
                     disk.set_retry_policy(RetryPolicy::default());
                     disk.set_fault_config(Some(FaultConfig {
-                        seed: seed ^ (rate << 8) ^ run,
+                        seed: cfg.seed ^ (rate << 8) ^ run,
                         read_fail_permille: *rate as u32,
                         write_fail_permille: *rate as u32,
                         torn_write_permille: (*rate / 4) as u32,
                     }));
                 }
-                let cfg = JoinConfig::with_buffer(24).collecting();
-                let outcome = catch_unwind(AssertUnwindSafe(|| algo.execute(&hr, &hs, &cfg)));
+                let join_cfg = JoinConfig::with_buffer(24).collecting();
+                let outcome = catch_unwind(AssertUnwindSafe(|| algo.execute(&hr, &hs, &join_cfg)));
                 match outcome {
                     Ok(Ok(report)) => {
                         let got = report.result.as_ref().expect("collected");
@@ -131,9 +136,5 @@ fn main() -> ExitCode {
         "chaos: {total} runs over rates {rates:?}‰ — {ok} oracle-exact \
          ({degraded} via degraded plans), {typed_errors} typed errors, {violations} violations"
     );
-    if violations == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(violations)
 }

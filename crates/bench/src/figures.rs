@@ -1,7 +1,8 @@
 //! The five evaluation artifacts, regenerated.
 
-use crate::harness::{build_pair, run_algorithm, Algo, Scale};
+use crate::harness::{build_pair, run_algorithm, run_algorithm_reported, Algo, Scale};
 use crate::render;
+use std::path::{Path, PathBuf};
 use vtjoin_join::partition::planner::determine_part_intervals;
 use vtjoin_join::JoinConfig;
 use vtjoin_storage::CostRatio;
@@ -401,6 +402,107 @@ fn scale_tag(scale: Scale) -> &'static str {
         Scale::Full => "full",
         Scale::Small => "small",
     }
+}
+
+const USAGE: &str = "usage: bench figures [fig4|fig5|fig6|fig7|fig8|ablation|report|all] \
+                     [--scale small|full] [--out DIR]";
+
+/// `bench figures [ARTIFACT…] [--scale small|full] [--out DIR]`: prints
+/// each artifact's aligned table (and an ASCII chart where the paper has
+/// one) and writes its CSV under `--out` (default `results/`). The
+/// `report` artifact instead runs one instrumented partition join and
+/// emits its unified execution report (explain text + JSON). A failed
+/// write is an error.
+pub fn cli(args: &[String]) -> Result<(), String> {
+    let usage = |msg: &str| format!("{msg}\n{USAGE}");
+    let mut which: Vec<&str> = Vec::new();
+    let mut scale = Scale::Full;
+    let mut out = PathBuf::from("results");
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--scale" => {
+                scale = rest
+                    .next()
+                    .and_then(|s| Scale::parse(s))
+                    .ok_or_else(|| usage("bad --scale (small|full)"))?;
+            }
+            "--out" => out = PathBuf::from(rest.next().ok_or_else(|| usage("missing --out dir"))?),
+            other if other.starts_with("--") => {
+                return Err(usage(&format!("unknown flag {other}")))
+            }
+            other => which.push(other),
+        }
+    }
+    if which.is_empty() {
+        which.push("all");
+    }
+    let run_all = which.contains(&"all");
+    let wants = |name: &str| run_all || which.contains(&name);
+
+    let started = std::time::Instant::now();
+    let mut produced: Vec<FigureResult> = Vec::new();
+    if wants("fig5") {
+        produced.push(fig5_rows(scale));
+    }
+    if wants("fig4") {
+        produced.push(fig4(scale));
+    }
+    if wants("fig6") {
+        produced.push(fig6(scale));
+    }
+    if wants("fig7") {
+        produced.push(fig7(scale));
+    }
+    if wants("fig8") {
+        produced.push(fig8(scale));
+    }
+    if wants("ablation") {
+        produced.push(ablation_replication(scale));
+        produced.push(ablation_time_index(scale));
+    }
+    if wants("report") {
+        execution_report_artifact(scale, &out)?;
+    } else if produced.is_empty() {
+        return Err(usage(&format!("unknown artifact(s): {which:?}")));
+    }
+
+    for fig in &produced {
+        println!("== {} ==", fig.name);
+        println!("{}", fig.to_table());
+        if let Some(chart) = &fig.chart {
+            println!("{chart}");
+        }
+        let path = fig
+            .write_csv(&out)
+            .map_err(|e| format!("csv write failed: {e}"))?;
+        println!("wrote {}\n", path.display());
+    }
+    eprintln!("done in {:.1?}", started.elapsed());
+    Ok(())
+}
+
+/// One instrumented partition-join run: prints the explain rendering and
+/// writes the machine-readable report (`docs/OBSERVABILITY.md` schema) as
+/// `execution-report.json` under `out`.
+fn execution_report_artifact(scale: Scale, out: &Path) -> Result<(), String> {
+    let params = scale.params();
+    let (_, hr, hs) = build_pair(&params, scale.long_lived(32_000), 42);
+    let (_, er) = run_algorithm_reported(
+        Algo::Partition,
+        &hr,
+        &hs,
+        scale.buffer_pages(4),
+        CostRatio::R5,
+    );
+    println!("== execution report (partition, 4 MB memory, R5) ==");
+    print!("{}", er.render_explain());
+    let path = out.join("execution-report.json");
+    std::fs::create_dir_all(out)
+        .and_then(|()| std::fs::write(&path, er.to_json_string()))
+        .map_err(|e| format!("report write failed: {e}"))?;
+    println!("wrote {}\n", path.display());
+    Ok(())
 }
 
 #[cfg(test)]

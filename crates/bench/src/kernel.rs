@@ -1,6 +1,6 @@
 //! Kernel benchmark: forced-hash vs forced-sweep intra-partition join on
-//! the duplicate-heavy clustered workload, at a fixed thread count. The
-//! `bench_kernel` binary runs this and writes `BENCH_kernel.json` at the
+//! the duplicate-heavy clustered workload, at a fixed thread count.
+//! `bench kernel` runs this and writes `BENCH_kernel.json` at the
 //! repo root — the perf evidence that the sweep kernel earns its place
 //! (and that the cost-model gate is pointing the right way).
 //!
@@ -14,7 +14,6 @@
 //! subset); ratios are fixed-point ×100 (`speedup_x100_sweep_vs_hash =
 //! 250` means the sweep kernel is 2.50× faster).
 
-use std::time::Instant;
 use vtjoin_core::{Interval, Relation};
 use vtjoin_engine::parallel::{run as execute, ExecRequest};
 use vtjoin_join::kernel::KernelChoice;
@@ -23,8 +22,12 @@ use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
+    DurationDistribution, GeneratorConfig, KeyDistribution, TimeDistribution,
+};
+
+use crate::harness::{
+    arr_at, best_micros, check_head, field_flag, generate_pair, int_at, need_arr, need_int,
+    need_ints, ratio_x100, sorted_encoding, str_at, Bench,
 };
 
 /// Version stamped into `BENCH_kernel.json` as `schema_version`;
@@ -102,41 +105,24 @@ pub fn smoke_config() -> KernelBenchConfig {
 /// so each key has hundreds of duplicates of which only the concurrently
 /// open ones join — the regime the kernel gate routes to the sweep.
 pub fn workload_pair(cfg: &KernelBenchConfig) -> (Relation, Relation) {
-    let gen = |seed: u64, outer: bool| {
-        let g = GeneratorConfig {
-            tuples: cfg.tuples,
-            long_lived: cfg.long_lived,
-            lifespan: cfg.lifespan,
-            keys: cfg.keys,
-            key_dist: KeyDistribution::Uniform,
-            time_dist: TimeDistribution::Clustered(3),
-            duration_dist: DurationDistribution::UniformUpTo(cfg.max_duration.max(1)),
-            pad_bytes: 0,
-            seed,
-        };
-        let schema = if outer {
-            outer_schema(0)
-        } else {
-            inner_schema(0)
-        };
-        generate(schema, &g)
+    let g = GeneratorConfig {
+        tuples: cfg.tuples,
+        long_lived: cfg.long_lived,
+        lifespan: cfg.lifespan,
+        keys: cfg.keys,
+        key_dist: KeyDistribution::Uniform,
+        time_dist: TimeDistribution::Clustered(3),
+        duration_dist: DurationDistribution::UniformUpTo(cfg.max_duration.max(1)),
+        pad_bytes: 0,
+        seed: cfg.seed,
     };
-    (gen(cfg.seed, true), gen(cfg.seed ^ 0xabcd, false))
-}
-
-/// The order-independent byte image of a result relation: every tuple's
-/// storage-codec encoding, sorted. Two relations are byte-identical in
-/// the acceptance sense iff these compare equal.
-fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
-    let mut bytes: Vec<Vec<u8>> = rel.iter().map(vtjoin_storage::codec::encode).collect();
-    bytes.sort_unstable();
-    bytes
+    generate_pair(&g, cfg.seed ^ 0xabcd)
 }
 
 /// Runs the benchmark and returns the `BENCH_kernel.json` document.
-pub fn run(cfg: &KernelBenchConfig) -> Json {
+pub fn run(cfg: &KernelBenchConfig) -> Result<Json, String> {
     let (r, s) = workload_pair(cfg);
-    let lifespan_iv = Interval::from_raw(0, cfg.lifespan).expect("positive lifespan");
+    let lifespan_iv = Interval::from_raw(0, cfg.lifespan).map_err(|e| format!("lifespan: {e}"))?;
     let plan = GridPlan::time_only(equal_width(lifespan_iv, cfg.partitions));
     let join = |choice: KernelChoice| {
         let req = ExecRequest {
@@ -144,17 +130,7 @@ pub fn run(cfg: &KernelBenchConfig) -> Json {
             kernel: choice,
             ..ExecRequest::new(&plan)
         };
-        execute(&r, &s, req).expect("benchmark join failed")
-    };
-
-    let time = |choice: KernelChoice| {
-        let mut best = u64::MAX;
-        for _ in 0..cfg.repeats.max(1) {
-            let t0 = Instant::now();
-            join(choice);
-            best = best.min(t0.elapsed().as_micros() as u64);
-        }
-        best
+        execute(&r, &s, req).map_err(|e| format!("benchmark join failed: {e}"))
     };
 
     let mut kernels_json = Vec::new();
@@ -162,8 +138,8 @@ pub fn run(cfg: &KernelBenchConfig) -> Json {
     let mut encodings = Vec::new();
     let mut result_tuples = 0_i64;
     for choice in [KernelChoice::Hash, KernelChoice::Sweep] {
-        let wall = time(choice);
-        let out = join(choice);
+        let wall = best_micros(cfg.repeats.into(), || join(choice))?;
+        let out = join(choice)?;
         let (result, report) = (out.relation, out.report);
         let k = report.kernel.expect("parallel report has a kernel section");
         result_tuples = result.len() as i64;
@@ -182,7 +158,7 @@ pub fn run(cfg: &KernelBenchConfig) -> Json {
     let identical = i64::from(encodings[0] == encodings[1]);
     let speedup_x100 = (walls[0].max(1) * 100 / walls[1].max(1)) as i64;
 
-    obj(vec![
+    Ok(obj(vec![
         ("schema_version", Json::Int(BENCH_SCHEMA_VERSION)),
         ("benchmark", Json::Str("kernel-hash-vs-sweep".into())),
         ("host", crate::harness::host_section(cfg.threads as u64)),
@@ -204,53 +180,64 @@ pub fn run(cfg: &KernelBenchConfig) -> Json {
         ("results_byte_identical", Json::Int(identical)),
         ("speedup_x100_sweep_vs_hash", Json::Int(speedup_x100)),
         ("kernels", Json::Arr(kernels_json)),
-    ])
+    ]))
 }
+
+/// The `bench kernel` subcommand.
+pub const BENCH: Bench<KernelBenchConfig> = Bench {
+    name: "kernel",
+    flags: &[
+        field_flag!("--tuples", tuples),
+        field_flag!("--long-lived", long_lived),
+        field_flag!("--keys", keys),
+        field_flag!("--lifespan", lifespan),
+        field_flag!("--max-duration", max_duration),
+        field_flag!("--partitions", partitions),
+        field_flag!("--threads", threads),
+        field_flag!("--repeats", repeats),
+        field_flag!("--seed", seed),
+    ],
+    smoke: smoke_config,
+    run,
+    validate,
+    summary: |doc| {
+        let x100 = int_at(doc, "speedup_x100_sweep_vs_hash");
+        let mut lines = vec![format!("sweep vs hash: {}", ratio_x100(x100))];
+        for k in arr_at(doc, "kernels") {
+            lines.push(format!(
+                "{}: {} µs, {} result tuples",
+                str_at(k, "kernel"),
+                int_at(k, "wall_micros"),
+                int_at(k, "result_tuples"),
+            ));
+        }
+        lines
+    },
+};
 
 /// Validates a `BENCH_kernel.json` document: schema version, benchmark
 /// name, workload fields, exactly one hash and one sweep entry, equal
 /// per-kernel cardinalities, and a passing byte-identity check. Used by
-/// `bench_kernel --validate` and the CI smoke step.
+/// `bench kernel --validate` and the CI smoke step.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_i64)
-        .ok_or("missing schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {BENCH_SCHEMA_VERSION}"
-        ));
+    check_head(
+        doc,
+        BENCH_SCHEMA_VERSION,
+        "kernel-hash-vs-sweep",
+        &[
+            "tuples_per_side",
+            "keys",
+            "max_duration",
+            "partitions",
+            "threads",
+            "seed",
+        ],
+    )?;
+    need_int(doc, "", "speedup_x100_sweep_vs_hash")?;
+    if need_int(doc, "", "results_byte_identical")? != 1 {
+        return Err("kernels produced different result relations".into());
     }
-    match doc.get("benchmark").and_then(Json::as_str) {
-        Some("kernel-hash-vs-sweep") => {}
-        other => return Err(format!("unexpected benchmark field {other:?}")),
-    }
-    let workload = doc.get("workload").ok_or("missing workload")?;
-    for key in [
-        "tuples_per_side",
-        "keys",
-        "max_duration",
-        "partitions",
-        "threads",
-        "seed",
-    ] {
-        workload
-            .get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing workload.{key}"))?;
-    }
-    doc.get("speedup_x100_sweep_vs_hash")
-        .and_then(Json::as_i64)
-        .ok_or("missing speedup_x100_sweep_vs_hash")?;
-    match doc.get("results_byte_identical").and_then(Json::as_i64) {
-        Some(1) => {}
-        Some(_) => return Err("kernels produced different result relations".into()),
-        None => return Err("missing results_byte_identical".into()),
-    }
-    let kernels = doc
-        .get("kernels")
-        .and_then(Json::as_arr)
-        .ok_or("missing kernels array")?;
+    let kernels = need_arr(doc, "kernels")?;
     if kernels.len() != 2 {
         return Err(format!(
             "expected 2 kernel entries, found {}",
@@ -259,20 +246,16 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     }
     let mut cardinalities = Vec::new();
     for (i, k) in kernels.iter().enumerate() {
+        let at = format!("kernels[{i}]");
         k.get("kernel")
             .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing kernels[{i}].kernel"))?;
-        for key in [
-            "wall_micros",
-            "result_tuples",
-            "hash_partitions",
-            "sweep_partitions",
-        ] {
-            k.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing kernels[{i}].{key}"))?;
-        }
-        cardinalities.push(k.get("result_tuples").and_then(Json::as_i64).unwrap_or(-1));
+            .ok_or_else(|| format!("missing {at}.kernel"))?;
+        need_ints(
+            k,
+            &at,
+            &["wall_micros", "hash_partitions", "sweep_partitions"],
+        )?;
+        cardinalities.push(need_int(k, &at, "result_tuples")?);
     }
     let names: Vec<&str> = kernels
         .iter()
@@ -296,7 +279,7 @@ mod tests {
 
     #[test]
     fn smoke_run_emits_a_valid_document() {
-        let doc = run(&smoke_config());
+        let doc = run(&smoke_config()).unwrap();
         validate(&doc).unwrap();
         // Round-trips through the JSON text form.
         let back = Json::parse(&doc.to_pretty()).unwrap();
@@ -310,7 +293,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_broken_documents() {
-        let doc = run(&smoke_config());
+        let doc = run(&smoke_config()).unwrap();
         validate(&doc).unwrap();
         let text = doc
             .to_pretty()

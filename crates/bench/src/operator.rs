@@ -12,7 +12,6 @@
 //! [`crate::regress`] comparator exactly like the other benchmarks;
 //! wall-clock fields are denylisted there as usual.
 
-use std::time::Instant;
 use vtjoin_core::algebra::{
     antijoin_pred, count_over_time, extremum_over_time, full_outerjoin_pred, outerjoin_pred,
     segments_to_relation, semijoin_pred, Extremum, JoinSide,
@@ -24,8 +23,12 @@ use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
+    DurationDistribution, GeneratorConfig, KeyDistribution, TimeDistribution,
+};
+
+use crate::harness::{
+    arr_at, best_micros, check_head, field_flag, generate_pair, int_at, need_arr, need_int,
+    need_ints, parse_list, str_at, Bench, Flag,
 };
 
 /// Version stamped into `BENCH_operator.json` as `schema_version`;
@@ -113,30 +116,18 @@ pub fn smoke_config() -> OperatorBenchConfig {
 /// same-key pairs produce matched windows, partial overlaps, and fully
 /// dangling tuples alike.
 pub fn workload_pair(cfg: &OperatorBenchConfig, ratio: u64) -> (Relation, Relation) {
-    let keys = (cfg.tuples / ratio.max(1)).max(1);
-    let gen = |seed: u64, outer: bool| {
-        let g = GeneratorConfig {
-            tuples: cfg.tuples,
-            long_lived: cfg.long_lived,
-            lifespan: cfg.lifespan,
-            keys,
-            key_dist: KeyDistribution::Uniform,
-            time_dist: TimeDistribution::Clustered(3),
-            duration_dist: DurationDistribution::UniformUpTo(cfg.max_duration.max(1)),
-            pad_bytes: 0,
-            seed,
-        };
-        let schema = if outer {
-            outer_schema(0)
-        } else {
-            inner_schema(0)
-        };
-        generate(schema, &g)
+    let g = GeneratorConfig {
+        tuples: cfg.tuples,
+        long_lived: cfg.long_lived,
+        lifespan: cfg.lifespan,
+        keys: (cfg.tuples / ratio.max(1)).max(1),
+        key_dist: KeyDistribution::Uniform,
+        time_dist: TimeDistribution::Clustered(3),
+        duration_dist: DurationDistribution::UniformUpTo(cfg.max_duration.max(1)),
+        pad_bytes: 0,
+        seed: cfg.seed ^ ratio,
     };
-    (
-        gen(cfg.seed ^ ratio, true),
-        gen(cfg.seed ^ ratio ^ 0xabcd, false),
-    )
+    generate_pair(&g, cfg.seed ^ ratio ^ 0xabcd)
 }
 
 /// The **ordered** byte image of a result relation: the operator
@@ -147,38 +138,36 @@ fn ordered_encoding(rel: &Relation) -> Vec<Vec<u8>> {
 }
 
 /// The oracle result for one grid operator.
-fn oracle(r: &Relation, s: &Relation, op: &Operator, pred: &JoinPredicate) -> Relation {
-    match op {
-        Operator::Inner => vtjoin_core::algebra::predicate_join(r, s, pred),
+fn oracle(
+    r: &Relation,
+    s: &Relation,
+    op: &Operator,
+    pred: &JoinPredicate,
+) -> Result<Relation, String> {
+    let joined = || vtjoin_core::algebra::predicate_join(r, s, pred);
+    let result = match op {
+        Operator::Inner => joined(),
         Operator::Left => outerjoin_pred(r, s, JoinSide::Left, pred),
         Operator::Full => full_outerjoin_pred(r, s, pred),
         Operator::Semi => semijoin_pred(r, s, pred),
         Operator::Anti => antijoin_pred(r, s, pred),
-        Operator::Aggregate(f) => {
-            let joined =
-                vtjoin_core::algebra::predicate_join(r, s, pred).expect("oracle join failed");
+        Operator::Aggregate(f) => joined().and_then(|joined| {
             let segs = match f {
                 AggFunc::Count => count_over_time(&joined),
-                AggFunc::Sum(a) => {
-                    vtjoin_core::algebra::sum_over_time(&joined, a).expect("oracle sum failed")
-                }
-                AggFunc::Min(a) => {
-                    extremum_over_time(&joined, a, Extremum::Min).expect("oracle min failed")
-                }
-                AggFunc::Max(a) => {
-                    extremum_over_time(&joined, a, Extremum::Max).expect("oracle max failed")
-                }
+                AggFunc::Sum(a) => vtjoin_core::algebra::sum_over_time(&joined, a)?,
+                AggFunc::Min(a) => extremum_over_time(&joined, a, Extremum::Min)?,
+                AggFunc::Max(a) => extremum_over_time(&joined, a, Extremum::Max)?,
             };
-            return segments_to_relation(&segs);
-        }
-    }
-    .expect("oracle join failed")
+            Ok(segments_to_relation(&segs))
+        }),
+    };
+    result.map_err(|e| format!("oracle {op}: {e}"))
 }
 
 /// Runs the grid and returns the `BENCH_operator.json` document.
-pub fn run(cfg: &OperatorBenchConfig) -> Json {
+pub fn run(cfg: &OperatorBenchConfig) -> Result<Json, String> {
     let pred = JoinPredicate::intersects();
-    let lifespan_iv = Interval::from_raw(0, cfg.lifespan).expect("positive lifespan");
+    let lifespan_iv = Interval::from_raw(0, cfg.lifespan).map_err(|e| format!("lifespan: {e}"))?;
     let plan = GridPlan {
         key_buckets: cfg.key_buckets as u64,
         intervals: equal_width(lifespan_iv, cfg.partitions),
@@ -190,24 +179,20 @@ pub fn run(cfg: &OperatorBenchConfig) -> Json {
         let (r, s) = workload_pair(cfg, ratio);
         for name in GRID_OPERATORS {
             let op: Operator = name.parse().expect("grid operator parses");
-            let want = ordered_encoding(&oracle(&r, &s, &op, &pred));
-            let join = || -> (Relation, OperatorCounters) {
+            let want = ordered_encoding(&oracle(&r, &s, &op, &pred)?);
+            let join = || -> Result<(Relation, OperatorCounters), String> {
                 let req = ExecRequest {
                     threads: cfg.threads,
                     predicate: pred,
                     operator: Some(&op),
                     ..ExecRequest::new(&plan)
                 };
-                let out = execute(&r, &s, req).expect("benchmark operator run failed");
-                (out.relation, out.operator.expect("operator runs count"))
+                let out = execute(&r, &s, req)
+                    .map_err(|e| format!("benchmark operator run failed: {e}"))?;
+                Ok((out.relation, out.operator.expect("operator runs count")))
             };
-            let mut wall = u64::MAX;
-            for _ in 0..cfg.repeats.max(1) {
-                let t0 = Instant::now();
-                join();
-                wall = wall.min(t0.elapsed().as_micros() as u64);
-            }
-            let (result, c) = join();
+            let wall = best_micros(cfg.repeats.into(), join)?;
+            let (result, c) = join()?;
             let identical = i64::from(ordered_encoding(&result) == want);
             all_identical &= identical;
             cells.push(obj(vec![
@@ -236,7 +221,7 @@ pub fn run(cfg: &OperatorBenchConfig) -> Json {
         }
     }
 
-    obj(vec![
+    Ok(obj(vec![
         ("schema_version", Json::Int(BENCH_SCHEMA_VERSION)),
         ("benchmark", Json::Str("operator-grid".into())),
         ("host", crate::harness::host_section(cfg.threads as u64)),
@@ -265,101 +250,119 @@ pub fn run(cfg: &OperatorBenchConfig) -> Json {
         ),
         ("all_oracle_identical", Json::Int(all_identical)),
         ("cells", Json::Arr(cells)),
-    ])
+    ]))
 }
+
+/// The `bench operator` subcommand.
+pub const BENCH: Bench<OperatorBenchConfig> = Bench {
+    name: "operator",
+    flags: &[
+        field_flag!("--tuples", tuples),
+        field_flag!("--long-lived", long_lived),
+        field_flag!("--lifespan", lifespan),
+        field_flag!("--max-duration", max_duration),
+        Flag {
+            name: "--ratios",
+            takes_value: true,
+            set: |c, v| {
+                c.duplicate_ratios = parse_list(v)?;
+                Ok(())
+            },
+        },
+        field_flag!("--partitions", partitions),
+        field_flag!("--key-buckets", key_buckets),
+        field_flag!("--threads", threads),
+        field_flag!("--repeats", repeats),
+        field_flag!("--seed", seed),
+    ],
+    smoke: smoke_config,
+    run,
+    validate,
+    summary: |doc| {
+        arr_at(doc, "cells")
+            .iter()
+            .map(|c| {
+                format!(
+                    "{:<18} (dup {:>3}): {:>6} tuples, {:>7} µs, {} pairs, dangling {}/{} \
+                     ({}+{} stitched), {} agg segments",
+                    str_at(c, "op"),
+                    int_at(c, "duplicates_per_key"),
+                    int_at(c, "result_tuples"),
+                    int_at(c, "wall_micros"),
+                    int_at(c, "pairs_logged"),
+                    int_at(c, "outer_dangling"),
+                    int_at(c, "inner_dangling"),
+                    int_at(c, "stitched_outer"),
+                    int_at(c, "stitched_inner"),
+                    int_at(c, "agg_segments"),
+                )
+            })
+            .collect()
+    },
+};
 
 /// Validates a `BENCH_operator.json` document: schema version, benchmark
 /// name, workload fields, a non-empty cell grid whose cells each carry
 /// the full counter set, every operator a parseable [`Operator`] with
 /// all four non-inner joins and at least one aggregate represented, and
 /// a passing oracle byte-identity check in **every** cell. Used by
-/// `bench_operator --validate` and the CI smoke step.
+/// `bench operator --validate` and the CI smoke step.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_i64)
-        .ok_or("missing schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {BENCH_SCHEMA_VERSION}"
-        ));
-    }
-    match doc.get("benchmark").and_then(Json::as_str) {
-        Some("operator-grid") => {}
-        other => return Err(format!("unexpected benchmark field {other:?}")),
-    }
-    let workload = doc.get("workload").ok_or("missing workload")?;
-    for key in [
-        "tuples_per_side",
-        "lifespan",
-        "max_duration",
-        "partitions",
-        "key_buckets",
-        "threads",
-        "seed",
-    ] {
-        workload
-            .get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing workload.{key}"))?;
-    }
-    match doc.get("all_oracle_identical").and_then(Json::as_i64) {
-        Some(1) => {}
-        Some(_) => return Err("some cell diverged from the algebra oracle".into()),
-        None => return Err("missing all_oracle_identical".into()),
-    }
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("missing cells array")?;
-    if cells.is_empty() {
-        return Err("empty cell grid".into());
+    check_head(
+        doc,
+        BENCH_SCHEMA_VERSION,
+        "operator-grid",
+        &[
+            "tuples_per_side",
+            "lifespan",
+            "max_duration",
+            "partitions",
+            "key_buckets",
+            "threads",
+            "seed",
+        ],
+    )?;
+    if need_int(doc, "", "all_oracle_identical")? != 1 {
+        return Err("some cell diverged from the algebra oracle".into());
     }
     let mut ops_seen = std::collections::BTreeSet::new();
     let mut aggregates_seen = 0_u64;
-    for (i, c) in cells.iter().enumerate() {
+    for (i, c) in need_arr(doc, "cells")?.iter().enumerate() {
+        let at = format!("cells[{i}]");
         let name = c
             .get("op")
             .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing cells[{i}].op"))?;
-        let op: Operator = name
-            .parse()
-            .map_err(|e| format!("cells[{i}].op `{name}`: {e}"))?;
+            .ok_or_else(|| format!("missing {at}.op"))?;
+        let op: Operator = name.parse().map_err(|e| format!("{at}.op `{name}`: {e}"))?;
         if matches!(op, Operator::Aggregate(_)) {
             aggregates_seen += 1;
         } else {
             ops_seen.insert(name.to_owned());
         }
-        for key in [
-            "duplicates_per_key",
-            "keys",
-            "result_tuples",
-            "wall_micros",
-            "cells_run",
-            "pairs_logged",
-            "outer_fragments",
-            "inner_fragments",
-            "stitched_outer",
-            "stitched_inner",
-            "outer_dangling",
-            "inner_dangling",
-            "timeline_events",
-            "timeline_checkpoints",
-            "agg_segments",
-            "fallback_nested",
-        ] {
-            c.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing cells[{i}].{key}"))?;
-        }
-        match c.get("oracle_identical").and_then(Json::as_i64) {
-            Some(1) => {}
-            Some(_) => {
-                return Err(format!(
-                    "cells[{i}] ({name}) diverged from the algebra oracle"
-                ))
-            }
-            None => return Err(format!("missing cells[{i}].oracle_identical")),
+        need_ints(
+            c,
+            &at,
+            &[
+                "duplicates_per_key",
+                "keys",
+                "result_tuples",
+                "wall_micros",
+                "cells_run",
+                "pairs_logged",
+                "outer_fragments",
+                "inner_fragments",
+                "stitched_outer",
+                "stitched_inner",
+                "outer_dangling",
+                "inner_dangling",
+                "timeline_events",
+                "timeline_checkpoints",
+                "agg_segments",
+                "fallback_nested",
+            ],
+        )?;
+        if need_int(c, &at, "oracle_identical")? != 1 {
+            return Err(format!("{at} ({name}) diverged from the algebra oracle"));
         }
     }
     for required in ["left", "full", "semi", "anti"] {
@@ -379,7 +382,7 @@ mod tests {
 
     #[test]
     fn smoke_run_emits_a_valid_document() {
-        let doc = run(&smoke_config());
+        let doc = run(&smoke_config()).unwrap();
         validate(&doc).unwrap();
         // Round-trips through the JSON text form.
         let back = Json::parse(&doc.to_pretty()).unwrap();
@@ -407,7 +410,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_broken_documents() {
-        let doc = run(&smoke_config());
+        let doc = run(&smoke_config()).unwrap();
         validate(&doc).unwrap();
         let text = doc
             .to_pretty()

@@ -4,8 +4,8 @@
 //! workload — plus a **grid-vs-time-only** comparison: the same workload
 //! joined over a K×N (key × time) grid, with the structural claims (max
 //! cell share, byte-identity across thread counts) emitted as
-//! deterministic counters the CI regression gate can pin. The
-//! `bench_parallel` binary runs this and writes `BENCH_parallel.json` at
+//! deterministic counters the CI regression gate can pin.
+//! `bench parallel` runs this and writes `BENCH_parallel.json` at
 //! the repo root — the perf baseline future PRs measure regressions and
 //! wins against.
 //!
@@ -13,7 +13,6 @@
 //! subset); ratios are fixed-point ×100 (`speedup_x100 = 250` means
 //! 2.50×).
 
-use std::time::Instant;
 use vtjoin_core::{Interval, Relation};
 use vtjoin_engine::parallel::{parallel_partition_join_naive, run as execute, ExecRequest};
 use vtjoin_join::common::JoinSpec;
@@ -22,8 +21,12 @@ use vtjoin_join::partition::{plan_grid, GridChoice, GridPlan};
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
+    DurationDistribution, GeneratorConfig, KeyDistribution, TimeDistribution,
+};
+
+use crate::harness::{
+    arr_at, best_micros, check_head, field_flag, generate_pair, int_at, need_arr, need_int,
+    need_ints, parse_list, ratio_x100, Bench, Flag,
 };
 
 /// Version stamped into `BENCH_parallel.json` as `schema_version`;
@@ -113,36 +116,28 @@ pub fn smoke_config() -> ParallelBenchConfig {
 /// replicated across many partitions, with optional Zipf key skew
 /// (`cfg.zipf_x100`, the workload knob the grid's key axis answers).
 pub fn skewed_pair(cfg: &ParallelBenchConfig) -> (Relation, Relation) {
-    let gen = |seed: u64, outer: bool| {
-        let g = GeneratorConfig {
-            tuples: cfg.tuples,
-            long_lived: cfg.long_lived,
-            lifespan: cfg.lifespan,
-            keys: cfg.keys,
-            key_dist: if cfg.zipf_x100 == 0 {
-                KeyDistribution::Uniform
-            } else {
-                KeyDistribution::Zipf(cfg.zipf_x100 as f64 / 100.0)
-            },
-            time_dist: TimeDistribution::Clustered(3),
-            duration_dist: DurationDistribution::UniformUpTo((cfg.lifespan / 64).max(1)),
-            pad_bytes: 0,
-            seed,
-        };
-        let schema = if outer {
-            outer_schema(0)
+    let g = GeneratorConfig {
+        tuples: cfg.tuples,
+        long_lived: cfg.long_lived,
+        lifespan: cfg.lifespan,
+        keys: cfg.keys,
+        key_dist: if cfg.zipf_x100 == 0 {
+            KeyDistribution::Uniform
         } else {
-            inner_schema(0)
-        };
-        generate(schema, &g)
+            KeyDistribution::Zipf(cfg.zipf_x100 as f64 / 100.0)
+        },
+        time_dist: TimeDistribution::Clustered(3),
+        duration_dist: DurationDistribution::UniformUpTo((cfg.lifespan / 64).max(1)),
+        pad_bytes: 0,
+        seed: cfg.seed,
     };
-    (gen(cfg.seed, true), gen(cfg.seed ^ 0xabcd, false))
+    generate_pair(&g, cfg.seed ^ 0xabcd)
 }
 
 /// Runs the benchmark and returns the `BENCH_parallel.json` document.
-pub fn run(cfg: &ParallelBenchConfig) -> Json {
+pub fn run(cfg: &ParallelBenchConfig) -> Result<Json, String> {
     let (r, s) = skewed_pair(cfg);
-    let lifespan_iv = Interval::from_raw(0, cfg.lifespan).expect("positive lifespan");
+    let lifespan_iv = Interval::from_raw(0, cfg.lifespan).map_err(|e| format!("lifespan: {e}"))?;
     let intervals = equal_width(lifespan_iv, cfg.partitions);
     let time_only = GridPlan::time_only(intervals.clone());
     let join = |plan: &GridPlan, threads: usize| {
@@ -150,30 +145,20 @@ pub fn run(cfg: &ParallelBenchConfig) -> Json {
             threads,
             ..ExecRequest::new(plan)
         };
-        execute(&r, &s, req).expect("benchmark join failed")
+        execute(&r, &s, req).map_err(|e| format!("benchmark join failed: {e}"))
     };
 
     // One reported run for the result cardinality and skew section.
-    let out = join(&time_only, cfg.threads.first().copied().unwrap_or(1));
+    let out = join(&time_only, cfg.threads.first().copied().unwrap_or(1))?;
     let (result, report) = (out.relation, out.report);
     let skew = report.skew.expect("parallel report has a skew section");
 
-    let time = |f: &dyn Fn()| {
-        let mut best = u64::MAX;
-        for _ in 0..cfg.repeats.max(1) {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_micros() as u64);
-        }
-        best
-    };
+    let time = |f: &dyn Fn() -> Result<(), String>| best_micros(cfg.repeats.into(), f);
 
     let mut runs: Vec<(usize, u64, u64)> = Vec::new(); // (threads, wall, util%)
     for &t in &cfg.threads {
-        let wall = time(&|| {
-            join(&time_only, t);
-        });
-        let workers = join(&time_only, t).report.workers;
+        let wall = time(&|| join(&time_only, t).map(drop))?;
+        let workers = join(&time_only, t)?.report.workers;
         let busy: u64 = workers.iter().map(|w| w.busy_micros).sum();
         let wall_max = workers.iter().map(|w| w.wall_micros).max().unwrap_or(0);
         let util = if wall_max == 0 || workers.is_empty() {
@@ -200,14 +185,12 @@ pub fn run(cfg: &ParallelBenchConfig) -> Json {
         GridChoice::Fixed(BENCH_GRID_BUCKETS),
     )
     .plan;
-    let grid_serial = join(&plan, 1).relation;
+    let grid_serial = join(&plan, 1)?.relation;
     let mut grid_identical = true;
     let mut grid_runs_json: Vec<Json> = Vec::new();
     for &(t, time_only_wall, _) in &runs {
-        let grid_wall = time(&|| {
-            join(&plan, t);
-        });
-        let got = join(&plan, t).relation;
+        let grid_wall = time(&|| join(&plan, t).map(drop))?;
+        let got = join(&plan, t)?.relation;
         grid_identical &= got.tuples() == grid_serial.tuples();
         grid_runs_json.push(obj(vec![
             ("threads", Json::Int(t as i64)),
@@ -314,17 +297,14 @@ pub fn run(cfg: &ParallelBenchConfig) -> Json {
 
     if let Some(bt) = cfg.baseline_threads {
         let naive_wall = time(&|| {
-            parallel_partition_join_naive(&r, &s, &intervals, bt).expect("baseline join failed");
-        });
-        let new_wall = runs
-            .iter()
-            .find(|(t, _, _)| *t == bt)
-            .map(|&(_, w, _)| w)
-            .unwrap_or_else(|| {
-                time(&|| {
-                    join(&time_only, bt);
-                })
-            });
+            parallel_partition_join_naive(&r, &s, &intervals, bt)
+                .map(drop)
+                .map_err(|e| format!("baseline join failed: {e}"))
+        })?;
+        let new_wall = match runs.iter().find(|(t, _, _)| *t == bt) {
+            Some(&(_, w, _)) => w,
+            None => time(&|| join(&time_only, bt).map(drop))?,
+        };
         pairs.push((
             "baseline",
             obj(vec![
@@ -340,75 +320,117 @@ pub fn run(cfg: &ParallelBenchConfig) -> Json {
         ));
     }
 
-    obj(pairs)
+    Ok(obj(pairs))
 }
+
+/// The `bench parallel` subcommand.
+pub const BENCH: Bench<ParallelBenchConfig> = Bench {
+    name: "parallel",
+    flags: &[
+        field_flag!("--tuples", tuples),
+        field_flag!("--long-lived", long_lived),
+        field_flag!("--keys", keys),
+        field_flag!("--lifespan", lifespan),
+        field_flag!("--partitions", partitions),
+        Flag {
+            name: "--threads",
+            takes_value: true,
+            set: |c, v| {
+                c.threads = parse_list(v)?;
+                Ok(())
+            },
+        },
+        field_flag!("--repeats", repeats),
+        field_flag!("--seed", seed),
+        field_flag!("--zipf", zipf_x100),
+        Flag {
+            name: "--no-baseline",
+            takes_value: false,
+            set: |c, _| {
+                c.baseline_threads = None;
+                Ok(())
+            },
+        },
+    ],
+    smoke: smoke_config,
+    run,
+    validate,
+    summary: |doc| {
+        let mut lines = Vec::new();
+        if doc.get("baseline").is_some() {
+            lines.push(format!(
+                "vs naive executor at {} threads: {}",
+                int_at(doc, "baseline.threads"),
+                ratio_x100(int_at(doc, "baseline.speedup_x100")),
+            ));
+        }
+        for run in arr_at(doc, "runs") {
+            lines.push(format!(
+                "{} thread(s): {} µs, utilization {}%",
+                int_at(run, "threads"),
+                int_at(run, "wall_micros"),
+                int_at(run, "utilization_percent"),
+            ));
+        }
+        if let Some(grid) = doc.get("grid") {
+            lines.push(format!(
+                "grid {}x{}: max cell share {}% (time-only {}%), identical to serial: {}",
+                int_at(grid, "key_buckets"),
+                int_at(grid, "time_partitions"),
+                int_at(grid, "max_cell_share_percent"),
+                int_at(grid, "time_only_max_share_percent"),
+                int_at(grid, "grid_identical_to_serial"),
+            ));
+            for run in arr_at(grid, "runs") {
+                lines.push(format!(
+                    "  {} thread(s): grid {} µs vs time-only {} µs",
+                    int_at(run, "threads"),
+                    int_at(run, "grid_wall_micros"),
+                    int_at(run, "time_only_wall_micros"),
+                ));
+            }
+        }
+        lines
+    },
+};
 
 /// Validates a `BENCH_parallel.json` document: schema version, benchmark
 /// name, workload fields, and a non-empty run list with the per-run
-/// fields. Used by `bench_parallel --validate` and the CI smoke step.
+/// fields. Used by `bench parallel --validate` and the CI smoke step.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_i64)
-        .ok_or("missing schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {BENCH_SCHEMA_VERSION}"
-        ));
-    }
-    match doc.get("benchmark").and_then(Json::as_str) {
-        Some("parallel-partition-join") => {}
-        other => return Err(format!("unexpected benchmark field {other:?}")),
-    }
-    let workload = doc.get("workload").ok_or("missing workload")?;
-    for key in ["tuples_per_side", "partitions", "seed"] {
-        workload
-            .get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing workload.{key}"))?;
-    }
-    doc.get("result_tuples")
-        .and_then(Json::as_i64)
-        .ok_or("missing result_tuples")?;
-    doc.get("max_partition_share_percent")
-        .and_then(Json::as_i64)
-        .ok_or("missing max_partition_share_percent")?;
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for (i, run) in runs.iter().enumerate() {
-        for key in ["threads", "wall_micros", "utilization_percent"] {
-            run.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing runs[{i}].{key}"))?;
-        }
+    check_head(
+        doc,
+        BENCH_SCHEMA_VERSION,
+        "parallel-partition-join",
+        &["tuples_per_side", "partitions", "seed"],
+    )?;
+    let result_tuples = need_int(doc, "", "result_tuples")?;
+    need_int(doc, "", "max_partition_share_percent")?;
+    for (i, run) in need_arr(doc, "runs")?.iter().enumerate() {
+        need_ints(
+            run,
+            &format!("runs[{i}]"),
+            &["threads", "wall_micros", "utilization_percent"],
+        )?;
     }
     if let Some(base) = doc.get("baseline") {
-        for key in [
-            "threads",
-            "wall_micros",
-            "new_executor_wall_micros",
-            "speedup_x100",
-        ] {
-            base.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing baseline.{key}"))?;
-        }
+        need_ints(
+            base,
+            "baseline",
+            &[
+                "threads",
+                "wall_micros",
+                "new_executor_wall_micros",
+                "speedup_x100",
+            ],
+        )?;
     }
 
     // The grid section carries the acceptance claims as counters; the
     // validator enforces them, so a regressed grid cannot silently ship a
     // "valid" baseline.
     let grid = doc.get("grid").ok_or("missing grid section")?;
-    let gi = |key: &str| -> Result<i64, String> {
-        grid.get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing grid.{key}"))
-    };
+    let gi = |key: &str| need_int(grid, "grid", key);
     let key_buckets = gi("key_buckets")?;
     let time_partitions = gi("time_partitions")?;
     if key_buckets < 1 || gi("cells")? != key_buckets * time_partitions {
@@ -417,12 +439,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     if gi("grid_identical_to_serial")? != 1 {
         return Err("grid output not byte-identical to the serial grid run".into());
     }
-    if gi("grid_result_tuples")?
-        != doc
-            .get("result_tuples")
-            .and_then(Json::as_i64)
-            .unwrap_or(-1)
-    {
+    if gi("grid_result_tuples")? != result_tuples {
         return Err("grid result cardinality differs from the time-only run".into());
     }
     let grid_share = gi("max_cell_share_percent")?;
@@ -436,19 +453,12 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             "grid max cell share {grid_share}% exceeds the time-only partition share"
         ));
     }
-    let grid_runs = grid
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("missing grid.runs array")?;
-    if grid_runs.is_empty() {
-        return Err("grid.runs array is empty".into());
-    }
-    for (i, run) in grid_runs.iter().enumerate() {
-        for key in ["threads", "grid_wall_micros", "time_only_wall_micros"] {
-            run.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing grid.runs[{i}].{key}"))?;
-        }
+    for (i, run) in need_arr(doc, "grid.runs")?.iter().enumerate() {
+        need_ints(
+            run,
+            &format!("grid.runs[{i}]"),
+            &["threads", "grid_wall_micros", "time_only_wall_micros"],
+        )?;
     }
     Ok(())
 }
@@ -459,7 +469,7 @@ mod tests {
 
     #[test]
     fn smoke_run_emits_a_valid_document() {
-        let doc = run(&smoke_config());
+        let doc = run(&smoke_config()).unwrap();
         validate(&doc).unwrap();
         // Round-trips through the JSON text form.
         let back = Json::parse(&doc.to_pretty()).unwrap();
@@ -472,7 +482,8 @@ mod tests {
         let doc = run(&ParallelBenchConfig {
             baseline_threads: None,
             ..smoke_config()
-        });
+        })
+        .unwrap();
         validate(&doc).unwrap();
         let text = doc
             .to_pretty()
@@ -487,7 +498,8 @@ mod tests {
         let doc = run(&ParallelBenchConfig {
             baseline_threads: None,
             ..smoke_config()
-        });
+        })
+        .unwrap();
         // A lost byte-identity flag fails validation outright.
         let text = doc.to_pretty().replacen(
             "\"grid_identical_to_serial\": 1",
@@ -526,7 +538,7 @@ mod tests {
             head > cfg.tuples / cfg.keys,
             "zipf head key should exceed the uniform share, got {head}"
         );
-        let doc = run(&cfg);
+        let doc = run(&cfg).unwrap();
         validate(&doc).unwrap();
         let wl = doc.get("workload").unwrap();
         assert_eq!(wl.get("zipf_x100").and_then(Json::as_i64), Some(100));

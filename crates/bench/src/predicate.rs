@@ -11,7 +11,6 @@
 //! the [`crate::regress`] comparator exactly like the other benchmarks;
 //! wall-clock fields are denylisted there as usual.
 
-use std::time::Instant;
 use vtjoin_core::algebra::predicate_join;
 use vtjoin_core::{Interval, JoinPredicate, Relation};
 use vtjoin_engine::parallel::{run as execute, ExecRequest};
@@ -20,8 +19,12 @@ use vtjoin_join::partition::GridPlan;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
+    DurationDistribution, GeneratorConfig, KeyDistribution, TimeDistribution,
+};
+
+use crate::harness::{
+    arr_at, best_micros, check_head, field_flag, generate_pair, int_at, need_arr, need_int,
+    need_ints, parse_list, sorted_encoding, str_at, Bench, Flag,
 };
 
 /// Version stamped into `BENCH_predicate.json` as `schema_version`;
@@ -106,43 +109,23 @@ pub fn smoke_config() -> PredicateBenchConfig {
 /// same-key pairs land in every Allen relation (overlapping, adjacent,
 /// and well-separated alike).
 pub fn workload_pair(cfg: &PredicateBenchConfig, ratio: u64) -> (Relation, Relation) {
-    let keys = (cfg.tuples / ratio.max(1)).max(1);
-    let gen = |seed: u64, outer: bool| {
-        let g = GeneratorConfig {
-            tuples: cfg.tuples,
-            long_lived: cfg.long_lived,
-            lifespan: cfg.lifespan,
-            keys,
-            key_dist: KeyDistribution::Uniform,
-            time_dist: TimeDistribution::Clustered(3),
-            duration_dist: DurationDistribution::UniformUpTo(cfg.max_duration.max(1)),
-            pad_bytes: 0,
-            seed,
-        };
-        let schema = if outer {
-            outer_schema(0)
-        } else {
-            inner_schema(0)
-        };
-        generate(schema, &g)
+    let g = GeneratorConfig {
+        tuples: cfg.tuples,
+        long_lived: cfg.long_lived,
+        lifespan: cfg.lifespan,
+        keys: (cfg.tuples / ratio.max(1)).max(1),
+        key_dist: KeyDistribution::Uniform,
+        time_dist: TimeDistribution::Clustered(3),
+        duration_dist: DurationDistribution::UniformUpTo(cfg.max_duration.max(1)),
+        pad_bytes: 0,
+        seed: cfg.seed ^ ratio,
     };
-    (
-        gen(cfg.seed ^ ratio, true),
-        gen(cfg.seed ^ ratio ^ 0xabcd, false),
-    )
-}
-
-/// The order-independent byte image of a result relation (as in the
-/// kernel benchmark): every tuple's storage-codec encoding, sorted.
-fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
-    let mut bytes: Vec<Vec<u8>> = rel.iter().map(vtjoin_storage::codec::encode).collect();
-    bytes.sort_unstable();
-    bytes
+    generate_pair(&g, cfg.seed ^ ratio ^ 0xabcd)
 }
 
 /// Runs the grid and returns the `BENCH_predicate.json` document.
-pub fn run(cfg: &PredicateBenchConfig) -> Json {
-    let lifespan_iv = Interval::from_raw(0, cfg.lifespan).expect("positive lifespan");
+pub fn run(cfg: &PredicateBenchConfig) -> Result<Json, String> {
+    let lifespan_iv = Interval::from_raw(0, cfg.lifespan).map_err(|e| format!("lifespan: {e}"))?;
     let plan = GridPlan::time_only(equal_width(lifespan_iv, cfg.partitions));
 
     let mut cells = Vec::new();
@@ -155,27 +138,15 @@ pub fn run(cfg: &PredicateBenchConfig) -> Json {
                 predicate: *pred,
                 ..ExecRequest::new(&plan)
             };
-            execute(&r, &s, req).expect("benchmark join failed")
+            execute(&r, &s, req).map_err(|e| format!("benchmark join failed: {e}"))
         };
-        let oracle_bytes: std::collections::HashMap<&str, Vec<Vec<u8>>> = GRID_PREDICATES
-            .iter()
-            .map(|p| {
-                let pred: JoinPredicate = p.parse().expect("grid predicate parses");
-                let want = predicate_join(&r, &s, &pred).expect("oracle join failed");
-                (*p, sorted_encoding(&want))
-            })
-            .collect();
         for p in GRID_PREDICATES {
             let pred: JoinPredicate = p.parse().expect("grid predicate parses");
-            let mut wall = u64::MAX;
-            for _ in 0..cfg.repeats.max(1) {
-                let t0 = Instant::now();
-                join(&pred);
-                wall = wall.min(t0.elapsed().as_micros() as u64);
-            }
-            let out = join(&pred);
+            let want = predicate_join(&r, &s, &pred).map_err(|e| format!("oracle join: {e}"))?;
+            let wall = best_micros(cfg.repeats.into(), || join(&pred))?;
+            let out = join(&pred)?;
             let (result, report) = (out.relation, out.report);
-            let identical = i64::from(sorted_encoding(&result) == oracle_bytes[*p]);
+            let identical = i64::from(sorted_encoding(&result) == sorted_encoding(&want));
             all_identical &= identical;
             // The natural join carries no predicate section (pre-v6 report
             // shape); its filter/fallback counters are definitionally 0.
@@ -210,7 +181,7 @@ pub fn run(cfg: &PredicateBenchConfig) -> Json {
         }
     }
 
-    obj(vec![
+    Ok(obj(vec![
         ("schema_version", Json::Int(BENCH_SCHEMA_VERSION)),
         ("benchmark", Json::Str("predicate-grid".into())),
         ("host", crate::harness::host_section(cfg.threads as u64)),
@@ -238,90 +209,107 @@ pub fn run(cfg: &PredicateBenchConfig) -> Json {
         ),
         ("all_oracle_identical", Json::Int(all_identical)),
         ("cells", Json::Arr(cells)),
-    ])
+    ]))
 }
+
+/// The `bench predicate` subcommand.
+pub const BENCH: Bench<PredicateBenchConfig> = Bench {
+    name: "predicate",
+    flags: &[
+        field_flag!("--tuples", tuples),
+        field_flag!("--long-lived", long_lived),
+        field_flag!("--lifespan", lifespan),
+        field_flag!("--max-duration", max_duration),
+        Flag {
+            name: "--ratios",
+            takes_value: true,
+            set: |c, v| {
+                c.duplicate_ratios = parse_list(v)?;
+                Ok(())
+            },
+        },
+        field_flag!("--partitions", partitions),
+        field_flag!("--threads", threads),
+        field_flag!("--repeats", repeats),
+        field_flag!("--seed", seed),
+    ],
+    smoke: smoke_config,
+    run,
+    validate,
+    summary: |doc| {
+        arr_at(doc, "cells")
+            .iter()
+            .map(|c| {
+                format!(
+                    "{:<20} ({:<12} dup {}): {} tuples, {} µs, {} filter checks, {} merge pairs",
+                    str_at(c, "predicate"),
+                    str_at(c, "template"),
+                    int_at(c, "duplicates_per_key"),
+                    int_at(c, "result_tuples"),
+                    int_at(c, "wall_micros"),
+                    int_at(c, "filter_checks"),
+                    int_at(c, "merge_pairs_scanned"),
+                )
+            })
+            .collect()
+    },
+};
 
 /// Validates a `BENCH_predicate.json` document: schema version, benchmark
 /// name, workload fields, a non-empty cell grid whose cells each carry the
 /// full counter set, every template one of the three compiled names with
 /// all three represented, and a passing oracle byte-identity check in
-/// **every** cell. Used by `bench_predicate --validate` and the CI smoke
+/// **every** cell. Used by `bench predicate --validate` and the CI smoke
 /// step.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_i64)
-        .ok_or("missing schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {BENCH_SCHEMA_VERSION}"
-        ));
-    }
-    match doc.get("benchmark").and_then(Json::as_str) {
-        Some("predicate-grid") => {}
-        other => return Err(format!("unexpected benchmark field {other:?}")),
-    }
-    let workload = doc.get("workload").ok_or("missing workload")?;
-    for key in [
-        "tuples_per_side",
-        "lifespan",
-        "max_duration",
-        "partitions",
-        "threads",
-        "seed",
-    ] {
-        workload
-            .get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing workload.{key}"))?;
-    }
-    match doc.get("all_oracle_identical").and_then(Json::as_i64) {
-        Some(1) => {}
-        Some(_) => return Err("some cell diverged from the nested-loop oracle".into()),
-        None => return Err("missing all_oracle_identical".into()),
-    }
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("missing cells array")?;
-    if cells.is_empty() {
-        return Err("empty cell grid".into());
+    check_head(
+        doc,
+        BENCH_SCHEMA_VERSION,
+        "predicate-grid",
+        &[
+            "tuples_per_side",
+            "lifespan",
+            "max_duration",
+            "partitions",
+            "threads",
+            "seed",
+        ],
+    )?;
+    if need_int(doc, "", "all_oracle_identical")? != 1 {
+        return Err("some cell diverged from the nested-loop oracle".into());
     }
     let mut templates_seen = std::collections::BTreeSet::new();
-    for (i, c) in cells.iter().enumerate() {
-        c.get("predicate")
+    for (i, c) in need_arr(doc, "cells")?.iter().enumerate() {
+        let at = format!("cells[{i}]");
+        let name = c
+            .get("predicate")
             .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing cells[{i}].predicate"))?;
+            .ok_or_else(|| format!("missing {at}.predicate"))?;
         match c.get("template").and_then(Json::as_str) {
             Some(t @ ("intersection" | "sequence" | "mixed")) => {
                 templates_seen.insert(t.to_owned());
             }
-            other => return Err(format!("cells[{i}].template: unexpected {other:?}")),
+            other => return Err(format!("{at}.template: unexpected {other:?}")),
         }
-        for key in [
-            "duplicates_per_key",
-            "keys",
-            "partitions_used",
-            "result_tuples",
-            "wall_micros",
-            "filter_checks",
-            "filter_hits",
-            "merge_pairs_scanned",
-            "merge_pairs_emitted",
-        ] {
-            c.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("missing cells[{i}].{key}"))?;
-        }
-        match c.get("oracle_identical").and_then(Json::as_i64) {
-            Some(1) => {}
-            Some(_) => {
-                return Err(format!(
-                    "cells[{i}] ({:?}) diverged from the nested-loop oracle",
-                    c.get("predicate").and_then(Json::as_str)
-                ))
-            }
-            None => return Err(format!("missing cells[{i}].oracle_identical")),
+        need_ints(
+            c,
+            &at,
+            &[
+                "duplicates_per_key",
+                "keys",
+                "partitions_used",
+                "result_tuples",
+                "wall_micros",
+                "filter_checks",
+                "filter_hits",
+                "merge_pairs_scanned",
+                "merge_pairs_emitted",
+            ],
+        )?;
+        if need_int(c, &at, "oracle_identical")? != 1 {
+            return Err(format!(
+                "{at} ({name}) diverged from the nested-loop oracle"
+            ));
         }
     }
     if templates_seen.len() != 3 {
@@ -338,7 +326,7 @@ mod tests {
 
     #[test]
     fn smoke_run_emits_a_valid_document() {
-        let doc = run(&smoke_config());
+        let doc = run(&smoke_config()).unwrap();
         validate(&doc).unwrap();
         // Round-trips through the JSON text form.
         let back = Json::parse(&doc.to_pretty()).unwrap();
@@ -362,7 +350,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_broken_documents() {
-        let doc = run(&smoke_config());
+        let doc = run(&smoke_config()).unwrap();
         validate(&doc).unwrap();
         let text = doc
             .to_pretty()

@@ -11,11 +11,13 @@
 //! skipping any field whose name marks it as timing-derived (the
 //! [`NONDETERMINISTIC_KEY_MARKERS`] denylist).
 //!
-//! The gate reads: `bench_* --validate FILE --baseline BASE
+//! The gate reads: `bench <name> --validate FILE --baseline BASE
 //! --tolerance-permille N` — validation of the document's own schema
 //! first, then the drift check. With the repo's fixed-seed workloads the
 //! baselines are exact, so CI pins `--tolerance-permille 0`.
 
+use crate::harness::{need_int, Flag};
+use std::path::{Path, PathBuf};
 use vtjoin_obs::Json;
 
 /// Field-name substrings marking values derived from wall-clock or
@@ -160,7 +162,7 @@ pub fn compare_or_fail(
 }
 
 /// The shared `--validate FILE [--baseline FILE --tolerance-permille N]`
-/// implementation behind every `bench_*` binary: schema-validate the
+/// implementation behind every benchmark subcommand: schema-validate the
 /// document, then (when a baseline is given) schema-validate the baseline
 /// too and fail on any deterministic-counter drift beyond the tolerance.
 pub fn validate_with_baseline(
@@ -182,6 +184,117 @@ pub fn validate_with_baseline(
             .map_err(|e| format!("{path} vs baseline {base_path}: {e}"))?;
     }
     Ok(())
+}
+
+/// Where `bench drift` looks: the full-size documents' directory and the
+/// smoke baselines' directory.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DriftDirs {
+    /// Directory of the full-size `BENCH_*.json` documents.
+    pub root: String,
+    /// Directory of the `BENCH_*_smoke.json` baselines.
+    pub baselines: String,
+}
+
+impl Default for DriftDirs {
+    fn default() -> DriftDirs {
+        DriftDirs {
+            root: ".".into(),
+            baselines: "ci/baselines".into(),
+        }
+    }
+}
+
+/// The `bench drift` flags.
+pub const DRIFT_FLAGS: &[Flag<DriftDirs>] = &[
+    Flag {
+        name: "--root",
+        takes_value: true,
+        set: |d, v| {
+            d.root = v.into();
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--baselines",
+        takes_value: true,
+        set: |d, v| {
+            d.baselines = v.into();
+            Ok(())
+        },
+    },
+];
+
+/// Reads a benchmark document's `schema_version`.
+fn version_of(path: &Path) -> Result<i64, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let doc = Json::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))?;
+    need_int(&doc, "", "schema_version").map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// The root-side `BENCH_*.json` documents, sorted by name.
+fn root_documents(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut docs = Vec::new();
+    let entries =
+        std::fs::read_dir(root).map_err(|e| format!("reading {}: {e}", root.display()))?;
+    for entry in entries {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_file() && name.starts_with("BENCH_") && name.ends_with(".json") {
+            docs.push(path);
+        }
+    }
+    docs.sort();
+    Ok(docs)
+}
+
+/// Guards the benchmark document schemas against silent divergence:
+/// every full-size `BENCH_*.json` under `root` must agree on
+/// `schema_version` with its `BENCH_*_smoke.json` counterpart under
+/// `baselines`. A version bump that touches only one of the two (the
+/// benchmark code and its smoke baseline regenerated, the checked-in
+/// full document forgotten — or vice versa) fails here instead of
+/// confusing the next regression triage. Documents without a
+/// counterpart are reported but not errors: not every benchmark keeps a
+/// full-size document in the tree. Returns the report lines, or the
+/// first drift.
+pub fn check_drift(root: &Path, baselines: &Path) -> Result<Vec<String>, String> {
+    let mut lines = Vec::new();
+    let mut compared = 0_u32;
+    for doc in root_documents(root)? {
+        let name = doc.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let stem = name
+            .strip_prefix("BENCH_")
+            .and_then(|n| n.strip_suffix(".json"))
+            .unwrap_or(name);
+        let smoke = baselines.join(format!("BENCH_{stem}_smoke.json"));
+        if !smoke.is_file() {
+            lines.push(format!("{name}: no smoke baseline, skipped"));
+            continue;
+        }
+        let full_version = version_of(&doc)?;
+        let smoke_version = version_of(&smoke)?;
+        if full_version != smoke_version {
+            return Err(format!(
+                "{name} has schema_version {full_version} but {} has {smoke_version}; \
+                 regenerate whichever document was left behind",
+                smoke.display(),
+            ));
+        }
+        compared += 1;
+        lines.push(format!("{name}: schema_version {full_version} agrees"));
+    }
+    if compared == 0 {
+        return Err(format!(
+            "no root BENCH_*.json document in {} has a smoke counterpart in {} — \
+             wrong directories?",
+            root.display(),
+            baselines.display(),
+        ));
+    }
+    lines.push(format!("{compared} document pair(s) in agreement"));
+    Ok(lines)
 }
 
 #[cfg(test)]
@@ -263,5 +376,61 @@ mod tests {
         let renamed =
             Json::parse(&baseline.to_pretty().replacen("\"demo\"", "\"other\"", 1)).unwrap();
         assert_eq!(compare(&renamed, &baseline, 0).len(), 1);
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("baseline_drift_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("ci/baselines")).unwrap();
+        dir
+    }
+
+    fn write(dir: &Path, rel: &str, version: i64) {
+        std::fs::write(
+            dir.join(rel),
+            format!("{{\n  \"schema_version\": {version},\n  \"benchmark\": \"x\"\n}}\n"),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn agreeing_pairs_pass_and_orphans_are_skipped() {
+        let dir = scratch("ok");
+        write(&dir, "BENCH_alpha.json", 2);
+        write(&dir, "ci/baselines/BENCH_alpha_smoke.json", 2);
+        write(&dir, "BENCH_orphan.json", 7);
+        let lines = check_drift(&dir, &dir.join("ci/baselines")).unwrap();
+        assert!(lines.iter().any(|l| l.contains("BENCH_alpha.json")));
+        assert!(lines
+            .iter()
+            .any(|l| l.contains("orphan") && l.contains("skipped")));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_drift_and_empty_overlap_fail() {
+        let dir = scratch("drift");
+        write(&dir, "BENCH_alpha.json", 2);
+        write(&dir, "ci/baselines/BENCH_alpha_smoke.json", 3);
+        let err = check_drift(&dir, &dir.join("ci/baselines")).unwrap_err();
+        assert!(err.contains("schema_version 2"), "{err}");
+        assert!(err.contains("has 3"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let dir = scratch("empty");
+        write(&dir, "BENCH_alpha.json", 2);
+        let err = check_drift(&dir, &dir.join("ci/baselines")).unwrap_err();
+        assert!(err.contains("wrong directories"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn real_repository_layout_is_in_agreement() {
+        // The actual tree `bench drift` gates in CI: run from the crate
+        // directory, the repository root is two levels up.
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        if repo.join("BENCH_parallel.json").is_file() {
+            check_drift(&repo, &repo.join("ci/baselines")).unwrap();
+        }
     }
 }

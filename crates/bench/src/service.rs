@@ -51,8 +51,11 @@ use vtjoin_join::JoinConfig;
 use vtjoin_obs::json::obj;
 use vtjoin_obs::Json;
 use vtjoin_workload::generate::{
-    generate, inner_schema, outer_schema, DurationDistribution, GeneratorConfig, KeyDistribution,
-    TimeDistribution,
+    DurationDistribution, GeneratorConfig, KeyDistribution, TimeDistribution,
+};
+
+use crate::harness::{
+    check_head, field_flag, generate_pair, int_at, need_int, ratio_x100, sorted_encoding, Bench,
 };
 
 /// Version stamped into `BENCH_service.json` as `schema_version`;
@@ -136,40 +139,33 @@ pub fn smoke_config() -> ServiceBenchConfig {
 /// The benchmark's relation pair (uniform keys and start times, mixed
 /// durations — the paper's base workload shape).
 pub fn workload_pair(cfg: &ServiceBenchConfig) -> (Relation, Relation) {
-    let gen = |seed: u64, outer: bool| {
-        let g = GeneratorConfig {
-            tuples: cfg.tuples,
-            long_lived: cfg.long_lived,
-            lifespan: cfg.lifespan,
-            keys: cfg.keys,
-            key_dist: KeyDistribution::Uniform,
-            time_dist: TimeDistribution::Uniform,
-            duration_dist: DurationDistribution::UniformUpTo((cfg.lifespan / 64).max(1)),
-            pad_bytes: 0,
-            seed,
-        };
-        let schema = if outer {
-            outer_schema(0)
-        } else {
-            inner_schema(0)
-        };
-        generate(schema, &g)
+    let g = GeneratorConfig {
+        tuples: cfg.tuples,
+        long_lived: cfg.long_lived,
+        lifespan: cfg.lifespan,
+        keys: cfg.keys,
+        key_dist: KeyDistribution::Uniform,
+        time_dist: TimeDistribution::Uniform,
+        duration_dist: DurationDistribution::UniformUpTo((cfg.lifespan / 64).max(1)),
+        pad_bytes: 0,
+        seed: cfg.seed,
     };
-    (gen(cfg.seed, true), gen(cfg.seed ^ 0xabcd, false))
+    generate_pair(&g, cfg.seed ^ 0xabcd)
 }
 
-/// The order-independent byte image of a result relation.
-fn sorted_encoding(rel: &Relation) -> Vec<Vec<u8>> {
-    let mut bytes: Vec<Vec<u8>> = rel.iter().map(vtjoin_storage::codec::encode).collect();
-    bytes.sort_unstable();
-    bytes
-}
-
-fn build_service(cfg: &ServiceBenchConfig, plan_cache: bool) -> JoinService {
+/// The benchmark's pair stored as tables `r` and `s`.
+fn database(cfg: &ServiceBenchConfig) -> Result<Database, String> {
     let (r, s) = workload_pair(cfg);
     let mut db = Database::new(1024);
-    db.create_table("r", &r).expect("bench table r");
-    db.create_table("s", &s).expect("bench table s");
+    db.create_table("r", &r)
+        .map_err(|e| format!("bench table r: {e}"))?;
+    db.create_table("s", &s)
+        .map_err(|e| format!("bench table s: {e}"))?;
+    Ok(db)
+}
+
+fn build_service(cfg: &ServiceBenchConfig, plan_cache: bool) -> Result<JoinService, String> {
+    let db = database(cfg)?;
     let mut svc_cfg = ServiceConfig::new(
         JoinConfig::with_buffer(cfg.buffer_pages).seed(cfg.seed),
         cfg.pool_pages,
@@ -177,17 +173,26 @@ fn build_service(cfg: &ServiceBenchConfig, plan_cache: bool) -> JoinService {
     svc_cfg.threads_per_query = cfg.threads_per_query.max(1);
     svc_cfg.max_queue = (cfg.concurrency as u64).max(1);
     svc_cfg.plan_cache = plan_cache;
-    JoinService::new(db, svc_cfg)
+    Ok(JoinService::new(db, svc_cfg))
+}
+
+/// A failed request, as the benchmark reports it.
+fn failed(e: ServiceError) -> String {
+    format!("bench submit failed: {e}")
 }
 
 /// Runs one serial section: `repeats` submissions of `r ⋈ s`, checking
 /// every response against the oracle encoding. Returns the section JSON
 /// and (total I/O, wall µs, all-identical flag).
-fn serial_section(svc: &JoinService, repeats: u64, oracle: &[Vec<u8>]) -> (Json, u64, u64, bool) {
+fn serial_section(
+    svc: &JoinService,
+    repeats: u64,
+    oracle: &[Vec<u8>],
+) -> Result<(Json, u64, u64, bool), String> {
     let mut identical = true;
     let t0 = Instant::now();
     for _ in 0..repeats {
-        let resp = svc.submit("r", "s").expect("bench submit failed");
+        let resp = svc.submit("r", "s").map_err(failed)?;
         identical &= sorted_encoding(&resp.result) == oracle;
     }
     let wall = t0.elapsed().as_micros() as u64;
@@ -201,7 +206,7 @@ fn serial_section(svc: &JoinService, repeats: u64, oracle: &[Vec<u8>]) -> (Json,
         ("io_total", Json::Int(io as i64)),
         ("wall_micros", Json::Int(wall as i64)),
     ]);
-    (json, io, wall, identical)
+    Ok((json, io, wall, identical))
 }
 
 /// Seeded xorshift64* — the bench's only randomness source, so arrival
@@ -249,11 +254,14 @@ fn latency_stats(lat: &mut [u64]) -> Json {
 /// release and drain. Returns the section JSON, the byte-identity flag,
 /// and the per-request footprint observed on drain (pages), which sizes
 /// the Poisson section's pool.
-fn saturation_section(cfg: &ServiceBenchConfig, oracle: &[Vec<u8>]) -> (Json, bool, u64) {
-    let svc = build_service(cfg, true);
+fn saturation_section(
+    cfg: &ServiceBenchConfig,
+    oracle: &[Vec<u8>],
+) -> Result<(Json, bool, u64), String> {
+    let svc = build_service(cfg, true)?;
     let hold = svc
         .reserve_maintenance(cfg.pool_pages)
-        .expect("pool must be idle before the saturation phase");
+        .ok_or("the pool must be idle before the saturation phase")?;
 
     let background_arrivals = cfg.repeats.max(1);
     let mut retry_hints_positive = true;
@@ -268,7 +276,11 @@ fn saturation_section(cfg: &ServiceBenchConfig, oracle: &[Vec<u8>]) -> (Json, bo
                 shed_retry_after += 1;
                 retry_hints_positive &= millis >= 1;
             }
-            other => panic!("held pool must shed background with RetryAfter, got {other:?}"),
+            other => {
+                return Err(format!(
+                    "held pool must shed background with RetryAfter, got {other:?}"
+                ))
+            }
         }
     }
 
@@ -281,7 +293,11 @@ fn saturation_section(cfg: &ServiceBenchConfig, oracle: &[Vec<u8>]) -> (Json, bo
         };
         match svc.submit_opts("r", "s", &JoinPredicate::intersects(), &opts) {
             Err(ServiceError::Rejected(Rejected::DeadlineExceeded { .. })) => {}
-            other => panic!("held pool must shed on deadline expiry, got {other:?}"),
+            other => {
+                return Err(format!(
+                    "held pool must shed on deadline expiry, got {other:?}"
+                ))
+            }
         }
     }
 
@@ -298,7 +314,7 @@ fn saturation_section(cfg: &ServiceBenchConfig, oracle: &[Vec<u8>]) -> (Json, bo
         };
         let resp = svc
             .submit_opts("r", "s", &JoinPredicate::intersects(), &opts)
-            .expect("released pool must admit the drain");
+            .map_err(failed)?;
         drain_completed += 1;
         reserved_pages = resp.reserved_pages;
         identical &= sorted_encoding(&resp.result) == oracle;
@@ -320,7 +336,7 @@ fn saturation_section(cfg: &ServiceBenchConfig, oracle: &[Vec<u8>]) -> (Json, bo
         ("drain_completed", Json::Int(drain_completed as i64)),
         ("results_byte_identical", Json::Int(i64::from(identical))),
     ]);
-    (json, identical, reserved_pages)
+    Ok((json, identical, reserved_pages))
 }
 
 /// The open-loop Poisson phase: seeded exponential arrivals against a
@@ -331,7 +347,7 @@ fn poisson_section(
     cfg: &ServiceBenchConfig,
     oracle: &[Vec<u8>],
     pages_per_request: u64,
-) -> (Json, bool) {
+) -> Result<(Json, bool), String> {
     // Seeded schedule, fixed before any request is submitted: offsets in
     // µs from the section start, plus a priority class per arrival.
     let mut rng = XorShift(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
@@ -352,10 +368,7 @@ fn poisson_section(
     // Two concurrent joins fit; the third queues (or sheds, for
     // background). The queue bound admits every waiter the schedule can
     // produce, so non-background requests only shed via their deadline.
-    let (r, s) = workload_pair(cfg);
-    let mut db = Database::new(1024);
-    db.create_table("r", &r).expect("bench table r");
-    db.create_table("s", &s).expect("bench table s");
+    let db = database(cfg)?;
     let mut svc_cfg = ServiceConfig::new(
         JoinConfig::with_buffer(cfg.buffer_pages).seed(cfg.seed),
         pages_per_request * 2 + pages_per_request / 2,
@@ -465,55 +478,61 @@ fn poisson_section(
     for (label, idx) in [("interactive", 0usize), ("batch", 1), ("background", 2)] {
         pairs.push((label, latency_stats(&mut by_class[idx])));
     }
-    (obj(pairs), identical.load(Ordering::Relaxed))
+    Ok((obj(pairs), identical.load(Ordering::Relaxed)))
 }
 
 /// Runs the benchmark and returns the `BENCH_service.json` document.
-pub fn run(cfg: &ServiceBenchConfig) -> Json {
+pub fn run(cfg: &ServiceBenchConfig) -> Result<Json, String> {
     let (r, s) = workload_pair(cfg);
-    let oracle = sorted_encoding(&natural_join(&r, &s).expect("oracle join"));
+    let oracle = natural_join(&r, &s).map_err(|e| format!("oracle join: {e}"))?;
+    let oracle = sorted_encoding(&oracle);
     let result_tuples = oracle.len() as i64;
 
     // Repeated workload, plan cache on: 1 miss, repeats − 1 hits. The
     // first submission plans fresh; every later one reuses its boundaries
     // (asserted structurally by `validate` on the emitted counters).
-    let warm_svc = build_service(cfg, true);
-    let (repeated, warm_io, warm_wall, ok) = serial_section(&warm_svc, cfg.repeats, &oracle);
+    let warm_svc = build_service(cfg, true)?;
+    let (repeated, warm_io, warm_wall, ok) = serial_section(&warm_svc, cfg.repeats, &oracle)?;
     let mut identical = ok;
 
     // Cold ablation, cache off: every request replans and resamples.
-    let cold_svc = build_service(cfg, false);
-    let (cold, cold_io, cold_wall, ok) = serial_section(&cold_svc, cfg.repeats, &oracle);
+    let cold_svc = build_service(cfg, false)?;
+    let (cold, cold_io, cold_wall, ok) = serial_section(&cold_svc, cfg.repeats, &oracle)?;
     identical &= ok;
 
     // Concurrent section, cache on: the same request volume fanned over
     // `concurrency` submitter threads against the shared page pool.
-    let conc_svc = build_service(cfg, true);
+    let conc_svc = build_service(cfg, true)?;
     let next = AtomicUsize::new(0);
     let conc_identical = AtomicBool::new(true);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
-        for _ in 0..cfg.concurrency.max(1) {
-            scope.spawn(|| loop {
-                if next.fetch_add(1, Ordering::Relaxed) >= cfg.repeats as usize {
-                    break;
-                }
-                let resp = conc_svc.submit("r", "s").expect("bench submit failed");
-                if sorted_encoding(&resp.result) != oracle {
-                    conc_identical.store(false, Ordering::Relaxed);
-                }
-            });
-        }
-    });
+        let submitters: Vec<_> = (0..cfg.concurrency.max(1))
+            .map(|_| {
+                scope.spawn(|| -> Result<(), String> {
+                    while next.fetch_add(1, Ordering::Relaxed) < cfg.repeats as usize {
+                        let resp = conc_svc.submit("r", "s").map_err(failed)?;
+                        if sorted_encoding(&resp.result) != oracle {
+                            conc_identical.store(false, Ordering::Relaxed);
+                        }
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        submitters
+            .into_iter()
+            .try_for_each(|h| h.join().expect("a submitter panicked"))
+    })?;
     let conc_wall = t0.elapsed().as_micros() as u64;
     let conc_sec = conc_svc.service_section();
     identical &= conc_identical.load(Ordering::Relaxed);
 
     // Closed-loop section: deterministic saturation shedding, then the
     // Poisson open-loop arrival sweep against a two-slot pool.
-    let (saturation, sat_ok, pages_per_request) = saturation_section(cfg, &oracle);
+    let (saturation, sat_ok, pages_per_request) = saturation_section(cfg, &oracle)?;
     identical &= sat_ok;
-    let (poisson, poisson_ok) = poisson_section(cfg, &oracle, pages_per_request.max(1));
+    let (poisson, poisson_ok) = poisson_section(cfg, &oracle, pages_per_request.max(1))?;
     identical &= poisson_ok;
     let closed_loop = obj(vec![
         ("pages_per_request", Json::Int(pages_per_request as i64)),
@@ -538,7 +557,7 @@ pub fn run(cfg: &ServiceBenchConfig) -> Json {
         ),
     ]);
 
-    obj(vec![
+    Ok(obj(vec![
         ("schema_version", Json::Int(BENCH_SCHEMA_VERSION)),
         ("benchmark", Json::Str("service-plan-cache".into())),
         ("host", crate::harness::host_section(cfg.concurrency as u64)),
@@ -576,123 +595,154 @@ pub fn run(cfg: &ServiceBenchConfig) -> Json {
         ("cold", cold),
         ("concurrent", concurrent),
         ("closed_loop", closed_loop),
-    ])
+    ]))
 }
+
+/// The `bench service` subcommand.
+pub const BENCH: Bench<ServiceBenchConfig> = Bench {
+    name: "service",
+    flags: &[
+        field_flag!("--tuples", tuples),
+        field_flag!("--long-lived", long_lived),
+        field_flag!("--keys", keys),
+        field_flag!("--lifespan", lifespan),
+        field_flag!("--buffer", buffer_pages),
+        field_flag!("--pool-pages", pool_pages),
+        field_flag!("--threads-per-query", threads_per_query),
+        field_flag!("--concurrency", concurrency),
+        field_flag!("--repeats", repeats),
+        field_flag!("--arrivals", arrivals),
+        field_flag!("--mean-interarrival-micros", mean_interarrival_micros),
+        field_flag!("--seed", seed),
+    ],
+    smoke: smoke_config,
+    run,
+    validate,
+    summary: |doc| {
+        let get = |path: &str| int_at(doc, path);
+        let poisson = |path: &str| get(&format!("closed_loop.poisson.{path}"));
+        vec![
+            format!(
+                "repeated: {} requests, {} cache hits, {} I/Os",
+                get("repeated.requests"),
+                get("repeated.cache_hits"),
+                get("repeated.io_total"),
+            ),
+            format!(
+                "cold:     {} requests, all replanned, {} I/Os",
+                get("cold.requests"),
+                get("cold.io_total"),
+            ),
+            format!("planner I/O saved by cache: {}", get("planner_io_saved")),
+            format!(
+                "warm vs cold: {}",
+                ratio_x100(get("speedup_x100_warm_vs_cold"))
+            ),
+            format!(
+                "concurrent ({} submitters): {} vs serial",
+                get("workload.concurrency"),
+                ratio_x100(get("concurrent.speedup_x100_vs_serial")),
+            ),
+            format!(
+                "saturation: {} background shed (RetryAfter), {} deadline shed, {} drained",
+                get("closed_loop.saturation.shed_retry_after"),
+                get("closed_loop.saturation.shed_deadline"),
+                get("closed_loop.saturation.drain_completed"),
+            ),
+            format!(
+                "poisson ({} arrivals): interactive p50/p99/p999 {}/{}/{} µs, \
+                 batch p99 {} µs, {} shed with RetryAfter",
+                poisson("arrivals"),
+                poisson("interactive.p50_micros"),
+                poisson("interactive.p99_micros"),
+                poisson("interactive.p999_micros"),
+                poisson("batch.p99_micros"),
+                poisson("queue_shed_retry_after"),
+            ),
+        ]
+    },
+};
 
 /// Validates a `BENCH_service.json` document: schema version, benchmark
 /// name, workload fields, the exact expected hit/miss split in the serial
 /// sections, positive planner I/O savings, and a passing byte-identity
-/// check. Used by `bench_service --validate` and the CI smoke step.
+/// check. Used by `bench service --validate` and the CI smoke step.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_i64)
-        .ok_or("missing schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {BENCH_SCHEMA_VERSION}"
-        ));
+    check_head(
+        doc,
+        BENCH_SCHEMA_VERSION,
+        "service-plan-cache",
+        &[
+            "tuples_per_side",
+            "keys",
+            "buffer_pages",
+            "pool_pages",
+            "concurrency",
+            "repeats",
+            "seed",
+        ],
+    )?;
+    if need_int(doc, "", "results_byte_identical")? != 1 {
+        return Err("service results diverged from the oracle join".into());
     }
-    match doc.get("benchmark").and_then(Json::as_str) {
-        Some("service-plan-cache") => {}
-        other => return Err(format!("unexpected benchmark field {other:?}")),
-    }
-    let workload = doc.get("workload").ok_or("missing workload")?;
-    for key in [
-        "tuples_per_side",
-        "keys",
-        "buffer_pages",
-        "pool_pages",
-        "concurrency",
-        "repeats",
-        "seed",
-    ] {
-        workload
-            .get(key)
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing workload.{key}"))?;
-    }
-    match doc.get("results_byte_identical").and_then(Json::as_i64) {
-        Some(1) => {}
-        Some(_) => return Err("service results diverged from the oracle join".into()),
-        None => return Err("missing results_byte_identical".into()),
-    }
-    let repeats = workload.get("repeats").and_then(Json::as_i64).unwrap_or(0);
-
-    let field = |section: &str, key: &str| -> Result<i64, String> {
-        doc.get(section)
-            .and_then(|s| s.get(key))
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing {section}.{key}"))
-    };
-    if field("repeated", "requests")? != repeats {
+    let repeats = need_int(doc, "", "workload.repeats")?;
+    let field = |path: &str| need_int(doc, "", path);
+    if field("repeated.requests")? != repeats {
         return Err("repeated.requests does not match workload.repeats".into());
     }
-    if field("repeated", "cache_misses")? != 1 || field("repeated", "cache_hits")? != repeats - 1 {
+    if field("repeated.cache_misses")? != 1 || field("repeated.cache_hits")? != repeats - 1 {
         return Err(format!(
             "repeated section must be exactly 1 miss + {} hits, found {} / {}",
             repeats - 1,
-            field("repeated", "cache_misses")?,
-            field("repeated", "cache_hits")?,
+            field("repeated.cache_misses")?,
+            field("repeated.cache_hits")?,
         ));
     }
-    if field("cold", "cache_hits")? != 0 || field("cold", "cache_misses")? != repeats {
+    if field("cold.cache_hits")? != 0 || field("cold.cache_misses")? != repeats {
         return Err("cold section must miss on every request".into());
     }
-    let saved = doc
-        .get("planner_io_saved")
-        .and_then(Json::as_i64)
-        .ok_or("missing planner_io_saved")?;
+    let saved = need_int(doc, "", "planner_io_saved")?;
     if saved < 1 {
         return Err(format!(
             "planner_io_saved = {saved}: cache hits saved no sampling I/O \
              (is the workload degenerate — outer fits in the buffer?)"
         ));
     }
-    if field("concurrent", "completed")? != repeats || field("concurrent", "rejected")? != 0 {
+    if field("concurrent.completed")? != repeats || field("concurrent.rejected")? != 0 {
         return Err("concurrent section must complete every request".into());
     }
 
     // Closed-loop section: the saturation counters are exact by
     // construction (the pool is held for the whole phase), and both
     // phases must keep admitted results byte-identical to the oracle.
-    let closed = doc.get("closed_loop").ok_or("missing closed_loop")?;
-    let cl = |section: &str, key: &str| -> Result<i64, String> {
-        closed
-            .get(section)
-            .and_then(|s| s.get(key))
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("missing closed_loop.{section}.{key}"))
-    };
-    let background_arrivals = cl("saturation", "background_arrivals")?;
-    if background_arrivals < 1 || cl("saturation", "shed_retry_after")? != background_arrivals {
+    let cl = |path: &str| field(&format!("closed_loop.{path}"));
+    let background_arrivals = cl("saturation.background_arrivals")?;
+    if background_arrivals < 1 || cl("saturation.shed_retry_after")? != background_arrivals {
         return Err(format!(
             "saturation must shed every background request with RetryAfter \
              ({background_arrivals} arrivals, {} shed)",
-            cl("saturation", "shed_retry_after")?,
+            cl("saturation.shed_retry_after")?,
         ));
     }
-    if cl("saturation", "shed_deadline")? != cl("saturation", "deadline_arrivals")? {
+    if cl("saturation.shed_deadline")? != cl("saturation.deadline_arrivals")? {
         return Err("saturation must shed every deadline request with DeadlineExceeded".into());
     }
-    if cl("saturation", "retry_hints_positive")? != 1 {
+    if cl("saturation.retry_hints_positive")? != 1 {
         return Err("a RetryAfter hint of 0 ms is not a retry hint".into());
     }
-    if cl("saturation", "drain_completed")? != cl("saturation", "drain_requests")? {
+    if cl("saturation.drain_completed")? != cl("saturation.drain_requests")? {
         return Err("releasing the hold must drain every remaining request".into());
     }
-    if cl("saturation", "results_byte_identical")? != 1
-        || cl("poisson", "results_byte_identical")? != 1
-    {
+    if cl("saturation.results_byte_identical")? != 1 || cl("poisson.results_byte_identical")? != 1 {
         return Err("closed-loop results diverged from the oracle join".into());
     }
-    if cl("poisson", "errors")? != 0 {
+    if cl("poisson.errors")? != 0 {
         return Err("poisson arrivals hit non-shedding errors".into());
     }
-    let arrivals = cl("poisson", "arrivals")?;
-    let split = cl("poisson", "interactive_arrivals")?
-        + cl("poisson", "batch_arrivals")?
-        + cl("poisson", "background_arrivals")?;
+    let arrivals = cl("poisson.arrivals")?;
+    let split = cl("poisson.interactive_arrivals")?
+        + cl("poisson.batch_arrivals")?
+        + cl("poisson.background_arrivals")?;
     if arrivals < 1 || split != arrivals {
         return Err(format!(
             "poisson class split {split} does not sum to {arrivals} arrivals"
@@ -707,7 +757,7 @@ mod tests {
 
     #[test]
     fn smoke_run_emits_a_valid_document() {
-        let doc = run(&smoke_config());
+        let doc = run(&smoke_config()).unwrap();
         validate(&doc).unwrap();
         let back = Json::parse(&doc.to_pretty()).unwrap();
         validate(&back).unwrap();
@@ -717,7 +767,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_broken_documents() {
-        let doc = run(&smoke_config());
+        let doc = run(&smoke_config()).unwrap();
         let text = doc
             .to_pretty()
             .replacen("\"schema_version\": 2", "\"schema_version\": 7", 1);
@@ -741,11 +791,40 @@ mod tests {
     }
 
     #[test]
+    fn many_keys_warm_requests_run_on_kept_hash_cells() {
+        // CI's many-keys leg: `--smoke --keys 65536 --tuples 12000
+        // --long-lived 6000 --buffer 128 --pool-pages 16384`. Mostly
+        // unique keys send every cell to the hash kernel; the long-lived
+        // tuples give the join real output; the pool leaves residency
+        // room for the kept cell set.
+        let cfg = ServiceBenchConfig {
+            keys: 65_536,
+            tuples: 12_000,
+            long_lived: 6_000,
+            buffer_pages: 128,
+            pool_pages: 16_384,
+            ..smoke_config()
+        };
+        let svc = build_service(&cfg, true).unwrap();
+        let cold = svc.submit("r", "s").unwrap();
+        let warm = svc.submit("r", "s").unwrap();
+        assert!(cold.result.len() > 1_000, "{} rows", cold.result.len());
+        assert_eq!(warm.plan, vtjoin_engine::PlanOutcome::CacheHit);
+        for resp in [&cold, &warm] {
+            let k = resp.report.kernel.as_ref().unwrap();
+            assert!(k.hash_partitions > 0 && k.sweep_partitions == 0, "{k:?}");
+        }
+        let report = svc.execution_report();
+        let counter = |name: &str| report.counters.iter().find(|c| c.name == name);
+        assert_eq!(counter("cell_set_hits").map(|c| c.value), Some(1));
+    }
+
+    #[test]
     fn smoke_document_is_deterministic_on_counters() {
         // Two independent runs must agree on every deterministic leaf —
         // the property the CI baseline gate relies on.
-        let a = run(&smoke_config());
-        let b = run(&smoke_config());
+        let a = run(&smoke_config()).unwrap();
+        let b = run(&smoke_config()).unwrap();
         assert_eq!(crate::regress::compare(&a, &b, 0), Vec::new());
     }
 }

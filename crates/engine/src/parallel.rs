@@ -73,7 +73,7 @@
 //! ([`grid_execution_report_sharded`], [`grid_join_streamed`],
 //! [`crate::operator::operator_join`]) because the end-to-end benchmark
 //! calls them; [`parallel_partition_join_naive`] stays as the ablation
-//! baseline `bench_parallel` measures against.
+//! baseline `bench parallel` measures against.
 
 use std::cmp::Reverse;
 use std::panic::{self, AssertUnwindSafe};
@@ -1257,7 +1257,7 @@ fn replicate<'a>(rel: &'a Relation, intervals: &[Interval]) -> Vec<Vec<&'a Tuple
 
 /// The pre-optimization executor: static round-robin chunks of partitions,
 /// each joined with the O(|rᵢ|·|sᵢ|) pairwise `try_match` loop. Kept as
-/// the ablation baseline `bench_parallel` measures the work-stealing
+/// the ablation baseline `bench parallel` measures the work-stealing
 /// hash-probed executor against; not part of the engine's recommended
 /// surface.
 pub fn parallel_partition_join_naive(

@@ -36,15 +36,18 @@ const FNV_BASIS: u32 = 0x811c_9dc5;
 /// feed its own computation.
 const HEADER_MASKS: [u32; 2] = [0x0000_ffff, 0xffff_0000];
 
-/// One FNV-style step over a 32-bit word.
+/// One FNV-style step over a 32-bit word. A multiply carries only
+/// upwards, so without the rotate a difference in bit 31 would pass every
+/// later step unchanged and two such differences would cancel; the
+/// rotate feeds bit 31 back into the low bits the next multiply spreads.
 fn fnv_step(h: u32, w: u32) -> u32 {
-    (h ^ w).wrapping_mul(FNV_PRIME)
+    (h ^ w).wrapping_mul(FNV_PRIME).rotate_left(5)
 }
 
 /// Word-wide checksum of a full page image.
 ///
 /// The image is read as little-endian `u32` words, word `i` feeding lane
-/// `i mod 4` of four FNV-style `(h ^ w) · 0x0100_0193` lanes, with the
+/// `i mod 4` of four FNV-style `rotl((h ^ w) · 0x0100_0193, 5)` lanes, with the
 /// four checksum bytes at offset 2 read as zero. The bytes after the last
 /// whole word (page sizes that are not a multiple of 4) form one
 /// zero-padded tail word, and the lanes and that word are folded with the
@@ -54,10 +57,8 @@ fn fnv_step(h: u32, w: u32) -> u32 {
 /// (an 8-byte run XORed with `0xA5`, see [`crate::disk::DiskSim::write`])
 /// touches at most three consecutive words, one per lane; it turns
 /// silent corruption into a typed [`StorageError::Corrupt`] at read time.
-///
-/// A change spread over several words is not always detected: a
-/// multiply carries only upwards, so flipping bit 31 of any two words
-/// leaves the sum as it was.
+/// A change spread over several words is detected with high probability
+/// but not always; flipping bit 31 of any two words always is.
 pub fn page_checksum(page: &[u8]) -> u32 {
     let mut lanes = [FNV_BASIS; 4];
     let mut words = page.chunks_exact(4);
@@ -433,6 +434,21 @@ mod tests {
                     *b ^= 0xA5;
                 }
                 assert!(rejected(&torn), "size {size}: torn run at {at} undetected");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_detects_every_pair_of_bit_31_flips() {
+        // Bit 31 of word 0 lies in the checksum field; every other word's
+        // counts.
+        let page = full_page(1024);
+        for i in 1..256 {
+            for j in i + 1..256 {
+                let mut tampered = page.clone();
+                tampered[4 * i + 3] ^= 0x80;
+                tampered[4 * j + 3] ^= 0x80;
+                assert!(rejected(&tampered), "bit 31 of words {i} and {j}");
             }
         }
     }

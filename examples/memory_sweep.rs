@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release --example memory_sweep
 //! ```
-//! (The full-scale reproduction lives in `vtjoin-bench`'s `figures` binary;
+//! (The full-scale reproduction lives in `vtjoin-bench`'s `bench figures`;
 //! this example shows how to drive the machinery from the public API.)
 
 use vtjoin::prelude::*;
@@ -52,7 +52,7 @@ fn main() {
     println!(
         "\nnote: at this toy scale the outer relation is never more than ~12× \
          the buffer, so nested loop stays competitive; run\n\
-         `cargo run --release -p vtjoin-bench --bin figures -- fig6` for the \
+         `cargo run --release -p vtjoin-bench --bin bench -- figures fig6` for the \
          paper-scale sweep where it collapses at small memory."
     );
 }
