@@ -2002,21 +2002,50 @@ mod tests {
         assert_eq!(back, report);
     }
 
+    /// `sample_report` with every optional section absent.
+    fn bare_report() -> ExecutionReport {
+        ExecutionReport {
+            buffer_pool: None,
+            plan: None,
+            deviation: None,
+            workers: Vec::new(),
+            skew: None,
+            kernel: None,
+            faults: None,
+            service: None,
+            predicate: None,
+            grid: None,
+            columnar: None,
+            operator: None,
+            ..sample_report()
+        }
+    }
+
+    /// The JSON and explain texts are pinned byte for byte: key order,
+    /// omission rules and table layout are part of the format.
+    #[test]
+    fn json_and_explain_match_the_golden_texts() {
+        let cases = [
+            (
+                sample_report(),
+                include_str!("../testdata/report_full.json"),
+                include_str!("../testdata/report_full.explain.txt"),
+            ),
+            (
+                bare_report(),
+                include_str!("../testdata/report_bare.json"),
+                include_str!("../testdata/report_bare.explain.txt"),
+            ),
+        ];
+        for (report, json, explain) in cases {
+            assert_eq!(report.to_json_string(), json);
+            assert_eq!(report.render_explain(), explain);
+        }
+    }
+
     #[test]
     fn optional_sections_round_trip_when_absent() {
-        let mut report = sample_report();
-        report.plan = None;
-        report.deviation = None;
-        report.buffer_pool = None;
-        report.workers.clear();
-        report.skew = None;
-        report.kernel = None;
-        report.faults = None;
-        report.service = None;
-        report.predicate = None;
-        report.grid = None;
-        report.columnar = None;
-        report.operator = None;
+        let report = bare_report();
         let back = ExecutionReport::from_json_str(&report.to_json_string()).unwrap();
         assert_eq!(back, report);
         assert!(!report.to_json_string().contains("\"plan\":"));

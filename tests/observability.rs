@@ -74,6 +74,28 @@ fn stats_json_round_trips_to_equal_report() {
     assert_eq!(back.to_json_string(), text);
 }
 
+/// `docs/OBSERVABILITY.md` shows a `serve.json` document and says it
+/// round-trips exactly: decode it and re-encode it, whitespace aside.
+#[test]
+fn the_documented_service_report_round_trips() {
+    let doc = include_str!("../docs/OBSERVABILITY.md");
+    let after = doc
+        .split_once("`serve.json` round-trips exactly through")
+        .expect("the service worked example")
+        .1;
+    let block = after
+        .split_once("```json\n")
+        .and_then(|(_, rest)| rest.split_once("\n```"))
+        .expect("a json block after the claim")
+        .0;
+    let report = vtjoin::obs::ExecutionReport::from_json_str(block).unwrap();
+    assert!(report.service.is_some());
+    assert_eq!(
+        report.to_json_string(),
+        vtjoin::obs::Json::parse(block).unwrap().to_pretty()
+    );
+}
+
 #[test]
 fn every_algorithm_produces_a_well_formed_report() {
     let (_, hr, hs) = load_pair(2048, 128);
