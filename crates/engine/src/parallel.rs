@@ -82,14 +82,12 @@ use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 use vtjoin_core::{Interval, JoinPredicate, Operator, Relation, Tuple};
-use vtjoin_join::columnar::{
-    check_row_ids, ColumnarCounters, ColumnarSide, EncodedPair, IdBatch, Layout,
-};
+use vtjoin_join::columnar::{check_row_ids, ColumnarSide, EncodedPair, IdBatch, Layout};
 use vtjoin_join::common::JoinSpec;
 use vtjoin_join::kernel::{
     choose_kernel_ids, columnar_hash_join, columnar_hash_join_pred, columnar_sweep_join,
     columnar_sweep_join_pred, merge_join_pred, CellSet, ColumnarScratch, KeptCell, KernelChoice,
-    KernelCounters, KernelKind, OutputBatch, PredicateCounters,
+    KernelKind, OutputBatch, PredicateCounters,
 };
 use vtjoin_join::partition::grid::MAX_WORKERS;
 use vtjoin_join::partition::intervals::{is_partitioning, replica_range};
@@ -340,7 +338,7 @@ pub(crate) struct ExecDetail {
     pub(crate) probes: u64,
     pub(crate) match_tests: u64,
     /// Per-kernel accounting; `None` for runs that invoke no cell kernel.
-    pub(crate) kernel: Option<KernelCounters>,
+    pub(crate) kernel: Option<KernelSection>,
     /// Predicate-filter / merge-fallback accounting, merged across
     /// workers; all-zero for the natural join.
     pub(crate) predicate: PredicateCounters,
@@ -354,7 +352,7 @@ pub(crate) struct ExecDetail {
     pub(crate) coordinator_wait_micros: u64,
     /// Columnar-path accounting; `None` where the report carries no
     /// `columnar` section.
-    pub(crate) columnar: Option<ColumnarCounters>,
+    pub(crate) columnar: Option<ColumnarSection>,
 }
 
 /// One body of the shared scheduler: the work of one unit (a grid cell
@@ -715,9 +713,9 @@ struct CellLocal {
     cost_total: u64,
     probes: u64,
     match_tests: u64,
-    kernel: KernelCounters,
+    kernel: KernelSection,
     predicate: PredicateCounters,
-    columnar: ColumnarCounters,
+    columnar: ColumnarSection,
 }
 
 impl GridCell<'_> {
@@ -913,18 +911,18 @@ fn run_cells(
         replicated_s: replicated.1,
         ..ExecDetail::default()
     };
-    let mut kernel = KernelCounters::default();
+    let mut kernel = KernelSection::default();
     // Encode-time figures live on the pair, not the workers; a reused
     // encoding cost this run nothing.
-    let mut columnar = ColumnarCounters {
+    let mut columnar = ColumnarSection {
         encode_micros,
         dict_size,
-        ..ColumnarCounters::default()
+        ..ColumnarSection::default()
     };
     for l in done.locals {
         detail.probes += l.probes;
         detail.match_tests += l.match_tests;
-        kernel.merge(KernelCounters {
+        kernel.merge(KernelSection {
             batches_flushed: l.batch.batches_flushed(),
             ..l.kernel
         });
@@ -1140,12 +1138,7 @@ fn build_report(
         deviation: None,
         workers: detail.workers.clone(),
         skew: Some(skew_section(&detail.est_costs, &detail.workers)),
-        kernel: detail.kernel.map(|k| KernelSection {
-            hash_partitions: k.hash_partitions,
-            sweep_partitions: k.sweep_partitions,
-            sweep_comparisons: k.sweep_comparisons,
-            batches_flushed: k.batches_flushed,
-        }),
+        kernel: detail.kernel,
         faults: None,
         service: None,
         predicate: (!pred.is_natural()).then(|| PredicateSection {
@@ -1157,12 +1150,7 @@ fn build_report(
             merge_pairs_emitted: detail.predicate.merge_pairs_emitted,
         }),
         grid,
-        columnar: detail.columnar.map(|c| ColumnarSection {
-            encode_micros: c.encode_micros,
-            radix_passes: c.radix_passes,
-            dict_size: c.dict_size,
-            materialized_rows: c.materialized_rows,
-        }),
+        columnar: detail.columnar,
         operator: operator.map(|c| OperatorSection {
             op: c.op.clone(),
             cells: c.cells,

@@ -796,33 +796,6 @@ impl IdBatch {
     }
 }
 
-/// Run-level columnar-path accounting, folded across workers and surfaced
-/// as the obs schema-v9 `columnar` section.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ColumnarCounters {
-    /// Wall-clock microseconds spent encoding sides (profiling only).
-    pub encode_micros: u64,
-    /// Radix counting passes this run executed (skipped constant-byte
-    /// passes are not counted); 0 when every sweep cell came sorted from
-    /// a kept [`CellSet`].
-    pub radix_passes: u64,
-    /// Distinct join keys interned in the shared dictionary.
-    pub dict_size: u64,
-    /// Result tuples constructed by late materialization.
-    pub materialized_rows: u64,
-}
-
-impl ColumnarCounters {
-    /// Folds another worker's counters in. `dict_size` is a property of
-    /// the shared encode, not a per-worker tally, so it takes the max.
-    pub fn merge(&mut self, other: ColumnarCounters) {
-        self.encode_micros += other.encode_micros;
-        self.radix_passes += other.radix_passes;
-        self.dict_size = self.dict_size.max(other.dict_size);
-        self.materialized_rows += other.materialized_rows;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1228,25 +1201,5 @@ mod tests {
             &[Value::Int(1), Value::Int(10), Value::Int(20)]
         );
         assert_eq!(got[1].valid(), Interval::from_raw(1, 3).unwrap());
-    }
-
-    #[test]
-    fn counters_merge_sums_and_maxes() {
-        let mut a = ColumnarCounters {
-            encode_micros: 10,
-            radix_passes: 2,
-            dict_size: 100,
-            materialized_rows: 7,
-        };
-        a.merge(ColumnarCounters {
-            encode_micros: 5,
-            radix_passes: 3,
-            dict_size: 40,
-            materialized_rows: 2,
-        });
-        assert_eq!(a.encode_micros, 15);
-        assert_eq!(a.radix_passes, 5);
-        assert_eq!(a.dict_size, 100);
-        assert_eq!(a.materialized_rows, 9);
     }
 }

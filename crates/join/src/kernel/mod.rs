@@ -202,30 +202,6 @@ pub struct SweepStats {
     pub filter_hits: u64,
 }
 
-/// Run-level kernel accounting, folded across partitions and workers and
-/// surfaced as the obs schema-v4 `kernel` section.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelCounters {
-    /// Partitions joined by the hash kernel.
-    pub hash_partitions: u64,
-    /// Partitions joined by the sweep kernel.
-    pub sweep_partitions: u64,
-    /// Hash-equal candidates the sweep inspected (all time-overlapping).
-    pub sweep_comparisons: u64,
-    /// Output batches handed over (one per non-trivial partition).
-    pub batches_flushed: u64,
-}
-
-impl KernelCounters {
-    /// Folds another worker's counters in.
-    pub fn merge(&mut self, other: KernelCounters) {
-        self.hash_partitions += other.hash_partitions;
-        self.sweep_partitions += other.sweep_partitions;
-        self.sweep_comparisons += other.sweep_comparisons;
-        self.batches_flushed += other.batches_flushed;
-    }
-}
-
 /// Run-level predicate-filter accounting, folded across partitions and
 /// workers and surfaced as the obs schema-v6 `predicate` section.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -262,25 +238,5 @@ mod tests {
         }
         assert_eq!(KernelChoice::parse("nested-loop"), None);
         assert_eq!(KernelChoice::default(), KernelChoice::Auto);
-    }
-
-    #[test]
-    fn counters_merge() {
-        let mut a = KernelCounters {
-            hash_partitions: 1,
-            sweep_partitions: 2,
-            sweep_comparisons: 10,
-            batches_flushed: 3,
-        };
-        a.merge(KernelCounters {
-            hash_partitions: 4,
-            sweep_partitions: 1,
-            sweep_comparisons: 5,
-            batches_flushed: 2,
-        });
-        assert_eq!(a.hash_partitions, 5);
-        assert_eq!(a.sweep_partitions, 3);
-        assert_eq!(a.sweep_comparisons, 15);
-        assert_eq!(a.batches_flushed, 5);
     }
 }

@@ -42,11 +42,11 @@ pub mod sort_merge;
 pub mod time_index;
 pub mod timeline;
 
-pub use columnar::{ColumnarCounters, ColumnarPair, ColumnarSide, IdBatch, Layout};
+pub use columnar::{ColumnarPair, ColumnarSide, IdBatch, Layout};
 pub use common::{JoinAlgorithm, JoinConfig, JoinError, JoinReport, JoinSpec, PhaseStats, Result};
 pub use kernel::{
-    tracked_sweep, Fragment, KernelChoice, KernelCounters, KernelKind, OperatorLog, OutputBatch,
-    PredicateCounters, TrackedInput, TrackedScratch, TrackedStats,
+    tracked_sweep, Fragment, KernelChoice, KernelKind, OperatorLog, OutputBatch, PredicateCounters,
+    TrackedInput, TrackedScratch, TrackedStats,
 };
 pub use nested_loop::NestedLoopJoin;
 pub use partition::{PartitionJoin, ReplicatedPartitionJoin};

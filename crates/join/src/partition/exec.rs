@@ -28,12 +28,13 @@
 //! "buffer thrashing" cost.
 
 use super::intervals::is_partitioning;
-use crate::columnar::{encode_pair, ColumnarCounters, IdBatch};
+use crate::columnar::{encode_pair, IdBatch};
 use crate::common::{CpuCounters, JoinError, JoinSpec, Result, ResultSink};
 use crate::kernel::{
     columnar_hash_join, columnar_hash_join_pred, ColumnarScratch, KernelKind, OutputBatch,
 };
 use vtjoin_core::{Interval, JoinPredicate, Tuple};
+use vtjoin_obs::ColumnarSection;
 use vtjoin_storage::{codec, FileHandle, HeapFile, PageBuf};
 
 /// The Figure 3 buffer split, derived in exactly one place so the
@@ -91,7 +92,7 @@ pub struct ExecNotes {
     pub cpu: CpuCounters,
     /// Columnar-kernel accounting (encode time, dictionary size,
     /// materialized rows), reported as the `columnar_*` notes.
-    pub columnar: ColumnarCounters,
+    pub columnar: ColumnarSection,
 }
 
 /// The tuple cache: one in-memory accumulating page, a small

@@ -32,13 +32,14 @@ pub use replicated::ReplicatedPartitionJoin;
 
 pub(crate) use exec::chunk_by_pages as exec_chunks;
 
-use crate::columnar::{encode_pair, ColumnarCounters, IdBatch};
+use crate::columnar::{encode_pair, IdBatch};
 use crate::common::{
     JoinAlgorithm, JoinConfig, JoinError, JoinReport, JoinSpec, PhaseTracker, Result, ResultSink,
 };
 use crate::kernel::{columnar_hash_join, columnar_hash_join_pred, ColumnarScratch, KernelKind};
 use std::sync::Arc;
 use vtjoin_core::{Interval, Tuple};
+use vtjoin_obs::ColumnarSection;
 use vtjoin_storage::HeapFile;
 
 /// The paper's partition-based valid-time natural join.
@@ -146,7 +147,7 @@ impl PartitionJoin {
             };
             let materialized =
                 id_batch.materialize_each(&spec, &enc.outer(), &enc.inner(), |z| sink.push(z));
-            let columnar = ColumnarCounters {
+            let columnar = ColumnarSection {
                 encode_micros: enc.columns.encode_micros,
                 radix_passes: 0,
                 dict_size: enc.columns.dict_size(),
@@ -258,7 +259,7 @@ impl PartitionJoin {
 /// Renders the columnar pass's accounting as report notes; lifted into
 /// the schema-v9 `columnar` section by `execution_report` (keyed on the
 /// `columnar_dict_size` note).
-fn columnar_notes(c: &ColumnarCounters) -> Vec<(String, i64)> {
+fn columnar_notes(c: &ColumnarSection) -> Vec<(String, i64)> {
     vec![
         ("columnar_encode_micros".into(), c.encode_micros as i64),
         ("columnar_radix_passes".into(), c.radix_passes as i64),

@@ -8,39 +8,19 @@
 //! [`ExecutionReport::render_explain`] for humans and
 //! [`ExecutionReport::to_json`] / [`ExecutionReport::from_json`] for
 //! machines (see `docs/OBSERVABILITY.md` for the field-by-field schema).
+//!
+//! Each section is declared once, through `section!`: the struct's field
+//! list is also its JSON object's key list, in order, and the macro
+//! derives the encoder and the strict decoder from it.
 
-use crate::json::{obj, Json, JsonError};
+use crate::json::{Json, JsonError};
 use std::fmt;
 use vtjoin_storage::{CostRatio, IoStats};
 
 /// Version stamped into every serialized report as `schema_version`.
-/// Version 2 added `workers[].busy_micros` and the optional `skew`
-/// section. Version 3 added the optional `faults` section
-/// (fault-injection accounting and graceful-degradation outcome).
-/// Version 4 added the optional `kernel` section (per-kernel partition
-/// counts, sweep comparisons, batches flushed). Version 5 added the
-/// optional `service` section (multi-query admission and plan-cache
-/// accounting). Version 6 added the optional `predicate` section
-/// (Allen-predicate name, compiled sweep template, and predicate-filter /
-/// merge-fallback counters). Version 7 added the optional `grid` section
-/// (2D key × time grid shape, cell counts and share, replication factor,
-/// scatter/gather coordinator wait). Version 8 extended the `service`
-/// section with priority-class request counts, load-shedding outcomes
-/// (deadline / retry-after), streaming counters, LRU table-residency
-/// counters, and a queue-wait histogram; all new fields decode as zero /
-/// empty when absent, so v5–v7 service documents still parse. Version 9
-/// added the optional `columnar` section (struct-of-arrays encode time,
-/// radix-sort pass count, shared key-dictionary size, and
-/// late-materialized row count), present when a run executed its kernels
-/// on the columnar layout. Version 10 added the optional `operator`
-/// section (temporal outer/semi/anti/aggregate executions: dangling
-/// fragment, boundary-stitch, and timeline-checkpoint counters), present
-/// when a run evaluated a non-inner member of the operator family.
-///
-/// Every post-v1 addition is an *optional* section or an optional field,
-/// so [`ExecutionReport::from_json`] accepts any version from 1 up to the
-/// current one — older (kernel-less, fault-less…) reports still parse —
-/// and rejects only versions newer than it knows.
+/// [`ExecutionReport::from_json`] reads this version only: a document
+/// of any other version, or one that lacks or mistypes any field of it,
+/// is a [`ReportError::Schema`].
 pub const SCHEMA_VERSION: i64 = 10;
 
 /// Error produced when decoding a serialized report.
@@ -69,84 +49,215 @@ impl From<JsonError> for ReportError {
     }
 }
 
-fn missing(key: &str) -> ReportError {
-    ReportError::Schema(format!("missing or mistyped field '{key}'"))
+fn missing(path: &str) -> ReportError {
+    ReportError::Schema(format!("missing or mistyped field '{path}'"))
 }
 
-fn req_u64(j: &Json, key: &str) -> Result<u64, ReportError> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| missing(key))
+/// One field's value in JSON. A failed decode returns the path below the
+/// value to the offending field (empty when the value itself is wrong).
+trait Field: Sized {
+    fn encode(&self) -> Json;
+    fn decode(j: &Json) -> Result<Self, String>;
+    /// Whether the field's key is left out of its object.
+    fn omitted(&self) -> bool {
+        false
+    }
+    /// What an absent key decodes to; `None` makes the key required.
+    fn absent() -> Option<Self> {
+        None
+    }
 }
 
-/// Decodes a field added after a section's first schema version: absent
-/// means zero, so older documents still parse.
-fn opt_u64(j: &Json, key: &str) -> u64 {
-    j.get(key).and_then(Json::as_u64).unwrap_or(0)
+impl Field for u64 {
+    fn encode(&self) -> Json {
+        Json::Int(*self as i64)
+    }
+    fn decode(j: &Json) -> Result<Self, String> {
+        j.as_u64().ok_or_else(String::new)
+    }
 }
 
-fn req_i64(j: &Json, key: &str) -> Result<i64, ReportError> {
-    j.get(key)
-        .and_then(Json::as_i64)
-        .ok_or_else(|| missing(key))
+impl Field for i64 {
+    fn encode(&self) -> Json {
+        Json::Int(*self)
+    }
+    fn decode(j: &Json) -> Result<Self, String> {
+        j.as_i64().ok_or_else(String::new)
+    }
 }
 
-fn req_str(j: &Json, key: &str) -> Result<String, ReportError> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| missing(key))
+impl Field for bool {
+    fn encode(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn decode(j: &Json) -> Result<Self, String> {
+        j.as_bool().ok_or_else(String::new)
+    }
 }
 
-fn req_bool(j: &Json, key: &str) -> Result<bool, ReportError> {
-    j.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| missing(key))
+impl Field for String {
+    fn encode(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn decode(j: &Json) -> Result<Self, String> {
+        j.as_str().map(str::to_owned).ok_or_else(String::new)
+    }
 }
 
-fn req_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], ReportError> {
-    j.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| missing(key))
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self) -> Json {
+        Json::Arr(self.iter().map(Field::encode).collect())
+    }
+    fn decode(j: &Json) -> Result<Self, String> {
+        let items = j.as_arr().ok_or_else(String::new)?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| T::decode(v).map_err(|p| within(&format!("[{i}]"), p)))
+            .collect()
+    }
 }
 
-/// The configuration a run executed under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigSection {
-    /// Total main-memory budget in pages.
-    pub buffer_pages: u64,
-    /// Cost of one random access, in sequential-access units (the
-    /// random:sequential ratio's numerator; sequential costs 1).
-    pub random_cost: u64,
-    /// RNG seed the run used.
-    pub seed: u64,
+/// An optional field is omitted when `None` and decodes as `None` when
+/// absent; a present key must hold a valid `T` (`null` is mistyped).
+impl<T: Field> Field for Option<T> {
+    fn encode(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Field::encode)
+    }
+    fn decode(j: &Json) -> Result<Self, String> {
+        T::decode(j).map(Some)
+    }
+    fn omitted(&self) -> bool {
+        self.is_none()
+    }
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
 }
 
-/// Result cardinality. Result writes are cost-excluded (every algorithm
-/// pays them identically), so only sizes are recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResultSection {
-    /// Result tuples emitted.
-    pub tuples: u64,
-    /// Pages the result relation would occupy.
-    pub pages: u64,
+/// Prefixes `key` to the path `below` it.
+fn within(key: &str, below: String) -> String {
+    match below.chars().next() {
+        None => key.to_owned(),
+        Some('[') => format!("{key}{below}"),
+        Some(_) => format!("{key}.{below}"),
+    }
 }
 
-/// The four I/O counters plus derived totals, priced at the run's ratio.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoSection {
-    /// Reads that required a seek.
-    pub random_reads: u64,
-    /// Reads that followed the previous read directly.
-    pub seq_reads: u64,
-    /// Writes that required a seek.
-    pub random_writes: u64,
-    /// Writes that followed the previous write directly.
-    pub seq_writes: u64,
-    /// Sum of all four counters.
-    pub total_ios: u64,
-    /// Weighted cost: `random × random_cost + sequential × 1`.
-    pub cost: u64,
+/// Decodes the field at `key` of object `j`; `absent` is what a missing
+/// key decodes to.
+fn field<T: Field>(j: &Json, key: &str, absent: Option<T>) -> Result<T, String> {
+    match j.get(key) {
+        Some(v) => T::decode(v).map_err(|p| within(key, p)),
+        None => absent.ok_or_else(|| key.to_owned()),
+    }
+}
+
+/// Per-field overrides of the type's rule: `[omit_empty]` leaves an
+/// empty list out and decodes a missing key as empty.
+macro_rules! field_rule {
+    (omitted $v:expr) => {
+        Field::omitted($v)
+    };
+    (omitted $v:expr, omit_empty) => {
+        $v.is_empty()
+    };
+    (absent) => {
+        Field::absent()
+    };
+    (absent omit_empty) => {
+        Some(Vec::new())
+    };
+}
+
+/// Declares a report section: the struct as written, and its JSON codec
+/// over the same field list (keys named and ordered as the fields).
+macro_rules! section {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                pub $field:ident: $ty:ty $([$rule:ident])?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+
+        impl $name {
+            fn json_pairs(&self) -> Vec<(String, Json)> {
+                let mut pairs = Vec::new();
+                $(
+                    if !field_rule!(omitted &self.$field $(, $rule)?) {
+                        pairs.push((stringify!($field).to_owned(), self.$field.encode()));
+                    }
+                )*
+                pairs
+            }
+        }
+
+        impl Field for $name {
+            fn encode(&self) -> Json {
+                Json::Obj(self.json_pairs())
+            }
+            fn decode(j: &Json) -> Result<Self, String> {
+                if !matches!(j, Json::Obj(_)) {
+                    return Err(String::new());
+                }
+                Ok($name {
+                    $( $field: field(j, stringify!($field), field_rule!(absent $($rule)?))?, )*
+                })
+            }
+        }
+    };
+}
+
+section! {
+    /// The configuration a run executed under.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ConfigSection {
+        /// Total main-memory budget in pages.
+        pub buffer_pages: u64,
+        /// Cost of one random access, in sequential-access units (the
+        /// random:sequential ratio's numerator; sequential costs 1).
+        pub random_cost: u64,
+        /// RNG seed the run used.
+        pub seed: u64,
+    }
+}
+
+section! {
+    /// Result cardinality. Result writes are cost-excluded (every algorithm
+    /// pays them identically), so only sizes are recorded.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ResultSection {
+        /// Result tuples emitted.
+        pub tuples: u64,
+        /// Pages the result relation would occupy.
+        pub pages: u64,
+    }
+}
+
+section! {
+    /// The four I/O counters plus derived totals, priced at the run's ratio.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct IoSection {
+        /// Reads that required a seek.
+        pub random_reads: u64,
+        /// Reads that followed the previous read directly.
+        pub seq_reads: u64,
+        /// Writes that required a seek.
+        pub random_writes: u64,
+        /// Writes that followed the previous write directly.
+        pub seq_writes: u64,
+        /// Sum of all four counters.
+        pub total_ios: u64,
+        /// Weighted cost: `random × random_cost + sequential × 1`.
+        pub cost: u64,
+    }
 }
 
 impl IoSection {
@@ -161,144 +272,136 @@ impl IoSection {
             cost: io.cost(ratio),
         }
     }
+}
 
-    fn to_json(self) -> Json {
-        obj(vec![
-            ("random_reads", Json::Int(self.random_reads as i64)),
-            ("seq_reads", Json::Int(self.seq_reads as i64)),
-            ("random_writes", Json::Int(self.random_writes as i64)),
-            ("seq_writes", Json::Int(self.seq_writes as i64)),
-            ("total_ios", Json::Int(self.total_ios as i64)),
-            ("cost", Json::Int(self.cost as i64)),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<IoSection, ReportError> {
-        Ok(IoSection {
-            random_reads: req_u64(j, "random_reads")?,
-            seq_reads: req_u64(j, "seq_reads")?,
-            random_writes: req_u64(j, "random_writes")?,
-            seq_writes: req_u64(j, "seq_writes")?,
-            total_ios: req_u64(j, "total_ios")?,
-            cost: req_u64(j, "cost")?,
-        })
+section! {
+    /// One execution phase: its I/O delta, wall-clock time, and (for phases
+    /// the planner modelled) the predicted cost it should have paid.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PhaseSection {
+        /// Phase name ("plan", "partition", "join", "sort-outer", …).
+        pub name: String,
+        /// Wall-clock duration in microseconds.
+        pub wall_micros: u64,
+        /// I/O performed during the phase.
+        pub io: IoSection,
+        /// The planner's predicted cost for this phase, when it made one
+        /// (partition join: `C_sample` for "plan", `C_join` for "join").
+        pub predicted_cost: Option<u64>,
     }
 }
 
-/// One execution phase: its I/O delta, wall-clock time, and (for phases
-/// the planner modelled) the predicted cost it should have paid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseSection {
-    /// Phase name ("plan", "partition", "join", "sort-outer", …).
-    pub name: String,
-    /// Wall-clock duration in microseconds.
-    pub wall_micros: u64,
-    /// I/O performed during the phase.
-    pub io: IoSection,
-    /// The planner's predicted cost for this phase, when it made one
-    /// (partition join: `C_sample` for "plan", `C_join` for "join").
-    pub predicted_cost: Option<u64>,
+section! {
+    /// A named algorithm diagnostic (partition count, samples drawn, …).
+    /// The full name registry lives in `docs/OBSERVABILITY.md`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Counter {
+        /// Stable counter name.
+        pub name: String,
+        /// Counter value.
+        pub value: i64,
+    }
 }
 
-/// A named algorithm diagnostic (partition count, samples drawn, …).
-/// The full name registry lives in `docs/OBSERVABILITY.md`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    /// Stable counter name.
-    pub name: String,
-    /// Counter value.
-    pub value: i64,
+section! {
+    /// Buffer-pool behaviour during the run, when a pool was involved.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct BufferPoolSection {
+        /// Page requests served from memory.
+        pub hits: u64,
+        /// Page requests that went to disk.
+        pub misses: u64,
+        /// Dirty or clean frames evicted to make room.
+        pub evictions: u64,
+    }
 }
 
-/// Buffer-pool behaviour during the run, when a pool was involved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BufferPoolSection {
-    /// Page requests served from memory.
-    pub hits: u64,
-    /// Page requests that went to disk.
-    pub misses: u64,
-    /// Dirty or clean frames evicted to make room.
-    pub evictions: u64,
+section! {
+    /// The predicted cost decomposition of the chosen plan (Figure 10's
+    /// objective, in cost units at the run's ratio).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct PredictedCost {
+        /// Sampling cost `m × IO_ran`.
+        pub c_sample: u64,
+        /// Partition-joining cost, including tuple-cache paging.
+        pub c_join: u64,
+        /// The tuple-cache paging component of `c_join`.
+        pub c_cache: u64,
+        /// Partition-count-dependent Grace flush-seek surcharge.
+        pub c_partition_seeks: u64,
+        /// The planner's objective: `c_sample + c_join + c_partition_seeks`.
+        pub total: u64,
+    }
 }
 
-/// The predicted cost decomposition of the chosen plan (Figure 10's
-/// objective, in cost units at the run's ratio).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredictedCost {
-    /// Sampling cost `m × IO_ran`.
-    pub c_sample: u64,
-    /// Partition-joining cost, including tuple-cache paging.
-    pub c_join: u64,
-    /// The tuple-cache paging component of `c_join`.
-    pub c_cache: u64,
-    /// Partition-count-dependent Grace flush-seek surcharge.
-    pub c_partition_seeks: u64,
-    /// The planner's objective: `c_sample + c_join + c_partition_seeks`.
-    pub total: u64,
+section! {
+    /// One row of the planner's candidate cost table.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CandidateRow {
+        /// Candidate outer-partition size in pages.
+        pub part_size: u64,
+        /// Implied partition count.
+        pub num_partitions: u64,
+        /// Kolmogorov-required samples for the implied error budget.
+        pub samples_required: u64,
+        /// Predicted sampling cost.
+        pub c_sample: u64,
+        /// Predicted joining cost.
+        pub c_join: u64,
+        /// Tuple-cache component of `c_join`.
+        pub c_cache: u64,
+        /// Grace flush-seek surcharge.
+        pub c_partition_seeks: u64,
+        /// The candidate's objective value.
+        pub total: u64,
+        /// Whether the planner chose this candidate.
+        pub chosen: bool,
+    }
 }
 
-/// One row of the planner's candidate cost table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CandidateRow {
-    /// Candidate outer-partition size in pages.
-    pub part_size: u64,
-    /// Implied partition count.
-    pub num_partitions: u64,
-    /// Kolmogorov-required samples for the implied error budget.
-    pub samples_required: u64,
-    /// Predicted sampling cost.
-    pub c_sample: u64,
-    /// Predicted joining cost.
-    pub c_join: u64,
-    /// Tuple-cache component of `c_join`.
-    pub c_cache: u64,
-    /// Grace flush-seek surcharge.
-    pub c_partition_seeks: u64,
-    /// The candidate's objective value.
-    pub total: u64,
-    /// Whether the planner chose this candidate.
-    pub chosen: bool,
+section! {
+    /// What the partition-join planner decided and predicted.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PlanSection {
+        /// Chosen outer-partition size in pages.
+        pub part_size: u64,
+        /// Number of partitions the plan produced.
+        pub num_partitions: u64,
+        /// Error budget `errorSize = buffSize − partSize` in pages.
+        pub error_size: u64,
+        /// Samples physically drawn (their I/O is charged to the run).
+        pub samples_drawn: u64,
+        /// Estimated total tuple-cache pages.
+        pub est_cache_pages: u64,
+        /// Predicted cost decomposition of the chosen candidate.
+        pub predicted: PredictedCost,
+        /// The full candidate table, ascending by `part_size`.
+        pub candidates: Vec<CandidateRow>,
+    }
 }
 
-/// What the partition-join planner decided and predicted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanSection {
-    /// Chosen outer-partition size in pages.
-    pub part_size: u64,
-    /// Number of partitions the plan produced.
-    pub num_partitions: u64,
-    /// Error budget `errorSize = buffSize − partSize` in pages.
-    pub error_size: u64,
-    /// Samples physically drawn (their I/O is charged to the run).
-    pub samples_drawn: u64,
-    /// Estimated total tuple-cache pages.
-    pub est_cache_pages: u64,
-    /// Predicted cost decomposition of the chosen candidate.
-    pub predicted: PredictedCost,
-    /// The full candidate table, ascending by `part_size`.
-    pub candidates: Vec<CandidateRow>,
-}
-
-/// Predicted-vs-actual comparison for the phases the cost model covers
-/// (sampling + partition joining; Grace partitioning's base cost is
-/// model-independent and excluded, §3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviationSection {
-    /// Predicted cost of the modelled phases (`C_sample + C_join`).
-    pub predicted_cost: u64,
-    /// Measured cost of the same phases at the run's ratio.
-    pub actual_cost: u64,
-    /// `actual − predicted` (positive: model was optimistic).
-    pub error: i64,
-    /// `error` as a percentage of the predicted cost, rounded.
-    pub error_percent: i64,
-    /// The model's own slack: each of the `n` partitions may overshoot
-    /// its target by up to `errorSize` pages (the Kolmogorov guarantee),
-    /// each overrun page costing at most one cache write + re-read at
-    /// random price — `n × errorSize × 2 × random_cost` cost units.
-    pub tolerance: u64,
-    /// Whether `|error| ≤ tolerance`.
-    pub within_tolerance: bool,
+section! {
+    /// Predicted-vs-actual comparison for the phases the cost model covers
+    /// (sampling + partition joining; Grace partitioning's base cost is
+    /// model-independent and excluded, §3.4).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DeviationSection {
+        /// Predicted cost of the modelled phases (`C_sample + C_join`).
+        pub predicted_cost: u64,
+        /// Measured cost of the same phases at the run's ratio.
+        pub actual_cost: u64,
+        /// `actual − predicted` (positive: model was optimistic).
+        pub error: i64,
+        /// `error` as a percentage of the predicted cost, rounded.
+        pub error_percent: i64,
+        /// The model's own slack: each of the `n` partitions may overshoot
+        /// its target by up to `errorSize` pages (the Kolmogorov guarantee),
+        /// each overrun page costing at most one cache write + re-read at
+        /// random price — `n × errorSize × 2 × random_cost` cost units.
+        pub tolerance: u64,
+        /// Whether `|error| ≤ tolerance`.
+        pub within_tolerance: bool,
+    }
 }
 
 impl DeviationSection {
@@ -322,631 +425,382 @@ impl DeviationSection {
     }
 }
 
-/// Per-worker breakdown of a parallel execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerSection {
-    /// Worker index (0-based).
-    pub worker: u64,
-    /// Partitions the worker claimed from the work queue.
-    pub partitions: u64,
-    /// Result tuples the worker emitted.
-    pub tuples: u64,
-    /// Wall-clock from worker start to worker exit, in microseconds
-    /// (includes time spent waiting on the work queue, not time spent
-    /// handing finished units on).
-    pub wall_micros: u64,
-    /// Microseconds actually spent joining partitions (build + probe);
-    /// `busy_micros / wall_micros` is the worker's utilization.
-    pub busy_micros: u64,
-}
-
-/// Partition-skew and worker-utilization summary of a parallel execution
-/// (\[LM92b\] setting). Estimated cost of partition `i` is `|rᵢ|·|sᵢ|`,
-/// the pairwise-candidate count the scheduler sorts by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SkewSection {
-    /// Number of partitions joined.
-    pub partitions: u64,
-    /// Sum of the per-partition estimated costs `Σ |rᵢ|·|sᵢ|`.
-    pub est_cost_total: u64,
-    /// Largest single-partition estimated cost `max |rᵢ|·|sᵢ|`.
-    pub est_cost_max: u64,
-    /// `est_cost_max` as a rounded-down percentage of `est_cost_total` —
-    /// 100/partitions for a perfectly balanced workload, approaching 100
-    /// under heavy skew.
-    pub max_partition_share_percent: u64,
-    /// Sum of the workers' `busy_micros`.
-    pub busy_micros_total: u64,
-    /// Largest single-worker `busy_micros` (the critical path).
-    pub busy_micros_max: u64,
-    /// `busy_micros_total / (workers × max worker wall_micros)` as a
-    /// rounded-down percentage: 100 means no worker ever idled.
-    pub utilization_percent: u64,
-}
-
-/// Fault-injection accounting for a run executed against a faulty disk
-/// (the `faults` schema section, new in version 3). All counters are
-/// deltas over the run; `degraded` records how many times the planner
-/// fell back to the equal-width plan instead of failing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultsSection {
-    /// Read attempts that were injected to fail.
-    pub injected_read_faults: u64,
-    /// Write attempts that were injected to fail.
-    pub injected_write_faults: u64,
-    /// Writes that reported success but persisted a corrupted page.
-    pub torn_writes: u64,
-    /// Pages whose checksum did not verify on decode.
-    pub checksum_failures: u64,
-    /// Retry attempts issued after an injected fault.
-    pub retries: u64,
-    /// Operations that ultimately succeeded after at least one retry.
-    pub recovered: u64,
-    /// Operations that exhausted the retry budget and surfaced an error.
-    pub exhausted: u64,
-    /// Total backoff units accumulated across retries (accounting only —
-    /// the simulator never sleeps).
-    pub backoff_steps: u64,
-    /// Times the run degraded to a fallback plan instead of erroring.
-    pub degraded: i64,
-}
-
-impl FaultsSection {
-    fn to_json(self) -> Json {
-        obj(vec![
-            (
-                "injected_read_faults",
-                Json::Int(self.injected_read_faults as i64),
-            ),
-            (
-                "injected_write_faults",
-                Json::Int(self.injected_write_faults as i64),
-            ),
-            ("torn_writes", Json::Int(self.torn_writes as i64)),
-            (
-                "checksum_failures",
-                Json::Int(self.checksum_failures as i64),
-            ),
-            ("retries", Json::Int(self.retries as i64)),
-            ("recovered", Json::Int(self.recovered as i64)),
-            ("exhausted", Json::Int(self.exhausted as i64)),
-            ("backoff_steps", Json::Int(self.backoff_steps as i64)),
-            ("degraded", Json::Int(self.degraded)),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<FaultsSection, ReportError> {
-        Ok(FaultsSection {
-            injected_read_faults: req_u64(j, "injected_read_faults")?,
-            injected_write_faults: req_u64(j, "injected_write_faults")?,
-            torn_writes: req_u64(j, "torn_writes")?,
-            checksum_failures: req_u64(j, "checksum_failures")?,
-            retries: req_u64(j, "retries")?,
-            recovered: req_u64(j, "recovered")?,
-            exhausted: req_u64(j, "exhausted")?,
-            backoff_steps: req_u64(j, "backoff_steps")?,
-            degraded: req_i64(j, "degraded")?,
-        })
+section! {
+    /// Per-worker breakdown of a parallel execution.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct WorkerSection {
+        /// Worker index (0-based).
+        pub worker: u64,
+        /// Partitions the worker claimed from the work queue.
+        pub partitions: u64,
+        /// Result tuples the worker emitted.
+        pub tuples: u64,
+        /// Wall-clock from worker start to worker exit, in microseconds
+        /// (includes time spent waiting on the work queue, not time spent
+        /// handing finished units on).
+        pub wall_micros: u64,
+        /// Microseconds actually spent joining partitions (build + probe);
+        /// `busy_micros / wall_micros` is the worker's utilization.
+        pub busy_micros: u64,
     }
 }
 
-/// Per-kernel accounting for executions that pick an intra-partition
-/// join kernel per partition (the `kernel` schema section, new in
-/// version 4). The gate chooses the sweep kernel on duplicate-heavy
-/// partitions and the hash kernel elsewhere; both emit through batched
-/// output chunks handed over once per partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelSection {
-    /// Partitions joined by the hash kernel (hash table build + probe).
-    pub hash_partitions: u64,
-    /// Partitions joined by the forward-sweep kernel.
-    pub sweep_partitions: u64,
-    /// Hash-equal candidate pairs the sweep inspected. Every one already
-    /// overlaps in time — compare with the `cpu_match_tests` counter,
-    /// which includes the hash kernel's temporal rejects.
-    pub sweep_comparisons: u64,
-    /// Output batches spliced into the result (one per non-empty
-    /// partition, instead of one push per tuple).
-    pub batches_flushed: u64,
+section! {
+    /// Partition-skew and worker-utilization summary of a parallel execution
+    /// (\[LM92b\] setting). Estimated cost of partition `i` is `|rᵢ|·|sᵢ|`,
+    /// the pairwise-candidate count the scheduler sorts by.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct SkewSection {
+        /// Number of partitions joined.
+        pub partitions: u64,
+        /// Sum of the per-partition estimated costs `Σ |rᵢ|·|sᵢ|`.
+        pub est_cost_total: u64,
+        /// Largest single-partition estimated cost `max |rᵢ|·|sᵢ|`.
+        pub est_cost_max: u64,
+        /// `est_cost_max` as a rounded-down percentage of `est_cost_total` —
+        /// 100/partitions for a perfectly balanced workload, approaching 100
+        /// under heavy skew.
+        pub max_partition_share_percent: u64,
+        /// Sum of the workers' `busy_micros`.
+        pub busy_micros_total: u64,
+        /// Largest single-worker `busy_micros` (the critical path).
+        pub busy_micros_max: u64,
+        /// `busy_micros_total / (workers × max worker wall_micros)` as a
+        /// rounded-down percentage: 100 means no worker ever idled.
+        pub utilization_percent: u64,
+    }
+}
+
+section! {
+    /// Fault-injection accounting for a run executed against a faulty disk
+    /// (the `faults` section). All counters are deltas over the run;
+    /// `degraded` records how many times the planner fell back to the
+    /// equal-width plan instead of failing.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct FaultsSection {
+        /// Read attempts that were injected to fail.
+        pub injected_read_faults: u64,
+        /// Write attempts that were injected to fail.
+        pub injected_write_faults: u64,
+        /// Writes that reported success but persisted a corrupted page.
+        pub torn_writes: u64,
+        /// Pages whose checksum did not verify on decode.
+        pub checksum_failures: u64,
+        /// Retry attempts issued after an injected fault.
+        pub retries: u64,
+        /// Operations that ultimately succeeded after at least one retry.
+        pub recovered: u64,
+        /// Operations that exhausted the retry budget and surfaced an error.
+        pub exhausted: u64,
+        /// Total backoff units accumulated across retries (accounting only —
+        /// the simulator never sleeps).
+        pub backoff_steps: u64,
+        /// Times the run degraded to a fallback plan instead of erroring.
+        pub degraded: i64,
+    }
+}
+
+section! {
+    /// Per-kernel accounting for executions that pick an intra-partition
+    /// join kernel per partition (the `kernel` section), folded across
+    /// cells and workers. The gate chooses the sweep kernel on
+    /// duplicate-heavy partitions and the hash kernel elsewhere; both emit
+    /// through batched output chunks handed over once per partition.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct KernelSection {
+        /// Partitions joined by the hash kernel (hash table build + probe).
+        pub hash_partitions: u64,
+        /// Partitions joined by the forward-sweep kernel.
+        pub sweep_partitions: u64,
+        /// Hash-equal candidate pairs the sweep inspected. Every one already
+        /// overlaps in time — compare with the `cpu_match_tests` counter,
+        /// which includes the hash kernel's temporal rejects.
+        pub sweep_comparisons: u64,
+        /// Output batches spliced into the result (one per non-empty
+        /// partition, instead of one push per tuple).
+        pub batches_flushed: u64,
+    }
 }
 
 impl KernelSection {
-    fn to_json(self) -> Json {
-        obj(vec![
-            ("hash_partitions", Json::Int(self.hash_partitions as i64)),
-            ("sweep_partitions", Json::Int(self.sweep_partitions as i64)),
-            (
-                "sweep_comparisons",
-                Json::Int(self.sweep_comparisons as i64),
-            ),
-            ("batches_flushed", Json::Int(self.batches_flushed as i64)),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<KernelSection, ReportError> {
-        Ok(KernelSection {
-            hash_partitions: req_u64(j, "hash_partitions")?,
-            sweep_partitions: req_u64(j, "sweep_partitions")?,
-            sweep_comparisons: req_u64(j, "sweep_comparisons")?,
-            batches_flushed: req_u64(j, "batches_flushed")?,
-        })
+    /// Folds another worker's counters in.
+    pub fn merge(&mut self, other: KernelSection) {
+        self.hash_partitions += other.hash_partitions;
+        self.sweep_partitions += other.sweep_partitions;
+        self.sweep_comparisons += other.sweep_comparisons;
+        self.batches_flushed += other.batches_flushed;
     }
 }
 
-/// Multi-query service accounting (the `service` schema section, new in
-/// version 5; extended in version 8): admission-controller outcomes and
-/// plan-cache behaviour across every request a `JoinService` run
-/// processed. All counters are lifetime totals over the service run.
-/// `queued` counts requests that were admitted only after blocking on the
-/// page pool; `rejected` counts every refusal — oversize, queue-saturated,
-/// deadline-shed, and retry-after-shed alike (each refusal is typed at
-/// the API layer — the report keeps the sum, with the v8 shed counters
-/// breaking out the load-shedding subset).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ServiceSection {
-    /// Join requests submitted to the service.
-    pub requests: u64,
-    /// Requests admitted (immediately or after queueing).
-    pub admitted: u64,
-    /// Requests that blocked in the admission queue before running.
-    pub queued: u64,
-    /// Requests refused by the admission controller (oversize or
-    /// saturated queue).
-    pub rejected: u64,
-    /// Admitted requests that completed with a result.
-    pub completed: u64,
-    /// Admitted requests that failed with a typed join error.
-    pub failed: u64,
-    /// Plan-cache lookups that reused cached partition boundaries
-    /// (skipping Kolmogorov sampling entirely).
-    pub cache_hits: u64,
-    /// Plan-cache lookups that found no usable entry and planned fresh.
-    pub cache_misses: u64,
-    /// Cache misses caused by an existing entry whose statistics
-    /// fingerprint drifted past the errorSize tolerance (a subset of
-    /// `cache_misses`).
-    pub cache_invalidations: u64,
-    /// Largest number of requests ever simultaneously blocked waiting
-    /// for pool pages.
-    pub queue_depth_high_water: u64,
-    /// Total shared buffer-pool pages the admission controller manages.
-    pub pool_pages: u64,
-    /// Largest number of pool pages ever simultaneously reserved.
-    pub pool_pages_high_water: u64,
-    /// Requests submitted at interactive priority (v8).
-    pub interactive_requests: u64,
-    /// Requests submitted at batch priority (v8).
-    pub batch_requests: u64,
-    /// Requests submitted at background priority (v8).
-    pub background_requests: u64,
-    /// Requests shed because their admission deadline expired — before
-    /// queueing (observed wait already too long) or while queued (v8; a
-    /// subset of `rejected`).
-    pub shed_deadline: u64,
-    /// Background requests shed with a retry-after hint instead of
-    /// queueing (v8; a subset of `rejected`).
-    pub shed_retry_after: u64,
-    /// Requests served through the streaming API (v8).
-    pub streamed_requests: u64,
-    /// Non-empty result batches delivered to streaming sinks (v8).
-    pub streamed_batches: u64,
-    /// Total tuples delivered through streaming sinks (v8).
-    pub streamed_tuples: u64,
-    /// Relation reads served from the LRU residency cache at zero heap
-    /// I/O (v8).
-    pub residency_hits: u64,
-    /// Relation reads that faulted the table in from the heap (v8).
-    pub residency_misses: u64,
-    /// Resident relations evicted — LRU pressure or staleness after a
-    /// table rewrite (v8).
-    pub residency_evictions: u64,
-    /// Exponentially-weighted moving average of admission queue wait, in
-    /// microseconds — the load-shedding policy's retry-hint input (v8).
-    pub queue_wait_ewma_micros: u64,
-    /// Queue-wait histogram: admissions per wait bucket, buckets bounded
-    /// at 100 µs, 1 ms, 10 ms, 100 ms, 1 s, 10 s, 100 s, +∞ (v8; empty in
-    /// pre-v8 documents).
-    pub queue_wait_histogram: Vec<u64>,
-}
-
-impl ServiceSection {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("requests", Json::Int(self.requests as i64)),
-            ("admitted", Json::Int(self.admitted as i64)),
-            ("queued", Json::Int(self.queued as i64)),
-            ("rejected", Json::Int(self.rejected as i64)),
-            ("completed", Json::Int(self.completed as i64)),
-            ("failed", Json::Int(self.failed as i64)),
-            ("cache_hits", Json::Int(self.cache_hits as i64)),
-            ("cache_misses", Json::Int(self.cache_misses as i64)),
-            (
-                "cache_invalidations",
-                Json::Int(self.cache_invalidations as i64),
-            ),
-            (
-                "queue_depth_high_water",
-                Json::Int(self.queue_depth_high_water as i64),
-            ),
-            ("pool_pages", Json::Int(self.pool_pages as i64)),
-            (
-                "pool_pages_high_water",
-                Json::Int(self.pool_pages_high_water as i64),
-            ),
-            (
-                "interactive_requests",
-                Json::Int(self.interactive_requests as i64),
-            ),
-            ("batch_requests", Json::Int(self.batch_requests as i64)),
-            (
-                "background_requests",
-                Json::Int(self.background_requests as i64),
-            ),
-            ("shed_deadline", Json::Int(self.shed_deadline as i64)),
-            ("shed_retry_after", Json::Int(self.shed_retry_after as i64)),
-            (
-                "streamed_requests",
-                Json::Int(self.streamed_requests as i64),
-            ),
-            ("streamed_batches", Json::Int(self.streamed_batches as i64)),
-            ("streamed_tuples", Json::Int(self.streamed_tuples as i64)),
-            ("residency_hits", Json::Int(self.residency_hits as i64)),
-            ("residency_misses", Json::Int(self.residency_misses as i64)),
-            (
-                "residency_evictions",
-                Json::Int(self.residency_evictions as i64),
-            ),
-            (
-                "queue_wait_ewma_micros",
-                Json::Int(self.queue_wait_ewma_micros as i64),
-            ),
-            (
-                "queue_wait_histogram",
-                Json::Arr(
-                    self.queue_wait_histogram
-                        .iter()
-                        .map(|&n| Json::Int(n as i64))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<ServiceSection, ReportError> {
-        Ok(ServiceSection {
-            requests: req_u64(j, "requests")?,
-            admitted: req_u64(j, "admitted")?,
-            queued: req_u64(j, "queued")?,
-            rejected: req_u64(j, "rejected")?,
-            completed: req_u64(j, "completed")?,
-            failed: req_u64(j, "failed")?,
-            cache_hits: req_u64(j, "cache_hits")?,
-            cache_misses: req_u64(j, "cache_misses")?,
-            cache_invalidations: req_u64(j, "cache_invalidations")?,
-            queue_depth_high_water: req_u64(j, "queue_depth_high_water")?,
-            pool_pages: req_u64(j, "pool_pages")?,
-            pool_pages_high_water: req_u64(j, "pool_pages_high_water")?,
-            // v8 fields: absent in v5–v7 documents, which must still parse.
-            interactive_requests: opt_u64(j, "interactive_requests"),
-            batch_requests: opt_u64(j, "batch_requests"),
-            background_requests: opt_u64(j, "background_requests"),
-            shed_deadline: opt_u64(j, "shed_deadline"),
-            shed_retry_after: opt_u64(j, "shed_retry_after"),
-            streamed_requests: opt_u64(j, "streamed_requests"),
-            streamed_batches: opt_u64(j, "streamed_batches"),
-            streamed_tuples: opt_u64(j, "streamed_tuples"),
-            residency_hits: opt_u64(j, "residency_hits"),
-            residency_misses: opt_u64(j, "residency_misses"),
-            residency_evictions: opt_u64(j, "residency_evictions"),
-            queue_wait_ewma_micros: opt_u64(j, "queue_wait_ewma_micros"),
-            queue_wait_histogram: j
-                .get("queue_wait_histogram")
-                .and_then(Json::as_arr)
-                .map(|a| a.iter().filter_map(Json::as_u64).collect())
-                .unwrap_or_default(),
-        })
+section! {
+    /// Multi-query service accounting (the `service` section):
+    /// admission-controller outcomes and plan-cache behaviour across every
+    /// request a `JoinService` run processed. All counters are lifetime
+    /// totals over the service run. `queued` counts requests that were
+    /// admitted only after blocking on the page pool; `rejected` counts
+    /// every refusal — oversize, queue-saturated, deadline-shed, and
+    /// retry-after-shed alike (each refusal is typed at the API layer — the
+    /// report keeps the sum, with the shed counters breaking out the
+    /// load-shedding subset).
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct ServiceSection {
+        /// Join requests submitted to the service.
+        pub requests: u64,
+        /// Requests admitted (immediately or after queueing).
+        pub admitted: u64,
+        /// Requests that blocked in the admission queue before running.
+        pub queued: u64,
+        /// Requests refused by the admission controller (oversize or
+        /// saturated queue).
+        pub rejected: u64,
+        /// Admitted requests that completed with a result.
+        pub completed: u64,
+        /// Admitted requests that failed with a typed join error.
+        pub failed: u64,
+        /// Plan-cache lookups that reused cached partition boundaries
+        /// (skipping Kolmogorov sampling entirely).
+        pub cache_hits: u64,
+        /// Plan-cache lookups that found no usable entry and planned fresh.
+        pub cache_misses: u64,
+        /// Cache misses caused by an existing entry whose statistics
+        /// fingerprint drifted past the errorSize tolerance (a subset of
+        /// `cache_misses`).
+        pub cache_invalidations: u64,
+        /// Largest number of requests ever simultaneously blocked waiting
+        /// for pool pages.
+        pub queue_depth_high_water: u64,
+        /// Total shared buffer-pool pages the admission controller manages.
+        pub pool_pages: u64,
+        /// Largest number of pool pages ever simultaneously reserved.
+        pub pool_pages_high_water: u64,
+        /// Requests submitted at interactive priority.
+        pub interactive_requests: u64,
+        /// Requests submitted at batch priority.
+        pub batch_requests: u64,
+        /// Requests submitted at background priority.
+        pub background_requests: u64,
+        /// Requests shed because their admission deadline expired — before
+        /// queueing (observed wait already too long) or while queued (a
+        /// subset of `rejected`).
+        pub shed_deadline: u64,
+        /// Background requests shed with a retry-after hint instead of
+        /// queueing (a subset of `rejected`).
+        pub shed_retry_after: u64,
+        /// Requests served through the streaming API.
+        pub streamed_requests: u64,
+        /// Non-empty result batches delivered to streaming sinks.
+        pub streamed_batches: u64,
+        /// Total tuples delivered through streaming sinks.
+        pub streamed_tuples: u64,
+        /// Relation reads served from the LRU residency cache at zero heap
+        /// I/O.
+        pub residency_hits: u64,
+        /// Relation reads that faulted the table in from the heap.
+        pub residency_misses: u64,
+        /// Resident relations evicted — LRU pressure or staleness after a
+        /// table rewrite.
+        pub residency_evictions: u64,
+        /// Exponentially-weighted moving average of admission queue wait, in
+        /// microseconds — the load-shedding policy's retry-hint input.
+        pub queue_wait_ewma_micros: u64,
+        /// Queue-wait histogram: admissions per wait bucket, buckets bounded
+        /// at 100 µs, 1 ms, 10 ms, 100 ms, 1 s, 10 s, 100 s, +∞.
+        pub queue_wait_histogram: Vec<u64>,
     }
 }
 
-/// Allen-predicate accounting (the `predicate` schema section, new in
-/// version 6): which generalized join predicate the run evaluated, which
-/// sweep plan template it compiled to, and the counters of the two
-/// predicate execution paths. `filter_checks`/`filter_hits` count the
-/// intersection-template filter applied after the key-equality and
-/// overlap tests inside the hash/sweep kernels; `merge_pairs_scanned`/
-/// `merge_pairs_emitted` count the predicate-aware sort-merge fallback
-/// used for sequence/mixed templates. A natural join carries no section.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PredicateSection {
-    /// Canonical predicate name (`JoinPredicate`'s display form, e.g.
-    /// "meets-or-overlaps" or "before-within-3").
-    pub predicate: String,
-    /// Compiled plan template: "intersection", "sequence", or "mixed".
-    pub template: String,
-    /// Key-equal candidate pairs the intersection-template filter tested.
-    pub filter_checks: u64,
-    /// Candidate pairs the filter accepted (result tuples emitted by the
-    /// filtered kernels).
-    pub filter_hits: u64,
-    /// Key-equal candidate pairs the merge fallback scanned.
-    pub merge_pairs_scanned: u64,
-    /// Pairs the merge fallback emitted.
-    pub merge_pairs_emitted: u64,
-}
-
-impl PredicateSection {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("predicate", Json::Str(self.predicate.clone())),
-            ("template", Json::Str(self.template.clone())),
-            ("filter_checks", Json::Int(self.filter_checks as i64)),
-            ("filter_hits", Json::Int(self.filter_hits as i64)),
-            (
-                "merge_pairs_scanned",
-                Json::Int(self.merge_pairs_scanned as i64),
-            ),
-            (
-                "merge_pairs_emitted",
-                Json::Int(self.merge_pairs_emitted as i64),
-            ),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<PredicateSection, ReportError> {
-        Ok(PredicateSection {
-            predicate: req_str(j, "predicate")?,
-            template: req_str(j, "template")?,
-            filter_checks: req_u64(j, "filter_checks")?,
-            filter_hits: req_u64(j, "filter_hits")?,
-            merge_pairs_scanned: req_u64(j, "merge_pairs_scanned")?,
-            merge_pairs_emitted: req_u64(j, "merge_pairs_emitted")?,
-        })
+section! {
+    /// Allen-predicate accounting (the `predicate` section): which
+    /// generalized join predicate the run evaluated, which sweep plan
+    /// template it compiled to, and the counters of the two predicate
+    /// execution paths. `filter_checks`/`filter_hits` count the
+    /// intersection-template filter applied after the key-equality and
+    /// overlap tests inside the hash/sweep kernels;
+    /// `merge_pairs_scanned`/`merge_pairs_emitted` count the
+    /// predicate-aware sort-merge fallback used for sequence/mixed
+    /// templates. A natural join carries no section.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct PredicateSection {
+        /// Canonical predicate name (`JoinPredicate`'s display form, e.g.
+        /// "meets-or-overlaps" or "before-within-3").
+        pub predicate: String,
+        /// Compiled plan template: "intersection", "sequence", or "mixed".
+        pub template: String,
+        /// Key-equal candidate pairs the intersection-template filter tested.
+        pub filter_checks: u64,
+        /// Candidate pairs the filter accepted (result tuples emitted by the
+        /// filtered kernels).
+        pub filter_hits: u64,
+        /// Key-equal candidate pairs the merge fallback scanned.
+        pub merge_pairs_scanned: u64,
+        /// Pairs the merge fallback emitted.
+        pub merge_pairs_emitted: u64,
     }
 }
 
-/// 2D grid-partitioned execution accounting (schema v7): the grid's two
-/// axes (key-hash buckets × time ranges), how its cells were populated,
-/// how concentrated the estimated work was, the replication overhead
-/// (along the time axis only — the key axis never replicates), and how
-/// long the scatter/gather coordinator spent blocked on its shard
-/// workers. A 1×N shape is the paper's time-only partitioning expressed
-/// as a degenerate grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GridSection {
-    /// Key-axis bucket count (power of two; 1 = time-only).
-    pub key_buckets: u64,
-    /// Time-axis partition count.
-    pub time_partitions: u64,
-    /// Total cells, `key_buckets × time_partitions`.
-    pub cells: u64,
-    /// Cells holding any estimated work (`|r_c|·|s_c| > 0`).
-    pub occupied_cells: u64,
-    /// The heaviest cell's share of total estimated work, in percent.
-    pub max_cell_share_percent: u64,
-    /// Tuple replicas per input tuple, ×100 (100 = no replication).
-    /// Identical for every key-axis width: tuples replicate only along
-    /// the time axis.
-    pub replication_factor_x100: u64,
-    /// Wall-clock the coordinator spent waiting for shard workers to
-    /// finish, before gathering their outputs in cell order.
-    pub coordinator_wait_micros: u64,
-}
-
-impl GridSection {
-    fn to_json(self) -> Json {
-        obj(vec![
-            ("key_buckets", Json::Int(self.key_buckets as i64)),
-            ("time_partitions", Json::Int(self.time_partitions as i64)),
-            ("cells", Json::Int(self.cells as i64)),
-            ("occupied_cells", Json::Int(self.occupied_cells as i64)),
-            (
-                "max_cell_share_percent",
-                Json::Int(self.max_cell_share_percent as i64),
-            ),
-            (
-                "replication_factor_x100",
-                Json::Int(self.replication_factor_x100 as i64),
-            ),
-            (
-                "coordinator_wait_micros",
-                Json::Int(self.coordinator_wait_micros as i64),
-            ),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<GridSection, ReportError> {
-        Ok(GridSection {
-            key_buckets: req_u64(j, "key_buckets")?,
-            time_partitions: req_u64(j, "time_partitions")?,
-            cells: req_u64(j, "cells")?,
-            occupied_cells: req_u64(j, "occupied_cells")?,
-            max_cell_share_percent: req_u64(j, "max_cell_share_percent")?,
-            replication_factor_x100: req_u64(j, "replication_factor_x100")?,
-            coordinator_wait_micros: req_u64(j, "coordinator_wait_micros")?,
-        })
+section! {
+    /// 2D grid-partitioned execution accounting (the `grid` section): the
+    /// grid's two axes (key-hash buckets × time ranges), how its cells were
+    /// populated, how concentrated the estimated work was, the replication
+    /// overhead (along the time axis only — the key axis never
+    /// replicates), and how long the scatter/gather coordinator spent
+    /// blocked on its shard workers. A 1×N shape is the paper's time-only
+    /// partitioning expressed as a degenerate grid.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct GridSection {
+        /// Key-axis bucket count (power of two; 1 = time-only).
+        pub key_buckets: u64,
+        /// Time-axis partition count.
+        pub time_partitions: u64,
+        /// Total cells, `key_buckets × time_partitions`.
+        pub cells: u64,
+        /// Cells holding any estimated work (`|r_c|·|s_c| > 0`).
+        pub occupied_cells: u64,
+        /// The heaviest cell's share of total estimated work, in percent.
+        pub max_cell_share_percent: u64,
+        /// Tuple replicas per input tuple, ×100 (100 = no replication).
+        /// Identical for every key-axis width: tuples replicate only along
+        /// the time axis.
+        pub replication_factor_x100: u64,
+        /// Wall-clock the coordinator spent waiting for shard workers to
+        /// finish, before gathering their outputs in cell order.
+        pub coordinator_wait_micros: u64,
     }
 }
 
-/// Columnar-execution accounting (schema v9): what the struct-of-arrays
-/// encode pass and the columnar kernels did, when a run executed on the
-/// columnar layout. `encode_micros` is wall-clock profiling (excluded
-/// from regression comparison like every `*_micros` key); the other three
-/// are deterministic functions of the input. Runs that encode nothing
-/// (merge fallbacks, the non-partition disk algorithms) carry no section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ColumnarSection {
-    /// Wall-clock microseconds the struct-of-arrays encode pass took
-    /// (chronon/hash column extraction + key-dictionary interning).
-    pub encode_micros: u64,
-    /// LSD radix counting passes actually executed across all sweep-kernel
-    /// sorts; passes whose byte is constant across the partition are
-    /// skipped and not counted.
-    pub radix_passes: u64,
-    /// Distinct join keys interned in the dictionary shared by both sides.
-    pub dict_size: u64,
-    /// Result tuples constructed by the late-materialization pass (equals
-    /// the result cardinality: every emitted row-id pair materializes).
-    pub materialized_rows: u64,
+section! {
+    /// Columnar-execution accounting (the `columnar` section), folded
+    /// across workers: what the struct-of-arrays encode pass and the
+    /// columnar kernels did. `encode_micros` is wall-clock profiling
+    /// (excluded from regression comparison like every `*_micros` key);
+    /// the other three are deterministic functions of the input. Runs that
+    /// encode nothing (merge fallbacks, the non-partition disk algorithms)
+    /// carry no section.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ColumnarSection {
+        /// Wall-clock microseconds the struct-of-arrays encode pass took
+        /// (chronon/hash column extraction + key-dictionary interning).
+        pub encode_micros: u64,
+        /// LSD radix counting passes actually executed across all
+        /// sweep-kernel sorts; passes whose byte is constant across the
+        /// partition are skipped and not counted, and a run whose sweep
+        /// cells all came sorted from a kept cell set counts 0.
+        pub radix_passes: u64,
+        /// Distinct join keys interned in the dictionary shared by both sides.
+        pub dict_size: u64,
+        /// Result tuples constructed by the late-materialization pass (equals
+        /// the result cardinality: every emitted row-id pair materializes).
+        pub materialized_rows: u64,
+    }
 }
 
 impl ColumnarSection {
-    fn to_json(self) -> Json {
-        obj(vec![
-            ("encode_micros", Json::Int(self.encode_micros as i64)),
-            ("radix_passes", Json::Int(self.radix_passes as i64)),
-            ("dict_size", Json::Int(self.dict_size as i64)),
-            (
-                "materialized_rows",
-                Json::Int(self.materialized_rows as i64),
-            ),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<ColumnarSection, ReportError> {
-        Ok(ColumnarSection {
-            encode_micros: req_u64(j, "encode_micros")?,
-            radix_passes: req_u64(j, "radix_passes")?,
-            dict_size: req_u64(j, "dict_size")?,
-            materialized_rows: req_u64(j, "materialized_rows")?,
-        })
+    /// Folds another worker's counters in. `dict_size` is a property of
+    /// the shared encode, not a per-worker tally, so it takes the max.
+    pub fn merge(&mut self, other: ColumnarSection) {
+        self.encode_micros += other.encode_micros;
+        self.radix_passes += other.radix_passes;
+        self.dict_size = self.dict_size.max(other.dict_size);
+        self.materialized_rows += other.materialized_rows;
     }
 }
 
-/// Temporal-operator accounting (schema v10): what the
-/// dangling-fragment-tracking sweeps and the aggregation timeline did,
-/// when a run evaluated a non-inner member of the operator family
-/// (LEFT/FULL outer, semi, anti, aggregate). Every field is a
-/// deterministic function of the input, so all of them participate in
-/// regression comparison.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct OperatorSection {
-    /// Canonical string form of the operator (`left`, `full`, `semi`,
-    /// `anti`, `aggregate:count`, `aggregate:sum:ATTR`, …).
-    pub op: String,
-    /// Grid cells that ran a tracked sweep (0 on the nested fallback).
-    pub cells: u64,
-    /// Worker threads used.
-    pub workers: u64,
-    /// Key buckets of the operator grid (1 on the fallback).
-    pub key_buckets: u64,
-    /// Matched pairs logged under the canonical-partition rule.
-    pub pairs_logged: u64,
-    /// Outer-side dangling fragments emitted before stitching.
-    pub outer_fragments: u64,
-    /// Inner-side dangling fragments emitted before stitching.
-    pub inner_fragments: u64,
-    /// Outer fragments merged away at partition boundaries by the
-    /// gather-phase stitch.
-    pub stitched_outer: u64,
-    /// Inner fragments merged away by the gather-phase stitch.
-    pub stitched_inner: u64,
-    /// Final maximal outer dangling intervals after stitching.
-    pub outer_dangling: u64,
-    /// Final maximal inner dangling intervals after stitching.
-    pub inner_dangling: u64,
-    /// Endpoint events in the aggregation timeline index.
-    pub timeline_events: u64,
-    /// Checkpoints the aggregation timeline index took.
-    pub timeline_checkpoints: u64,
-    /// Maximal constant segments the aggregation produced.
-    pub agg_segments: u64,
-    /// Whether the sequence/mixed-template nested fallback ran instead
-    /// of the partitioned tracked sweep.
-    pub fallback_nested: bool,
-}
-
-impl OperatorSection {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("op", Json::Str(self.op.clone())),
-            ("cells", Json::Int(self.cells as i64)),
-            ("workers", Json::Int(self.workers as i64)),
-            ("key_buckets", Json::Int(self.key_buckets as i64)),
-            ("pairs_logged", Json::Int(self.pairs_logged as i64)),
-            ("outer_fragments", Json::Int(self.outer_fragments as i64)),
-            ("inner_fragments", Json::Int(self.inner_fragments as i64)),
-            ("stitched_outer", Json::Int(self.stitched_outer as i64)),
-            ("stitched_inner", Json::Int(self.stitched_inner as i64)),
-            ("outer_dangling", Json::Int(self.outer_dangling as i64)),
-            ("inner_dangling", Json::Int(self.inner_dangling as i64)),
-            ("timeline_events", Json::Int(self.timeline_events as i64)),
-            (
-                "timeline_checkpoints",
-                Json::Int(self.timeline_checkpoints as i64),
-            ),
-            ("agg_segments", Json::Int(self.agg_segments as i64)),
-            ("fallback_nested", Json::Bool(self.fallback_nested)),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<OperatorSection, ReportError> {
-        Ok(OperatorSection {
-            op: req_str(j, "op")?,
-            cells: req_u64(j, "cells")?,
-            workers: req_u64(j, "workers")?,
-            key_buckets: req_u64(j, "key_buckets")?,
-            pairs_logged: req_u64(j, "pairs_logged")?,
-            outer_fragments: req_u64(j, "outer_fragments")?,
-            inner_fragments: req_u64(j, "inner_fragments")?,
-            stitched_outer: req_u64(j, "stitched_outer")?,
-            stitched_inner: req_u64(j, "stitched_inner")?,
-            outer_dangling: req_u64(j, "outer_dangling")?,
-            inner_dangling: req_u64(j, "inner_dangling")?,
-            timeline_events: req_u64(j, "timeline_events")?,
-            timeline_checkpoints: req_u64(j, "timeline_checkpoints")?,
-            agg_segments: req_u64(j, "agg_segments")?,
-            fallback_nested: req_bool(j, "fallback_nested")?,
-        })
+section! {
+    /// Temporal-operator accounting (the `operator` section): what the
+    /// dangling-fragment-tracking sweeps and the aggregation timeline did,
+    /// when a run evaluated a non-inner member of the operator family
+    /// (LEFT/FULL outer, semi, anti, aggregate). Every field is a
+    /// deterministic function of the input, so all of them participate in
+    /// regression comparison.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct OperatorSection {
+        /// Canonical string form of the operator (`left`, `full`, `semi`,
+        /// `anti`, `aggregate:count`, `aggregate:sum:ATTR`, …).
+        pub op: String,
+        /// Grid cells that ran a tracked sweep (0 on the nested fallback).
+        pub cells: u64,
+        /// Worker threads used.
+        pub workers: u64,
+        /// Key buckets of the operator grid (1 on the fallback).
+        pub key_buckets: u64,
+        /// Matched pairs logged under the canonical-partition rule.
+        pub pairs_logged: u64,
+        /// Outer-side dangling fragments emitted before stitching.
+        pub outer_fragments: u64,
+        /// Inner-side dangling fragments emitted before stitching.
+        pub inner_fragments: u64,
+        /// Outer fragments merged away at partition boundaries by the
+        /// gather-phase stitch.
+        pub stitched_outer: u64,
+        /// Inner fragments merged away by the gather-phase stitch.
+        pub stitched_inner: u64,
+        /// Final maximal outer dangling intervals after stitching.
+        pub outer_dangling: u64,
+        /// Final maximal inner dangling intervals after stitching.
+        pub inner_dangling: u64,
+        /// Endpoint events in the aggregation timeline index.
+        pub timeline_events: u64,
+        /// Checkpoints the aggregation timeline index took.
+        pub timeline_checkpoints: u64,
+        /// Maximal constant segments the aggregation produced.
+        pub agg_segments: u64,
+        /// Whether the sequence/mixed-template nested fallback ran instead
+        /// of the partitioned tracked sweep.
+        pub fallback_nested: bool,
     }
 }
 
-/// The unified execution report: one value describing everything a run
-/// did, predicted, and measured.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecutionReport {
-    /// Algorithm that produced the run ("partition", "sort-merge", …).
-    pub algorithm: String,
-    /// Configuration the run executed under.
-    pub config: ConfigSection,
-    /// Result cardinality.
-    pub result: ResultSection,
-    /// Whole-run I/O.
-    pub io: IoSection,
-    /// Per-phase breakdown, in execution order.
-    pub phases: Vec<PhaseSection>,
-    /// Algorithm diagnostics.
-    pub counters: Vec<Counter>,
-    /// Buffer-pool behaviour, when a pool was involved.
-    pub buffer_pool: Option<BufferPoolSection>,
-    /// Planner decision and predictions (partition join only).
-    pub plan: Option<PlanSection>,
-    /// Predicted-vs-actual comparison, when predictions exist.
-    pub deviation: Option<DeviationSection>,
-    /// Per-worker breakdown of parallel executions.
-    pub workers: Vec<WorkerSection>,
-    /// Partition-skew / utilization summary of parallel executions.
-    pub skew: Option<SkewSection>,
-    /// Per-kernel accounting, when the execution gated between
-    /// intra-partition join kernels.
-    pub kernel: Option<KernelSection>,
-    /// Fault-injection accounting, when the run executed under injected
-    /// faults (or observed any fault-path activity).
-    pub faults: Option<FaultsSection>,
-    /// Multi-query service accounting, when the run went through a
-    /// `JoinService` (admission controller + plan cache).
-    pub service: Option<ServiceSection>,
-    /// Allen-predicate accounting, when the run evaluated a generalized
-    /// (non-natural) join predicate.
-    pub predicate: Option<PredicateSection>,
-    /// 2D grid-partitioning accounting, when the run executed on the
-    /// sharded (key × time) grid executor.
-    pub grid: Option<GridSection>,
-    /// Columnar-layout accounting, when the run encoded its join sides
-    /// struct-of-arrays and ran the columnar kernels.
-    pub columnar: Option<ColumnarSection>,
-    /// Temporal-operator accounting, when the run evaluated a non-inner
-    /// member of the operator family (outer/semi/anti/aggregate).
-    pub operator: Option<OperatorSection>,
+section! {
+    /// The unified execution report: one value describing everything a run
+    /// did, predicted, and measured. Its JSON object opens with
+    /// `schema_version`, then holds these fields in order; an optional
+    /// section is omitted when `None`, and `workers` when empty.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ExecutionReport {
+        /// Algorithm that produced the run ("partition", "sort-merge", …).
+        pub algorithm: String,
+        /// Configuration the run executed under.
+        pub config: ConfigSection,
+        /// Result cardinality.
+        pub result: ResultSection,
+        /// Whole-run I/O.
+        pub io: IoSection,
+        /// Per-phase breakdown, in execution order.
+        pub phases: Vec<PhaseSection>,
+        /// Algorithm diagnostics.
+        pub counters: Vec<Counter>,
+        /// Buffer-pool behaviour, when a pool was involved.
+        pub buffer_pool: Option<BufferPoolSection>,
+        /// Planner decision and predictions (partition join only).
+        pub plan: Option<PlanSection>,
+        /// Predicted-vs-actual comparison, when predictions exist.
+        pub deviation: Option<DeviationSection>,
+        /// Per-worker breakdown of parallel executions.
+        pub workers: Vec<WorkerSection> [omit_empty],
+        /// Partition-skew / utilization summary of parallel executions.
+        pub skew: Option<SkewSection>,
+        /// Per-kernel accounting, when the execution gated between
+        /// intra-partition join kernels.
+        pub kernel: Option<KernelSection>,
+        /// Fault-injection accounting, when the run executed under injected
+        /// faults (or observed any fault-path activity).
+        pub faults: Option<FaultsSection>,
+        /// Multi-query service accounting, when the run went through a
+        /// `JoinService` (admission controller + plan cache).
+        pub service: Option<ServiceSection>,
+        /// Allen-predicate accounting, when the run evaluated a generalized
+        /// (non-natural) join predicate.
+        pub predicate: Option<PredicateSection>,
+        /// 2D grid-partitioning accounting, when the run executed on the
+        /// sharded (key × time) grid executor.
+        pub grid: Option<GridSection>,
+        /// Columnar-layout accounting, when the run encoded its join sides
+        /// struct-of-arrays and ran the columnar kernels.
+        pub columnar: Option<ColumnarSection>,
+        /// Temporal-operator accounting, when the run evaluated a non-inner
+        /// member of the operator family (outer/semi/anti/aggregate).
+        pub operator: Option<OperatorSection>,
+    }
 }
 
 impl ExecutionReport {
@@ -967,192 +821,9 @@ impl ExecutionReport {
 
     /// Serializes to the documented JSON schema (`docs/OBSERVABILITY.md`).
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("schema_version", Json::Int(SCHEMA_VERSION)),
-            ("algorithm", Json::Str(self.algorithm.clone())),
-            (
-                "config",
-                obj(vec![
-                    ("buffer_pages", Json::Int(self.config.buffer_pages as i64)),
-                    ("random_cost", Json::Int(self.config.random_cost as i64)),
-                    ("seed", Json::Int(self.config.seed as i64)),
-                ]),
-            ),
-            (
-                "result",
-                obj(vec![
-                    ("tuples", Json::Int(self.result.tuples as i64)),
-                    ("pages", Json::Int(self.result.pages as i64)),
-                ]),
-            ),
-            ("io", self.io.to_json()),
-            (
-                "phases",
-                Json::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            let mut ph = vec![
-                                ("name", Json::Str(p.name.clone())),
-                                ("wall_micros", Json::Int(p.wall_micros as i64)),
-                                ("io", p.io.to_json()),
-                            ];
-                            if let Some(pred) = p.predicted_cost {
-                                ph.push(("predicted_cost", Json::Int(pred as i64)));
-                            }
-                            obj(ph)
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "counters",
-                Json::Arr(
-                    self.counters
-                        .iter()
-                        .map(|c| {
-                            obj(vec![
-                                ("name", Json::Str(c.name.clone())),
-                                ("value", Json::Int(c.value)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(bp) = self.buffer_pool {
-            pairs.push((
-                "buffer_pool",
-                obj(vec![
-                    ("hits", Json::Int(bp.hits as i64)),
-                    ("misses", Json::Int(bp.misses as i64)),
-                    ("evictions", Json::Int(bp.evictions as i64)),
-                ]),
-            ));
-        }
-        if let Some(plan) = &self.plan {
-            pairs.push((
-                "plan",
-                obj(vec![
-                    ("part_size", Json::Int(plan.part_size as i64)),
-                    ("num_partitions", Json::Int(plan.num_partitions as i64)),
-                    ("error_size", Json::Int(plan.error_size as i64)),
-                    ("samples_drawn", Json::Int(plan.samples_drawn as i64)),
-                    ("est_cache_pages", Json::Int(plan.est_cache_pages as i64)),
-                    (
-                        "predicted",
-                        obj(vec![
-                            ("c_sample", Json::Int(plan.predicted.c_sample as i64)),
-                            ("c_join", Json::Int(plan.predicted.c_join as i64)),
-                            ("c_cache", Json::Int(plan.predicted.c_cache as i64)),
-                            (
-                                "c_partition_seeks",
-                                Json::Int(plan.predicted.c_partition_seeks as i64),
-                            ),
-                            ("total", Json::Int(plan.predicted.total as i64)),
-                        ]),
-                    ),
-                    (
-                        "candidates",
-                        Json::Arr(
-                            plan.candidates
-                                .iter()
-                                .map(|c| {
-                                    obj(vec![
-                                        ("part_size", Json::Int(c.part_size as i64)),
-                                        ("num_partitions", Json::Int(c.num_partitions as i64)),
-                                        ("samples_required", Json::Int(c.samples_required as i64)),
-                                        ("c_sample", Json::Int(c.c_sample as i64)),
-                                        ("c_join", Json::Int(c.c_join as i64)),
-                                        ("c_cache", Json::Int(c.c_cache as i64)),
-                                        (
-                                            "c_partition_seeks",
-                                            Json::Int(c.c_partition_seeks as i64),
-                                        ),
-                                        ("total", Json::Int(c.total as i64)),
-                                        ("chosen", Json::Bool(c.chosen)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
-        if let Some(d) = self.deviation {
-            pairs.push((
-                "deviation",
-                obj(vec![
-                    ("predicted_cost", Json::Int(d.predicted_cost as i64)),
-                    ("actual_cost", Json::Int(d.actual_cost as i64)),
-                    ("error", Json::Int(d.error)),
-                    ("error_percent", Json::Int(d.error_percent)),
-                    ("tolerance", Json::Int(d.tolerance as i64)),
-                    ("within_tolerance", Json::Bool(d.within_tolerance)),
-                ]),
-            ));
-        }
-        if !self.workers.is_empty() {
-            pairs.push((
-                "workers",
-                Json::Arr(
-                    self.workers
-                        .iter()
-                        .map(|w| {
-                            obj(vec![
-                                ("worker", Json::Int(w.worker as i64)),
-                                ("partitions", Json::Int(w.partitions as i64)),
-                                ("tuples", Json::Int(w.tuples as i64)),
-                                ("wall_micros", Json::Int(w.wall_micros as i64)),
-                                ("busy_micros", Json::Int(w.busy_micros as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        if let Some(sk) = self.skew {
-            pairs.push((
-                "skew",
-                obj(vec![
-                    ("partitions", Json::Int(sk.partitions as i64)),
-                    ("est_cost_total", Json::Int(sk.est_cost_total as i64)),
-                    ("est_cost_max", Json::Int(sk.est_cost_max as i64)),
-                    (
-                        "max_partition_share_percent",
-                        Json::Int(sk.max_partition_share_percent as i64),
-                    ),
-                    ("busy_micros_total", Json::Int(sk.busy_micros_total as i64)),
-                    ("busy_micros_max", Json::Int(sk.busy_micros_max as i64)),
-                    (
-                        "utilization_percent",
-                        Json::Int(sk.utilization_percent as i64),
-                    ),
-                ]),
-            ));
-        }
-        if let Some(k) = self.kernel {
-            pairs.push(("kernel", k.to_json()));
-        }
-        if let Some(fs) = self.faults {
-            pairs.push(("faults", fs.to_json()));
-        }
-        if let Some(sv) = &self.service {
-            pairs.push(("service", sv.to_json()));
-        }
-        if let Some(pd) = &self.predicate {
-            pairs.push(("predicate", pd.to_json()));
-        }
-        if let Some(g) = self.grid {
-            pairs.push(("grid", g.to_json()));
-        }
-        if let Some(c) = self.columnar {
-            pairs.push(("columnar", c.to_json()));
-        }
-        if let Some(o) = &self.operator {
-            pairs.push(("operator", o.to_json()));
-        }
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        let mut pairs = vec![("schema_version".to_owned(), Json::Int(SCHEMA_VERSION))];
+        pairs.extend(self.json_pairs());
+        Json::Obj(pairs)
     }
 
     /// Serializes to the documented JSON text format.
@@ -1166,170 +837,17 @@ impl ExecutionReport {
         Self::from_json(&Json::parse(text)?)
     }
 
-    /// Decodes a report from a parsed JSON value.
+    /// Decodes a report from a parsed JSON value. Only
+    /// [`SCHEMA_VERSION`] is read, and every field it defines must be
+    /// present and well-typed.
     pub fn from_json(j: &Json) -> Result<ExecutionReport, ReportError> {
-        let version = req_i64(j, "schema_version")?;
-        if !(1..=SCHEMA_VERSION).contains(&version) {
+        let version = field::<i64>(j, "schema_version", None).map_err(|p| missing(&p))?;
+        if version != SCHEMA_VERSION {
             return Err(ReportError::Schema(format!(
-                "unsupported schema_version {version} (expected 1..={SCHEMA_VERSION})"
+                "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
             )));
         }
-        let config = j.get("config").ok_or_else(|| missing("config"))?;
-        let result = j.get("result").ok_or_else(|| missing("result"))?;
-        let mut phases = Vec::new();
-        for p in req_arr(j, "phases")? {
-            phases.push(PhaseSection {
-                name: req_str(p, "name")?,
-                wall_micros: req_u64(p, "wall_micros")?,
-                io: IoSection::from_json(p.get("io").ok_or_else(|| missing("phases[].io"))?)?,
-                predicted_cost: match p.get("predicted_cost") {
-                    Some(v) => Some(v.as_u64().ok_or_else(|| missing("predicted_cost"))?),
-                    None => None,
-                },
-            });
-        }
-        let mut counters = Vec::new();
-        for c in req_arr(j, "counters")? {
-            counters.push(Counter {
-                name: req_str(c, "name")?,
-                value: req_i64(c, "value")?,
-            });
-        }
-        let buffer_pool = match j.get("buffer_pool") {
-            Some(bp) => Some(BufferPoolSection {
-                hits: req_u64(bp, "hits")?,
-                misses: req_u64(bp, "misses")?,
-                evictions: req_u64(bp, "evictions")?,
-            }),
-            None => None,
-        };
-        let plan = match j.get("plan") {
-            Some(p) => {
-                let pred = p
-                    .get("predicted")
-                    .ok_or_else(|| missing("plan.predicted"))?;
-                let mut candidates = Vec::new();
-                for c in req_arr(p, "candidates")? {
-                    candidates.push(CandidateRow {
-                        part_size: req_u64(c, "part_size")?,
-                        num_partitions: req_u64(c, "num_partitions")?,
-                        samples_required: req_u64(c, "samples_required")?,
-                        c_sample: req_u64(c, "c_sample")?,
-                        c_join: req_u64(c, "c_join")?,
-                        c_cache: req_u64(c, "c_cache")?,
-                        c_partition_seeks: req_u64(c, "c_partition_seeks")?,
-                        total: req_u64(c, "total")?,
-                        chosen: req_bool(c, "chosen")?,
-                    });
-                }
-                Some(PlanSection {
-                    part_size: req_u64(p, "part_size")?,
-                    num_partitions: req_u64(p, "num_partitions")?,
-                    error_size: req_u64(p, "error_size")?,
-                    samples_drawn: req_u64(p, "samples_drawn")?,
-                    est_cache_pages: req_u64(p, "est_cache_pages")?,
-                    predicted: PredictedCost {
-                        c_sample: req_u64(pred, "c_sample")?,
-                        c_join: req_u64(pred, "c_join")?,
-                        c_cache: req_u64(pred, "c_cache")?,
-                        c_partition_seeks: req_u64(pred, "c_partition_seeks")?,
-                        total: req_u64(pred, "total")?,
-                    },
-                    candidates,
-                })
-            }
-            None => None,
-        };
-        let deviation = match j.get("deviation") {
-            Some(d) => Some(DeviationSection {
-                predicted_cost: req_u64(d, "predicted_cost")?,
-                actual_cost: req_u64(d, "actual_cost")?,
-                error: req_i64(d, "error")?,
-                error_percent: req_i64(d, "error_percent")?,
-                tolerance: req_u64(d, "tolerance")?,
-                within_tolerance: req_bool(d, "within_tolerance")?,
-            }),
-            None => None,
-        };
-        let mut workers = Vec::new();
-        if let Some(ws) = j.get("workers").and_then(Json::as_arr) {
-            for w in ws {
-                workers.push(WorkerSection {
-                    worker: req_u64(w, "worker")?,
-                    partitions: req_u64(w, "partitions")?,
-                    tuples: req_u64(w, "tuples")?,
-                    wall_micros: req_u64(w, "wall_micros")?,
-                    busy_micros: req_u64(w, "busy_micros")?,
-                });
-            }
-        }
-        let skew = match j.get("skew") {
-            Some(sk) => Some(SkewSection {
-                partitions: req_u64(sk, "partitions")?,
-                est_cost_total: req_u64(sk, "est_cost_total")?,
-                est_cost_max: req_u64(sk, "est_cost_max")?,
-                max_partition_share_percent: req_u64(sk, "max_partition_share_percent")?,
-                busy_micros_total: req_u64(sk, "busy_micros_total")?,
-                busy_micros_max: req_u64(sk, "busy_micros_max")?,
-                utilization_percent: req_u64(sk, "utilization_percent")?,
-            }),
-            None => None,
-        };
-        let kernel = match j.get("kernel") {
-            Some(k) => Some(KernelSection::from_json(k)?),
-            None => None,
-        };
-        let faults = match j.get("faults") {
-            Some(fs) => Some(FaultsSection::from_json(fs)?),
-            None => None,
-        };
-        let service = match j.get("service") {
-            Some(sv) => Some(ServiceSection::from_json(sv)?),
-            None => None,
-        };
-        let predicate = match j.get("predicate") {
-            Some(pd) => Some(PredicateSection::from_json(pd)?),
-            None => None,
-        };
-        let grid = match j.get("grid") {
-            Some(g) => Some(GridSection::from_json(g)?),
-            None => None,
-        };
-        let columnar = match j.get("columnar") {
-            Some(c) => Some(ColumnarSection::from_json(c)?),
-            None => None,
-        };
-        let operator = match j.get("operator") {
-            Some(o) => Some(OperatorSection::from_json(o)?),
-            None => None,
-        };
-        Ok(ExecutionReport {
-            algorithm: req_str(j, "algorithm")?,
-            config: ConfigSection {
-                buffer_pages: req_u64(config, "buffer_pages")?,
-                random_cost: req_u64(config, "random_cost")?,
-                seed: req_u64(config, "seed")?,
-            },
-            result: ResultSection {
-                tuples: req_u64(result, "tuples")?,
-                pages: req_u64(result, "pages")?,
-            },
-            io: IoSection::from_json(j.get("io").ok_or_else(|| missing("io"))?)?,
-            phases,
-            counters,
-            buffer_pool,
-            plan,
-            deviation,
-            workers,
-            skew,
-            kernel,
-            faults,
-            service,
-            predicate,
-            grid,
-            columnar,
-            operator,
-        })
+        <Self as Field>::decode(j).map_err(|p| missing(&p))
     }
 
     // ---- explain rendering -----------------------------------------------------
@@ -2058,163 +1576,174 @@ mod tests {
         assert!(!report.to_json_string().contains("\"operator\":"));
     }
 
-    #[test]
-    fn newer_version_is_rejected() {
-        let text = sample_report().to_json_string().replacen(
-            "\"schema_version\": 10",
-            "\"schema_version\": 99",
-            1,
-        );
-        assert!(matches!(
-            ExecutionReport::from_json_str(&text),
-            Err(ReportError::Schema(_))
-        ));
-    }
-
-    #[test]
-    fn older_versions_still_parse() {
-        // A v9 (operator-less), a v8 (columnar-less), a v6 (grid-less), a
-        // v5 (predicate-less), a v4 (service-less), a v3 (kernel-less) and
-        // a v1 (sections-less) document must all decode: every post-v1
-        // addition is an optional section.
-        let mut report = sample_report();
-        report.operator = None;
-        let v9 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 9", 1);
-        let back = ExecutionReport::from_json_str(&v9).unwrap();
-        assert_eq!(back.operator, None);
-        assert_eq!(back.columnar, report.columnar);
-
-        report.columnar = None;
-        let v8 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 8", 1);
-        let back = ExecutionReport::from_json_str(&v8).unwrap();
-        assert_eq!(back.columnar, None);
-        assert_eq!(back.grid, report.grid);
-
-        report.grid = None;
-        let v6 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 6", 1);
-        let back = ExecutionReport::from_json_str(&v6).unwrap();
-        assert_eq!(back.grid, None);
-        assert_eq!(back.predicate, report.predicate);
-
-        report.predicate = None;
-        let v5 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 5", 1);
-        let back = ExecutionReport::from_json_str(&v5).unwrap();
-        assert_eq!(back.predicate, None);
-        assert_eq!(back.service, report.service);
-
-        report.service = None;
-        let v4 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 4", 1);
-        let back = ExecutionReport::from_json_str(&v4).unwrap();
-        assert_eq!(back.service, None);
-        assert_eq!(back.kernel, report.kernel);
-
-        report.kernel = None;
-        let v3 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 3", 1);
-        let back = ExecutionReport::from_json_str(&v3).unwrap();
-        assert_eq!(back.algorithm, report.algorithm);
-        assert_eq!(back.kernel, None);
-        assert_eq!(back.faults, report.faults);
-
-        report.workers.clear();
-        report.skew = None;
-        report.faults = None;
-        report.plan = None;
-        report.deviation = None;
-        report.buffer_pool = None;
-        let v1 =
-            report
-                .to_json_string()
-                .replacen("\"schema_version\": 10", "\"schema_version\": 1", 1);
-        let back = ExecutionReport::from_json_str(&v1).unwrap();
-        assert_eq!(back.result, report.result);
-        assert!(matches!(
-            ExecutionReport::from_json_str(&v1.replacen(
-                "\"schema_version\": 1",
-                "\"schema_version\": 0",
-                1
-            )),
-            Err(ReportError::Schema(_))
-        ));
-    }
-
-    #[test]
-    fn pre_v8_service_sections_decode_with_zeroed_v8_fields() {
-        // A v5–v7 document carries a service section without any of the
-        // v8 fields; they must decode as zero / empty, not as an error.
-        let mut report = sample_report();
-        let stripped = ServiceSection {
-            interactive_requests: 0,
-            batch_requests: 0,
-            background_requests: 0,
-            shed_deadline: 0,
-            shed_retry_after: 0,
-            streamed_requests: 0,
-            streamed_batches: 0,
-            streamed_tuples: 0,
-            residency_hits: 0,
-            residency_misses: 0,
-            residency_evictions: 0,
-            queue_wait_ewma_micros: 0,
-            queue_wait_histogram: Vec::new(),
-            ..report.service.clone().unwrap()
-        };
-        let v8_fields = [
-            "interactive_requests",
-            "batch_requests",
-            "background_requests",
-            "shed_deadline",
-            "shed_retry_after",
-            "streamed_requests",
-            "streamed_batches",
-            "streamed_tuples",
-            "residency_hits",
-            "residency_misses",
-            "residency_evictions",
-            "queue_wait_ewma_micros",
-            "queue_wait_histogram",
-        ];
-        let mut doc = report.to_json();
-        if let Json::Obj(pairs) = &mut doc {
-            for (key, value) in pairs.iter_mut() {
-                if key == "schema_version" {
-                    *value = Json::Int(7);
-                }
-                if key == "service" {
-                    if let Json::Obj(svc) = value {
-                        svc.retain(|(k, _)| !v8_fields.contains(&k.as_str()));
+    /// Copies of `doc`, one per object key at any depth, with that key
+    /// removed (`edit` gives `None`) or its value replaced, each labelled
+    /// with the key's path as decode errors spell it.
+    fn edits(doc: &Json, path: &str, edit: &dyn Fn(&Json) -> Option<Json>) -> Vec<(String, Json)> {
+        let mut out = Vec::new();
+        match doc {
+            Json::Obj(pairs) => {
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    let here = if path.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{path}.{k}")
+                    };
+                    let mut copy = pairs.clone();
+                    match edit(v) {
+                        Some(new) => copy[i].1 = new,
+                        None => {
+                            copy.remove(i);
+                        }
+                    }
+                    out.push((here.clone(), Json::Obj(copy)));
+                    for (p, sub) in edits(v, &here, edit) {
+                        let mut copy = pairs.clone();
+                        copy[i].1 = sub;
+                        out.push((p, Json::Obj(copy)));
                     }
                 }
             }
+            Json::Arr(items) => {
+                for (i, v) in items.iter().enumerate() {
+                    for (p, sub) in edits(v, &format!("{path}[{i}]"), edit) {
+                        let mut copy = items.clone();
+                        copy[i] = sub;
+                        out.push((p, Json::Arr(copy)));
+                    }
+                }
+            }
+            _ => {}
         }
-        let back = ExecutionReport::from_json_str(&doc.to_pretty()).unwrap();
-        report.service = Some(stripped);
-        assert_eq!(back.service, report.service);
+        out
+    }
+
+    /// The value at `path` (object keys, or array indices) of `doc`.
+    fn at<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Json {
+        path.iter().fold(doc, |j, step| match j {
+            Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == step).unwrap().1,
+            Json::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+            _ => panic!("no {step} in {path:?}"),
+        })
+    }
+
+    /// A current-version document decodes only whole: every key the
+    /// report defines is required unless its field is optional, and a
+    /// mistyped value anywhere, or another version, is a schema error
+    /// naming the field.
+    #[test]
+    fn decoding_is_strict() {
+        let doc = sample_report().to_json();
+        let optional = [
+            "phases[0].predicted_cost",
+            "phases[2].predicted_cost",
+            "buffer_pool",
+            "plan",
+            "deviation",
+            "workers",
+            "skew",
+            "kernel",
+            "faults",
+            "service",
+            "predicate",
+            "grid",
+            "columnar",
+            "operator",
+        ];
+        let removals = edits(&doc, "", &|_| None);
+        assert_eq!(removals.len(), 175);
+        for (path, stripped) in removals {
+            let got = ExecutionReport::from_json(&stripped);
+            if optional.contains(&path.as_str()) {
+                // Absent decodes as None / empty and is omitted again.
+                assert_eq!(got.unwrap().to_json(), stripped, "{path}");
+            } else {
+                assert_eq!(got, Err(missing(&path)), "{path} removed");
+            }
+        }
+        for (path, nulled) in edits(&doc, "", &|_| Some(Json::Null)) {
+            assert_eq!(ExecutionReport::from_json(&nulled), Err(missing(&path)));
+        }
+
+        let cases: [(&[&str], Json, &str); 5] = [
+            (&["result", "tuples"], Json::Int(-1), "result.tuples"),
+            (
+                &["counters", "1", "value"],
+                Json::Bool(true),
+                "counters[1].value",
+            ),
+            (
+                &["service", "queue_wait_histogram", "2"],
+                Json::Str("2".into()),
+                "service.queue_wait_histogram[2]",
+            ),
+            (&["workers"], Json::Obj(Vec::new()), "workers"),
+            (&["plan", "candidates"], Json::Int(1), "plan.candidates"),
+        ];
+        for (path, value, label) in cases {
+            let mut bad = doc.clone();
+            *at(&mut bad, path) = value;
+            assert_eq!(ExecutionReport::from_json(&bad), Err(missing(label)));
+        }
+        for version in [0, 1, 9, 11, 99] {
+            let mut other = doc.clone();
+            *at(&mut other, &["schema_version"]) = Json::Int(version);
+            assert!(matches!(
+                ExecutionReport::from_json(&other),
+                Err(ReportError::Schema(m)) if m.contains("unsupported schema_version")
+            ));
+        }
+        assert_eq!(
+            ExecutionReport::from_json_str("[]"),
+            Err(missing("schema_version"))
+        );
     }
 
     #[test]
-    fn missing_field_is_rejected() {
-        let text = sample_report()
-            .to_json_string()
-            .replacen("\"algorithm\"", "\"algo\"", 1);
-        assert!(ExecutionReport::from_json_str(&text).is_err());
+    fn merges_sum_per_worker_counters() {
+        let mut k = KernelSection {
+            hash_partitions: 1,
+            sweep_partitions: 2,
+            sweep_comparisons: 10,
+            batches_flushed: 3,
+        };
+        k.merge(KernelSection {
+            hash_partitions: 4,
+            sweep_partitions: 1,
+            sweep_comparisons: 5,
+            batches_flushed: 2,
+        });
+        assert_eq!(
+            k,
+            KernelSection {
+                hash_partitions: 5,
+                sweep_partitions: 3,
+                sweep_comparisons: 15,
+                batches_flushed: 5,
+            }
+        );
+        // The dictionary belongs to the shared encode: it takes the max.
+        let mut c = ColumnarSection {
+            encode_micros: 10,
+            radix_passes: 2,
+            dict_size: 100,
+            materialized_rows: 7,
+        };
+        c.merge(ColumnarSection {
+            encode_micros: 5,
+            radix_passes: 3,
+            dict_size: 40,
+            materialized_rows: 2,
+        });
+        assert_eq!(
+            c,
+            ColumnarSection {
+                encode_micros: 15,
+                radix_passes: 5,
+                dict_size: 100,
+                materialized_rows: 9,
+            }
+        );
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! [`criterion_group!`] / [`criterion_main!`] macros.
 //!
 //! Each benchmark runs a short warm-up plus a fixed number of timed
-//! samples and prints the mean wall-clock per iteration — no statistical
-//! analysis, outlier detection, or HTML reports.
+//! samples and prints the minimum and median wall-clock per iteration —
+//! no statistical analysis, outlier detection, or HTML reports. As in
+//! real criterion, the first non-flag command-line argument filters the
+//! benchmarks by substring (`cargo bench --bench micro -- page_checksum`).
 
 #![warn(missing_docs)]
 
@@ -20,23 +22,40 @@ pub fn black_box<T>(x: T) -> T {
 /// Top-level benchmark driver handed to every `criterion_group!` target.
 pub struct Criterion {
     default_samples: usize,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
         Criterion {
             default_samples: 10,
+            filter: None,
         }
     }
 }
 
 impl Criterion {
+    /// Runs only the benchmarks whose id contains `filter`.
+    pub fn with_filter(mut self, filter: impl Into<String>) -> Self {
+        self.filter = Some(filter.into());
+        self
+    }
+
+    /// Takes the filter from the command line: its first argument that
+    /// is not a flag (cargo passes `--bench` itself).
+    pub fn configure_from_args(self) -> Self {
+        match std::env::args().skip(1).find(|a| !a.starts_with('-')) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
+    }
+
     /// Runs a standalone benchmark under `id`.
     pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(id, self.default_samples, &mut f);
+        self.run_one(id, self.default_samples, &mut f);
         self
     }
 
@@ -46,7 +65,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.to_string(),
             samples: self.default_samples,
-            _parent: self,
+            parent: self,
         }
     }
 }
@@ -55,7 +74,7 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     name: String,
     samples: usize,
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -70,8 +89,8 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
-        run_one(&format!("{}/{}", self.name, id), self.samples, &mut f);
+        let id = format!("{}/{}", self.name, id.into());
+        self.parent.run_one(&id, self.samples, &mut f);
         self
     }
 
@@ -86,10 +105,8 @@ impl BenchmarkGroup<'_> {
         I: ?Sized,
         F: FnMut(&mut Bencher, &I),
     {
-        let id = id.into();
-        run_one(&format!("{}/{}", self.name, id), self.samples, &mut |b| {
-            f(b, input)
-        });
+        let id = format!("{}/{}", self.name, id.into());
+        self.parent.run_one(&id, self.samples, &mut |b| f(b, input));
         self
     }
 
@@ -129,8 +146,7 @@ impl std::fmt::Display for BenchmarkId {
 /// under test.
 pub struct Bencher {
     samples: usize,
-    total: Duration,
-    iters: u64,
+    times: Vec<Duration>,
 }
 
 impl Bencher {
@@ -143,27 +159,44 @@ impl Bencher {
         for _ in 0..self.samples {
             let start = Instant::now();
             black_box(routine());
-            self.total += start.elapsed();
-            self.iters += 1;
+            self.times.push(start.elapsed());
         }
     }
 }
 
-fn run_one<F>(id: &str, samples: usize, f: &mut F)
-where
-    F: FnMut(&mut Bencher),
-{
-    let mut b = Bencher {
-        samples,
-        total: Duration::ZERO,
-        iters: 0,
-    };
-    f(&mut b);
-    if b.iters == 0 {
-        println!("bench {id}: no iterations recorded");
-    } else {
-        let mean = b.total / (b.iters as u32);
-        println!("bench {id}: mean {mean:?} over {} iters", b.iters);
+impl Criterion {
+    /// Runs `f` and prints its summary line, unless the filter skips `id`.
+    fn run_one<F>(&self, id: &str, samples: usize, f: &mut F)
+    where
+        F: FnMut(&mut Bencher),
+    {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|s| !id.contains(s.as_str()))
+        {
+            return;
+        }
+        let mut b = Bencher {
+            samples,
+            times: Vec::with_capacity(samples),
+        };
+        f(&mut b);
+        println!("{}", summary(id, &mut b.times));
+    }
+}
+
+/// One benchmark's line: the fastest and the median sample (the upper
+/// median for an even count).
+fn summary(id: &str, times: &mut [Duration]) -> String {
+    times.sort_unstable();
+    match times.first() {
+        None => format!("bench {id}: no iterations recorded"),
+        Some(min) => format!(
+            "bench {id}: min {min:?}, median {:?} over {} iters",
+            times[times.len() / 2],
+            times.len()
+        ),
     }
 }
 
@@ -173,7 +206,7 @@ where
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion::default().configure_from_args();
             $( $target(&mut c); )+
         }
     };
@@ -221,5 +254,39 @@ mod tests {
         });
         group.finish();
         assert_eq!(calls, 4);
+    }
+
+    #[test]
+    fn filter_skips_benchmarks_whose_id_lacks_it() {
+        let mut c = Criterion::default().with_filter("page_checksum");
+        let mut calls = 0u64;
+        c.bench_function("page_pack_4k", |b| b.iter(|| calls += 1));
+        assert_eq!(calls, 0);
+        c.bench_function("page_checksum_4k", |b| b.iter(|| calls += 1));
+        assert_eq!(calls, 11);
+        let mut group = c.benchmark_group("codec");
+        group.sample_size(2);
+        group.bench_function("decode", |b| b.iter(|| calls += 1));
+        group.bench_with_input(BenchmarkId::new("page_checksum", 1024), &(), |b, _| {
+            b.iter(|| calls += 1)
+        });
+        group.finish();
+        assert_eq!(calls, 14);
+    }
+
+    #[test]
+    fn summary_prints_min_and_median() {
+        let ms = Duration::from_millis;
+        let mut times = [ms(5), ms(1), ms(9), ms(3)];
+        assert_eq!(
+            summary("g/f", &mut times),
+            "bench g/f: min 1ms, median 5ms over 4 iters"
+        );
+        let mut times = [ms(7), ms(2), ms(4)];
+        assert_eq!(
+            summary("f", &mut times),
+            "bench f: min 2ms, median 4ms over 3 iters"
+        );
+        assert_eq!(summary("f", &mut []), "bench f: no iterations recorded");
     }
 }
